@@ -9,7 +9,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import TYPE_CHECKING
 
@@ -169,13 +169,6 @@ def susceptibility_terms(ocean: np.ndarray, topic: TargetTopic, cfg: "AgentConfi
     return _logistic(cfg.beta * (alignment_scores(ocean, topic) - cfg.theta))
 
 
-def susceptibility(account: Account, topic: TargetTopic, class_multiplier: float,
-                   cfg: "AgentConfig") -> float:
-    """Probability a single seen post flips this account onto the topic."""
-    term = susceptibility_terms(account.ocean, topic, cfg)[0]
-    return float(np.clip(term * topic.severity * class_multiplier, 0.0, 1.0))
-
-
 def activation_probability(susceptibility_value, exposure) -> np.ndarray:
     """Independent per-post trials: 1 - (1 - s)^exposure."""
     s = np.clip(np.asarray(susceptibility_value, dtype=np.float64), 0.0, 1.0)
@@ -183,7 +176,7 @@ def activation_probability(susceptibility_value, exposure) -> np.ndarray:
 
 
 def draw_organic_valence(failure_class: FailureClass, rng: np.random.Generator,
-                         cfg: "AgentConfig", size: int | None = None) -> np.ndarray | float:
+                         cfg: "AgentConfig", size: int) -> np.ndarray:
     """Mixture of a negative and a mildly positive uniform component.
 
     The negative mass is the configured base weight scaled by the failure
@@ -191,32 +184,9 @@ def draw_organic_valence(failure_class: FailureClass, rng: np.random.Generator,
     """
     w_neg = float(np.clip(
         cfg.base_negative_weight * cfg.class_multipliers[failure_class.value], 0.0, 1.0))
-    n = 1 if size is None else size
-    pick_neg = rng.random(n) < w_neg
-    u = rng.random(n)
-    vals = np.where(pick_neg, -1.0 + 0.8 * u, -0.2 + 0.8 * u)
-    return float(vals[0]) if size is None else vals
-
-
-def user_react(account: Account, exposure: int, topic: TargetTopic,
-               rng: np.random.Generator, cfg: "AgentConfig",
-               boost: float = 1.0, tick: int = 0) -> Post | None:
-    """Roll activation for one inactive account; returns its first post.
-
-    ``boost`` folds in recurrence and defensive multipliers on top of the
-    per-post susceptibility combination.
-    """
-    if exposure <= 0:
-        return None
-    mult = cfg.class_multipliers[topic.failure_class.value]
-    s = susceptibility(account, topic, mult, cfg)
-    p = float(np.clip(activation_probability(s, exposure) * boost, 0.0, 1.0))
-    if rng.random() >= p:
-        return None
-    surface = COMPANY_PAGE if rng.random() < cfg.organic_company_page_fraction else GENERAL_STREAM
-    valence = draw_organic_valence(topic.failure_class, rng, cfg)
-    return Post(author=account.id, tick=tick, topic_id=topic.topic_id,
-                surface=surface, valence=float(valence), organic=True)
+    pick_neg = rng.random(size) < w_neg
+    u = rng.random(size)
+    return np.where(pick_neg, -1.0 + 0.8 * u, -0.2 + 0.8 * u)
 
 
 # -- bot posting -----------------------------------------------------------
@@ -258,22 +228,6 @@ def bot_emit_arrays(cohort: BotCohort, tick: int, topic: TargetTopic,
     return authors, valence, surface_kind, surface_target
 
 
-def bot_emit(cohort: BotCohort, tick: int, topic: TargetTopic,
-             rng: np.random.Generator, *, noise: float) -> list[Post]:
-    """Posts emitted by a cohort this tick; see ``bot_emit_arrays``."""
-    authors, valence, surface_kind, surface_target = bot_emit_arrays(
-        cohort, tick, topic, rng, noise=noise)
-    posts = []
-    for k in range(len(authors)):
-        if surface_kind[k] == SurfaceKind.EMPLOYEE_PROFILE:
-            surface = Surface(SurfaceKind.EMPLOYEE_PROFILE, int(surface_target[k]))
-        else:
-            surface = COMPANY_PAGE
-        posts.append(Post(author=int(authors[k]), tick=tick, topic_id=topic.topic_id,
-                          surface=surface, valence=float(valence[k]), organic=False))
-    return posts
-
-
 # -- worker pressure -------------------------------------------------------
 
 def saturate(x, half: float) -> np.ndarray:
@@ -290,12 +244,6 @@ def stress_step(stress, mentions, ambient, cfg: "AgentConfig",
            + gain * saturate(mentions, cfg.half_saturation)
            + cfg.gamma_ambient * saturate(ambient, cfg.half_saturation))
     return np.clip(out, 0.0, 1.0)
-
-
-def update_stress(account: Account, mentions: float, ambient: float,
-                  cfg: "AgentConfig") -> float:
-    """New stress for one roster member; pure, does not mutate the account."""
-    return float(stress_step(account.stress, mentions, ambient, cfg))
 
 
 def procedure_compliance(account: Account, company: CompanyState,

@@ -19,13 +19,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import binomtest
 
 from . import __version__, analytics, defense
 from .contagion import regulator_visibility
 from .scenario import (ConfigError, PRESETS, PolicySpec, ScenarioConfig,
                        build_from_seed, default_config, expand_preset,
-                       load_config)
+                       load_config, validate_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,7 +50,7 @@ def _resolve_config(args) -> ScenarioConfig:
         cfg = default_config()
     seed = getattr(args, "seed", None)
     if seed is not None:
-        cfg = replace(cfg, run=replace(cfg.run, seed=seed))
+        cfg = validate_config(replace(cfg, run=replace(cfg.run, seed=seed)))
     return cfg
 
 
@@ -65,24 +64,29 @@ def _parse_seed_range(spec: str) -> list[int]:
             lo = hi = int(spec)
     except ValueError:
         raise ConfigError(f"--seeds must be 'A..B' or an integer, got {spec!r}") from None
+    if lo < 0:
+        raise ConfigError(f"--seeds range {spec!r} has a negative seed")
     if hi < lo:
         raise ConfigError(f"--seeds range {spec!r} is empty (end before start)")
     return list(range(lo, hi + 1))
 
 
 def _write_json_atomic(payload: dict, out_dir: Path, name: str) -> Path:
-    analytics.ensure_writable(out_dir)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        target = out_dir / name
+    return _write_text_atomic(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                              out_dir, name)
+
+
+def _write_text_atomic(text: str, out_dir: Path, name: str) -> Path:
+    """Write ``out_dir/name`` whole or not at all.
+
+    The text is staged in a private directory and renamed into place; the
+    staged file is opened normally, so its mode follows the umask.
+    """
+    target = out_dir / name
+    with tempfile.TemporaryDirectory(dir=out_dir, prefix=f".{name}.") as staging:
+        tmp = Path(staging) / name
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
     return target
 
 
@@ -273,6 +277,14 @@ def _compare_worker(task: tuple[ScenarioConfig, ScenarioConfig, int]) -> tuple[i
         return seed, None, None, f"{type(err).__name__}: {err}"
 
 
+def _binomial_tails(successes: int, trials: int) -> tuple[float, float]:
+    """Exact one-sided sign-test p-values: P(X >= k) and P(X <= k), X ~ B(n, 1/2)."""
+    whole = 2 ** trials
+    greater = sum(math.comb(trials, i) for i in range(successes, trials + 1))
+    less = sum(math.comb(trials, i) for i in range(successes + 1))
+    return greater / whole, less / whole  # int / int rounds correctly
+
+
 def _sign_test(deltas: list[float]) -> dict:
     positive = sum(1 for d in deltas if d > 0)
     negative = sum(1 for d in deltas if d < 0)
@@ -281,8 +293,7 @@ def _sign_test(deltas: list[float]) -> dict:
               "p_greater": None, "p_less": None}
     trials = positive + negative
     if trials > 0:
-        result["p_greater"] = float(binomtest(positive, trials, alternative="greater").pvalue)
-        result["p_less"] = float(binomtest(positive, trials, alternative="less").pvalue)
+        result["p_greater"], result["p_less"] = _binomial_tails(positive, trials)
     return result
 
 
@@ -406,20 +417,6 @@ class _ArchiveAccount:
     def __init__(self, account_id: int, creation_tick: int):
         self.id = account_id
         self.creation_tick = creation_tick
-
-
-def _write_text_atomic(text: str, out_dir: Path, name: str) -> Path:
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        target = out_dir / name
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return target
 
 
 # -- entry point ----------------------------------------------------------------

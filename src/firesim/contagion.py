@@ -15,8 +15,9 @@ so forking is cheap enough to run online at candidate ticks.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import copy
+import operator
+from dataclasses import replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import agents, analytics, attack, defense
 from .agents import BotMode, CompanyState, SurfaceKind, TargetTopic
-from .socialgraph import AccountKind, AccountTable, CompanyRoster, SocialGraph
+from .socialgraph import AccountKind, AccountTable, SocialGraph
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
@@ -49,8 +50,6 @@ _INT_COLUMNS = {"tick", "total_posts", "organic_posts", "bot_posts",
                 "company_page_posts", "employee_profile_posts",
                 "general_stream_posts", "active_organic_posters"}
 
-HISTORY_SCHEMA_VERSION = 1
-
 
 class SimHistory:
     """Per-tick aggregate trace, kept as parallel columns."""
@@ -69,16 +68,16 @@ class SimHistory:
         for col, value in fields.items():
             getattr(self, col).append(value)
 
-    def record(self, t: int) -> dict:
-        return {col: getattr(self, col)[t] for col in HISTORY_COLUMNS}
-
     def copy(self) -> "SimHistory":
         out = SimHistory.__new__(SimHistory)
         for col in HISTORY_COLUMNS:
             setattr(out, col, list(getattr(self, col)))
         return out
 
-    # -- persistence: both forms round-trip losslessly ----------------------
+    def __deepcopy__(self, memo) -> "SimHistory":
+        return self.copy()
+
+    # -- persistence: round-trips losslessly ---------------------------------
 
     def to_csv_text(self) -> str:
         lines = [",".join(HISTORY_COLUMNS)]
@@ -107,24 +106,6 @@ class SimHistory:
                 else:
                     rec[col] = float(raw)
             out.append(**rec)
-        return out
-
-    def to_json_text(self) -> str:
-        payload = {
-            "schema_version": HISTORY_SCHEMA_VERSION,
-            "columns": list(HISTORY_COLUMNS),
-            "records": [self.record(t) for t in range(len(self))],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "SimHistory":
-        payload = json.loads(text)
-        if payload.get("schema_version") != HISTORY_SCHEMA_VERSION:
-            raise ValueError("unsupported history schema version")
-        out = cls()
-        for rec in payload["records"]:
-            out.append(**{col: rec[col] for col in HISTORY_COLUMNS})
         return out
 
 
@@ -272,6 +253,10 @@ class Simulation:
     Built by ``scenario.build_simulation``; ``factory`` rebuilds a fresh
     identical instance, which is what offline fire-point detection replays.
     """
+
+    # Attributes no step changes; forks share them by reference.
+    SHARED = ("cfg", "graph", "topics", "topic", "logistic_term", "can_activate",
+              "roster_ids", "factory", "company.roster")
 
     def __init__(self, *, config: "ScenarioConfig", graph: SocialGraph,
                  accounts: AccountTable, company: CompanyState,
@@ -566,7 +551,8 @@ class Simulation:
         #    bit-identical to one taken by offline replay at run_until(t + 1)
         if (self.watch_fire_point and self.fire_point is None and self.topic is not None
                 and organic_n >= cfg.contagion.fire_threshold):
-            if self._counterfactual_sustains():
+            if self._sustains_without_bots(cfg.contagion.fire_window,
+                                           cfg.contagion.fire_threshold):
                 self.fire_point = t
                 self.events.append({"tick": t, "kind": "fire_point"})
 
@@ -581,81 +567,26 @@ class Simulation:
     def fork_bots_dormant(self) -> "Simulation":
         """Clone the world with every cohort silenced and plans frozen.
 
-        The clone shares the graph and per-topic alignment cache but owns
-        copies of all mutable arrays and an identically-positioned RNG, so
-        stepping it never disturbs the parent run.
+        Everything outside ``SHARED`` is deep-copied, including an
+        identically-positioned RNG, so stepping the fork never disturbs the
+        parent run.  What makes it a fork is set afresh, never copied.
         """
+        memo = {id(obj): obj for obj in operator.attrgetter(*self.SHARED)(self)}
+        fresh = {"plan": None, "playbook": None, "post_log": PostLog(), "events": [],
+                 "watch_fire_point": False, "_seed_posters": []}
         fork = Simulation.__new__(Simulation)
-        fork.cfg = self.cfg
-        fork.graph = self.graph
-        fork.accounts = self.accounts.copy()
-        fork.company = CompanyState(
-            roster=self.company.roster,
-            security_posture=self.company.security_posture,
-            reputation=self.company.reputation,
-            page_followers=self.company.page_followers,
-            downtime_remaining=self.company.downtime_remaining,
-            data_exfiltrated=self.company.data_exfiltrated,
-            ransom_paid_total=self.company.ransom_paid_total,
-        )
-        fork.topics = self.topics
-        fork.cohorts = [
-            agents.BotCohort(
-                cohort_id=c.cohort_id, members=c.members, posting_rate=c.posting_rate,
-                creation_tick=c.creation_tick, mode=BotMode.DORMANT, defending=0)
-            for c in self.cohorts
-        ]
-        fork.plan = None
-        fork.playbook = None
-        bit_gen = type(self.rng.bit_generator)()
-        bit_gen.state = self.rng.bit_generator.state
-        fork.rng = np.random.Generator(bit_gen)
-        fork.factory = None
-
-        fork.tick = self.tick
-        fork.topic = self.topic
-        fork.logistic_term = self.logistic_term
-        fork.class_multiplier = self.class_multiplier
-        fork.severity = self.severity
-        fork.activation_multiplier = self.activation_multiplier
-        fork.recurrence_multiplier = self.recurrence_multiplier
-        fork.active = self.active.copy()
-        fork.activated_ever = self.activated_ever.copy()
-        fork.defender = self.defender.copy()
-        fork.remaining = self.remaining.copy()
-        fork.can_activate = self.can_activate
-        fork.author_counts_prev = self.author_counts_prev.copy()
-        fork.pool_prev = self.pool_prev
-        fork.roster_ids = self.roster_ids
-        fork.history = self.history.copy()
-        fork.post_log = PostLog()
-        fork.tracker = StageTracker(low=self.tracker.low, high=self.tracker.high)
-        fork.tracker.stage = self.tracker.stage
-        fork.tracker._prev = self.tracker._prev
-        fork._volume_csum = list(self._volume_csum)
-        fork.financial = analytics.FinancialProxy(
-            base=self.financial.base, floor=self.financial.floor,
-            series=list(self.financial.series),
-            markers=list(self.financial.markers),
-            floor_hits=self.financial.floor_hits)
-        fork.financial.value = self.financial.value
-        fork._prev_reputation = self._prev_reputation
-        fork.fire_point = self.fire_point
-        fork.onset = self.onset
-        fork.extinguished_tick = self.extinguished_tick
-        fork._below_eps_run = self._below_eps_run
-        fork.events = []
-        fork.watch_fire_point = False
-        fork._seed_posters = []
+        fork.__dict__ = copy.deepcopy(
+            {k: v for k, v in vars(self).items() if k not in fresh}, memo)
+        fork.__dict__.update(fresh)
+        fork.cohorts = [replace(c, mode=BotMode.DORMANT) for c in fork.cohorts]
         return fork
 
-    def _counterfactual_sustains(self) -> bool:
-        """Would organic volume alone stay at threshold for the window?"""
-        cfg = self.cfg.contagion
+    def _sustains_without_bots(self, window: int, threshold: float) -> bool:
+        """Would organic volume alone stay at ``threshold`` for ``window`` ticks?"""
         fork = self.fork_bots_dormant()
-        for _ in range(cfg.fire_window):
+        for _ in range(window):
             fork.step()
-            if fork.history.organic_posts[-1] < cfg.fire_threshold:
+            if fork.history.organic_posts[-1] < threshold:
                 return False
         return True
 
@@ -681,13 +612,6 @@ def detect_fire_point(sim: Simulation, window: int | None = None,
     shadow.watch_fire_point = False
     for t in candidates:
         shadow.run_until(t + 1)
-        fork = shadow.fork_bots_dormant()
-        ok = True
-        for _ in range(window):
-            fork.step()
-            if fork.history.organic_posts[-1] < threshold:
-                ok = False
-                break
-        if ok:
+        if shadow._sustains_without_bots(window, threshold):
             return t
     return None

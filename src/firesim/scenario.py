@@ -609,6 +609,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _check(an.forecast_horizon >= 1, "analytics.forecast_horizon", "must be >= 1")
     _check(an.predictable_rmse > 0, "analytics.predictable_rmse", "must be > 0")
 
+    _check(run.seed >= 0, "run.seed", f"seed {run.seed} must be >= 0")
     _check(run.ticks >= 1, "run.ticks", "must be >= 1")
     _check(run.initial_organic_posters >= 0, "run.initial_organic_posters", "must be >= 0")
     _check(run.initial_organic_posters <= g.n, "run.initial_organic_posters",

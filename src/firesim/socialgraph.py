@@ -109,6 +109,9 @@ class AccountTable:
             self.pride.copy(), self.stress.copy(), self.posting_rate.copy(),
         )
 
+    def __deepcopy__(self, memo) -> "AccountTable":
+        return self.copy()
+
 
 @dataclass
 class CompanyRoster:

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from firesim.agents import (BotCohort, BotMode, CompanyState, FailureClass,
-                            TargetTopic, activation_probability,
-                            alignment_scores, bot_emit, draw_organic_valence,
-                            procedure_compliance, saturate, stress_step,
-                            susceptibility, susceptibility_terms, update_stress,
-                            user_react)
-from firesim.scenario import AgentConfig
+                            SurfaceKind, TargetTopic, activation_probability,
+                            alignment_scores, bot_emit_arrays,
+                            draw_organic_valence, procedure_compliance,
+                            saturate, stress_step, susceptibility_terms)
+from firesim.scenario import AgentConfig, build_from_seed, config_from_dict
 from firesim.socialgraph import Account, AccountKind, CompanyRoster
 
 
@@ -24,6 +23,12 @@ def _account(ocean, stress=0.0, pride=None):
                    stress=stress, posting_rate=0.35)
 
 
+def _susceptibility(ocean, topic, class_multiplier, cfg) -> float:
+    """One account's per-post flip probability, as ``Simulation.susceptibilities``."""
+    term = susceptibility_terms(np.asarray(ocean, dtype=float), topic, cfg)[0]
+    return float(np.clip(term * topic.severity * class_multiplier, 0.0, 1.0))
+
+
 def test_alignment_is_mean_weighted_appeal():
     topic = _topic(appeal=(1.0, 0.0, 0.0, 0.0, 0.0))
     scores = alignment_scores(np.array([[0.5, 0.9, 0.9, 0.9, 0.9]]), topic)
@@ -34,16 +39,14 @@ def test_susceptibility_logistic_oracle():
     cfg = AgentConfig(beta=10.0, theta=0.7)
     topic = _topic(severity=0.8, appeal=(1.0, 1.0, 1.0, 1.0, 1.0))
     # alignment = mean(ocean) = 0.8 -> logistic(10 * 0.1)
-    acct = _account([0.8] * 5)
     expected = 0.8 / (1.0 + math.exp(-1.0))
-    assert susceptibility(acct, topic, 1.0, cfg) == pytest.approx(expected, abs=1e-12)
+    assert _susceptibility([0.8] * 5, topic, 1.0, cfg) == pytest.approx(expected, abs=1e-12)
 
 
 def test_susceptibility_clipped_to_unit():
     cfg = AgentConfig(beta=10.0, theta=0.0)
     topic = _topic(severity=1.0, appeal=(1.0,) * 5)
-    acct = _account([1.0] * 5)
-    assert susceptibility(acct, topic, 5.0, cfg) == 1.0
+    assert _susceptibility([1.0] * 5, topic, 5.0, cfg) == 1.0
 
 
 def test_activation_probability_closed_form():
@@ -77,12 +80,12 @@ def test_stress_step_clips_and_decays():
     assert stress_step(0.5, 0.0, 0.0, cfg) == pytest.approx(0.45)
 
 
-def test_update_stress_is_pure():
+def test_stress_step_is_pure():
     cfg = AgentConfig()
-    acct = _account([0.5] * 5, stress=0.3)
-    out = update_stress(acct, mentions=5.0, ambient=2.0, cfg=cfg)
-    assert acct.stress == 0.3
-    assert 0.0 <= out <= 1.0
+    stress = np.array([0.3, 0.6])
+    out = stress_step(stress, mentions=np.array([5.0, 0.0]), ambient=2.0, cfg=cfg)
+    assert stress.tolist() == [0.3, 0.6]
+    assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 def test_procedure_compliance_oracle():
@@ -111,36 +114,58 @@ def test_draw_organic_valence_bounds_and_skew():
     assert vals.mean() < -0.2
 
 
-def test_user_react_needs_exposure_and_draws_once_when_skipped():
-    cfg = AgentConfig()
-    acct = _account([0.9] * 5)
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    assert user_react(acct, 0, _topic(), rng, cfg) is None
-    assert rng.bit_generator.state == state  # zero exposure consumes no rng
+def _exposed_world():
+    """An organic world one step before activation, whose exposure counts are
+    exactly the number of followed accounts that posted once last tick."""
+    cfg = config_from_dict({"graph": {"n": 2000}, "contagion": {"trend_samples": 0},
+                            "attack": {"enabled": False, "bots": 0}})
+    sim = build_from_seed(cfg, 4)
+    sim.active[:] = False
+    sim.activated_ever[:] = False
+    sim.recurrence_multiplier = sim.activation_multiplier = 1.0
+    posted = np.arange(0, len(sim.accounts), 2)
+    sim.author_counts_prev = np.zeros(len(sim.accounts), dtype=np.int64)
+    sim.author_counts_prev[posted] = 1
+    sim.pool_prev = len(posted)
+    exposure = np.zeros(len(sim.accounts))
+    for author in posted:
+        exposure[sim.graph.follower_array(int(author))] += 1
+    return sim, exposure
 
 
-def test_user_react_activation_rate_matches_probability():
-    cfg = AgentConfig(beta=10.0, theta=0.5)
-    topic = _topic(severity=0.8, appeal=(0.9,) * 5)
-    acct = _account([0.7] * 5)
-    s = susceptibility(acct, topic, cfg.class_multipliers["product_service"], cfg)
-    p = activation_probability(s, 2)
-    rng = np.random.default_rng(1)
-    n = 10_000
-    hits = sum(user_react(acct, 2, topic, rng, cfg) is not None for _ in range(n))
-    assert hits / n == pytest.approx(p, abs=0.02)
+def test_activation_needs_exposure():
+    sim, exposure = _exposed_world()
+    eligible = sim.can_activate & (sim.remaining > 0)
+    assert np.any(eligible & (exposure == 0))
+    sim.step()
+    activated = np.flatnonzero(sim.activated_ever)
+    assert len(activated) > 50
+    assert np.all(exposure[activated] > 0)  # zero exposure never activates
+    assert np.all(eligible[activated])
 
 
-def test_user_react_post_fields():
-    cfg = AgentConfig(beta=10.0, theta=0.0)
-    topic = _topic(severity=1.0, appeal=(1.0,) * 5)
-    acct = _account([1.0] * 5)
-    rng = np.random.default_rng(2)
-    post = user_react(acct, 5, topic, rng, cfg, tick=17)
-    assert post is not None
-    assert post.organic and post.tick == 17 and post.topic_id == topic.topic_id
-    assert -1.0 <= post.valence <= 1.0
+def test_activation_rate_matches_probability():
+    sim, exposure = _exposed_world()
+    eligible = sim.can_activate & (sim.remaining > 0)
+    p = np.where(eligible, activation_probability(sim.susceptibilities(), exposure), 0.0)
+    sim.step()
+    activated = int(sim.activated_ever.sum())
+    sd = math.sqrt(float(np.sum(p * (1.0 - p))))
+    assert abs(activated - p.sum()) < 4.0 * sd
+
+
+def test_fresh_activations_post_organic_fields():
+    sim, _ = _exposed_world()
+    t = sim.tick
+    sim.step()
+    posts = sim.post_log.posts_between(t, t + 1)
+    activated = set(np.flatnonzero(sim.activated_ever).tolist())
+    assert posts and {p.author for p in posts} == activated
+    assert all(p.organic and p.tick == t and p.topic_id == sim.topic.topic_id
+               for p in posts)
+    assert all(-1.0 <= p.valence <= 1.0 for p in posts)
+    assert all(p.surface.kind in (SurfaceKind.COMPANY_PAGE, SurfaceKind.GENERAL_STREAM)
+               for p in posts)
 
 
 # -- bot cohorts -------------------------------------------------------------
@@ -153,24 +178,29 @@ def _cohort(n=30, mode=BotMode.ATTACK, **kw):
 def test_dormant_cohort_emits_nothing_and_no_rng():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    posts = bot_emit(_cohort(mode=BotMode.DORMANT), 3, _topic(), rng, noise=0.2)
-    assert posts == []
+    authors, valence, kinds, targets = bot_emit_arrays(
+        _cohort(mode=BotMode.DORMANT), 3, _topic(), rng, noise=0.2)
+    assert len(authors) == len(valence) == len(kinds) == len(targets) == 0
     assert rng.bit_generator.state == state
 
 
 def test_attack_cohort_pushes_negative_company_page():
     rng = np.random.default_rng(1)
-    posts = bot_emit(_cohort(), 3, _topic(severity=0.8), rng, noise=0.1)
-    assert len(posts) > 0
-    assert all(not p.organic for p in posts)
-    assert all(p.valence <= -0.7 + 1e-9 for p in posts)
-    assert all(p.surface.kind.name == "COMPANY_PAGE" for p in posts)
+    c = _cohort()
+    authors, valence, kinds, targets = bot_emit_arrays(c, 3, _topic(severity=0.8), rng,
+                                                       noise=0.1)
+    assert len(authors) > 0
+    assert set(authors.tolist()) <= set(c.members)
+    assert np.all(valence <= -0.7 + 1e-9)
+    assert np.all(kinds == SurfaceKind.COMPANY_PAGE) and np.all(targets == -1)
 
 
 def test_defend_cohort_pushes_positive():
     rng = np.random.default_rng(1)
-    posts = bot_emit(_cohort(mode=BotMode.DEFEND), 3, _topic(severity=0.8), rng, noise=0.1)
-    assert posts and all(p.valence >= 0.7 - 1e-9 for p in posts)
+    _, valence, kinds, _ = bot_emit_arrays(_cohort(mode=BotMode.DEFEND), 3,
+                                           _topic(severity=0.8), rng, noise=0.1)
+    assert len(valence) and np.all(valence >= 0.7 - 1e-9)
+    assert np.all(kinds == SurfaceKind.COMPANY_PAGE)
 
 
 def test_employee_share_ramp():
@@ -185,21 +215,32 @@ def test_employee_share_ramp():
 def test_retargeted_posts_move_to_employee_profiles():
     c = _cohort(n=200, retarget_targets=(7, 8, 9), retarget_start=0, retarget_ramp=0)
     rng = np.random.default_rng(5)
-    posts = bot_emit(c, 1, _topic(), rng, noise=0.0)
-    profiles = [p for p in posts if p.surface.kind.name == "EMPLOYEE_PROFILE"]
-    assert len(profiles) == len(posts)  # share 1.0 once the ramp is over
-    assert {p.surface.target for p in profiles} <= {7, 8, 9}
+    authors, _, kinds, targets = bot_emit_arrays(c, 1, _topic(), rng, noise=0.0)
+    assert len(authors) > 0
+    assert np.all(kinds == SurfaceKind.EMPLOYEE_PROFILE)  # share 1.0 once the ramp is over
+    assert set(targets.tolist()) <= {7, 8, 9}
 
 
 def test_flipped_members_defend_while_rest_attack():
     c = _cohort(n=100, defending=50)
     rng = np.random.default_rng(6)
-    posts = bot_emit(c, 1, _topic(), rng, noise=0.0)
-    flipped = [p for p in posts if p.author < 150]
-    loyal = [p for p in posts if p.author >= 150]
-    assert flipped and loyal
-    assert all(p.valence > 0 for p in flipped)
-    assert all(p.valence < 0 for p in loyal)
+    authors, valence, kinds, _ = bot_emit_arrays(c, 1, _topic(), rng, noise=0.0)
+    flipped = authors < 150
+    assert flipped.any() and (~flipped).any()
+    assert np.all(valence[flipped] > 0) and np.all(valence[~flipped] < 0)
+    assert np.all(kinds[flipped] == SurfaceKind.COMPANY_PAGE)
+
+
+def test_flipped_members_stay_on_the_page_while_rest_retarget():
+    c = _cohort(n=100, defending=50, retarget_targets=(7, 8), retarget_start=0,
+                retarget_ramp=0)
+    rng = np.random.default_rng(6)
+    authors, valence, kinds, targets = bot_emit_arrays(c, 1, _topic(), rng, noise=0.0)
+    flipped = authors < 150
+    assert np.all(kinds[flipped] == SurfaceKind.COMPANY_PAGE)
+    assert np.all(targets[flipped] == -1) and np.all(valence[flipped] > 0)
+    assert np.all(kinds[~flipped] == SurfaceKind.EMPLOYEE_PROFILE)
+    assert set(targets[~flipped].tolist()) <= {7, 8} and np.all(valence[~flipped] < 0)
 
 
 # -- properties ---------------------------------------------------------------
@@ -228,7 +269,6 @@ def test_stress_step_stays_in_unit_interval(s, mentions, ambient):
 @settings(max_examples=60, deadline=None)
 def test_susceptibility_monotone_in_severity(ocean):
     cfg = AgentConfig()
-    acct = _account(ocean)
-    lo = susceptibility(acct, _topic(severity=0.3), 1.0, cfg)
-    hi = susceptibility(acct, _topic(severity=0.9), 1.0, cfg)
+    lo = _susceptibility(ocean, _topic(severity=0.3), 1.0, cfg)
+    hi = _susceptibility(ocean, _topic(severity=0.9), 1.0, cfg)
     assert hi >= lo - 1e-12

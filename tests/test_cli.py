@@ -1,6 +1,9 @@
 import json
+import os
+import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from firesim import cli
@@ -41,6 +44,10 @@ def test_parse_seed_range():
         cli._parse_seed_range("a..b")
     with pytest.raises(ConfigError):
         cli._parse_seed_range("1-4")
+    with pytest.raises(ConfigError):
+        cli._parse_seed_range("-2..-1")
+    with pytest.raises(ConfigError):
+        cli._parse_seed_range("-1..3")
 
 
 def test_out_root_env_sets_default_dir(tmp_path, monkeypatch, capsys):
@@ -84,6 +91,23 @@ def test_bad_seed_range_is_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-1"],
+    ["run", "--config", "{neg}"],
+    ["batch", "--seeds=-2..-1"],
+    ["compare", "--seeds=-1..0", "--toggle", "ransom_paid"],
+])
+def test_negative_seed_is_exit_2_and_writes_nothing(tmp_path, capsys, argv):
+    neg = tmp_path / "neg.json"
+    neg.write_text('{"run": {"seed": -1}}')
+    out = tmp_path / "out"
+    argv = [a.replace("{neg}", str(neg)) for a in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and ("negative seed" in err or "run.seed" in err)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_missing_archive_is_exit_3(tmp_path, capsys):
@@ -194,6 +218,45 @@ def test_unknown_toggle_rejected_by_parser(tmp_path, capsys):
                   "--seeds", "0..1", "--out", str(tmp_path / "out")])
     assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+def test_binomial_tails_match_scipy():
+    from scipy.stats import binom  # what binomtest evaluates for p = 1/2
+
+    for n in range(1, 201):
+        k = np.arange(n + 1)
+        greater = binom.sf(k - 1, n, 0.5)
+        less = binom.cdf(k, n, 0.5)
+        for successes in range(n + 1):
+            ours = cli._binomial_tails(successes, n)
+            assert abs(ours[0] - greater[successes]) <= 1e-12, (successes, n)
+            assert abs(ours[1] - less[successes]) <= 1e-12, (successes, n)
+    assert cli._binomial_tails(3, 3) == (0.125, 1.0)
+    assert cli._binomial_tails(0, 2) == (1.0, 0.25)
+
+
+def test_outputs_follow_the_umask(tmp_path, capsys):
+    cfg_path = _small_config(tmp_path)
+    archive = _engineered_archive(tmp_path)
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["batch", "--config", str(cfg_path), "--seeds", "0",
+                         "--out", str(tmp_path / "batch")]) == 0
+        assert cli.main(["compare", "--config", str(cfg_path), "--seeds", "0",
+                         "--toggle", "ransom_paid", "--out", str(tmp_path / "compare")]) == 0
+        assert cli.main(["analyze", str(archive), "--out", str(tmp_path / "analyze")]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    written = {p.relative_to(tmp_path).as_posix(): stat.S_IMODE(p.stat().st_mode)
+               for d in ("batch", "compare", "analyze") for p in (tmp_path / d).iterdir()}
+    assert written == {
+        "batch/batch_summary.json": 0o644,
+        "compare/compare_summary.json": 0o644,
+        "analyze/analysis.json": 0o644,
+        "analyze/sentiment_windows.csv": 0o644,
+        "analyze/volume.csv": 0o644,
+    }
 
 
 # -- analyze -----------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+from dataclasses import replace
+from enum import Enum
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
-from firesim.contagion import (FirestormStage, SimHistory, StageTracker,
+from firesim.agents import BotMode
+from firesim.contagion import (FirestormStage, SimHistory, Simulation, StageTracker,
                                classify_stage, detect_extinguished,
                                detect_fire_point, regulator_visibility,
                                smooth_series)
@@ -74,12 +77,6 @@ def test_history_csv_roundtrip(finished_run):
     assert len(back) == len(finished_run.history)
 
 
-def test_history_json_roundtrip(finished_run):
-    text = finished_run.history.to_json_text()
-    back = SimHistory.from_json_text(text)
-    assert back.to_json_text() == text
-
-
 def test_history_rejects_partial_rows():
     h = SimHistory()
     with pytest.raises(ValueError):
@@ -126,6 +123,58 @@ def test_fork_leaves_parent_untouched(default_cfg):
     assert sim.history.to_csv_text() == before
     assert sim.rng.bit_generator.state == state
     assert len(fork.history) == len(sim.history) + 2
+
+
+def _same(a, b) -> bool:
+    """Structural equality that sees through arrays, generators and objects."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and np.array_equal(a, b, equal_nan=a.dtype.kind == "f"))
+    if isinstance(a, np.random.Generator):
+        return a.bit_generator.state == b.bit_generator.state
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if hasattr(a, "__dict__") and not callable(a):
+        return _same(vars(a), vars(b))
+    return a == b
+
+
+_IMMUTABLE = (type(None), bool, int, float, str, Enum, tuple, frozenset)
+# What makes a fork a fork; every other attribute must equal the parent's.
+_FORK_OVERRIDES = {"cohorts", "plan", "playbook", "post_log", "events",
+                   "watch_fire_point", "_seed_posters"}
+
+
+def test_fork_copies_every_attribute_except_the_overrides(default_cfg):
+    sim = build_from_seed(default_cfg, 0)
+    sim.run(60)
+    assert any(c.retarget_start is not None for c in sim.cohorts)
+    sim.company.integrity_compromised = True
+    sim.extra_state = np.arange(5)  # stands in for state a later change adds
+    fork = sim.fork_bots_dormant()
+
+    assert vars(fork).keys() == vars(sim).keys()
+    shared = {name for name in Simulation.SHARED if "." not in name}
+    for name, value in vars(sim).items():
+        if name in _FORK_OVERRIDES:
+            continue
+        assert _same(getattr(fork, name), value), name
+        if name in shared:
+            assert getattr(fork, name) is value, name
+        elif not isinstance(value, _IMMUTABLE):
+            assert getattr(fork, name) is not value, name
+    assert fork.company.roster is sim.company.roster
+    assert fork.company.integrity_compromised
+
+    assert fork.cohorts == [replace(c, mode=BotMode.DORMANT) for c in sim.cohorts]
+    assert all(f is not c for f, c in zip(fork.cohorts, sim.cohorts))
+    assert fork.plan is None and fork.playbook is None
+    assert fork.post_log.ticks == [] and fork.events == []
+    assert not fork.watch_fire_point and fork._seed_posters == []
 
 
 def test_fork_silences_bots(default_cfg):
