@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -63,29 +63,53 @@ class SentimentSummary:
     compound: float
 
 
+def sentiment_windows(post_ticks: np.ndarray, valences: np.ndarray, ticks: int, *,
+                      window: int, neutral_band: float,
+                      alpha: float) -> list[SentimentSummary]:
+    """Proportions and compound score for each ``window``-tick slice of [0, ticks).
+
+    ``post_ticks`` must be sorted; ``valences`` is in the same (emission)
+    order.  Posts are classified as ``score_valence`` does, and each
+    window's valences are summed left to right in that order, so the
+    compound score does not depend on numpy's pairwise summation.  Empty
+    windows report null proportions and a zero compound rather than
+    dividing by zero.
+    """
+    if neutral_band < 0:
+        raise ValueError("neutral_band must be >= 0")
+    valences = np.asarray(valences, dtype=np.float64)
+    starts = np.arange(0, ticks, window)
+    ends = np.minimum(starts + window, ticks)
+    lo = np.searchsorted(post_ticks, starts)
+    hi = np.searchsorted(post_ticks, ends)
+    negative = np.concatenate([[0], np.cumsum(valences < -neutral_band)])
+    positive = np.concatenate([[0], np.cumsum(valences > neutral_band)])
+    out = []
+    for window_id, (start, end, a, b) in enumerate(
+            zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist())):
+        n = b - a
+        if n == 0:
+            out.append(SentimentSummary(window_id, start, end, 0, None, None, None, 0.0))
+            continue
+        neg = int(negative[b] - negative[a])
+        pos = int(positive[b] - positive[a])
+        # 0.0 + ...: a running sum that starts at +0.0 never ends at -0.0
+        total = 0.0 + float(np.cumsum(valences[a:b])[-1])
+        out.append(SentimentSummary(window_id, start, end, n, neg / n,
+                                    (n - neg - pos) / n, pos / n,
+                                    compound_score(total, alpha)))
+    return out
+
+
 def aggregate_window(posts: Sequence[Post], window_id: int, start_tick: int,
                      end_tick: int, *, neutral_band: float,
                      alpha: float) -> SentimentSummary:
-    """Proportions and compound score for one window of posts.
-
-    Empty windows report null proportions and a zero compound rather than
-    dividing by zero.
-    """
-    if not posts:
-        return SentimentSummary(window_id, start_tick, end_tick, 0,
-                                None, None, None, 0.0)
-    counts = {Sentiment.NEGATIVE: 0, Sentiment.NEUTRAL: 0, Sentiment.POSITIVE: 0}
-    total_valence = 0.0
-    for post in posts:
-        counts[score_valence(post.valence, neutral_band)] += 1
-        total_valence += post.valence
-    n = len(posts)
-    return SentimentSummary(
-        window_id, start_tick, end_tick, n,
-        counts[Sentiment.NEGATIVE] / n,
-        counts[Sentiment.NEUTRAL] / n,
-        counts[Sentiment.POSITIVE] / n,
-        compound_score(total_valence, alpha))
+    """Proportions and compound score for one window of posts."""
+    valences = np.fromiter((p.valence for p in posts), dtype=np.float64, count=len(posts))
+    [summary] = sentiment_windows(np.zeros(len(posts), dtype=np.int64), valences, 1,
+                                  window=1, neutral_band=neutral_band, alpha=alpha)
+    return replace(summary, window_id=window_id, start_tick=start_tick,
+                   end_tick=end_tick)
 
 
 SENTIMENT_CSV_HEADER = "window_id,start_tick,end_tick,post_count,negative,neutral,positive,compound"
@@ -385,16 +409,12 @@ def run_outcome(sim: "Simulation") -> dict:
 
 def sentiment_windows_for_run(sim: "Simulation") -> list[SentimentSummary]:
     cfg = sim.cfg.analytics
-    window = cfg.sentiment_window
-    ticks = len(sim.history.total_posts)
-    out = []
-    for window_id, start in enumerate(range(0, ticks, window)):
-        end = min(start + window, ticks)
-        posts = sim.post_log.posts_between(start, end)
-        out.append(aggregate_window(posts, window_id, start, end,
-                                    neutral_band=cfg.neutral_band,
-                                    alpha=cfg.compound_alpha))
-    return out
+    per_tick = [valences for _, valences, *_ in sim.post_log.ticks]
+    post_ticks = np.repeat(np.arange(len(per_tick)), [len(v) for v in per_tick])
+    valences = np.concatenate(per_tick) if per_tick else np.empty(0)
+    return sentiment_windows(post_ticks, valences, len(sim.history.total_posts),
+                             window=cfg.sentiment_window,
+                             neutral_band=cfg.neutral_band, alpha=cfg.compound_alpha)
 
 
 def run_metadata(sim: "Simulation") -> dict:

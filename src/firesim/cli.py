@@ -116,10 +116,21 @@ def _batch_worker(task: tuple[ScenarioConfig, int]) -> tuple[int, dict | None, s
         return seed, None, f"{type(err).__name__}: {err}"
 
 
+def _pool_size(parallelism: int, task_count: int) -> int:
+    """Workers worth starting: no more than the tasks or the CPUs.
+
+    ``ProcessPoolExecutor`` under the fork start method starts every
+    worker at once, so an unclamped ``--parallelism`` forks that many
+    processes however few tasks there are.
+    """
+    return min(parallelism, task_count, os.cpu_count() or 1)
+
+
 def _run_tasks(tasks: list, worker, parallelism: int) -> list:
-    if parallelism <= 1 or len(tasks) <= 1:
+    workers = _pool_size(parallelism, len(tasks))
+    if workers <= 1:
         return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -353,16 +364,14 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
     volumes: list[int] = []
     base_tick = posts[0].tick if posts else 0
     if posts:
-        span = posts[-1].tick - base_tick + 1
-        volumes = [0] * span
-        for post in posts:
-            volumes[post.tick - base_tick] += 1
-        for window_id, start in enumerate(range(0, span, an.sentiment_window)):
-            end = min(start + an.sentiment_window, span)
-            chunk = [p for p in posts if start <= p.tick - base_tick < end]
-            windows.append(analytics.aggregate_window(
-                chunk, window_id, start, end,
-                neutral_band=an.neutral_band, alpha=an.compound_alpha))
+        post_ticks = np.fromiter((p.tick - base_tick for p in posts), dtype=np.int64,
+                                 count=len(posts))
+        valences = np.fromiter((p.valence for p in posts), dtype=np.float64,
+                               count=len(posts))
+        volumes = np.bincount(post_ticks).tolist()
+        windows = analytics.sentiment_windows(
+            post_ticks, valences, len(volumes), window=an.sentiment_window,
+            neutral_band=an.neutral_band, alpha=an.compound_alpha)
 
     verdict = None
     if posts:

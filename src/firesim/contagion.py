@@ -110,7 +110,13 @@ class SimHistory:
 
 
 class PostLog:
-    """Compact per-tick post arrays; materialises Post objects on demand."""
+    """Compact per-tick post arrays.
+
+    ``ticks[t]`` holds tick t's ``(authors, valences, surface_kinds,
+    surface_targets, organic)`` arrays in emission order; reports read these
+    arrays directly.  ``posts_between`` materialises ``Post`` objects and is
+    a helper for tests and the archive boundary, not the report path.
+    """
 
     def __init__(self):
         self.ticks: list[tuple] = []
@@ -301,7 +307,6 @@ class Simulation:
         self.post_log = PostLog()
         self.tracker = StageTracker(low=config.contagion.stage_low,
                                     high=config.contagion.stage_high)
-        self._volume_csum = [0.0]
         self.financial = analytics.FinancialProxy(base=config.analytics.value_base,
                                                   floor=config.analytics.value_floor)
         self._prev_reputation = company.reputation
@@ -374,11 +379,12 @@ class Simulation:
         # 2) exposure to last tick's posts
         exposure = None
         if self.topic is not None and self.pool_prev > 0:
-            exposure = np.zeros(len(acc), dtype=np.float64)
-            for author in np.flatnonzero(self.author_counts_prev):
-                followers = self.graph.follower_array(int(author))
-                if len(followers):
-                    exposure[followers] += self.author_counts_prev[author]
+            # every follower edge carries its author's post count; the counts
+            # are integers, so the float sums are exact in any order
+            indptr, indices = self.graph.follower_csr()
+            exposure = np.bincount(
+                indices, weights=np.repeat(self.author_counts_prev, np.diff(indptr)),
+                minlength=len(acc))
             eligible = self.can_activate & ~self.active & ~self.activated_ever
             idx = np.flatnonzero(eligible)
             if len(idx):
@@ -509,10 +515,10 @@ class Simulation:
             kappa=cfg.analytics.kappa, rho=cfg.analytics.recovery_rho)
         self._prev_reputation = self.company.reputation
 
-        self._volume_csum.append(self._volume_csum[-1] + total)
         w = cfg.contagion.smoothing_window
         lo = max(0, t - w + 1)
-        smoothed = (self._volume_csum[t + 1] - self._volume_csum[lo]) / (t + 1 - lo)
+        # integer totals, so this equals a float cumulative-sum difference
+        smoothed = (sum(self.history.total_posts[lo:t]) + total) / (t + 1 - lo)
         stage = self.tracker.update(smoothed)
         if len(roster):
             mean_stress = float(acc.stress[roster].mean())

@@ -9,6 +9,7 @@ coworker follow edges) is overlaid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -143,7 +144,7 @@ class SocialGraph:
         self._edges: set[tuple[int, int]] = set()
         self._followees: list[list[int]] = []  # whom i follows
         self._followers: list[list[int]] = []  # who follows i
-        self._follower_arrays: list[np.ndarray] | None = None
+        self._follower_csr: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -163,7 +164,7 @@ class SocialGraph:
         for _ in range(count):
             self._followees.append([])
             self._followers.append([])
-        self._follower_arrays = None
+        self._follower_csr = None
         return list(range(start, start + count))
 
     def has_edge(self, follower: AccountId, followee: AccountId) -> bool:
@@ -178,7 +179,7 @@ class SocialGraph:
         self._edges.add((follower, followee))
         self._followees[follower].append(followee)
         self._followers[followee].append(follower)
-        self._follower_arrays = None
+        self._follower_csr = None
         return True
 
     def add_follow_pair(self, u: AccountId, v: AccountId) -> None:
@@ -192,13 +193,25 @@ class SocialGraph:
     def followers(self, i: AccountId) -> list[AccountId]:
         return sorted(self._followers[i])
 
+    def follower_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached read-only ``(indptr, indices)``: the sorted followers of
+        ``i`` are ``indices[indptr[i]:indptr[i + 1]]``.  Rebuilt after any
+        mutation."""
+        if self._follower_csr is None:
+            lens = np.fromiter(map(len, self._followers), dtype=np.intp, count=self._n)
+            indptr = np.zeros(self._n + 1, dtype=np.intp)
+            np.cumsum(lens, out=indptr[1:])
+            indices = np.fromiter(
+                itertools.chain.from_iterable(sorted(f) for f in self._followers),
+                dtype=np.intp, count=int(indptr[-1]))
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._follower_csr = (indptr, indices)
+        return self._follower_csr
+
     def follower_array(self, i: AccountId) -> np.ndarray:
-        """Cached ndarray of followers, for bulk exposure pushes."""
-        if self._follower_arrays is None:
-            self._follower_arrays = [
-                np.array(sorted(f), dtype=np.intp) for f in self._followers
-            ]
-        return self._follower_arrays[i]
+        """Sorted followers of ``i`` as a read-only view into the CSR index."""
+        indptr, indices = self.follower_csr()
+        return indices[indptr[i]:indptr[i + 1]]
 
     def in_degree(self, i: AccountId) -> int:
         return len(self._followers[i])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from firesim.analytics import (CascadeClass, CorruptArchiveError,
                                emit_report, financial_csv_text,
                                ingest_archive, load_sentiment_summaries,
                                predict_cascade, run_outcome, score_valence,
-                               sentiment_csv_text)
+                               sentiment_csv_text, sentiment_windows_for_run)
+from firesim.scenario import build_from_seed, default_config, expand_preset
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,6 +55,54 @@ def test_aggregate_window_oracle():
     assert s.positive == pytest.approx(2 / 6)
     total = -0.8 - 0.3 + 0.0 + 0.05 + 0.4 + 0.9
     assert s.compound == pytest.approx(total / math.sqrt(total * total + 15.0))
+
+
+def test_aggregate_window_sum_of_negative_zeros_is_positive_zero():
+    # the scalar sum starts at +0.0, and 0.0 + -0.0 == +0.0
+    s = aggregate_window([_post(-0.0), _post(-0.0)], 0, 0, 24,
+                         neutral_band=0.1, alpha=15.0)
+    assert math.copysign(1.0, s.compound) == 1.0
+    assert sentiment_csv_text([s]).endswith(",0.0\n")
+
+
+def _scalar_window(posts, window_id, start, end, *, neutral_band, alpha):
+    """Reference: classify with score_valence and sum valences one by one."""
+    if not posts:
+        return SentimentSummary(window_id, start, end, 0, None, None, None, 0.0)
+    counts = {label: 0 for label in Sentiment}
+    total = 0.0
+    for post in posts:
+        counts[score_valence(post.valence, neutral_band)] += 1
+        total += post.valence
+    n = len(posts)
+    return SentimentSummary(window_id, start, end, n, counts[Sentiment.NEGATIVE] / n,
+                            counts[Sentiment.NEUTRAL] / n, counts[Sentiment.POSITIVE] / n,
+                            compound_score(total, alpha))
+
+
+@pytest.mark.parametrize("preset", ["default", "defended_baseline", "rapid_massive"])
+@pytest.mark.parametrize("seed", [1, 4])
+def test_run_sentiment_windows_match_materialised_posts(preset, seed):
+    cfg = default_config() if preset == "default" else expand_preset(preset)
+    cfg = replace(cfg, graph=replace(cfg.graph, n=1000))
+    sim = build_from_seed(cfg, seed)
+    sim.run(cfg.run.ticks)
+    ticks = len(sim.history.total_posts)
+    for width in (cfg.analytics.sentiment_window, 7):
+        sim.cfg = replace(cfg, analytics=replace(cfg.analytics, sentiment_window=width))
+        an = sim.cfg.analytics
+        bounds = [(k, start, min(start + width, ticks))
+                  for k, start in enumerate(range(0, ticks, width))]
+        kernel = sentiment_csv_text(sentiment_windows_for_run(sim))
+        wrapped = sentiment_csv_text(
+            aggregate_window(sim.post_log.posts_between(start, end), k, start, end,
+                             neutral_band=an.neutral_band, alpha=an.compound_alpha)
+            for k, start, end in bounds)
+        scalar = sentiment_csv_text(
+            _scalar_window(sim.post_log.posts_between(start, end), k, start, end,
+                           neutral_band=an.neutral_band, alpha=an.compound_alpha)
+            for k, start, end in bounds)
+        assert kernel == wrapped == scalar
 
 
 def test_aggregate_empty_window_reports_nulls():
@@ -305,6 +355,7 @@ def test_aggregate_window_proportions_close(valences):
     s = aggregate_window(posts, 0, 0, 24, neutral_band=0.1, alpha=15.0)
     assert abs(s.negative + s.neutral + s.positive - 1.0) < 1e-9
     assert -1.0 < s.compound < 1.0
+    assert s == _scalar_window(posts, 0, 0, 24, neutral_band=0.1, alpha=15.0)
 
 
 @given(st.floats(min_value=-500.0, max_value=500.0, allow_nan=False),

@@ -168,6 +168,18 @@ def test_batch_parallelism_does_not_change_bytes(tmp_path, capsys):
         (out_b / "batch_summary.json").read_bytes()
 
 
+@pytest.mark.parametrize("cpus,parallelism,tasks,expected", [
+    (2, 10_000, 100, 2),   # a huge --parallelism is capped at the CPUs
+    (8, 4, 3, 3),          # no more workers than tasks
+    (8, 4, 100, 4),
+    (None, 6, 100, 1),     # unknown CPU count: run serially
+    (2, 1, 100, 1),
+])
+def test_pool_size_is_clamped(monkeypatch, cpus, parallelism, tasks, expected):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._pool_size(parallelism, tasks) == expected
+
+
 # -- payload shapes --------------------------------------------------------------------
 
 def test_batch_summary_structure(tmp_path, capsys):

@@ -1,12 +1,19 @@
-"""Golden sha256 digests of CLI outputs for fixed seeds.
+"""Golden sha256 digests of CLI outputs for fixed seeds and a fixed archive.
 
-The digests were recorded before the counterfactual fork became a generic
-deep copy.  Any refactor of the engine, the fork or the report writers must
-leave these bytes unchanged; a change that moves them on purpose has to
-re-record the table and say why.
+The `run` and `batch` digests were recorded before the counterfactual fork
+became a generic deep copy; the `analyze` digests were recorded before the
+archive windows moved onto the array kernel.  Any refactor of the engine,
+the fork or the report writers must leave these bytes unchanged; a change
+that moves them on purpose has to re-record the tables and say why.
+``scripts/golden_digests.py`` recomputes every table below.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import os
+from datetime import datetime, timezone
 
 import pytest
 
@@ -40,25 +47,103 @@ RUN_DIGESTS = {
 }
 
 # `batch --seeds 0..3` on the default config
+BATCH_SEEDS = "0..3"
 BATCH_DIGEST = "7800061731e2aecfdd247014b21a7f80e40ac6a53437e43a5f3f4a20e154b398"
+
+# `analyze` of the archive ``write_analyze_inputs`` writes
+ANALYZE_DIGESTS = {
+    "analysis.json": "51e970f64b3c3708e706e128a0e3afb685f6a653a7a0e72db1539c5a1091329c",
+    "sentiment_windows.csv": "a64d838df9c8f735a2bf1f3d2d7400639d03cb9b404319b2b4789b4379090f39",
+    "volume.csv": "4dbd47968042953ccdd4b5301bd3539c218bc87da7acaf2367c500797f1e6c32",
+}
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("preset,seed", sorted(RUN_DIGESTS))
-def test_run_report_digests(tmp_path, capsys, preset, seed):
-    argv = ["run", "--seed", str(seed), "--out", str(tmp_path)]
+def _main(argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, argv
+
+
+def run_digests(preset: str, seed: int, out_dir) -> dict[str, str]:
+    argv = ["run", "--seed", str(seed), "--out", str(out_dir)]
     if preset != "default":
         argv += ["--preset", preset]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    got = {p.name: _sha256(p) for p in tmp_path.iterdir()}
-    assert got == RUN_DIGESTS[(preset, seed)]
+    _main(argv)
+    return {p.name: _sha256(p) for p in out_dir.iterdir()}
 
 
-def test_batch_summary_digest(tmp_path, capsys):
-    assert cli.main(["batch", "--seeds", "0..3", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert _sha256(tmp_path / "batch_summary.json") == BATCH_DIGEST
+def batch_digest(out_dir) -> str:
+    _main(["batch", "--seeds", BATCH_SEEDS, "--out", str(out_dir)])
+    return _sha256(out_dir / "batch_summary.json")
+
+
+def _iso(tick: int, naive: bool = False) -> str:
+    stamp = datetime.fromtimestamp(tick * 3600, tz=timezone.utc)
+    return stamp.replace(tzinfo=None).isoformat() if naive else \
+        stamp.isoformat().replace("+00:00", "Z")
+
+
+def write_analyze_inputs(directory):
+    """An archive with two bursts one empty window apart, plus its config.
+
+    Rows are out of tick order and mix integer ticks with ISO timestamps
+    (with and without a zone); the archive has exact duplicates, blank and
+    named surfaces, valences on the neutral band's edges, and malformed
+    rows.  Windows are 24 ticks wide, so ticks base+24..base+47 are empty.
+    """
+    base = 480_000
+    rows = []
+    for k in range(30):
+        burst = 0 if k < 18 else 1
+        tick = base + (k * 7) % 20 + burst * 50
+        author = 100 + (k * 13) % 23
+        created = base + 60 if k % 3 == 0 else tick - 5000
+        surface = ("", "general_stream", "company_page",
+                   f"employee_profile:{7 + k % 4}")[k % 4]
+        valence = (-0.9, -0.1, 0.1, 0.35, -0.45, 0.0, 0.6, -0.25, 1.0)[k % 9]
+        stamp = _iso(tick, naive=k % 5 == 1) if k % 5 in (1, 3) else str(tick)
+        rows.append(f"{stamp},{author},{created},{surface},{valence}")
+    rows += [rows[4], rows[21], rows[4]]  # exact duplicates
+    rows += [f"{base + 3},101,{base},company_page",  # four columns
+             f"{base + 4},102,{base},company_page,1.5",  # valence out of range
+             f"soon,103,{base},general_stream,0.2"]  # unparseable timestamp
+    rows.reverse()
+    archive = directory / "archive.csv"
+    archive.write_text("timestamp,author_id,author_created_at,surface,valence\n"
+                       + "\n".join(rows) + "\n", encoding="utf-8")
+    config = directory / "analyze.json"
+    config.write_text(json.dumps({
+        "analytics": {"sentiment_window": 24, "neutral_band": 0.1,
+                      "forecast_window": 6},
+        "defense": {"detect_first_k": 8, "age_threshold": 48}}), encoding="utf-8")
+    return archive, config
+
+
+def analyze_digests(work_dir) -> dict[str, str]:
+    """Digests of `analyze` run from ``work_dir``, so that the archive path
+    recorded in analysis.json is the same relative name every time."""
+    write_analyze_inputs(work_dir)
+    cwd = os.getcwd()
+    os.chdir(work_dir)
+    try:
+        _main(["analyze", "archive.csv", "--config", "analyze.json", "--out", "out"])
+    finally:
+        os.chdir(cwd)
+    return {p.name: _sha256(p) for p in (work_dir / "out").iterdir()}
+
+
+@pytest.mark.parametrize("preset,seed", sorted(RUN_DIGESTS))
+def test_run_report_digests(tmp_path, preset, seed):
+    assert run_digests(preset, seed, tmp_path) == RUN_DIGESTS[(preset, seed)]
+
+
+def test_batch_summary_digest(tmp_path):
+    assert batch_digest(tmp_path) == BATCH_DIGEST
+
+
+def test_analyze_digests(tmp_path):
+    assert analyze_digests(tmp_path) == ANALYZE_DIGESTS

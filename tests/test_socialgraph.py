@@ -71,6 +71,14 @@ def test_add_edge_rules():
     assert g.in_degree(1) == 1 and g.out_degree(0) == 1
 
 
+def _assert_csr_rows_match(g):
+    indptr, indices = g.follower_csr()
+    assert len(indptr) == g.n_nodes + 1 and indptr[-1] == g.edge_count
+    for i in range(g.n_nodes):
+        assert indices[indptr[i]:indptr[i + 1]].tolist() == g.followers(i)
+        assert g.follower_array(i).tolist() == g.followers(i)
+
+
 def test_follower_array_cache_invalidates():
     g = SocialGraph()
     g.add_nodes(3)
@@ -78,6 +86,27 @@ def test_follower_array_cache_invalidates():
     assert list(g.follower_array(2)) == [0]
     g.add_edge(1, 2)
     assert list(g.follower_array(2)) == [0, 1]
+    _assert_csr_rows_match(g)
+    g.add_nodes(2)
+    assert g.follower_array(4).tolist() == []
+    g.add_edge(4, 1)
+    g.add_edge(3, 1)
+    assert g.follower_array(1).tolist() == [3, 4]
+    _assert_csr_rows_match(g)
+    indptr, indices = g.follower_csr()
+    assert not indptr.flags.writeable and not indices.flags.writeable
+
+
+def test_follower_csr_rows_match_followers_after_overlay():
+    g = generate_scale_free(300, 3, seed=5)
+    accounts = _table(300)
+    roster = build_roster(g, accounts, company_id="acme", employees=12, managers=3,
+                          security_posture=0.9, manager_roles=("ceo",),
+                          rng=np.random.default_rng(1))
+    g.follower_csr()  # cached before the overlay adds coworker edges
+    overlay_company(g, accounts, roster, coworker_fraction=0.5,
+                    rng=np.random.default_rng(2))
+    _assert_csr_rows_match(g)
 
 
 def _table(n, seed=0):
