@@ -1,8 +1,8 @@
 """Recompute the golden digest tables of tests/test_golden.py.
 
 Runs every case the test module lists (the `run` presets and seeds, the
-`batch` seed range and the `analyze` archive) and prints RUN_DIGESTS,
-BATCH_DIGEST and ANALYZE_DIGESTS as Python literals.  Run it on the commit
+`batch` seed range and the two `analyze` archives) and prints RUN_DIGESTS,
+BATCH_DIGEST, ANALYZE_DIGESTS and ANALYZE_EDGE_DIGESTS as Python literals.  Run it on the commit
 before a change to record the digests the change must keep.
 
 Usage: PYTHONPATH=src python3 scripts/golden_digests.py
@@ -30,6 +30,9 @@ def main() -> None:
         batch = test_golden.batch_digest(work / "batch")
         (work / "analyze").mkdir()
         analyze = test_golden.analyze_digests(work / "analyze")
+        (work / "analyze-edge").mkdir()
+        analyze_edge = test_golden.analyze_digests(work / "analyze-edge",
+                                                   test_golden.write_analyze_edge_inputs)
 
     print("RUN_DIGESTS = {")
     for (preset, seed), digests in runs.items():
@@ -44,6 +47,11 @@ def main() -> None:
     print("# `analyze` of the archive ``write_analyze_inputs`` writes")
     print("ANALYZE_DIGESTS = {")
     _digest_lines(analyze, " " * 4)
+    print("}")
+    print()
+    print("# `analyze` of the archive ``write_analyze_edge_inputs`` writes")
+    print("ANALYZE_EDGE_DIGESTS = {")
+    _digest_lines(analyze_edge, " " * 4)
     print("}")
 
 

@@ -91,8 +91,6 @@ class Post:
     surface: Surface
     valence: float  # [-1, 1]
     organic: bool
-    # only known for archive imports, where the export carries it
-    author_created_tick: int | None = None
 
     def __post_init__(self):
         if not -1.0 <= self.valence <= 1.0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .agents import GENERAL_STREAM, Post, Surface
+from .agents import Post, Surface
 
 if TYPE_CHECKING:  # pragma: no cover
     from .contagion import Simulation
@@ -156,15 +157,26 @@ def load_sentiment_summaries(text: str, closure_tolerance: float = 0.01) -> list
 
 ARCHIVE_HEADER = ("timestamp", "author_id", "author_created_at", "surface", "valence")
 _TICKS_PER_HOUR_COLUMN_ALIASES = {"valence", "text_score"}
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 class CorruptArchiveError(ValueError):
-    """More than half of an archive's rows failed to parse."""
+    """An archive that cannot be read as UTF-8 CSV with the archive header,
+    or whose rows are mostly malformed."""
 
 
 @dataclass
 class IngestResult:
-    posts: list[Post]
+    """Kept posts as file-order columns, with the row counts.
+
+    ``ticks``, ``authors`` and ``created_ticks`` are int64 and ``valences``
+    float64; row ``i`` of each belongs to the same post.
+    """
+
+    ticks: np.ndarray
+    authors: np.ndarray
+    created_ticks: np.ndarray
+    valences: np.ndarray
     total_rows: int
     duplicate_count: int
     malformed_count: int
@@ -183,57 +195,207 @@ def _parse_timestamp(raw: str) -> int:
     return int(stamp.timestamp() // 3600)
 
 
+_ISO_WIDTH = 25  # YYYY-MM-DDTHH:MM:SS+HH:MM
+_ISO_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
+_ISO_PUNCTUATION = ((4, "-"), (7, "-"), (13, ":"), (16, ":"))
+_INT_DIGITS = 18  # any 18-digit integer fits in int64
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _int64_column(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as int64 and the mask of entries that are ints within int64.
+
+    Entries that are None or out of range are 0 in the array.
+    """
+    try:
+        return np.array(values, dtype=np.int64), np.ones(len(values), dtype=bool)
+    except (TypeError, OverflowError):
+        pass
+    ok = [v is not None and _INT64_MIN <= v <= _INT64_MAX for v in values]
+    return (np.array([v if good else 0 for v, good in zip(values, ok)], dtype=np.int64),
+            np.array(ok, dtype=bool))
+
+
+def _mapped(convert, cells: Sequence[str]) -> list:
+    """``convert`` over a column; cells it rejects become None."""
+    try:
+        return list(map(convert, cells))
+    except (ValueError, OverflowError):
+        pass
+    out = []
+    for cell in cells:
+        try:
+            out.append(convert(cell))
+        except (ValueError, OverflowError):
+            out.append(None)
+    return out
+
+
+def _parse_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Ticks of a column of timestamp cells and the mask of cells that parse.
+
+    ASCII integers and ``YYYY-MM-DD[T ]HH:MM:SS`` with an optional ``Z`` or
+    ``+-HH:MM`` are read with array arithmetic (days from the civil date,
+    with every field's range checked); any other cell goes through
+    ``_parse_timestamp``.  So a cell parses, and to the same tick, exactly
+    when ``_parse_timestamp`` accepts it and its tick fits in int64.
+    """
+    n = len(cells)
+    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=n)
+    # code points, zero past each cell's end; longer cells are cut (and fall back)
+    codes = np.array(cells, dtype=f"U{_ISO_WIDTH}").view(np.uint32).reshape(n, _ISO_WIDTH)
+    d = codes - np.uint32(ord("0"))  # wraps below "0"; read only where ``digit``
+    digit = d <= 9
+
+    def number(*columns: int) -> np.ndarray:
+        value = np.zeros(n, dtype=np.int64)
+        for c in columns:
+            value = value * 10 + d[:, c]
+        return value
+
+    # integer ticks: an optional "-", then 1 to 17 (18 unsigned) digits
+    minus = codes[:, 0] == ord("-")
+    position = np.arange(_ISO_WIDTH)
+    body = (position >= minus[:, None]) & (position < lengths[:, None])
+    is_int = ((lengths > minus) & (lengths <= _INT_DIGITS)
+              & (digit | ~body).all(axis=1))
+    value = np.zeros(n, dtype=np.int64)
+    for c in range(_INT_DIGITS):
+        value = np.where(body[:, c], value * 10 + d[:, c], value)
+    ticks = np.where(minus, -value, value)
+
+    # ISO stamps: 19 characters, then nothing, "Z" or "+HH:MM"/"-HH:MM"
+    iso = np.isin(lengths, (19, 20, 25)) & digit[:, _ISO_DIGITS].all(axis=1)
+    for c, char in _ISO_PUNCTUATION:
+        iso &= codes[:, c] == ord(char)
+    iso &= (codes[:, 10] == ord("T")) | (codes[:, 10] == ord(" "))
+    iso &= (lengths != 20) | (codes[:, 19] == ord("Z"))
+    signed = lengths == 25
+    sign = np.where(codes[:, 19] == ord("-"), -1, 1)
+    iso &= ~signed | (((codes[:, 19] == ord("+")) | (codes[:, 19] == ord("-")))
+                      & digit[:, [20, 21, 23, 24]].all(axis=1) & (codes[:, 22] == ord(":")))
+    year, month, day = number(0, 1, 2, 3), number(5, 6), number(8, 9)
+    hour, minute, second = number(11, 12), number(14, 15), number(17, 18)
+    off_hour, off_minute = number(20, 21), number(23, 24)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
+    iso &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+            & (hour <= 23) & (minute <= 59) & (second <= 59)
+            & (~signed | ((off_hour <= 23) & (off_minute <= 59))))
+    # days from civil (proleptic Gregorian), years counted from March
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    offset = np.where(signed, sign * (off_hour * 3600 + off_minute * 60), 0)
+    seconds = days * 86400 + hour * 3600 + minute * 60 + second - offset
+    ticks = np.where(iso, seconds // 3600, ticks)
+
+    ok = is_int | iso
+    rest = np.flatnonzero(~ok).tolist()
+    if rest:
+        slow, slow_ok = _int64_column(_mapped(_parse_timestamp, [cells[i] for i in rest]))
+        ticks[rest] = slow
+        ok[rest] = slow_ok
+    return ticks, ok
+
+
+def _surface_ok(cell: str) -> bool:
+    text = cell.strip()
+    if not text:
+        return True  # blank means the general stream
+    try:
+        Surface.from_text(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_rows(rows: list[list[str]]) -> tuple[np.ndarray, ...]:
+    """Columns of five-cell rows: ticks, authors, creation ticks, valences,
+    and the mask of rows whose every cell is valid."""
+    stamps, author_cells, created_cells, surfaces, valence_cells = (
+        [row[i] for row in rows] for i in range(5))
+    ticks, ok = _parse_timestamps(stamps)
+    authors, authors_ok = _int64_column(_mapped(int, author_cells))
+    created, created_ok = _parse_timestamps(created_cells)
+    surface_ok = {cell: _surface_ok(cell) for cell in set(surfaces)}
+    # a rejected valence is None, which numpy reads as NaN: out of range below
+    valences = np.array(_mapped(float, valence_cells), dtype=np.float64)
+    ok &= authors_ok & created_ok & (valences >= -1.0) & (valences <= 1.0)
+    ok &= np.fromiter(map(surface_ok.__getitem__, surfaces), dtype=bool, count=len(rows))
+    return ticks, authors, created, valences, ok
+
+
+def _first_occurrences(authors: np.ndarray, ticks: np.ndarray,
+                       valences: np.ndarray) -> np.ndarray:
+    """Mask of rows whose (author, tick, valence) no earlier row has.
+
+    Valences compare as floats do in a ``set``: ``-0.0`` equals ``0.0``.
+    """
+    bits = (valences + 0.0).view(np.int64)  # -0.0 + 0.0 is +0.0
+    order = np.lexsort((bits, ticks, authors))  # stable: ties stay in file order
+    a, t, b = authors[order], ticks[order], bits[order]
+    repeat = (a[1:] == a[:-1]) & (t[1:] == t[:-1]) & (b[1:] == b[:-1])
+    first = np.ones(len(order), dtype=bool)
+    first[order[1:][repeat]] = False
+    return first
+
+
+# Rows parsed per chunk.  From 4,096 to 32,768 rows the ingest time of a
+# 220k-row archive stays within noise, while the peak memory grows with the
+# chunk (58 MB at 8,192 rows, 88 MB at 32,768).
+_CHUNK_ROWS = 8192
+
+
 def ingest_archive(path: str | Path) -> IngestResult:
     """Read an exported post archive, deduplicating and counting bad rows.
 
-    Exact duplicate rows (same author, timestamp, and valence) collapse to
-    one post.  Malformed rows are counted, not fatal, unless they are the
-    majority of the file.
+    Rows are parsed ``_CHUNK_ROWS`` at a time into typed columns, which
+    bounds the Python objects alive at once.  Exact
+    duplicate rows (same author, timestamp, and valence) collapse to the
+    first one in file order.  Malformed rows are counted, not fatal,
+    unless they are the majority of the file.  Bytes that are not UTF-8
+    and CSV the reader rejects (such as a field over its size limit)
+    raise CorruptArchiveError.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CorruptArchiveError(f"{path}: empty file, expected header")
-        header = tuple(h.strip() for h in header)
-        if (len(header) != 5 or header[:4] != ARCHIVE_HEADER[:4]
-                or header[4] not in _TICKS_PER_HOUR_COLUMN_ALIASES):
-            raise CorruptArchiveError(
-                f"{path}: expected header {','.join(ARCHIVE_HEADER)} "
-                f"(last column may be text_score)")
-        posts: list[Post] = []
-        seen: set[tuple[int, int, float]] = set()
-        total = duplicates = malformed = 0
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            total += 1
-            try:
-                if len(row) != 5:
-                    raise ValueError("wrong column count")
-                tick = _parse_timestamp(row[0])
-                author = int(row[1])
-                created = _parse_timestamp(row[2])
-                surface = Surface.from_text(row[3].strip()) if row[3].strip() else GENERAL_STREAM
-                valence = float(row[4])
-                if not -1.0 <= valence <= 1.0:
-                    raise ValueError("valence out of range")
-            except (ValueError, OverflowError):
-                malformed += 1
-                continue
-            key = (author, tick, valence)
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            posts.append(Post(author=author, tick=tick, topic_id="archive",
-                              surface=surface, valence=valence, organic=True,
-                              author_created_tick=created))
+    parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
+    total = malformed = 0
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise CorruptArchiveError(f"{path}: empty file, expected header")
+            header = tuple(h.strip() for h in header)
+            if (len(header) != 5 or header[:4] != ARCHIVE_HEADER[:4]
+                    or header[4] not in _TICKS_PER_HOUR_COLUMN_ALIASES):
+                raise CorruptArchiveError(
+                    f"{path}: expected header {','.join(ARCHIVE_HEADER)} "
+                    f"(last column may be text_score)")
+            while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+                rows = [row for row in chunk if "".join(row).strip()]  # skip blank rows
+                wide = [row for row in rows if len(row) == 5]
+                total += len(rows)
+                malformed += len(rows) - len(wide)
+                if wide:
+                    *columns, ok = _parse_rows(wide)
+                    malformed += int(np.count_nonzero(~ok))
+                    parts.append(tuple(column[ok] for column in columns))
+    except UnicodeDecodeError as err:
+        raise CorruptArchiveError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except csv.Error as err:
+        raise CorruptArchiveError(f"{path}: unreadable CSV ({err})") from None
     if total > 0 and malformed / total > 0.5:
         raise CorruptArchiveError(
             f"{path}: {malformed} of {total} rows malformed; archive looks corrupt")
-    return IngestResult(posts=posts, total_rows=total,
-                        duplicate_count=duplicates, malformed_count=malformed)
+    ticks, authors, created, valences = (np.concatenate(column) for column in zip(*parts))
+    first = _first_occurrences(authors, ticks, valences)
+    return IngestResult(ticks=ticks[first], authors=authors[first],
+                        created_ticks=created[first], valences=valences[first],
+                        total_rows=total, duplicate_count=len(first) - int(first.sum()),
+                        malformed_count=malformed)
 
 
 @dataclass

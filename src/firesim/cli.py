@@ -357,29 +357,29 @@ def cmd_compare(cfg: ScenarioConfig, toggle: str, seeds: list[int],
 def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
     analytics.ensure_writable(out_dir)
     result = analytics.ingest_archive(archive)
-    posts = sorted(result.posts, key=lambda p: p.tick)
+    order = np.argsort(result.ticks, kind="stable")  # ties stay in file order
+    ticks = result.ticks[order]
+    posts = len(ticks)
     an = cfg.analytics
 
     windows = []
     volumes: list[int] = []
-    base_tick = posts[0].tick if posts else 0
+    verdict = None
+    base_tick = int(ticks[0]) if posts else None
     if posts:
-        post_ticks = np.fromiter((p.tick - base_tick for p in posts), dtype=np.int64,
-                                 count=len(posts))
-        valences = np.fromiter((p.valence for p in posts), dtype=np.float64,
-                               count=len(posts))
+        if int(ticks[-1]) - base_tick > np.iinfo(np.int64).max:
+            raise analytics.CorruptArchiveError(
+                f"{archive}: timestamps span more than 2**63 - 1 ticks")
+        post_ticks = ticks - base_tick
         volumes = np.bincount(post_ticks).tolist()
         windows = analytics.sentiment_windows(
-            post_ticks, valences, len(volumes), window=an.sentiment_window,
+            post_ticks, result.valences[order], len(volumes), window=an.sentiment_window,
             neutral_band=an.neutral_band, alpha=an.compound_alpha)
-
-    verdict = None
-    if posts:
         k = cfg.defense.detect_first_k
-        early = posts[:k]
-        shims = [_ArchiveAccount(p.author, p.author_created_tick if p.author_created_tick is not None else p.tick)
-                 for p in early]
-        verdict = defense.detect_artificial(shims, now=posts[-1].tick,
+        early = order[:k]
+        shims = [_ArchiveAccount(author, created) for author, created in
+                 zip(result.authors[early].tolist(), result.created_ticks[early].tolist())]
+        verdict = defense.detect_artificial(shims, now=int(ticks[-1]),
                                             age_threshold=cfg.defense.age_threshold,
                                             requested=k)
 
@@ -397,8 +397,8 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
         "rows": result.total_rows,
         "duplicates": result.duplicate_count,
         "malformed": result.malformed_count,
-        "posts": len(posts),
-        "base_tick": base_tick if posts else None,
+        "posts": posts,
+        "base_tick": base_tick,
         "verdict": verdict.to_dict() if verdict is not None else None,
         "forecast": forecast.to_dict() if forecast is not None else None,
         "windows": [
@@ -413,7 +413,7 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
     volume_lines = ["tick,posts"] + [f"{t},{v}" for t, v in enumerate(volumes)]
     _write_text_atomic(sentiment_text, out_dir, "sentiment_windows.csv")
     _write_text_atomic("\n".join(volume_lines) + "\n", out_dir, "volume.csv")
-    print(f"analyze posts={len(posts)} duplicates={result.duplicate_count} "
+    print(f"analyze posts={posts} duplicates={result.duplicate_count} "
           f"malformed={result.malformed_count} out={out_dir}")
     return EXIT_OK
 

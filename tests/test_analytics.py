@@ -1,17 +1,20 @@
+import csv
 import json
 import math
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from firesim.agents import GENERAL_STREAM, Post
+from firesim import analytics
+from firesim.agents import GENERAL_STREAM, Post, Surface
 from firesim.analytics import (CascadeClass, CorruptArchiveError,
                                FinancialProxy, REPORT_FILES, Sentiment,
-                               SentimentSummary, aggregate_window,
+                               SentimentSummary, _parse_timestamp,
+                               _parse_timestamps, aggregate_window,
                                classify_run_cascade, compound_score,
                                emit_report, financial_csv_text,
                                ingest_archive, load_sentiment_summaries,
@@ -152,15 +155,21 @@ def _write_archive(tmp_path, rows, header=ARCHIVE_HEADER_LINE):
     return path
 
 
+def _columns(result):
+    return (result.ticks.tolist(), result.authors.tolist(),
+            result.created_ticks.tolist(), result.valences.tolist())
+
+
 def test_ingest_dedups_exact_rows(tmp_path):
     rows = ["100,7,50,general_stream,-0.5"] * 3 + ["101,8,40,company_page,0.2"]
     result = ingest_archive(_write_archive(tmp_path, rows))
     assert result.total_rows == 4
     assert result.duplicate_count == 2
     assert result.malformed_count == 0
-    assert len(result.posts) == 2
-    assert result.posts[0].author == 7 and result.posts[0].tick == 100
-    assert result.posts[0].author_created_tick == 50
+    assert _columns(result) == ([100, 101], [7, 8], [50, 40], [-0.5, 0.2])
+    for column in (result.ticks, result.authors, result.created_ticks):
+        assert column.dtype == np.int64
+    assert result.valences.dtype == np.float64
 
 
 def test_ingest_counts_malformed_rows(tmp_path):
@@ -176,8 +185,18 @@ def test_ingest_counts_malformed_rows(tmp_path):
     result = ingest_archive(_write_archive(tmp_path, rows))
     assert result.total_rows == 7
     assert result.malformed_count == 3   # a minority, so not fatal
-    assert len(result.posts) == 4
-    assert result.posts[2].surface.target == 4
+    assert result.ticks.tolist() == [100, 101, 102, 103]  # 102: employee_profile:4
+
+
+def test_ingest_blank_surface_defaults_to_stream(tmp_path):
+    rows = ["100,1,50,,-0.5",                    # blank: the general stream
+            "101,2,50,  ,-0.5",
+            "102,3,50,  company_page ,-0.5",
+            "103,4,50,employee_profile:x,-0.5",  # target is not an account id
+            "104,5,50,intranet,-0.5"]            # no such surface
+    result = ingest_archive(_write_archive(tmp_path, rows))
+    assert result.malformed_count == 2
+    assert result.authors.tolist() == [1, 2, 3]
 
 
 def test_ingest_majority_malformed_is_fatal(tmp_path):
@@ -193,7 +212,8 @@ def test_ingest_empty_file_is_fatal(tmp_path):
         ingest_archive(path)
     # header-only archives are legal and simply contain nothing
     result = ingest_archive(_write_archive(tmp_path, []))
-    assert result.total_rows == 0 and result.posts == []
+    assert result.total_rows == 0 and len(result.ticks) == 0
+    assert result.ticks.dtype == np.int64 and result.valences.dtype == np.float64
 
 
 def test_ingest_rejects_unknown_header(tmp_path):
@@ -205,24 +225,216 @@ def test_ingest_accepts_text_score_alias(tmp_path):
     header = "timestamp,author_id,author_created_at,surface,text_score"
     result = ingest_archive(_write_archive(tmp_path,
                                            ["100,7,50,general_stream,-0.5"], header))
-    assert len(result.posts) == 1
+    assert len(result.ticks) == 1
 
 
 def test_ingest_parses_iso_timestamps(tmp_path):
     stamp = "2020-12-10T06:00:00Z"
     expected = int(datetime(2020, 12, 10, 6, tzinfo=timezone.utc).timestamp() // 3600)
+    created = int(datetime(2020, 12, 1, tzinfo=timezone.utc).timestamp() // 3600)
     rows = [f"{stamp},7,2020-12-01T00:00:00Z,general_stream,-0.5"]
     result = ingest_archive(_write_archive(tmp_path, rows))
-    assert result.posts[0].tick == expected
+    assert result.ticks.tolist() == [expected]
+    assert result.created_ticks.tolist() == [created]
     # naive stamps are read as UTC
     rows = ["2020-12-10T06:00:00,7,50,general_stream,-0.5"]
     result = ingest_archive(_write_archive(tmp_path, rows))
-    assert result.posts[0].tick == expected
+    assert result.ticks.tolist() == [expected]
 
 
-def test_ingest_blank_surface_defaults_to_stream(tmp_path):
-    result = ingest_archive(_write_archive(tmp_path, ["100,7,50,,-0.5"]))
-    assert result.posts[0].surface == GENERAL_STREAM
+def test_ingest_fields_outside_int64_are_malformed(tmp_path):
+    big, small = str(2 ** 63), str(-2 ** 63 - 1)
+    rows = [f"{big},7,50,general_stream,-0.5",
+            f"100,{big},50,general_stream,-0.5",
+            f"100,7,{small},general_stream,-0.5",
+            "100000000000000000000,7,50,general_stream,-0.5",
+            f"{2 ** 63 - 1},{-2 ** 63},{-2 ** 63},general_stream,-0.5"]
+    rows += ["100,7,50,general_stream,-0.5"] * 5
+    result = ingest_archive(_write_archive(tmp_path, rows))
+    assert result.malformed_count == 4 and result.duplicate_count == 4
+    assert result.ticks.tolist() == [2 ** 63 - 1, 100]
+    assert result.authors.tolist() == [-2 ** 63, 7]
+
+
+# The per-row loop `ingest_archive` ran before it parsed columns, plus the
+# int64 range check on ticks, authors and creation stamps: the oracle for
+# the chunked column parser.
+def _ingest_rows_oracle(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        kept, seen = [], set()
+        total = duplicates = malformed = 0
+        for row in reader:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            total += 1
+            try:
+                if len(row) != 5:
+                    raise ValueError("wrong column count")
+                tick = _parse_timestamp(row[0])
+                author = int(row[1])
+                created = _parse_timestamp(row[2])
+                if row[3].strip():
+                    Surface.from_text(row[3].strip())
+                valence = float(row[4])
+                if not -1.0 <= valence <= 1.0:
+                    raise ValueError("valence out of range")
+                if not all(-2 ** 63 <= v < 2 ** 63 for v in (tick, author, created)):
+                    raise OverflowError("outside int64")
+            except (ValueError, OverflowError):
+                malformed += 1
+                continue
+            key = (author, tick, valence)
+            if key in seen:
+                duplicates += 1
+                continue
+            seen.add(key)
+            kept.append((tick, author, created, valence))
+    columns = tuple(list(c) for c in zip(*kept)) if kept else ([], [], [], [])
+    return columns, total, duplicates, malformed
+
+
+def _field(lo, hi, *edges):
+    """Integers in [lo, hi], drawn half the time from the edge values."""
+    return st.one_of(st.sampled_from(edges), st.integers(lo, hi))
+
+
+_ISO_PARTS = st.tuples(
+    _field(0, 10_000, 0, 1, 1600, 1900, 2000, 2023, 2024, 2100, 9999),
+    _field(0, 13, 0, 1, 2, 2, 12, 13), _field(0, 32, 0, 1, 28, 29, 29, 30, 31, 32),
+    st.sampled_from("T T x"), _field(0, 25, 0, 23, 24), _field(0, 61, 0, 59, 60),
+    _field(0, 61, 0, 59, 60),
+    st.sampled_from(["", "", ".5", ".123456", ",5"]),
+    st.one_of(st.just(""), st.just("Z"),
+              st.tuples(st.sampled_from("+-"), _field(0, 25, 0, 5, 23, 24),
+                        _field(0, 61, 0, 30, 59, 60))))
+
+
+def _iso_stamp(parts):
+    year, month, day, sep, hour, minute, second, fraction, zone = parts
+    if isinstance(zone, tuple):
+        zone = f"{zone[0]}{zone[1]:02d}:{zone[2]:02d}"
+    return (f"{year:04d}-{month:02d}-{day:02d}{sep}{hour:02d}:{minute:02d}:{second:02d}"
+            f"{fraction}{zone}")
+
+
+# valid ISO stamps, weighted to month ends, leap days and offsets that cross a date
+_VALID_ISO = st.builds(
+    lambda moment, offset, form: (
+        moment.astimezone(timezone(timedelta(minutes=offset))).isoformat()
+        if form == 0 else moment.strftime("%Y-%m-%dT%H:%M:%SZ") if form == 1
+        else moment.replace(tzinfo=None).isoformat(sep=" ")),
+    st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+                 timezones=st.just(timezone.utc)).map(lambda m: m.replace(microsecond=0)),
+    st.integers(-23 * 60 - 59, 23 * 60 + 59), st.integers(0, 2))
+
+_INTEGER_CELLS = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.integers(-2 ** 63 - 2, 2 ** 63 + 1).map(str),
+    st.integers(0, 10 ** 6).map(lambda v: f"+{v}"),
+    st.integers(10, 10 ** 6).map(lambda v: f"{str(v)[:1]}_{str(v)[1:]}"),
+    st.integers(-1000, 1000).map(lambda v: f" {v} "))
+
+
+@st.composite
+def _mutated(draw, cells):
+    cell = draw(cells)
+    alphabet = "0159-+:TZ .x٣\x00"
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(cell)))
+        kind = draw(st.integers(0, 2))
+        char = draw(st.sampled_from(alphabet))
+        if kind == 0:
+            cell = cell[:pos] + char + cell[pos + 1:]
+        elif kind == 1:
+            cell = cell[:pos] + cell[pos + 1:]
+        else:
+            cell = cell[:pos] + char + cell[pos:]
+    return cell
+
+
+_TIMESTAMP_CELLS = st.one_of(
+    _VALID_ISO, _ISO_PARTS.map(_iso_stamp), _INTEGER_CELLS, st.text(max_size=30),
+    _mutated(_VALID_ISO), _mutated(_ISO_PARTS.map(_iso_stamp)), _mutated(_INTEGER_CELLS))
+
+
+@given(st.lists(_TIMESTAMP_CELLS, max_size=40))
+@example(["0000-03-01T00:00:00Z", "0001-01-01T00:00:00+05:00", "9999-12-31T23:59:59-05:00",
+          "1900-02-29T00:00:00Z", "2000-02-29 00:00:00", "2100-02-29T00:00:00",
+          "2024-02-29T23:30:00-00:30", "2023-02-29T12:00:00Z", "2024-04-31T00:00:00Z",
+          "2024-01-01T24:00:00Z", "2024-01-01T23:60:00Z", "2024-01-01T23:59:60Z",
+          "2024-01-01T00:00:00+24:00", "2024-01-01T00:00:00+23:60", "2024-01-01T00:00:00+00:60",
+          "2024-01-01T00:00:00-23:59", "2024-01-01x00:00:00", "2024-01-01T00:00:00z",
+          "2024-01-01T1::00:00Z", "2024-0/-01T00:00:00", "12:4", "1/", ":",
+          "-0", "-", "", "+7", "7_0", " 7 ", "٣", "999999999999999999", "-99999999999999999",
+          "9223372036854775807", "9223372036854775808", "-9223372036854775809"])
+@settings(max_examples=300, deadline=None)
+def test_chunk_timestamp_parser_matches_scalar(cells):
+    def scalar(cell):
+        try:
+            tick = _parse_timestamp(cell)
+        except (ValueError, OverflowError):
+            return None
+        return tick if -2 ** 63 <= tick < 2 ** 63 else None
+
+    ticks, ok = _parse_timestamps(cells)
+    assert [t if good else None for t, good in zip(ticks.tolist(), ok.tolist())] == \
+        [scalar(cell) for cell in cells]
+
+
+def _cells(common, rare):
+    """Mostly the few valid ``common`` cells, so that rows repeat often."""
+    return st.one_of(st.sampled_from(common), st.sampled_from(common),
+                     st.sampled_from(common), st.sampled_from(rare))
+
+
+# Rows that repeat (author, tick, valence) under other spellings, creation
+# stamps and surfaces, so keeping the wrong copy of a duplicate shows.
+_ARCHIVE_ROWS = st.lists(st.one_of(
+    st.tuples(_cells(["100", "2024-01-01T00:00:00Z", "101"],
+                     [" 100 ", "+101", "2024-01-01T00:30:00+00:00", "2024-01-01 01:00:00",
+                      "1_00", "2023-02-29T00:00:00Z", "soon", "", "9" * 20]),
+              _cells(["7", "8"], ["+7", "07", "x", str(2 ** 63), " 8"]),
+              _cells(["50", "2020-01-01T00:00:00-05:30", "-9"], ["later", str(-2 ** 63 - 1)]),
+              _cells(["", "company_page", "employee_profile:4"],
+                     ["employee_profile:x", "intranet", " general_stream "]),
+              _cells(["-0.0", "0.0", "0", "-0.5"],
+                     ["0.5", "1.5", "nan", "n/a", " 1 ", "-1.0"])).map(",".join),
+    st.sampled_from(["", " , , , , ", "100,7,50,company_page", "1,2,3,4,5,6"])),
+    max_size=60)
+
+
+@given(_ARCHIVE_ROWS, st.integers(1, 9))
+@settings(max_examples=150, deadline=None)
+def test_chunked_ingest_matches_row_loop(tmp_path_factory, rows, chunk_rows):
+    path = _write_archive(tmp_path_factory.mktemp("archive"), rows)
+    columns, total, duplicates, malformed = _ingest_rows_oracle(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytics, "_CHUNK_ROWS", chunk_rows)
+        if total and malformed / total > 0.5:
+            with pytest.raises(CorruptArchiveError, match="malformed"):
+                ingest_archive(path)
+            return
+        result = ingest_archive(path)
+    assert (result.total_rows, result.duplicate_count, result.malformed_count) == \
+        (total, duplicates, malformed)
+    assert _columns(result) == columns
+    # -0.0 rows keep their sign when they come first
+    assert [math.copysign(1, v) for v in result.valences.tolist()] == \
+        [math.copysign(1, v) for v in columns[3]]
+
+
+def test_chunked_ingest_dedups_across_chunks(tmp_path, monkeypatch):
+    rows = [f"{100 + k % 4},7,{50 + k},general_stream,{('-0.0', '0.0')[k % 3 == 0]}"
+            for k in range(12)]
+    for chunk_rows in (1, 3, 5, 12, 100):
+        monkeypatch.setattr(analytics, "_CHUNK_ROWS", chunk_rows)
+        result = ingest_archive(_write_archive(tmp_path, rows))
+        assert result.ticks.tolist() == [100, 101, 102, 103]
+        assert result.created_ticks.tolist() == [50, 51, 52, 53]
+        assert [math.copysign(1, v) for v in result.valences.tolist()] == [1, -1, -1, 1]
+        assert result.duplicate_count == 8
 
 
 # -- financial proxy ---------------------------------------------------------------

@@ -135,6 +135,45 @@ def test_empty_archive_is_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad_row", [b"100,7,50,\xff\xfe,-0.5",
+                                     b"100,7,50," + b"x" * 131_073 + b",-0.5"],
+                         ids=["not-utf8", "field-over-limit"])
+def test_unreadable_archive_is_exit_4(tmp_path, capsys, bad_row):
+    """Bytes that are not UTF-8, or a field over the CSV reader's limit."""
+    archive = tmp_path / "bad.csv"
+    archive.write_bytes(b"timestamp,author_id,author_created_at,surface,valence\n"
+                        b"100,7,50,general_stream,-0.5\n" + bad_row + b"\n")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", str(archive), "--out", str(out)]) == 4
+    assert "archive error" in capsys.readouterr().err
+    assert not any(out.glob("analysis.json"))
+
+
+def test_analyze_counts_tick_outside_int64_as_malformed(tmp_path, capsys):
+    rows = ["timestamp,author_id,author_created_at,surface,valence",
+            "100000000000000000000,7,50,general_stream,-0.5"]
+    rows += [f"{100 + i},{i},50,general_stream,-0.5" for i in range(3)]
+    archive = tmp_path / "big.csv"
+    archive.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", str(archive), "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads((out / "analysis.json").read_text())
+    assert (payload["rows"], payload["malformed"], payload["posts"]) == (4, 1, 3)
+    assert payload["base_tick"] == 100
+
+
+def test_analyze_tick_span_outside_int64_is_exit_4(tmp_path, capsys):
+    archive = tmp_path / "span.csv"
+    archive.write_text("timestamp,author_id,author_created_at,surface,valence\n"
+                       "-9000000000000000000,7,50,general_stream,-0.5\n"
+                       "9000000000000000000,8,50,general_stream,-0.5\n")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", str(archive), "--out", str(out)]) == 4
+    assert "span more than" in capsys.readouterr().err
+    assert not any(out.glob("analysis.json"))
+
+
 # -- determinism --------------------------------------------------------------------
 
 def test_run_twice_is_byte_identical(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 The `run` and `batch` digests were recorded before the counterfactual fork
 became a generic deep copy; the `analyze` digests were recorded before the
-archive windows moved onto the array kernel.  Any refactor of the engine,
+archive windows moved onto the array kernel, and the edge-case `analyze`
+digests before archive ingest moved from rows to columns.  Any refactor of the engine,
 the fork or the report writers must leave these bytes unchanged; a change
 that moves them on purpose has to re-record the tables and say why.
 ``scripts/golden_digests.py`` recomputes every table below.
@@ -55,6 +56,13 @@ ANALYZE_DIGESTS = {
     "analysis.json": "51e970f64b3c3708e706e128a0e3afb685f6a653a7a0e72db1539c5a1091329c",
     "sentiment_windows.csv": "a64d838df9c8f735a2bf1f3d2d7400639d03cb9b404319b2b4789b4379090f39",
     "volume.csv": "4dbd47968042953ccdd4b5301bd3539c218bc87da7acaf2367c500797f1e6c32",
+}
+
+# `analyze` of the archive ``write_analyze_edge_inputs`` writes
+ANALYZE_EDGE_DIGESTS = {
+    "analysis.json": "6aaf6c48f06e937f63afceb8510d0ceecff2a7765392c4d5a5b18f0a689039c1",
+    "sentiment_windows.csv": "e006afd9b4a064d9d84455744843ce04f1892bc13a46786f3b48f4d3f2d910f5",
+    "volume.csv": "557a05ddd1cb58c8eabf9a93d2e4d9783ed49d2ffca5a146c1edf3ba98c69e62",
 }
 
 
@@ -123,10 +131,66 @@ def write_analyze_inputs(directory):
     return archive, config
 
 
-def analyze_digests(work_dir) -> dict[str, str]:
+def write_analyze_edge_inputs(directory):
+    """An archive of the cell forms ingest must read exactly as before.
+
+    CRLF line endings and the ``text_score`` header.  Stamps with ``Z``,
+    naive space-separated stamps, fractional seconds and ``+-HH:MM``
+    offsets, the ``:30`` ones crossing midnight and New Year; 2024-02-29
+    is valid, while 2023-02-29, hour 24, second 60 and offset +24:00 are
+    not.  Integer cells with a sign, an underscore or padding; a ``-0.0``
+    row before its ``0.0`` duplicate, which also spells the tick
+    differently; ties on the earliest tick; one quoted field that holds a
+    comma; creation stamps near the end so the detector flags someone.
+    """
+    rows = [
+        "2023-12-31T23:45:00+05:30,11,2023-11-01T00:00:00Z,company_page,-0.6",
+        "2024-01-01T03:10:00+05:30,12,472000,general_stream,-0.35",
+        "2023-12-31T18:00:00Z,13,2024-02-28T20:00:00+05:30,,-0.8",
+        "2023-12-31T20:40:00-09:30,14,2024-02-29 06:00:00,employee_profile:4,0.05",
+        "2023-12-31T18:59:59.999999Z,15,472100,general_stream,0.1",
+        "2024-01-01 12:00:00,+7,473000,company_page,-0.0",
+        "473364,7,473000,,0.0",
+        "2024-01-01T12:30:00+00:00,7_0,473000,general_stream,0.0",
+        " 2024-01-02 00:00:01 , 42 ,+473100,  company_page  ,0.25",
+        "2024-01-03T10:00:00Z,16,2024-02-29T23:00:00-00:30,company_page,-0.45",
+        "2024-01-03T10:59:59Z,16,2024-02-29T23:00:00-00:30,,-0.45",
+        "2024-01-04T08:15:30.250000Z,17,473200,employee_profile:9,-0.9",
+        "2024-01-04 08:15:30.5,18,473200,general_stream,0.6",
+        "2024-01-15T23:50:00-03:30,19,474000,company_page,-0.1",
+        "2024-01-16T00:20:00+09:30,20,474000,company_page,0.1000001",
+        "+473760,21,474000,general_stream,-1.0",
+        "47_3761,22,474000,general_stream,1.0",
+        " 473762 ,23,474000,company_page,-0.7",
+        "2024-02-10T05:00:00-08:00,24,474500,general_stream,-0.55",
+        "2024-02-29T12:00:00Z,25,2024-02-27T00:00:00Z,general_stream,-0.65",
+        "2024-02-29T23:30:00-00:30,26,2024-02-28T12:00:00+09:30,company_page,0.3",
+        "2024-02-29T23:45:00,27,2024-03-01T00:00:00Z,,-0.2",
+        "2023-02-29T00:00:00Z,28,474000,general_stream,-0.3",
+        "2024-01-05T24:00:00Z,29,474000,general_stream,-0.3",
+        "2024-01-05T23:59:60Z,30,474000,general_stream,-0.3",
+        "2024-01-05T00:00:00+24:00,31,474000,general_stream,-0.3",
+        '2024-01-05T00:00:00Z,32,474000,"company_page,inc",-0.3',
+    ]
+    rows += [f"{473400 + 37 * k},{100 + k % 9},{473000 + 30 * k},"
+             f"{('', 'company_page', 'general_stream')[k % 3]},{(k % 7 - 3) / 4}"
+             for k in range(24)]
+    archive = directory / "archive.csv"
+    text = "\r\n".join(
+        ["timestamp,author_id,author_created_at,surface,text_score"] + rows) + "\r\n"
+    archive.write_bytes(text.encode("utf-8"))
+    config = directory / "analyze.json"
+    config.write_text(json.dumps({
+        "analytics": {"sentiment_window": 168, "neutral_band": 0.1,
+                      "forecast_window": 6},
+        "defense": {"detect_first_k": 8, "age_threshold": 48}}), encoding="utf-8")
+    return archive, config
+
+
+def analyze_digests(work_dir, write_inputs=write_analyze_inputs) -> dict[str, str]:
     """Digests of `analyze` run from ``work_dir``, so that the archive path
     recorded in analysis.json is the same relative name every time."""
-    write_analyze_inputs(work_dir)
+    write_inputs(work_dir)
     cwd = os.getcwd()
     os.chdir(work_dir)
     try:
@@ -147,3 +211,7 @@ def test_batch_summary_digest(tmp_path):
 
 def test_analyze_digests(tmp_path):
     assert analyze_digests(tmp_path) == ANALYZE_DIGESTS
+
+
+def test_analyze_edge_digests(tmp_path):
+    assert analyze_digests(tmp_path, write_analyze_edge_inputs) == ANALYZE_EDGE_DIGESTS
