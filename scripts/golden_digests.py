@@ -1,8 +1,9 @@
 """Recompute the golden digest tables of tests/test_golden.py.
 
 Runs every case the test module lists (the `run` presets and seeds, the
-`batch` seed range and the two `analyze` archives) and prints RUN_DIGESTS,
-BATCH_DIGEST, ANALYZE_DIGESTS and ANALYZE_EDGE_DIGESTS as Python literals.  Run it on the commit
+`run --config` configs and seeds, the `batch` seed range and the two
+`analyze` archives) and prints RUN_DIGESTS, CONFIG_RUN_DIGESTS, BATCH_DIGEST,
+ANALYZE_DIGESTS and ANALYZE_EDGE_DIGESTS as Python literals.  Run it on the commit
 before a change to record the digests the change must keep.
 
 Usage: PYTHONPATH=src python3 scripts/golden_digests.py
@@ -27,6 +28,9 @@ def main() -> None:
         work = Path(work)
         runs = {(preset, seed): test_golden.run_digests(preset, seed, work / f"run-{preset}-{seed}")
                 for preset, seed in sorted(test_golden.RUN_DIGESTS)}
+        config_runs = {(name, seed): test_golden.config_run_digests(
+                           name, seed, work / f"config-run-{name}-{seed}")
+                       for name, seed in sorted(test_golden.CONFIG_RUN_DIGESTS)}
         batch = test_golden.batch_digest(work / "batch")
         (work / "analyze").mkdir()
         analyze = test_golden.analyze_digests(work / "analyze")
@@ -37,6 +41,13 @@ def main() -> None:
     print("RUN_DIGESTS = {")
     for (preset, seed), digests in runs.items():
         print(f'    ("{preset}", {seed}): {{')
+        _digest_lines(digests, " " * 8)
+        print("    },")
+    print("}")
+    print()
+    print("CONFIG_RUN_DIGESTS = {")
+    for (name, seed), digests in config_runs.items():
+        print(f'    ("{name}", {seed}): {{')
         _digest_lines(digests, " " * 8)
         print("    },")
     print("}")

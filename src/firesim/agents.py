@@ -114,7 +114,7 @@ class BotCohort:
     """
 
     cohort_id: str
-    members: list[AccountId]
+    members: np.ndarray  # read-only intp ids; forks and replace() share it
     posting_rate: float
     creation_tick: int
     mode: BotMode = BotMode.DORMANT
@@ -122,6 +122,14 @@ class BotCohort:
     retarget_targets: tuple[AccountId, ...] = ()
     retarget_start: int | None = None
     retarget_ramp: int = 0
+
+    def __post_init__(self):
+        members = self.members
+        if not (isinstance(members, np.ndarray) and members.dtype == np.intp
+                and not members.flags.writeable):
+            members = np.array(members, dtype=np.intp)
+            members.flags.writeable = False
+            self.members = members
 
     def employee_share(self, tick: int) -> float:
         """Fraction of attack posts aimed at employee profiles this tick."""
@@ -200,13 +208,13 @@ def bot_emit_arrays(cohort: BotCohort, tick: int, topic: TargetTopic,
     """
     empty = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.int8),
              np.empty(0, dtype=np.intp))
-    if cohort.mode is BotMode.DORMANT or not cohort.members:
+    if cohort.mode is BotMode.DORMANT or len(cohort.members) == 0:
         return empty
     counts = rng.poisson(cohort.posting_rate, size=len(cohort.members))
     total = int(counts.sum())
     if total == 0:
         return empty
-    authors = np.repeat(np.asarray(cohort.members, dtype=np.intp), counts)
+    authors = np.repeat(cohort.members, counts)
     if cohort.mode is BotMode.DEFEND:
         defending = np.ones(total, dtype=bool)
     else:

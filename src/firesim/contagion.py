@@ -379,12 +379,20 @@ class Simulation:
         # 2) exposure to last tick's posts
         exposure = None
         if self.topic is not None and self.pool_prev > 0:
-            # every follower edge carries its author's post count; the counts
-            # are integers, so the float sums are exact in any order
+            # each of last tick's authors pushes its post count along its
+            # follower row; the counts are integers, so the float sums are
+            # exact in any order
             indptr, indices = self.graph.follower_csr()
+            pushers = np.flatnonzero(self.author_counts_prev)
+            starts = indptr[pushers]
+            lens = indptr[pushers + 1] - starts
+            ends = np.cumsum(lens)
+            positions = np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
             exposure = np.bincount(
-                indices, weights=np.repeat(self.author_counts_prev, np.diff(indptr)),
+                indices[positions], weights=np.repeat(self.author_counts_prev[pushers], lens),
                 minlength=len(acc))
+            # active implies activated_ever, so phase 3's deactivations leave
+            # this mask as it is
             eligible = self.can_activate & ~self.active & ~self.activated_ever
             idx = np.flatnonzero(eligible)
             if len(idx):
@@ -406,7 +414,6 @@ class Simulation:
 
             new_idx = np.empty(0, dtype=np.intp)
             if exposure is not None:
-                eligible = self.can_activate & ~self.active & ~self.activated_ever
                 cand = np.flatnonzero(eligible & (exposure > 0) & (self.remaining > 0))
                 if len(cand):
                     s = self.susceptibilities()[cand]
@@ -546,10 +553,7 @@ class Simulation:
             self.topic.topic_id if self.topic else "", authors, valences,
             skinds, stargets, organic_mask)
 
-        counts = np.zeros(len(acc), dtype=np.int64)
-        if total:
-            np.add.at(counts, authors, 1)
-        self.author_counts_prev = counts
+        self.author_counts_prev = np.bincount(authors, minlength=len(acc))
         self.pool_prev = total
         self.tick = t + 1
 
@@ -573,11 +577,13 @@ class Simulation:
     def fork_bots_dormant(self) -> "Simulation":
         """Clone the world with every cohort silenced and plans frozen.
 
-        Everything outside ``SHARED`` is deep-copied, including an
-        identically-positioned RNG, so stepping the fork never disturbs the
-        parent run.  What makes it a fork is set afresh, never copied.
+        Everything outside ``SHARED`` and the cohorts' read-only member
+        arrays is deep-copied, including an identically-positioned RNG, so
+        stepping the fork never disturbs the parent run.  What makes it a
+        fork is set afresh, never copied.
         """
         memo = {id(obj): obj for obj in operator.attrgetter(*self.SHARED)(self)}
+        memo.update((id(c.members), c.members) for c in self.cohorts)
         fresh = {"plan": None, "playbook": None, "post_log": PostLog(), "events": [],
                  "watch_fire_point": False, "_seed_posters": []}
         fork = Simulation.__new__(Simulation)

@@ -247,7 +247,7 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
 
     elif kind is PolicyKind.SUPPORTING_BOTS:
         cohort = next((c for c in sim.cohorts if c.cohort_id == SUPPORT_COHORT_ID), None)
-        if cohort is None or not cohort.members:
+        if cohort is None or len(cohort.members) == 0:
             event["kind"] = "policy_no_effect"
             event["reason"] = "no prepared support cohort"
         else:
@@ -291,7 +291,7 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
 
     elif kind is PolicyKind.PARTNER_ASSISTANCE:
         cohort = next((c for c in sim.cohorts if c.cohort_id == PARTNER_COHORT_ID), None)
-        if cohort is None or not cohort.members:
+        if cohort is None or len(cohort.members) == 0:
             event["kind"] = "policy_no_effect"
             event["reason"] = "no partner cohort configured"
         else:

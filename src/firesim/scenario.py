@@ -756,11 +756,11 @@ def build_simulation(config: ScenarioConfig) -> Simulation:
             config.attack.bots, creation_tick=-config.attack.bot_creation_age)
         graph.add_nodes(len(members))
         if config.graph.bot_follower_fraction > 0:
-            user_ids = np.arange(config.graph.n)
-            for bot in members:
-                mask = rng_bots.random(config.graph.n) < config.graph.bot_follower_fraction
-                for user in user_ids[mask]:
-                    graph.add_edge(int(user), bot)
+            # row b holds bot b's coin per user: the doubles of one
+            # rng_bots.random(n) call per bot, in bot order
+            coins = rng_bots.random((len(members), config.graph.n))
+            bot, user = np.nonzero(coins < config.graph.bot_follower_fraction)
+            graph.add_edges(user, np.asarray(members)[bot])
         cohorts.append(BotCohort(
             cohort_id="attack-0", members=members,
             posting_rate=config.attack.bot_posting_rate,

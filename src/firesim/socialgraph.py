@@ -2,14 +2,18 @@
 
 Edges point follower -> followee; content exposure flows the other way
 (a post by ``v`` is seen by every ``u`` with an edge ``u -> v``).  The
-substrate is a scale-free preferential-attachment graph seeded with a
-complete clique, onto which a company roster (employees, managers, their
-coworker follow edges) is overlaid.
+graph is held only as a follower CSR (the sorted followers of each node),
+and ``SocialGraph.add_edges`` is the one way edges get in: a batch with
+self-loops and repeats dropped, merged into the CSR.  The substrate is a
+scale-free preferential-attachment graph seeded with a complete clique,
+drawn in chunks of nodes with one bounded draw per chunk; a chunk that
+hits a repeated target rewinds the generator, so the graph and the stream
+are those of one draw per attachment.  A company roster (employees,
+managers, their coworker follow edges) is overlaid on it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -137,14 +141,16 @@ class CompanyRoster:
 
 
 class SocialGraph:
-    """Mutable directed follower graph over integer account ids."""
+    """Directed follower graph over integer account ids, held as a CSR.
+
+    ``indices[indptr[i]:indptr[i + 1]]`` are the followers of ``i`` in
+    ascending order.  ``add_edges`` is the one way edges get in.
+    """
 
     def __init__(self):
         self._n = 0
-        self._edges: set[tuple[int, int]] = set()
-        self._followees: list[list[int]] = []  # whom i follows
-        self._followers: list[list[int]] = []  # who follows i
-        self._follower_csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._indptr = _read_only(np.zeros(1, dtype=np.intp))
+        self._indices = _read_only(np.empty(0, dtype=np.intp))
 
     # -- structure ---------------------------------------------------------
 
@@ -154,76 +160,100 @@ class SocialGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._indices)
 
     def add_nodes(self, count: int) -> list[AccountId]:
         if count < 0:
             raise GraphError("node count must be non-negative")
         start = self._n
         self._n += count
-        for _ in range(count):
-            self._followees.append([])
-            self._followers.append([])
-        self._follower_csr = None
+        self._indptr = _read_only(np.concatenate(
+            [self._indptr, np.full(count, self._indptr[-1], dtype=np.intp)]))
         return list(range(start, start + count))
 
+    def add_edges(self, src, dst) -> int:
+        """Add the follow edges ``src[k] -> dst[k]`` in one batch.
+
+        Self-loops, repeats within the batch and edges already present are
+        skipped.  Returns how many edges were added.  An id outside the graph
+        raises ``GraphError`` and adds nothing.
+        """
+        src = np.asarray(src, dtype=np.int64).ravel()
+        dst = np.asarray(dst, dtype=np.int64).ravel()
+        if src.shape != dst.shape:
+            raise GraphError("follower and followee arrays differ in length")
+        n = self._n
+        outside = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+        if len(outside):
+            k = outside[0]
+            raise GraphError(f"edge references unknown node: ({src[k]}, {dst[k]})")
+        keep = src != dst
+        # one key per edge, ordered by followee and then follower: CSR order.
+        # A sort and a neighbour test, as np.unique hashes and is far slower.
+        new = np.sort(dst[keep] * n + src[keep])
+        new = new[np.diff(new, prepend=-1) != 0]
+        old = self._followees_by_slot() * n + self._indices
+        at = np.searchsorted(old, new)
+        fresh = np.append(old, -1)[at] != new  # keys are >= 0; -1 pads the end
+        followee, follower = np.divmod(new[fresh], n)
+        if not len(follower):
+            return 0
+        # a key's insertion point in the sorted keys is its place in indices
+        self._indices = _read_only(np.insert(self._indices, at[fresh], follower))
+        added = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(followee, minlength=n), out=added[1:])
+        self._indptr = _read_only(self._indptr + added)
+        return len(follower)
+
     def has_edge(self, follower: AccountId, followee: AccountId) -> bool:
-        return (follower, followee) in self._edges
+        if not (0 <= follower < self._n and 0 <= followee < self._n):
+            return False
+        row = self.follower_array(followee)
+        k = np.searchsorted(row, follower)
+        return bool(k < len(row) and row[k] == follower)
 
     def add_edge(self, follower: AccountId, followee: AccountId) -> bool:
         """Add follower -> followee. Returns False for duplicates/self-loops."""
-        if not (0 <= follower < self._n and 0 <= followee < self._n):
-            raise GraphError(f"edge references unknown node: ({follower}, {followee})")
-        if follower == followee or (follower, followee) in self._edges:
-            return False
-        self._edges.add((follower, followee))
-        self._followees[follower].append(followee)
-        self._followers[followee].append(follower)
-        self._follower_csr = None
-        return True
+        return self.add_edges([follower], [followee]) == 1
 
-    def add_follow_pair(self, u: AccountId, v: AccountId) -> None:
-        """Mutual follow between two accounts."""
-        self.add_edge(u, v)
-        self.add_edge(v, u)
+    def _followees_by_slot(self) -> np.ndarray:
+        """The followee of each entry of ``indices``, ascending."""
+        return np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
 
     def followees(self, i: AccountId) -> list[AccountId]:
-        return sorted(self._followees[i])
+        return self._followees_by_slot()[self._indices == i].tolist()
 
     def followers(self, i: AccountId) -> list[AccountId]:
-        return sorted(self._followers[i])
+        return self.follower_array(i).tolist()
 
     def follower_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached read-only ``(indptr, indices)``: the sorted followers of
-        ``i`` are ``indices[indptr[i]:indptr[i + 1]]``.  Rebuilt after any
-        mutation."""
-        if self._follower_csr is None:
-            lens = np.fromiter(map(len, self._followers), dtype=np.intp, count=self._n)
-            indptr = np.zeros(self._n + 1, dtype=np.intp)
-            np.cumsum(lens, out=indptr[1:])
-            indices = np.fromiter(
-                itertools.chain.from_iterable(sorted(f) for f in self._followers),
-                dtype=np.intp, count=int(indptr[-1]))
-            indptr.flags.writeable = indices.flags.writeable = False
-            self._follower_csr = (indptr, indices)
-        return self._follower_csr
+        """Read-only ``(indptr, indices)``: the sorted followers of ``i`` are
+        ``indices[indptr[i]:indptr[i + 1]]``."""
+        return self._indptr, self._indices
 
     def follower_array(self, i: AccountId) -> np.ndarray:
-        """Sorted followers of ``i`` as a read-only view into the CSR index."""
-        indptr, indices = self.follower_csr()
-        return indices[indptr[i]:indptr[i + 1]]
+        """Sorted followers of ``i`` as a read-only view into the CSR."""
+        return self._indices[self._indptr[i]:self._indptr[i + 1]]
 
     def in_degree(self, i: AccountId) -> int:
-        return len(self._followers[i])
+        return int(self._indptr[i + 1] - self._indptr[i])
 
     def out_degree(self, i: AccountId) -> int:
-        return len(self._followees[i])
+        return int(np.count_nonzero(self._indices == i))
 
     def in_degrees(self) -> np.ndarray:
-        return np.array([len(f) for f in self._followers], dtype=np.int64)
+        return np.diff(self._indptr).astype(np.int64)
 
     def edges(self) -> list[tuple[AccountId, AccountId]]:
-        return sorted(self._edges)
+        """Every ``(follower, followee)`` edge, sorted."""
+        followee = self._followees_by_slot()
+        order = np.lexsort((followee, self._indices))
+        return list(zip(self._indices[order].tolist(), followee[order].tolist()))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def scale_free_pair_count(n: int, m: int) -> int:
@@ -236,38 +266,129 @@ def scale_free_pair_count(n: int, m: int) -> int:
     return m * (n - m0) + m0 * (m0 - 1) // 2
 
 
+# Nodes in the first generation chunk.  A chunk whose draws hold no repeated
+# target doubles the next one; a rewind halves it.
+_FIRST_CHUNK = 64
+
+
 def generate_scale_free(n: int, m: int, seed) -> SocialGraph:
     """Preferential-attachment follower graph with mutual follow pairs.
 
-    Starts from a complete clique on ``min(n, m + 1)`` nodes, then grows one
-    node per step, wiring each to ``m`` distinct targets drawn proportionally
-    to current degree.  Every follow pair is materialised as two directed
-    edges.  Deterministic for a fixed ``seed``.
+    Starts from a complete clique on ``m0 = min(n, m + 1)`` nodes, then grows
+    one node per step, wiring each to ``m`` distinct targets drawn
+    proportionally to current degree.  Every follow pair is materialised as
+    two directed edges.  Deterministic for a fixed ``seed``.
+
+    Degree-proportional draws index an attachment pool that holds one entry
+    per pair endpoint (Batagelj & Brandes, PRE 71, 036113, 2005): the
+    clique's pairs in order, then for node ``v`` and each of its sorted
+    targets ``t`` the entries ``t, v``.  Node ``v`` draws ``m`` indices below
+    the pool's length at ``v``, redrawing an index whose entry it already
+    holds.  The pool is never built: an index decodes to a clique endpoint,
+    to node ``u`` itself (odd slot) or to the ``j``-th sorted target of ``u``
+    (even slot).  Nodes are drawn a chunk at a time with one bounded
+    ``integers`` call; references into the chunk are resolved in passes,
+    each of which completes and sorts the rows whose references are known.
+    At the first row with a repeated target the stream diverges from the
+    one-draw-per-index loop, so the generator state saved before the chunk
+    is restored, the clean prefix redrawn, and that row's redraws made one
+    at a time.  A bounded draw uses a variable number of raw words, so the
+    surplus values cannot be reused.  The graph is the one the per-index
+    loop gives, bit for bit.
     """
     if m < 1:
         raise GraphError("m must be at least 1")
     if n < m:
         raise GraphError(f"need at least m={m} nodes, got n={n}")
     rng = np.random.default_rng(seed)
+    m0 = min(n, m + 1)
+    clique_u, clique_w = np.triu_indices(m0, 1)
+    clique_pool = np.stack([clique_u, clique_w], axis=1).ravel()
+    c = len(clique_pool)
+    # targets[v - m0] holds the sorted targets of node v
+    targets = np.empty((n - m0, m), dtype=np.int64)
+
+    a, chunk = m0, _FIRST_CHUNK
+    while a < n:
+        b = min(n, a + chunk)
+        highs = np.repeat(c + 2 * m * (np.arange(a, b, dtype=np.int64) - m0), m)
+        saved = rng.bit_generator.state
+        rows = _resolve_chunk(rng.integers(highs).reshape(b - a, m), a, m0,
+                              clique_pool, targets)
+        repeats = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+        if not len(repeats):
+            targets[a - m0:b - m0] = rows
+            a, chunk = b, 2 * chunk
+            continue
+        r = int(repeats[0])
+        rng.bit_generator.state = saved
+        rng.integers(highs[:r * m])
+        targets[a - m0:a - m0 + r] = rows[:r]
+        v = a + r
+        picked: set[int] = set()
+        while len(picked) < m:
+            idx = np.array([rng.integers(highs[r * m])])
+            picked.add(int(_pool_entries(idx, v, m, m0, clique_pool, targets)[0][0]))
+        targets[v - m0] = sorted(picked)
+        a, chunk = v + 1, max(1, chunk // 2)
+
+    grown = np.repeat(np.arange(m0, n, dtype=np.int64), m)
+    u = np.concatenate([clique_u, grown])
+    w = np.concatenate([clique_w, targets.ravel()])
     g = SocialGraph()
     g.add_nodes(n)
-    m0 = min(n, m + 1)
-    # attachment pool holds one entry per pair endpoint, i.e. node degree
-    pool: list[int] = []
-    for u in range(m0):
-        for v in range(u + 1, m0):
-            g.add_follow_pair(u, v)
-            pool.append(u)
-            pool.append(v)
-    for v in range(m0, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            targets.add(pool[int(rng.integers(len(pool)))])
-        for t in sorted(targets):
-            g.add_follow_pair(v, t)
-            pool.append(t)
-            pool.append(v)
+    g.add_edges(np.concatenate([u, w]), np.concatenate([w, u]))
     return g
+
+
+def _pool_entries(idx: np.ndarray, a: int, m: int, m0: int, clique_pool: np.ndarray,
+                  targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Attachment-pool entries at the indices ``idx``.
+
+    Returns ``(entries, refs)``.  Where an index names the ``j``-th target
+    of a node ``u >= a``, whose row is not known yet, ``refs`` holds the
+    flat position ``(u - a) * m + j`` of that target and the entry is
+    undefined; elsewhere ``refs`` is -1.
+    """
+    q = idx - len(clique_pool)
+    u, s = np.divmod(q, 2 * m)
+    u += m0
+    entries = u.copy()  # odd slots: the node itself
+    clique = q < 0
+    entries[clique] = clique_pool[idx[clique]]
+    target = ~clique & (s % 2 == 0)
+    known = target & (u < a)
+    entries[known] = targets[u[known] - m0, s[known] // 2]
+    refs = np.where(target & (u >= a), (u - a) * m + s // 2, -1)
+    return entries, refs
+
+
+def _resolve_chunk(idx: np.ndarray, a: int, m0: int, clique_pool: np.ndarray,
+                   targets: np.ndarray) -> np.ndarray:
+    """Sorted target rows of nodes ``a, a + 1, ...`` from their pool indices.
+
+    A row that repeats a target is returned sorted with the repeat in
+    place; rows after it may then be wrong, and the caller discards them.
+    """
+    rows_n, m = idx.shape
+    vals, refs = _pool_entries(idx, a, m, m0, clique_pool, targets)
+    # a slot naming a target inside the chunk waits for that row to be sorted
+    pending = np.flatnonzero(refs >= 0)
+    ref = refs.ravel()[pending]
+    open_refs = np.bincount(pending // m, minlength=rows_n)
+    done = open_refs == 0
+    vals[done] = np.sort(vals[done], axis=1)
+    flat = vals.reshape(-1)
+    while len(pending):
+        ready = done[ref // m]
+        hit = pending[ready]
+        flat[hit] = flat[ref[ready]]
+        open_refs -= np.bincount(hit // m, minlength=rows_n)
+        newly = np.flatnonzero((open_refs == 0) & ~done)
+        vals[newly] = np.sort(vals[newly], axis=1)
+        done[newly] = True
+        pending, ref = pending[~ready], ref[~ready]
+    return vals
 
 
 def build_roster(graph: SocialGraph, accounts: AccountTable, *, company_id: str,
@@ -313,14 +434,15 @@ def overlay_company(graph: SocialGraph, accounts: AccountTable, roster: CompanyR
         accounts.kind[i] = AccountKind.EMPLOYEE
     for i in roster.managers:
         accounts.kind[i] = AccountKind.MANAGER
-    for i in members:
-        accounts.pride[i] = rng.random()
-    for a in members:
-        for b in members:
-            if a == b:
-                continue
-            if rng.random() < coworker_fraction and not graph.has_edge(a, b):
-                graph.add_edge(a, b)
+    # one draw per member, then one coin per ordered pair a != b, a-major:
+    # the same doubles as a scalar draw each
+    ids = np.array(members, dtype=np.int64)
+    accounts.pride[ids] = rng.random(len(ids))
+    off_diagonal = ~np.eye(len(ids), dtype=bool)
+    follower = np.repeat(ids, len(ids)).reshape(len(ids), -1)[off_diagonal]
+    followee = np.tile(ids, len(ids)).reshape(len(ids), -1)[off_diagonal]
+    hit = rng.random(len(follower)) < coworker_fraction
+    graph.add_edges(follower[hit], followee[hit])
     return graph
 
 
@@ -346,12 +468,13 @@ def identify_human_targets(graph: SocialGraph, accounts: AccountTable,
     w_deg, w_pride, w_mgr = weights
     degrees = graph.in_degrees()
     max_deg = int(degrees.max()) if graph.n_nodes else 0
+    managers = set(roster.managers)
     scores: dict[AccountId, float] = {}
     for i in roster.members:
         reach = degrees[i] / max_deg if max_deg else 0.0
         pride = accounts.pride[i]
         pride = 0.0 if math.isnan(pride) else pride
-        scores[i] = w_deg * reach + w_pride * pride + w_mgr * (i in set(roster.managers))
+        scores[i] = w_deg * reach + w_pride * pride + w_mgr * (i in managers)
     order = sorted(scores, key=lambda i: (-scores[i], i))
     return order[:min(k, len(order))]
 
@@ -369,16 +492,21 @@ def write_edge_list(graph: SocialGraph, path) -> None:
 
 
 def read_edge_list(path, n_nodes: int) -> SocialGraph:
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh if line.strip()]
+    pairs = [(int(u), int(v)) for u, v in (line.split("\t") for line in lines)]
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     g = SocialGraph()
     g.add_nodes(n_nodes)
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = line.split("\t")
-            if not g.add_edge(int(u), int(v)):
-                raise GraphError(f"duplicate or degenerate edge in {path}: {line!r}")
+    first = np.zeros(len(pairs), dtype=bool)
+    first[np.unique(dst * n_nodes + src, return_index=True)[1]] = True
+    bad = np.flatnonzero((src == dst) | ~first)
+    if len(bad):
+        # an unknown node on or before the first bad line is reported instead
+        k = bad[0]
+        g.add_edges(src[:k + 1], dst[:k + 1])
+        raise GraphError(f"duplicate or degenerate edge in {path}: {lines[k]!r}")
+    g.add_edges(src, dst)
     return g
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +174,17 @@ def test_fresh_activations_post_organic_fields():
 def _cohort(n=30, mode=BotMode.ATTACK, **kw):
     return BotCohort(cohort_id="attack-0", members=list(range(100, 100 + n)),
                      posting_rate=1.0, creation_tick=-48, mode=mode, **kw)
+
+
+def test_cohort_members_are_one_read_only_intp_array():
+    c = _cohort(5)
+    assert c.members.dtype == np.intp and not c.members.flags.writeable
+    assert c.members.tolist() == list(range(100, 105))
+    assert replace(c, mode=BotMode.DEFEND).members is c.members
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    authors, *_ = bot_emit_arrays(_cohort(0), 3, _topic(), rng, noise=0.2)
+    assert len(authors) == 0 and rng.bit_generator.state == state
 
 
 def test_dormant_cohort_emits_nothing_and_no_rng():

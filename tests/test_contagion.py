@@ -177,6 +177,14 @@ def test_fork_copies_every_attribute_except_the_overrides(default_cfg):
     assert not fork.watch_fire_point and fork._seed_posters == []
 
 
+def test_fork_shares_the_read_only_cohort_members(default_cfg):
+    sim = build_from_seed(default_cfg, 0)
+    sim.run(30)
+    fork = sim.fork_bots_dormant()
+    assert sim.cohorts and all(f.members is c.members
+                               for f, c in zip(fork.cohorts, sim.cohorts))
+
+
 def test_fork_silences_bots(default_cfg):
     sim = build_from_seed(default_cfg, 1)
     sim.run(20)

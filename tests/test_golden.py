@@ -2,10 +2,12 @@
 
 The `run` and `batch` digests were recorded before the counterfactual fork
 became a generic deep copy; the `analyze` digests were recorded before the
-archive windows moved onto the array kernel, and the edge-case `analyze`
-digests before archive ingest moved from rows to columns.  Any refactor of the engine,
-the fork or the report writers must leave these bytes unchanged; a change
-that moves them on purpose has to re-record the tables and say why.
+archive windows moved onto the array kernel, the edge-case `analyze`
+digests before archive ingest moved from rows to columns, and the
+`run --config` digests before the follower graph became a CSR built in
+chunks.  Any refactor of the engine, the fork or the report writers must
+leave these bytes unchanged; a change that moves them on purpose has to
+re-record the tables and say why.
 ``scripts/golden_digests.py`` recomputes every table below.
 """
 
@@ -47,6 +49,34 @@ RUN_DIGESTS = {
     },
 }
 
+# `run --config` on worlds big enough that the graph build spans many
+# chunks, one of them with bot follower edges added in one batch
+RUN_CONFIGS = {
+    "n5000": {"graph": {"n": 5000}},
+    "n2000-bot-followers": {"graph": {"n": 2000, "bot_follower_fraction": 0.05}},
+}
+
+CONFIG_RUN_DIGESTS = {
+    ("n2000-bot-followers", 0): {
+        "financial.csv": "dbf25c6bbe812941d62d86de1645d3be12cd55949522166168d0ab147f410ed4",
+        "history.csv": "60b0e4f61ab7ae7d6c05c36f4c0bb9364e02862172b4c1aa3cf397892b62c1da",
+        "run_metadata.json": "e0aa4d11b302770cf52d2f4a6beccef2558d5b2c8de954d6357099744a970590",
+        "sentiment_windows.csv": "cf2baf6d89ad05b836fec2e66fe2b712ecf1697105182095a3dbda5cfbcc0fde",
+    },
+    ("n5000", 0): {
+        "financial.csv": "c50982cb3a3c27804644d951e5a8f469189f7d5c4b532ab27102e6431324c89e",
+        "history.csv": "4438e90d6aa1bd7357b46778761d32ee40dc4c037a5429fee611cff4f75d94ec",
+        "run_metadata.json": "02cf34e2eb53b7bdf7b3c7d6b551b0c17a364770f931bb24ad452a1446971aae",
+        "sentiment_windows.csv": "cb68dcc654710dd6cbe501935a4411abff747112906be603bf0207ea66296f15",
+    },
+    ("n5000", 2): {
+        "financial.csv": "b784a761b3a87f457bb36c715ba5d3bd1c80d356578a9764bd976890d29d6b53",
+        "history.csv": "cf8787b198f22e14e0af69110042b78997413159fd97246b5a91afb4b68f1b76",
+        "run_metadata.json": "4c6de9c6805f928b3ba8b7812cc354c772fcc1fe8be573b5e25847da782a1d8a",
+        "sentiment_windows.csv": "b909a60d9374fff3b9deea1e47484f01b37cf0f6cf078fdfa24cfbcf1df1ee32",
+    },
+}
+
 # `batch --seeds 0..3` on the default config
 BATCH_SEEDS = "0..3"
 BATCH_DIGEST = "7800061731e2aecfdd247014b21a7f80e40ac6a53437e43a5f3f4a20e154b398"
@@ -81,6 +111,16 @@ def run_digests(preset: str, seed: int, out_dir) -> dict[str, str]:
     if preset != "default":
         argv += ["--preset", preset]
     _main(argv)
+    return {p.name: _sha256(p) for p in out_dir.iterdir()}
+
+
+def config_run_digests(name: str, seed: int, work_dir) -> dict[str, str]:
+    """Digests of `run --config` on ``RUN_CONFIGS[name]``, run in ``work_dir``."""
+    work_dir.mkdir(parents=True, exist_ok=True)
+    config = work_dir / "config.json"
+    config.write_text(json.dumps(RUN_CONFIGS[name]), encoding="utf-8")
+    out_dir = work_dir / "out"
+    _main(["run", "--config", str(config), "--seed", str(seed), "--out", str(out_dir)])
     return {p.name: _sha256(p) for p in out_dir.iterdir()}
 
 
@@ -203,6 +243,11 @@ def analyze_digests(work_dir, write_inputs=write_analyze_inputs) -> dict[str, st
 @pytest.mark.parametrize("preset,seed", sorted(RUN_DIGESTS))
 def test_run_report_digests(tmp_path, preset, seed):
     assert run_digests(preset, seed, tmp_path) == RUN_DIGESTS[(preset, seed)]
+
+
+@pytest.mark.parametrize("name,seed", sorted(CONFIG_RUN_DIGESTS))
+def test_config_run_report_digests(tmp_path, name, seed):
+    assert config_run_digests(name, seed, tmp_path) == CONFIG_RUN_DIGESTS[(name, seed)]
 
 
 def test_batch_summary_digest(tmp_path):

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from firesim.scenario import (ConfigError, PRESETS, build_from_seed,
+from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
+                              STAGE_NAMES, ConfigError, PRESETS, build_from_seed,
                               config_from_dict, default_config,
                               defaults_table, dumps_config, expand_preset,
                               load_config, loads_config, validate_config)
@@ -154,3 +156,70 @@ def test_config_json_is_stable():
     text = dumps_config(default_config())
     assert json.loads(text)  # valid JSON
     assert text == dumps_config(loads_config(text))  # fixpoint
+
+
+_DEFAULTS = default_config().to_dict()
+_SCALAR_FIELDS = sorted(
+    (section, name) for section, fields in _DEFAULTS.items() if isinstance(fields, dict)
+    for name, value in fields.items() if isinstance(value, (bool, int, float, str)))
+_floats = st.floats(min_value=0.0, max_value=1.0) | st.floats(min_value=0.0, allow_nan=False)
+
+
+def _value(template):
+    if isinstance(template, bool):
+        return st.booleans()
+    if isinstance(template, int):
+        return st.just(template) | st.integers(min_value=0, max_value=2**40)
+    if isinstance(template, float):
+        return st.just(template) | st.integers(min_value=0, max_value=10) | _floats
+    return st.just(template) | st.text(max_size=8)
+
+
+@st.composite
+def _config_dicts(draw):
+    """JSON-shaped configs touching scalars, dicts, lists and the tuple fields."""
+    data = {}
+    for section, name in draw(st.lists(st.sampled_from(_SCALAR_FIELDS), max_size=6,
+                                       unique=True)):
+        data.setdefault(section, {})[name] = draw(_value(_DEFAULTS[section][name]))
+    agents, attack, defense = (data.setdefault(k, {}) for k in ("agents", "attack", "defense"))
+    agents["class_multipliers"] = draw(st.dictionaries(
+        st.sampled_from(FAILURE_CLASS_NAMES), _floats, max_size=3))
+    attack["downtime_ticks"] = draw(st.dictionaries(
+        st.sampled_from(ACTION_NAMES), st.integers(0, 500) | st.floats(0, 500), max_size=3))
+    attack["target_weights"] = draw(st.lists(_floats, min_size=3, max_size=3))
+    attack["action_schedule"] = draw(st.lists(st.tuples(
+        st.integers(0, 1000), st.sampled_from(ACTION_NAMES)).map(list), max_size=3))
+    attack["ransom"] = {"force_outcome": draw(st.sampled_from([None, "pay", "refuse"])),
+                        "amount": draw(st.floats(min_value=1.0, allow_nan=False))}
+    data.setdefault("roster", {})["manager_roles"] = draw(
+        st.lists(st.text(max_size=6), max_size=4))
+    defense["playbook"] = draw(st.lists(st.fixed_dictionaries({
+        "kind": st.sampled_from(POLICY_NAMES),
+        "trigger_tick": st.none() | st.integers(0, 500),
+    }), max_size=3))
+    if draw(st.booleans()):
+        defense["playbook"].append({"kind": draw(st.sampled_from(POLICY_NAMES)),
+                                    "trigger_stage": draw(st.sampled_from(STAGE_NAMES))})
+    data["topics"] = [
+        {"topic_id": topic_id, "failure_class": draw(st.sampled_from(FAILURE_CLASS_NAMES)),
+         "severity": draw(st.floats(0, 1)), "appeal": draw(st.lists(
+             st.floats(0, 1), min_size=5, max_size=5))}
+        for topic_id in draw(st.lists(st.text(max_size=6), min_size=1, max_size=3,
+                                      unique=True))]
+    data["company_history"] = draw(st.lists(st.fixed_dictionaries({
+        "topic_id": st.text(max_size=6),
+        "failure_class": st.sampled_from(FAILURE_CLASS_NAMES),
+        "tick": st.integers(-10**6, 10**6),
+    }), max_size=2))
+    return data
+
+
+@given(data=_config_dicts())
+@settings(max_examples=200, deadline=None)
+def test_dumps_loads_roundtrip_property(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        reject()
+    assert loads_config(dumps_config(cfg)) == cfg

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from firesim import socialgraph
+from firesim.scenario import build_simulation, config_from_dict
 from firesim.socialgraph import (AccountKind, AccountTable, GraphError,
                                  SocialGraph, build_roster, generate_scale_free,
                                  identify_hubs, identify_human_targets,
@@ -218,3 +220,200 @@ def test_pair_count_property(n, m, seed):
     assert g.edge_count == 2 * scale_free_pair_count(n, m)
     degrees = g.in_degrees()
     assert np.all(degrees >= min(m, n - 1))
+
+
+# -- the CSR graph against the edge-set graph it replaced --------------------
+
+class _SetGraph:
+    """The edge-set graph with per-node lists that the CSR graph replaced."""
+
+    def __init__(self, n):
+        self.n = n
+        self.edges = set()
+        self.followers = [[] for _ in range(n)]
+
+    def add_nodes(self, count):
+        self.followers += [[] for _ in range(count)]
+        self.n += count
+
+    def add_edge(self, follower, followee):
+        if follower == followee or (follower, followee) in self.edges:
+            return False
+        self.edges.add((follower, followee))
+        self.followers[followee].append(follower)
+        return True
+
+    def csr(self):
+        indptr = np.cumsum([0] + [len(f) for f in self.followers])
+        indices = [i for f in self.followers for i in sorted(f)]
+        return indptr, np.array(indices, dtype=np.int64)
+
+
+def _set_scale_free(n, m, seed):
+    """The one-draw-per-index generator; also returns the nodes that redrew."""
+    rng = np.random.default_rng(seed)
+    g = _SetGraph(n)
+    m0 = min(n, m + 1)
+    pool = []
+    for u in range(m0):
+        for v in range(u + 1, m0):
+            g.add_edge(u, v)
+            g.add_edge(v, u)
+            pool += [u, v]
+    redrew = []
+    for v in range(m0, n):
+        targets = set()
+        draws = 0
+        while len(targets) < m:
+            targets.add(pool[int(rng.integers(len(pool)))])
+            draws += 1
+        if draws > m:
+            redrew.append(v)
+        for t in sorted(targets):
+            g.add_edge(v, t)
+            g.add_edge(t, v)
+            pool += [t, v]
+    return g, redrew
+
+
+def _set_overlay(g, accounts, roster, coworker_fraction, rng):
+    members = roster.members
+    for i in members:
+        accounts.pride[i] = rng.random()
+    for a in members:
+        for b in members:
+            if a != b and rng.random() < coworker_fraction:
+                g.add_edge(a, b)
+
+
+def _assert_same_graph(g, ref):
+    indptr, indices = g.follower_csr()
+    ref_indptr, ref_indices = ref.csr()
+    assert g.n_nodes == ref.n and g.edge_count == len(ref.edges)
+    assert np.array_equal(indptr, ref_indptr)
+    assert np.array_equal(indices, ref_indices)
+
+
+# (n, m, seed): pure cliques (n <= m + 1), n = m + 2, m = 1, and runs long
+# enough for many chunks and rewinds
+_GENERATOR_CASES = [(1, 1, 0), (2, 1, 0), (3, 3, 0), (4, 3, 2), (7, 6, 3),
+                    (5, 3, 2), (8, 6, 1), (200, 1, 0), (3000, 1, 5),
+                    (1000, 2, 0), (2000, 3, 1), (2500, 5, 9)]
+
+
+@pytest.mark.parametrize("n,m,seed", _GENERATOR_CASES)
+def test_generator_matches_the_one_draw_per_index_loop(n, m, seed):
+    ref, _ = _set_scale_free(n, m, seed)
+    _assert_same_graph(generate_scale_free(n, m, seed), ref)
+
+
+def test_generator_rewinds_inside_the_first_chunk():
+    n, m, seed = 300, 3, 4
+    ref, redrew = _set_scale_free(n, m, seed)
+    assert redrew and redrew[0] < m + 1 + socialgraph._FIRST_CHUNK
+    _assert_same_graph(generate_scale_free(n, m, seed), ref)
+
+
+def test_generator_leaves_the_stream_where_the_loop_does():
+    rng = np.random.default_rng(11)
+    ref_rng = np.random.default_rng(11)
+    _set_scale_free(1500, 3, ref_rng)
+    generate_scale_free(1500, 3, rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_overlay_matches_the_scalar_coin_loop():
+    g = generate_scale_free(300, 3, seed=5)
+    ref, _ = _set_scale_free(300, 3, 5)
+    accounts, ref_accounts = _table(300), _table(300)
+    roster = build_roster(g, accounts, company_id="acme", employees=14, managers=4,
+                          security_posture=0.9, manager_roles=("ceo",),
+                          rng=np.random.default_rng(1))
+    overlay_company(g, accounts, roster, coworker_fraction=0.4,
+                    rng=np.random.default_rng(2))
+    _set_overlay(ref, ref_accounts, roster, 0.4, np.random.default_rng(2))
+    _assert_same_graph(g, ref)
+    assert np.array_equal(accounts.pride, ref_accounts.pride, equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_built_world_graph_matches_the_edge_set_build(seed):
+    """All of build_simulation's graph: generator, overlay, bot followers."""
+    cfg = config_from_dict({"graph": {"n": 600, "coworker_fraction": 1.0,
+                                      "bot_follower_fraction": 0.05},
+                            "run": {"seed": seed}})
+    sim = build_simulation(cfg)
+    ss_graph, ss_accounts, ss_roster, ss_bots, _, _ = \
+        np.random.SeedSequence(seed).spawn(6)
+    ref, _ = _set_scale_free(cfg.graph.n, cfg.graph.m, ss_graph)
+    accounts = AccountTable.real_users(
+        cfg.graph.n, np.random.default_rng(ss_accounts),
+        posting_rate=cfg.agents.posting_rate, creation_min=cfg.run.user_creation_min,
+        creation_max=cfg.run.user_creation_max)
+    rng_roster = np.random.default_rng(ss_roster)
+    r = cfg.roster
+    nodes = SocialGraph()  # build_roster reads only the node count
+    nodes.add_nodes(cfg.graph.n)
+    roster = build_roster(nodes, accounts, company_id=r.company_id, employees=r.employees,
+                          managers=r.managers, security_posture=r.security_posture,
+                          manager_roles=r.manager_roles, rng=rng_roster)
+    _set_overlay(ref, accounts, roster, cfg.graph.coworker_fraction, rng_roster)
+    rng_bots = np.random.default_rng(ss_bots)
+    ref.add_nodes(cfg.attack.bots)
+    for bot in range(cfg.graph.n, cfg.graph.n + cfg.attack.bots):
+        mask = rng_bots.random(cfg.graph.n) < cfg.graph.bot_follower_fraction
+        for user in np.flatnonzero(mask):
+            ref.add_edge(int(user), bot)
+    assert roster.members == sim.company.roster.members
+    _assert_same_graph(sim.graph, ref)
+
+
+_ids = st.integers(min_value=0, max_value=11)
+
+
+@given(n=st.integers(min_value=1, max_value=12),
+       batches=st.lists(st.lists(st.tuples(_ids, _ids), max_size=30), max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_add_edges_matches_an_edge_set(n, batches):
+    g = SocialGraph()
+    g.add_nodes(n)
+    ref = _SetGraph(n)
+    for batch in batches:
+        batch = [(u % n, v % n) for u, v in batch]
+        added = sum(ref.add_edge(u, v) for u, v in batch)
+        src, dst = np.array(batch, dtype=np.int64).reshape(-1, 2).T
+        assert g.add_edges(src, dst) == added
+        _assert_same_graph(g, ref)
+    assert g.edges() == sorted(ref.edges)
+    for u in range(n):
+        assert g.followers(u) == sorted(ref.followers[u])
+        assert g.followees(u) == sorted(v for f, v in ref.edges if f == u)
+        assert g.out_degree(u) == len(g.followees(u))
+        for v in range(n):
+            assert g.has_edge(u, v) == ((u, v) in ref.edges)
+
+
+@pytest.mark.parametrize("src,dst", [([0, 3], [1, 1]), ([0, 1], [1, -1]),
+                                     ([5], [0]), ([0, 1], [1])])
+def test_add_edges_rejects_unknown_nodes_and_leaves_the_graph(src, dst):
+    g = SocialGraph()
+    g.add_nodes(3)
+    g.add_edges([1, 2], [0, 0])
+    before = g.edges()
+    with pytest.raises(GraphError):
+        g.add_edges(src, dst)
+    assert g.edges() == before
+    assert not g.has_edge(3, 1) and not g.has_edge(-1, 0)
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["0\t1", "1\t0", "0\t1"], "duplicate or degenerate edge"),
+    (["0\t1", "2\t2"], "duplicate or degenerate edge"),
+    (["0\t1", "0\t9", "0\t1"], "unknown node"),
+    (["0\t1", "0\t1", "0\t9"], "duplicate or degenerate edge"),
+])
+def test_read_edge_list_names_the_first_bad_line(tmp_path, lines, message):
+    path = tmp_path / "edges.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(GraphError, match=message):
+        read_edge_list(path, 4)
