@@ -1,9 +1,10 @@
 """Recompute the golden digest tables of tests/test_golden.py.
 
 Runs every case the test module lists (the `run` presets and seeds, the
-`run --config` configs and seeds, the `batch` seed range and the two
-`analyze` archives) and prints RUN_DIGESTS, CONFIG_RUN_DIGESTS, BATCH_DIGEST,
-ANALYZE_DIGESTS and ANALYZE_EDGE_DIGESTS as Python literals.  Run it on the commit
+`run --config` configs and seeds, the `batch` seed range, the `compare`
+toggles and the two `analyze` archives) and prints RUN_DIGESTS,
+CONFIG_RUN_DIGESTS, BATCH_DIGEST, COMPARE_DIGESTS, ANALYZE_DIGESTS and
+ANALYZE_EDGE_DIGESTS as Python literals.  Run it on the commit
 before a change to record the digests the change must keep.
 
 Usage: PYTHONPATH=src python3 scripts/golden_digests.py
@@ -32,6 +33,9 @@ def main() -> None:
                            name, seed, work / f"config-run-{name}-{seed}")
                        for name, seed in sorted(test_golden.CONFIG_RUN_DIGESTS)}
         batch = test_golden.batch_digest(work / "batch")
+        compares = {(preset, toggle, seeds): test_golden.compare_digest(
+                        preset, toggle, seeds, work / f"compare-{preset}-{toggle}")
+                    for preset, toggle, seeds in sorted(test_golden.COMPARE_DIGESTS)}
         (work / "analyze").mkdir()
         analyze = test_golden.analyze_digests(work / "analyze")
         (work / "analyze-edge").mkdir()
@@ -54,6 +58,13 @@ def main() -> None:
     print()
     print(f"# `batch --seeds {test_golden.BATCH_SEEDS}` on the default config")
     print(f'BATCH_DIGEST = "{batch}"')
+    print()
+    print("# `compare --preset P --toggle T --seeds S`: compare_summary.json")
+    print("COMPARE_DIGESTS = {")
+    for (preset, toggle, seeds), digest in compares.items():
+        print(f'    ("{preset}", "{toggle}", "{seeds}"):')
+        print(f'        "{digest}",')
+    print("}")
     print()
     print("# `analyze` of the archive ``write_analyze_inputs`` writes")
     print("ANALYZE_DIGESTS = {")

@@ -103,6 +103,16 @@ class BotMode(Enum):
     DEFEND = "defend"
 
 
+# Enum members bound once: class attribute lookups go through
+# ``EnumType.__getattr__``, which is slow on the per-tick path.
+_DORMANT = BotMode.DORMANT
+_DEFEND = BotMode.DEFEND
+
+# What a silent cohort emits; every caller gets these same length-0 arrays.
+EMPTY_EMISSION = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.int8),
+                  np.empty(0, dtype=np.intp))
+
+
 @dataclass
 class BotCohort:
     """A block of coordinated accounts posting on schedule.
@@ -176,9 +186,9 @@ def susceptibility_terms(ocean: np.ndarray, topic: TargetTopic, cfg: "AgentConfi
 
 
 def activation_probability(susceptibility_value, exposure) -> np.ndarray:
-    """Independent per-post trials: 1 - (1 - s)^exposure."""
-    s = np.clip(np.asarray(susceptibility_value, dtype=np.float64), 0.0, 1.0)
-    return 1.0 - np.power(1.0 - s, np.asarray(exposure, dtype=np.float64))
+    """Independent per-post trials: 1 - (1 - s)^exposure, for s in [0, 1]."""
+    # power's float64 loop casts integer arguments itself
+    return 1.0 - np.power(1.0 - susceptibility_value, exposure)
 
 
 def draw_organic_valence(failure_class: FailureClass, rng: np.random.Generator,
@@ -188,11 +198,11 @@ def draw_organic_valence(failure_class: FailureClass, rng: np.random.Generator,
     The negative mass is the configured base weight scaled by the failure
     class multiplier, so classes that grip harder also skew angrier.
     """
-    w_neg = float(np.clip(
-        cfg.base_negative_weight * cfg.class_multipliers[failure_class.value], 0.0, 1.0))
+    w_neg = clip_unit(cfg.base_negative_weight * cfg.class_multipliers[failure_class.value])
     pick_neg = rng.random(size) < w_neg
-    u = rng.random(size)
-    return np.where(pick_neg, -1.0 + 0.8 * u, -0.2 + 0.8 * u)
+    spread = 0.8 * rng.random(size)
+    spread += np.where(pick_neg, -1.0, -0.2)
+    return spread
 
 
 # -- bot posting -----------------------------------------------------------
@@ -204,52 +214,73 @@ def bot_emit_arrays(cohort: BotCohort, tick: int, topic: TargetTopic,
     Attack members push ``-severity`` (plus bounded noise), shifting from the
     company page toward the retarget profiles once a ramp is active; flipped
     or defending members push ``+severity`` onto the company page.  Dormant
-    cohorts emit nothing and consume no randomness.
+    cohorts emit nothing and consume no randomness; an empty emission is the
+    shared length-0 ``EMPTY_EMISSION``.
     """
-    empty = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.int8),
-             np.empty(0, dtype=np.intp))
-    if cohort.mode is BotMode.DORMANT or len(cohort.members) == 0:
-        return empty
+    if cohort.mode is _DORMANT or len(cohort.members) == 0:
+        return EMPTY_EMISSION
     counts = rng.poisson(cohort.posting_rate, size=len(cohort.members))
     total = int(counts.sum())
     if total == 0:
-        return empty
-    authors = np.repeat(cohort.members, counts)
-    if cohort.mode is BotMode.DEFEND:
-        defending = np.ones(total, dtype=bool)
+        return EMPTY_EMISSION
+    authors = cohort.members.repeat(counts)
+    # flipped members lead ``members``, so their posts lead ``authors``
+    if cohort.mode is _DEFEND:
+        flipped = total
+    elif cohort.defending:
+        flipped = int(counts[:cohort.defending].sum())
     else:
-        defending = np.repeat(np.arange(len(cohort.members)) < cohort.defending, counts)
-    wobble = noise * (2.0 * rng.random(total) - 1.0)
-    valence = np.clip(np.where(defending, topic.severity, -topic.severity) + wobble,
-                      -1.0, 1.0)
-    surface_kind = np.full(total, SurfaceKind.COMPANY_PAGE, dtype=np.int8)
-    surface_target = np.full(total, -1, dtype=np.intp)
+        flipped = 0
+    valence = noise * (2.0 * rng.random(total) - 1.0)
+    if flipped:
+        valence[:flipped] += topic.severity
+    if flipped < total:
+        valence[flipped:] -= topic.severity
+    if topic.severity + abs(noise) > 1.0:  # else no valence can leave [-1, 1]
+        np.clip(valence, -1.0, 1.0, out=valence)
     share = cohort.employee_share(tick)
     if share > 0.0:
-        to_profile = (rng.random(total) < share) & ~defending
+        to_profile = rng.random(total) < share
+        to_profile[:flipped] = False
         picks = rng.integers(len(cohort.retarget_targets), size=total)
-        surface_kind[to_profile] = SurfaceKind.EMPLOYEE_PROFILE
         chosen = np.asarray(cohort.retarget_targets, dtype=np.intp)[picks]
-        surface_target[to_profile] = chosen[to_profile]
+        surface_kind = to_profile.astype(np.int8)  # profile is 1, page is 0
+        surface_target = np.where(to_profile, chosen, -1)
+    else:
+        surface_kind = np.zeros(total, dtype=np.int8)  # SurfaceKind.COMPANY_PAGE
+        surface_target = np.full(total, -1, dtype=np.intp)
     return authors, valence, surface_kind, surface_target
 
 
 # -- worker pressure -------------------------------------------------------
 
-def saturate(x, half: float) -> np.ndarray:
-    """x / (x + half): 0 at 0, half-effect at ``half``, asymptote 1."""
-    x = np.asarray(x, dtype=np.float64)
+def saturate(x, half: float):
+    """x / (x + half): 0 at 0, half-effect at ``half``, asymptote 1.
+
+    A Python float stays a Python float (the same IEEE division numpy
+    does); anything else comes back as a float64 array.
+    """
+    if type(x) is not float:
+        x = np.asarray(x, dtype=np.float64)
     return x / (x + half)
+
+
+def clip_unit(x: float) -> float:
+    """``float(np.clip(x, 0.0, 1.0))`` for a Python float, NaN and -0.0 included."""
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
 def stress_step(stress, mentions, ambient, cfg: "AgentConfig",
                 direct_gain: float | None = None) -> np.ndarray:
-    """Vector stress update: decayed old stress plus saturating pressure."""
+    """Vector stress update: decayed old stress plus saturating pressure.
+
+    A scalar ``mentions`` or ``ambient`` applies to every row alike.
+    """
     gain = cfg.gamma_direct if direct_gain is None else direct_gain
-    out = (np.asarray(stress, dtype=np.float64) * (1.0 - cfg.stress_decay)
-           + gain * saturate(mentions, cfg.half_saturation)
-           + cfg.gamma_ambient * saturate(ambient, cfg.half_saturation))
-    return np.clip(out, 0.0, 1.0)
+    out = np.multiply(stress, 1.0 - cfg.stress_decay, dtype=np.float64)
+    out += gain * saturate(mentions, cfg.half_saturation)
+    out += cfg.gamma_ambient * saturate(ambient, cfg.half_saturation)
+    return out.clip(0.0, 1.0)
 
 
 def procedure_compliance(account: Account, company: CompanyState,

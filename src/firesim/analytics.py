@@ -414,6 +414,16 @@ class FinancialProxy:
             raise ValueError("base and floor must be positive")
         self.value = self.base
 
+    def copy(self) -> "FinancialProxy":
+        """An independent proxy: ``series`` holds floats and ``markers``
+        (tick, event) tuples, so whole-list copies are deep copies."""
+        out = FinancialProxy.__new__(FinancialProxy)
+        out.__dict__.update(vars(self), series=list(self.series), markers=list(self.markers))
+        return out
+
+    def __deepcopy__(self, memo) -> "FinancialProxy":
+        return self.copy()
+
 
 def update_financial_proxy(proxy: FinancialProxy, reputation_delta: float,
                            event: str | None = None, *, kappa: float,

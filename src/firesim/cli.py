@@ -9,6 +9,7 @@ invocation never leaves partial files behind.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, defense
-from .contagion import regulator_visibility
 from .scenario import (ConfigError, PRESETS, PolicySpec, ScenarioConfig,
                        build_from_seed, default_config, expand_preset,
                        load_config, validate_config)
@@ -262,11 +262,12 @@ def run_metrics(cfg: ScenarioConfig, seed: int) -> dict:
     if sim.plan is not None:
         focus_start = next((tick for stage, tick in sim.plan.stage_entries
                             if stage == "worker_focus"), None)
-    if focus_start is None:
-        visibility = [regulator_visibility(sim.history, t) for t in range(ticks)]
-    else:
-        visibility = [regulator_visibility(sim.history, t)
-                      for t in range(focus_start, ticks)]
+    # regulator_visibility at each tick from focus_start on, off one running
+    # maximum: each value is an int / int division, so the floats are the same
+    page = sim.history.company_page_posts[:ticks]
+    visibility = [0.0 if peak == 0 else count / peak
+                  for count, peak in itertools.islice(
+                      zip(page, itertools.accumulate(page, max)), focus_start or 0, None)]
     return {
         "duration_effective": float(duration),
         "peak_total_posts": outcome["peak_total_posts"],

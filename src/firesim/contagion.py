@@ -39,12 +39,26 @@ class FirestormStage(Enum):
     MINOR = "minor"
 
 
+# Enum members bound once: class attribute lookups go through
+# ``EnumType.__getattr__``, which is slow on the per-tick path.
+_LATENT = FirestormStage.LATENT
+_TRIGGERING = FirestormStage.TRIGGERING
+_PEAK = FirestormStage.PEAK
+_CALMING = FirestormStage.CALMING
+_MINOR = FirestormStage.MINOR
+_PAGE_KIND = np.int8(SurfaceKind.COMPANY_PAGE)
+_STREAM_KIND = np.int8(SurfaceKind.GENERAL_STREAM)
+_PROFILE_KIND = np.int8(SurfaceKind.EMPLOYEE_PROFILE)
+
+
 HISTORY_COLUMNS = (
     "tick", "total_posts", "organic_posts", "bot_posts", "company_page_posts",
     "employee_profile_posts", "general_stream_posts", "mean_valence",
     "active_organic_posters", "mean_stress", "max_stress", "reputation",
     "financial_value", "stage",
 )
+
+_history_columns = operator.attrgetter(*HISTORY_COLUMNS)
 
 _INT_COLUMNS = {"tick", "total_posts", "organic_posts", "bot_posts",
                 "company_page_posts", "employee_profile_posts",
@@ -65,8 +79,15 @@ class SimHistory:
         if set(fields) != set(HISTORY_COLUMNS):
             missing = set(HISTORY_COLUMNS) ^ set(fields)
             raise ValueError(f"history record mismatch on {sorted(missing)}")
-        for col, value in fields.items():
-            getattr(self, col).append(value)
+        self.append_row(*(fields[col] for col in HISTORY_COLUMNS))
+
+    def append_row(self, *values) -> None:
+        """Append one record given in ``HISTORY_COLUMNS`` order."""
+        if len(values) != len(HISTORY_COLUMNS):
+            raise ValueError(f"history row has {len(values)} values, "
+                             f"expected {len(HISTORY_COLUMNS)}")
+        for column, value in zip(_history_columns(self), values):
+            column.append(value)
 
     def copy(self) -> "SimHistory":
         out = SimHistory.__new__(SimHistory)
@@ -179,38 +200,38 @@ class StageTracker:
             raise ValueError("stage thresholds must satisfy low < high")
         self.low = low
         self.high = high
-        self.stage = FirestormStage.LATENT
+        self.stage = _LATENT
         self._prev: float | None = None
 
     def update(self, smoothed: float) -> FirestormStage:
         slope = 0.0 if self._prev is None else smoothed - self._prev
         self._prev = smoothed
         s, low, high = self.stage, self.low, self.high
-        if s is FirestormStage.LATENT:
+        if s is _LATENT:
             if smoothed >= high:
-                self.stage = FirestormStage.PEAK
+                self.stage = _PEAK
             elif smoothed >= low and slope > 0:
-                self.stage = FirestormStage.TRIGGERING
-        elif s is FirestormStage.TRIGGERING:
+                self.stage = _TRIGGERING
+        elif s is _TRIGGERING:
             if smoothed >= high:
-                self.stage = FirestormStage.PEAK
+                self.stage = _PEAK
             elif smoothed < low:
-                self.stage = FirestormStage.LATENT
-        elif s is FirestormStage.PEAK:
+                self.stage = _LATENT
+        elif s is _PEAK:
             if smoothed < low:
-                self.stage = FirestormStage.MINOR
+                self.stage = _MINOR
             elif smoothed < high and slope < 0:
-                self.stage = FirestormStage.CALMING
-        elif s is FirestormStage.CALMING:
+                self.stage = _CALMING
+        elif s is _CALMING:
             if smoothed >= high:
-                self.stage = FirestormStage.PEAK
+                self.stage = _PEAK
             elif smoothed < low:
-                self.stage = FirestormStage.MINOR
-        elif s is FirestormStage.MINOR:
+                self.stage = _MINOR
+        elif s is _MINOR:
             if smoothed >= high:
-                self.stage = FirestormStage.PEAK
+                self.stage = _PEAK
             elif smoothed >= low and slope > 0:
-                self.stage = FirestormStage.TRIGGERING
+                self.stage = _TRIGGERING
         return self.stage
 
 
@@ -252,6 +273,9 @@ def regulator_visibility(history: SimHistory, tick: int) -> float:
 
 ACTIVATABLE = (AccountKind.REAL_USER, AccountKind.EMPLOYEE)
 
+# A tick without posts: (authors, valences, skinds, stargets, organic).
+_NO_POSTS = (*agents.EMPTY_EMISSION, np.empty(0, dtype=bool))
+
 
 class Simulation:
     """Full mutable world state plus the tick loop.
@@ -262,7 +286,7 @@ class Simulation:
 
     # Attributes no step changes; forks share them by reference.
     SHARED = ("cfg", "graph", "topics", "topic", "logistic_term", "can_activate",
-              "roster_ids", "factory", "company.roster")
+              "roster_ids", "manager_ids", "employee_ids", "factory", "company.roster")
 
     def __init__(self, *, config: "ScenarioConfig", graph: SocialGraph,
                  accounts: AccountTable, company: CompanyState,
@@ -302,6 +326,8 @@ class Simulation:
         self.author_counts_prev = np.zeros(n, dtype=np.int64)
         self.pool_prev = 0
         self.roster_ids = np.array(company.roster.members, dtype=np.intp)
+        self.manager_ids = np.array(company.roster.managers, dtype=np.intp)
+        self.employee_ids = np.array(company.roster.employees, dtype=np.intp)
 
         self.history = SimHistory()
         self.post_log = PostLog()
@@ -336,8 +362,9 @@ class Simulation:
             self.active[idx] = True
             self.activated_ever[idx] = True
 
-    def susceptibilities(self) -> np.ndarray:
-        return np.clip(self.logistic_term * self.severity * self.class_multiplier, 0.0, 1.0)
+    def susceptibilities(self, users=slice(None)) -> np.ndarray:
+        """Per-post flip probability in [0, 1] of ``users`` (default: everyone)."""
+        return (self.logistic_term[users] * self.severity * self.class_multiplier).clip(0.0, 1.0)
 
     # -- tick loop -----------------------------------------------------------
 
@@ -355,137 +382,152 @@ class Simulation:
         return self
 
     def step(self) -> None:
+        """Advance the world one tick through its nine numbered phases.
+
+        RNG contract: a fixed seed replays bit for bit, so whatever shortcut
+        a phase takes, it makes the same generator calls in the same order,
+        with the same sizes and arguments.  That includes draws whose result
+        is thrown away: a retarget pick is drawn for every bot post, flipped
+        or not, and kept only for posts sent to a profile.
+
+        State invariant: ``active`` implies ``activated_ever`` (every path
+        that activates a user sets both), and ``remaining`` never goes below
+        0.  Phase 2 relies on the first: the users it may activate are the
+        never-activated ones, with no separate test for ``active``.
+        """
         t = self.tick
         cfg = self.cfg
         acc = self.accounts
-        parts_authors: list[np.ndarray] = []
-        parts_valence: list[np.ndarray] = []
-        parts_skind: list[np.ndarray] = []
-        parts_starget: list[np.ndarray] = []
-        parts_organic: list[np.ndarray] = []
+        n = len(acc)
+        topic = self.topic
+        parts: list[tuple] = []  # (authors, valences, skinds, stargets, organic)
 
         # 1) bot cohorts post
-        if self.topic is not None:
+        if topic is not None:
+            noise = cfg.attack.valence_noise
             for cohort in self.cohorts:
-                a, v, sk, st = agents.bot_emit_arrays(
-                    cohort, t, self.topic, self.rng, noise=cfg.attack.valence_noise)
+                a, v, sk, st = agents.bot_emit_arrays(cohort, t, topic, self.rng, noise=noise)
                 if len(a):
-                    parts_authors.append(a)
-                    parts_valence.append(v)
-                    parts_skind.append(sk)
-                    parts_starget.append(st)
-                    parts_organic.append(np.zeros(len(a), dtype=bool))
+                    parts.append((a, v, sk, st, np.zeros(len(a), dtype=bool)))
 
         # 2) exposure to last tick's posts
-        exposure = None
-        if self.topic is not None and self.pool_prev > 0:
+        fresh_exposure = None
+        if topic is not None and self.pool_prev > 0:
             # each of last tick's authors pushes its post count along its
             # follower row; the counts are integers, so the float sums are
             # exact in any order
             indptr, indices = self.graph.follower_csr()
-            pushers = np.flatnonzero(self.author_counts_prev)
+            prev = self.author_counts_prev
+            pushers = prev.nonzero()[0]
             starts = indptr[pushers]
             lens = indptr[pushers + 1] - starts
-            ends = np.cumsum(lens)
-            positions = np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
-            exposure = np.bincount(
-                indices[positions], weights=np.repeat(self.author_counts_prev[pushers], lens),
-                minlength=len(acc))
-            # active implies activated_ever, so phase 3's deactivations leave
-            # this mask as it is
-            eligible = self.can_activate & ~self.active & ~self.activated_ever
-            idx = np.flatnonzero(eligible)
-            if len(idx):
+            ends = lens.cumsum()
+            positions = (starts - (ends - lens)).repeat(lens) + np.arange(ends[-1])
+            exposure = np.bincount(indices[positions], weights=prev[pushers].repeat(lens),
+                                   minlength=n)
+            # never activated: by the invariant this also rules out the
+            # active users, and phase 3's deactivations cannot change it
+            fresh = (self.can_activate & ~self.activated_ever).nonzero()[0]
+            if len(fresh):
                 p_trend = min(1.0, self.pool_prev / cfg.contagion.trend_saturation)
-                exposure[idx] += self.rng.binomial(cfg.contagion.trend_samples,
-                                                   p_trend, size=len(idx))
+                fresh_exposure = exposure[fresh] + self.rng.binomial(
+                    cfg.contagion.trend_samples, p_trend, size=len(fresh))
 
         # 3) organic posting: ongoing actives, then fresh activations
-        if self.topic is not None:
-            active_idx = np.flatnonzero(self.active)
+        organic_n = 0
+        if topic is not None:
+            active_idx = self.active.nonzero()[0]
             if len(active_idx):
                 counts = self.rng.poisson(acc.posting_rate[active_idx])
-                counts = np.minimum(counts, self.remaining[active_idx])
-                self.remaining[active_idx] -= counts
-                self.active[active_idx] &= self.remaining[active_idx] > 0
-                emitters = np.repeat(active_idx, counts)
+                left = self.remaining[active_idx]
+                np.minimum(counts, left, out=counts)
+                left -= counts
+                self.remaining[active_idx] = left
+                self.active[active_idx] = left > 0
+                organic_authors = active_idx.repeat(counts)
             else:
-                emitters = np.empty(0, dtype=np.intp)
+                organic_authors = active_idx
 
-            new_idx = np.empty(0, dtype=np.intp)
-            if exposure is not None:
-                cand = np.flatnonzero(eligible & (exposure > 0) & (self.remaining > 0))
+            if fresh_exposure is not None:
+                keep = (fresh_exposure > 0) & (self.remaining[fresh] > 0)
+                cand = fresh[keep]
                 if len(cand):
-                    s = self.susceptibilities()[cand]
-                    p = agents.activation_probability(s, exposure[cand])
-                    p = np.clip(p * self.recurrence_multiplier * self.activation_multiplier,
-                                0.0, 1.0)
+                    p = agents.activation_probability(self.susceptibilities(cand),
+                                                      fresh_exposure[keep])
+                    # x * 1.0 is x, so a neutral multiplier is skipped
+                    if self.recurrence_multiplier != 1.0:
+                        p *= self.recurrence_multiplier
+                    if self.activation_multiplier != 1.0:
+                        p *= self.activation_multiplier
+                    # u < clip(p, 0, 1) is u < p for any u in [0, 1)
                     new_idx = cand[self.rng.random(len(cand)) < p]
                     if len(new_idx):
-                        self.active[new_idx] = True
                         self.activated_ever[new_idx] = True
-                        self.remaining[new_idx] -= 1
-                        self.active[new_idx] &= self.remaining[new_idx] > 0
+                        left = self.remaining[new_idx] - 1
+                        self.remaining[new_idx] = left
+                        self.active[new_idx] = left > 0
+                        organic_authors = np.concatenate([organic_authors, new_idx])
 
-            organic_authors = np.concatenate([emitters, new_idx]) if len(new_idx) else emitters
-            if len(organic_authors):
+            k = len(organic_authors)
+            if k:
                 defmask = self.defender[organic_authors]
-                vals = np.empty(len(organic_authors))
-                plain = np.flatnonzero(~defmask)
-                if len(plain):
-                    vals[plain] = agents.draw_organic_valence(
-                        self.topic.failure_class, self.rng, cfg.agents, size=len(plain))
-                helpers = np.flatnonzero(defmask)
-                if len(helpers):
+                if not defmask.any():
+                    vals = agents.draw_organic_valence(
+                        topic.failure_class, self.rng, cfg.agents, size=k)
+                    on_page = self.rng.random(k) < cfg.agents.organic_company_page_fraction
+                    skind = (~on_page).astype(np.int8) * _STREAM_KIND  # page is 0
+                else:
+                    vals = np.empty(k)
+                    plain = (~defmask).nonzero()[0]
+                    if len(plain):
+                        vals[plain] = agents.draw_organic_valence(
+                            topic.failure_class, self.rng, cfg.agents, size=len(plain))
+                    helpers = defmask.nonzero()[0]
                     vals[helpers] = 0.2 + 0.7 * self.rng.random(len(helpers))
-                skind = np.full(len(organic_authors), SurfaceKind.GENERAL_STREAM,
-                                dtype=np.int8)
-                if len(plain):
-                    on_page = self.rng.random(len(plain)) < cfg.agents.organic_company_page_fraction
-                    skind[plain[on_page]] = SurfaceKind.COMPANY_PAGE
-                skind[helpers] = SurfaceKind.COMPANY_PAGE
-                parts_authors.append(organic_authors.astype(np.intp))
-                parts_valence.append(vals)
-                parts_skind.append(skind)
-                parts_starget.append(np.full(len(organic_authors), -1, dtype=np.intp))
-                parts_organic.append(np.ones(len(organic_authors), dtype=bool))
+                    skind = np.full(k, _STREAM_KIND, dtype=np.int8)
+                    if len(plain):
+                        on_page = (self.rng.random(len(plain))
+                                   < cfg.agents.organic_company_page_fraction)
+                        skind[plain[on_page]] = _PAGE_KIND
+                    skind[helpers] = _PAGE_KIND
+                parts.append((organic_authors, vals, skind, np.full(k, -1, dtype=np.intp),
+                              np.ones(k, dtype=bool)))
+                organic_n = k
 
         # collapse the tick's posts
-        if parts_authors:
-            authors = np.concatenate(parts_authors)
-            valences = np.concatenate(parts_valence)
-            skinds = np.concatenate(parts_skind)
-            stargets = np.concatenate(parts_starget)
-            organic_mask = np.concatenate(parts_organic)
+        if len(parts) == 1:
+            authors, valences, skinds, stargets, organic_mask = parts[0]
+        elif parts:
+            authors, valences, skinds, stargets, organic_mask = (
+                np.concatenate(column) for column in zip(*parts))
         else:
-            authors = np.empty(0, dtype=np.intp)
-            valences = np.empty(0)
-            skinds = np.empty(0, dtype=np.int8)
-            stargets = np.empty(0, dtype=np.intp)
-            organic_mask = np.empty(0, dtype=bool)
+            authors, valences, skinds, stargets, organic_mask = _NO_POSTS
 
         total = len(authors)
-        organic_n = int(organic_mask.sum())
-        on_profile = skinds == SurfaceKind.EMPLOYEE_PROFILE
-        on_page = skinds == SurfaceKind.COMPANY_PAGE
+        page_n, profile_n, stream_n = np.bincount(skinds, minlength=3).tolist()
+        negative = valences < 0.0
 
         # 4) worker stress from targeted mentions and ambient page negativity
         roster = self.roster_ids
         if len(roster):
-            mentions = np.zeros(len(acc), dtype=np.float64)
-            if on_profile.any():
-                np.add.at(mentions, stargets[on_profile], 1.0)
-            ambient = float(np.sum(on_page & (valences < 0.0)))
-            gain = cfg.agents.gamma_direct
-            if cfg.agents.severity_scales_direct_gain and self.topic is not None:
+            ag = cfg.agents
+            if profile_n:
+                on_profile = skinds == _PROFILE_KIND
+                mentions = np.bincount(stargets[on_profile], minlength=n)[roster]
+            else:
+                mentions = 0.0
+            ambient = (float(np.count_nonzero(negative & (skinds == _PAGE_KIND)))
+                       if page_n else 0.0)
+            gain = ag.gamma_direct
+            if ag.severity_scales_direct_gain and topic is not None:
                 gain *= self.severity
             acc.stress[roster] = agents.stress_step(
-                acc.stress[roster], mentions[roster], ambient, cfg.agents,
-                direct_gain=gain)
-            if cfg.agents.manager_transfer > 0.0 and self.company.roster.managers:
-                mgr = np.array(self.company.roster.managers, dtype=np.intp)
-                spill = cfg.agents.manager_transfer * float(acc.stress[mgr].mean())
-                emp = np.array(self.company.roster.employees, dtype=np.intp)
+                acc.stress[roster], mentions, ambient, ag, direct_gain=gain)
+            if ag.manager_transfer > 0.0 and len(self.manager_ids):
+                mgr_stress = acc.stress[self.manager_ids]
+                spill = ag.manager_transfer * float(
+                    np.add.reduce(mgr_stress) / len(mgr_stress))
+                emp = self.employee_ids
                 if len(emp):
                     acc.stress[emp] = np.clip(acc.stress[emp] + spill, 0.0, 1.0)
 
@@ -494,75 +536,67 @@ class Simulation:
             self.events.extend(defense.run_playbook_tick(self, self.playbook))
 
         # 6) onset / extinguishment bookkeeping and reputation drift
-        negative_posts = int(np.sum(valences < 0.0))
+        negative_posts = int(np.count_nonzero(negative))
+        contagion = cfg.contagion
         if self.onset is None and total > 0:
             self.onset = t
         if self.onset is not None and self.extinguished_tick is None:
-            self._below_eps_run = self._below_eps_run + 1 if total < cfg.contagion.extinguish_eps else 0
-            if self._below_eps_run >= cfg.contagion.extinguish_window:
-                self.extinguished_tick = t - cfg.contagion.extinguish_window + 1
+            self._below_eps_run = self._below_eps_run + 1 if total < contagion.extinguish_eps else 0
+            if self._below_eps_run >= contagion.extinguish_window:
+                self.extinguished_tick = t - contagion.extinguish_window + 1
                 self.events.append({"tick": t, "kind": "extinguished",
                                     "start": self.extinguished_tick})
 
+        an = cfg.analytics
         comp = self.company
         rep = comp.reputation
-        rep -= cfg.analytics.reputation_volume_weight * float(
-            agents.saturate(negative_posts, cfg.analytics.reputation_half_saturation))
+        rep -= an.reputation_volume_weight * agents.saturate(
+            float(negative_posts), an.reputation_half_saturation)
         if comp.downtime_remaining > 0:
-            rep -= cfg.analytics.downtime_reputation_penalty
+            rep -= an.downtime_reputation_penalty
             comp.downtime_remaining -= 1
-        rep += cfg.analytics.reputation_recovery * (1.0 - rep)
-        comp.reputation = float(np.clip(rep, 0.0, 1.0))
+        rep += an.reputation_recovery * (1.0 - rep)
+        comp.reputation = agents.clip_unit(float(rep))
 
         # 7) financial proxy (action shocks land via next tick's delta),
         #    history row, and exposure buffer roll
-        rep_delta = self.company.reputation - self._prev_reputation
         analytics.update_financial_proxy(
-            self.financial, rep_delta, None,
-            kappa=cfg.analytics.kappa, rho=cfg.analytics.recovery_rho)
-        self._prev_reputation = self.company.reputation
+            self.financial, comp.reputation - self._prev_reputation, None,
+            kappa=an.kappa, rho=an.recovery_rho)
+        self._prev_reputation = comp.reputation
 
-        w = cfg.contagion.smoothing_window
+        history = self.history
+        w = contagion.smoothing_window
         lo = max(0, t - w + 1)
         # integer totals, so this equals a float cumulative-sum difference
-        smoothed = (sum(self.history.total_posts[lo:t]) + total) / (t + 1 - lo)
+        smoothed = (sum(history.total_posts[lo:t]) + total) / (t + 1 - lo)
         stage = self.tracker.update(smoothed)
         if len(roster):
-            mean_stress = float(acc.stress[roster].mean())
-            max_stress = float(acc.stress[roster].max())
+            roster_stress = acc.stress[roster]
+            # ndarray.mean is add.reduce over the count
+            mean_stress = float(np.add.reduce(roster_stress) / len(roster))
+            max_stress = float(np.maximum.reduce(roster_stress))
         else:
             mean_stress = 0.0
             max_stress = 0.0
-        self.history.append(
-            tick=t,
-            total_posts=total,
-            organic_posts=organic_n,
-            bot_posts=total - organic_n,
-            company_page_posts=int(on_page.sum()),
-            employee_profile_posts=int(on_profile.sum()),
-            general_stream_posts=int(np.sum(skinds == SurfaceKind.GENERAL_STREAM)),
-            mean_valence=float(valences.mean()) if total else 0.0,
-            active_organic_posters=int(self.active.sum()),
-            mean_stress=mean_stress,
-            max_stress=max_stress,
-            reputation=self.company.reputation,
-            financial_value=self.financial.value,
-            stage=stage.value,
-        )
+        history.append_row(
+            t, total, organic_n, total - organic_n, page_n, profile_n, stream_n,
+            float(np.add.reduce(valences) / total) if total else 0.0,
+            int(np.count_nonzero(self.active)), mean_stress, max_stress,
+            comp.reputation, self.financial.value, stage.value)
         self.post_log.append_tick(
-            self.topic.topic_id if self.topic else "", authors, valences,
+            topic.topic_id if topic else "", authors, valences,
             skinds, stargets, organic_mask)
 
-        self.author_counts_prev = np.bincount(authors, minlength=len(acc))
+        self.author_counts_prev = np.bincount(authors, minlength=n)
         self.pool_prev = total
         self.tick = t + 1
 
         # 8) fire-point watch on the fully rolled state: the fork here is
         #    bit-identical to one taken by offline replay at run_until(t + 1)
-        if (self.watch_fire_point and self.fire_point is None and self.topic is not None
-                and organic_n >= cfg.contagion.fire_threshold):
-            if self._sustains_without_bots(cfg.contagion.fire_window,
-                                           cfg.contagion.fire_threshold):
+        if (self.watch_fire_point and self.fire_point is None and topic is not None
+                and organic_n >= contagion.fire_threshold):
+            if self._sustains_without_bots(contagion.fire_window, contagion.fire_threshold):
                 self.fire_point = t
                 self.events.append({"tick": t, "kind": "fire_point"})
 

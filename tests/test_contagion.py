@@ -9,7 +9,7 @@ from firesim.contagion import (FirestormStage, SimHistory, Simulation, StageTrac
                                classify_stage, detect_extinguished,
                                detect_fire_point, regulator_visibility,
                                smooth_series)
-from firesim.scenario import build_from_seed, default_config
+from firesim.scenario import build_from_seed, default_config, expand_preset
 
 
 def test_detect_extinguished_oracle():
@@ -247,3 +247,48 @@ def test_outcome_lifecycle_order(finished_run):
     assert finished_run.fire_point is not None
     assert finished_run.extinguished_tick is not None
     assert finished_run.onset <= finished_run.fire_point < finished_run.extinguished_tick
+
+
+def test_fork_copies_the_financial_proxy_whole_and_apart():
+    sim = build_from_seed(expand_preset("defended_baseline"), 0)
+    sim.watch_fire_point = False
+    sim.run_until(40)
+    sim.financial.markers.append((39, "probe"))
+    fork = sim.fork_bots_dormant()
+    assert fork.financial == sim.financial
+    assert fork.financial is not sim.financial
+    assert fork.financial.series is not sim.financial.series
+    assert fork.financial.markers is not sim.financial.markers
+    before = sim.financial.copy()
+    fork.step()
+    fork.financial.markers.append((40, "fork-only"))
+    assert sim.financial == before
+    assert len(fork.financial.series) == len(sim.financial.series) + 1
+    sim.step()
+    assert fork.financial.series[:40] == before.series
+    assert fork.financial.markers[-1] == (40, "fork-only")
+
+
+@pytest.mark.parametrize("preset", ["defended_baseline", "rapid_massive", "organic_only"])
+def test_active_users_were_activated_and_budgets_stay_non_negative(monkeypatch, preset):
+    """Phase 2 counts the never-activated users as the fresh ones, which
+    holds only if every active user has ``activated_ever`` set; checked
+    after every tick of the main run and of every fire-point fork."""
+    fork_steps = 0
+    defenders = False
+    step = Simulation.step
+
+    def checked_step(sim):
+        nonlocal fork_steps, defenders
+        step(sim)
+        assert not np.any(sim.active & ~sim.activated_ever), sim.tick
+        assert sim.remaining.min() >= 0, sim.tick
+        fork_steps += not sim.watch_fire_point
+        defenders = defenders or bool(sim.defender.any())
+
+    monkeypatch.setattr(Simulation, "step", checked_step)
+    cfg = expand_preset(preset)
+    build_from_seed(cfg, 1).run(cfg.run.ticks)
+    assert fork_steps > 0
+    # the dialogue policy converts users, setting both flags at once
+    assert defenders == (preset == "defended_baseline")

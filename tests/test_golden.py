@@ -5,9 +5,12 @@ became a generic deep copy; the `analyze` digests were recorded before the
 archive windows moved onto the array kernel, the edge-case `analyze`
 digests before archive ingest moved from rows to columns, and the
 `run --config` digests before the follower graph became a CSR built in
-chunks.  Any refactor of the engine, the fork or the report writers must
-leave these bytes unchanged; a change that moves them on purpose has to
-re-record the tables and say why.
+chunks, and the `compare` digests before the tick engine's kernels
+(`Simulation.step`, `bot_emit_arrays`, `draw_organic_valence`,
+`stress_step`) were rewritten to make fewer numpy calls per tick.  Any
+refactor of the engine, the fork or the report writers must leave these
+bytes unchanged; a change that moves them on purpose has to re-record the
+tables and say why.
 ``scripts/golden_digests.py`` recomputes every table below.
 """
 
@@ -81,6 +84,18 @@ CONFIG_RUN_DIGESTS = {
 BATCH_SEEDS = "0..3"
 BATCH_DIGEST = "7800061731e2aecfdd247014b21a7f80e40ac6a53437e43a5f3f4a20e154b398"
 
+# `compare --preset P --toggle T --seeds S`: compare_summary.json
+COMPARE_DIGESTS = {
+    ("defended_baseline", "defense_playbook", "0..4"):
+        "b6a0f81add4f2c89b466421b2e904266d0d88c5aa38d23881153d1e64ebabfa7",
+    ("rapid_massive", "retarget_bots", "0..4"):
+        "f9c013a2d1b1dcd00aba34ef062a41b292acd39f69772bd2a837bbb7283b96fa",
+    ("defended_baseline", "ransom_paid", "0..4"):
+        "90171ac789613f059e276a99b6c8b533412e51229f73d00b8eef5ad2498a175b",
+    ("defended_baseline", "flip_bots", "0..4"):
+        "01425cdd360f69813b2becf01f073768ff88792f023167550767fb19e8592158",
+}
+
 # `analyze` of the archive ``write_analyze_inputs`` writes
 ANALYZE_DIGESTS = {
     "analysis.json": "51e970f64b3c3708e706e128a0e3afb685f6a653a7a0e72db1539c5a1091329c",
@@ -127,6 +142,12 @@ def config_run_digests(name: str, seed: int, work_dir) -> dict[str, str]:
 def batch_digest(out_dir) -> str:
     _main(["batch", "--seeds", BATCH_SEEDS, "--out", str(out_dir)])
     return _sha256(out_dir / "batch_summary.json")
+
+
+def compare_digest(preset: str, toggle: str, seeds: str, out_dir) -> str:
+    _main(["compare", "--preset", preset, "--toggle", toggle, "--seeds", seeds,
+           "--out", str(out_dir)])
+    return _sha256(out_dir / "compare_summary.json")
 
 
 def _iso(tick: int, naive: bool = False) -> str:
@@ -252,6 +273,12 @@ def test_config_run_report_digests(tmp_path, name, seed):
 
 def test_batch_summary_digest(tmp_path):
     assert batch_digest(tmp_path) == BATCH_DIGEST
+
+
+@pytest.mark.parametrize("preset,toggle,seeds", sorted(COMPARE_DIGESTS))
+def test_compare_summary_digest(tmp_path, preset, toggle, seeds):
+    assert compare_digest(preset, toggle, seeds, tmp_path) == \
+        COMPARE_DIGESTS[(preset, toggle, seeds)]
 
 
 def test_analyze_digests(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from firesim import scenario
 from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
                               STAGE_NAMES, ConfigError, PRESETS, build_from_seed,
                               config_from_dict, default_config,
@@ -137,6 +138,23 @@ def test_same_seed_world_is_invariant_to_bot_count():
     edges_small = {(u, v) for u, v in small.graph.edges() if u < n and v < n}
     edges_big = {(u, v) for u, v in big.graph.edges() if u < n and v < n}
     assert edges_small == edges_big
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_bot_follower_coins_in_blocks_give_the_same_edges(monkeypatch, rows):
+    """Blocks of 1 or 7 bots (20 = 7 + 7 + 6) draw the doubles one block
+    of all 20 bots draws, so the follower graph is the same."""
+    cfg = config_from_dict({"graph": {"n": 600, "bot_follower_fraction": 0.05},
+                            "attack": {"bots": 20}})
+    monkeypatch.setattr(scenario, "BOT_COIN_BLOCK_ROWS", 20)
+    whole = build_from_seed(cfg, 3)
+    monkeypatch.setattr(scenario, "BOT_COIN_BLOCK_ROWS", rows)
+    blocked = build_from_seed(cfg, 3)
+    indptr, indices = whole.graph.follower_csr()
+    bots = whole.cohorts[0].members
+    assert indptr[bots[-1] + 1] - indptr[bots[0]] > 0  # bots have followers
+    for ours, theirs in zip(blocked.graph.follower_csr(), (indptr, indices)):
+        np.testing.assert_array_equal(ours, theirs)
 
 
 def test_run_seed_field_feeds_build():
