@@ -8,15 +8,13 @@ __version__ = "0.1.0"
 from .agents import (BotCohort, BotMode, CompanyState, FailureClass, Post,
                      SurfaceKind, TargetTopic)
 from .analytics import (CascadeClass, CascadeForecast, CorruptArchiveError,
-                        FinancialProxy, Sentiment, SentimentSummary,
-                        aggregate_window, compound_score, emit_report,
-                        ingest_archive, predict_cascade, run_outcome,
-                        score_valence, update_financial_proxy)
+                        FinancialProxy, SentimentSummary, aggregate_window,
+                        compound_score, emit_report, ingest_archive,
+                        predict_cascade, run_outcome, update_financial_proxy)
 from .attack import (ActionKind, ActionOutcome, AttackPlan, IMPACT_MATRIX,
                      ImpactVector, PlanStage, SequencingError, advance_plan,
                      execute_action, select_topic)
-from .contagion import (Simulation, StageTracker, detect_extinguished,
-                        detect_fire_point, regulator_visibility)
+from .contagion import Simulation, StageTracker, regulator_visibility
 from .defense import (AccountReputationDB, FirestormVerdict, PastFirestorm,
                       PolicyKind, PolicyMismatchError, detect_artificial,
                       recurrence_boost)
@@ -24,27 +22,25 @@ from .scenario import (ConfigError, PRESETS, PolicySpec, ScenarioConfig,
                        build_from_seed, build_simulation, default_config,
                        dumps_config, expand_preset, load_config, loads_config,
                        validate_config)
-from .socialgraph import (Account, AccountKind, AccountTable, CompanyRoster,
-                          SocialGraph, generate_scale_free)
+from .socialgraph import (AccountKind, AccountTable, CompanyRoster, SocialGraph,
+                          generate_scale_free)
 
 __all__ = [
     "__version__",
     "BotCohort", "BotMode", "CompanyState", "FailureClass", "Post",
     "SurfaceKind", "TargetTopic",
     "CascadeClass", "CascadeForecast", "CorruptArchiveError", "FinancialProxy",
-    "Sentiment", "SentimentSummary", "aggregate_window", "compound_score",
-    "emit_report", "ingest_archive", "predict_cascade", "run_outcome",
-    "score_valence", "update_financial_proxy",
+    "SentimentSummary", "aggregate_window", "compound_score", "emit_report",
+    "ingest_archive", "predict_cascade", "run_outcome", "update_financial_proxy",
     "ActionKind", "ActionOutcome", "AttackPlan", "IMPACT_MATRIX",
     "ImpactVector", "PlanStage", "SequencingError", "advance_plan",
     "execute_action", "select_topic",
-    "Simulation", "StageTracker", "detect_extinguished", "detect_fire_point",
-    "regulator_visibility",
+    "Simulation", "StageTracker", "regulator_visibility",
     "AccountReputationDB", "FirestormVerdict", "PastFirestorm", "PolicyKind",
     "PolicyMismatchError", "detect_artificial", "recurrence_boost",
     "ConfigError", "PRESETS", "PolicySpec", "ScenarioConfig", "build_from_seed",
     "build_simulation", "default_config", "dumps_config", "expand_preset",
     "load_config", "loads_config", "validate_config",
-    "Account", "AccountKind", "AccountTable", "CompanyRoster", "SocialGraph",
+    "AccountKind", "AccountTable", "CompanyRoster", "SocialGraph",
     "generate_scale_free",
 ]

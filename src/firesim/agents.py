@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .socialgraph import Account, AccountId, CompanyRoster
+from .socialgraph import AccountId, CompanyRoster
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import AgentConfig
@@ -47,11 +47,6 @@ class Surface:
             raise ValueError("employee profile surface needs a target account")
         if self.kind is not SurfaceKind.EMPLOYEE_PROFILE and self.target is not None:
             raise ValueError("only employee profile surfaces carry a target")
-
-    def as_text(self) -> str:
-        if self.kind is SurfaceKind.EMPLOYEE_PROFILE:
-            return f"employee_profile:{self.target}"
-        return self.kind.name.lower()
 
     @classmethod
     def from_text(cls, text: str) -> "Surface":
@@ -283,8 +278,8 @@ def stress_step(stress, mentions, ambient, cfg: "AgentConfig",
     return out.clip(0.0, 1.0)
 
 
-def procedure_compliance(account: Account, company: CompanyState,
+def procedure_compliance(stress: float, company: CompanyState,
                          cfg: "AgentConfig") -> float:
-    """How reliably this person follows security procedure right now."""
-    value = company.security_posture * (1.0 - cfg.stress_compliance_weight * account.stress)
+    """How reliably a staff member at ``stress`` follows security procedure now."""
+    value = company.security_posture * (1.0 - cfg.stress_compliance_weight * stress)
     return float(np.clip(value, 0.0, 1.0))

@@ -30,23 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .contagion import Simulation
 
 
-class Sentiment(Enum):
-    NEGATIVE = "negative"
-    NEUTRAL = "neutral"
-    POSITIVE = "positive"
-
-
-def score_valence(valence: float, neutral_band: float) -> Sentiment:
-    """Trichotomise a valence; the neutral band is closed at both ends."""
-    if neutral_band < 0:
-        raise ValueError("neutral_band must be >= 0")
-    if valence < -neutral_band:
-        return Sentiment.NEGATIVE
-    if valence > neutral_band:
-        return Sentiment.POSITIVE
-    return Sentiment.NEUTRAL
-
-
 def compound_score(valence_sum: float, alpha: float) -> float:
     """Bounded, sign-preserving squash of a window's valence sum."""
     return float(valence_sum / math.sqrt(valence_sum * valence_sum + alpha))
@@ -70,7 +53,9 @@ def sentiment_windows(post_ticks: np.ndarray, valences: np.ndarray, ticks: int, 
     """Proportions and compound score for each ``window``-tick slice of [0, ticks).
 
     ``post_ticks`` must be sorted; ``valences`` is in the same (emission)
-    order.  Posts are classified as ``score_valence`` does, and each
+    order.  A post is negative when its valence is strictly below
+    ``-neutral_band``, positive when strictly above ``neutral_band`` and
+    neutral otherwise, so the band is closed at both ends; each
     window's valences are summed left to right in that order, so the
     compound score does not depend on numpy's pairwise summation.  Empty
     windows report null proportions and a zero compound rather than

@@ -237,7 +237,8 @@ def execute_action(kind: ActionKind, sim: "Simulation", rng: np.random.Generator
 
     if kind is ActionKind.HUMAN_ERROR_EXPLOIT:
         members = company.roster.members
-        fails = [1.0 - procedure_compliance(sim.accounts.account(i), company, sim.cfg.agents)
+        fails = [1.0 - procedure_compliance(float(sim.accounts.stress[i]), company,
+                                            sim.cfg.agents)
                  for i in members]
         p = float(np.mean(fails)) if fails else 0.0
     elif kind is ActionKind.INSIDER_THREAT:

@@ -9,7 +9,6 @@ invocation never leaves partial files behind.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics, defense
+from . import __version__, analytics, contagion, defense
 from .scenario import (ConfigError, PRESETS, PolicySpec, ScenarioConfig,
                        build_from_seed, default_config, expand_preset,
                        load_config, validate_config)
@@ -262,12 +261,8 @@ def run_metrics(cfg: ScenarioConfig, seed: int) -> dict:
     if sim.plan is not None:
         focus_start = next((tick for stage, tick in sim.plan.stage_entries
                             if stage == "worker_focus"), None)
-    # regulator_visibility at each tick from focus_start on, off one running
-    # maximum: each value is an int / int division, so the floats are the same
-    page = sim.history.company_page_posts[:ticks]
-    visibility = [0.0 if peak == 0 else count / peak
-                  for count, peak in itertools.islice(
-                      zip(page, itertools.accumulate(page, max)), focus_start or 0, None)]
+    visibility = contagion.regulator_visibility(
+        sim.history.company_page_posts[:ticks])[focus_start or 0:]
     return {
         "duration_effective": float(duration),
         "peak_total_posts": outcome["peak_total_posts"],
@@ -378,9 +373,9 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
             neutral_band=an.neutral_band, alpha=an.compound_alpha)
         k = cfg.defense.detect_first_k
         early = order[:k]
-        shims = [_ArchiveAccount(author, created) for author, created in
-                 zip(result.authors[early].tolist(), result.created_ticks[early].tolist())]
-        verdict = defense.detect_artificial(shims, now=int(ticks[-1]),
+        verdict = defense.detect_artificial(result.authors[early].tolist(),
+                                            result.created_ticks[early].tolist(),
+                                            now=int(ticks[-1]),
                                             age_threshold=cfg.defense.age_threshold,
                                             requested=k)
 
@@ -417,16 +412,6 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
     print(f"analyze posts={posts} duplicates={result.duplicate_count} "
           f"malformed={result.malformed_count} out={out_dir}")
     return EXIT_OK
-
-
-class _ArchiveAccount:
-    """Minimal account shim for age-based detection over archives."""
-
-    __slots__ = ("id", "creation_tick")
-
-    def __init__(self, account_id: int, creation_tick: int):
-        self.id = account_id
-        self.creation_tick = creation_tick
 
 
 # -- entry point ----------------------------------------------------------------

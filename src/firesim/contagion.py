@@ -16,10 +16,11 @@ so forking is cheap enough to run online at candidate ticks.
 from __future__ import annotations
 
 import copy
+import itertools
 import operator
 from dataclasses import replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -60,10 +61,6 @@ HISTORY_COLUMNS = (
 
 _history_columns = operator.attrgetter(*HISTORY_COLUMNS)
 
-_INT_COLUMNS = {"tick", "total_posts", "organic_posts", "bot_posts",
-                "company_page_posts", "employee_profile_posts",
-                "general_stream_posts", "active_organic_posters"}
-
 
 class SimHistory:
     """Per-tick aggregate trace, kept as parallel columns."""
@@ -74,12 +71,6 @@ class SimHistory:
 
     def __len__(self) -> int:
         return len(self.tick)
-
-    def append(self, **fields) -> None:
-        if set(fields) != set(HISTORY_COLUMNS):
-            missing = set(HISTORY_COLUMNS) ^ set(fields)
-            raise ValueError(f"history record mismatch on {sorted(missing)}")
-        self.append_row(*(fields[col] for col in HISTORY_COLUMNS))
 
     def append_row(self, *values) -> None:
         """Append one record given in ``HISTORY_COLUMNS`` order."""
@@ -110,33 +101,15 @@ class SimHistory:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv_text(cls, text: str) -> "SimHistory":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != ",".join(HISTORY_COLUMNS):
-            raise ValueError("unexpected history CSV header")
-        out = cls()
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            rec = {}
-            for col, raw in zip(HISTORY_COLUMNS, parts):
-                if col == "stage":
-                    rec[col] = raw
-                elif col in _INT_COLUMNS:
-                    rec[col] = int(raw)
-                else:
-                    rec[col] = float(raw)
-            out.append(**rec)
-        return out
-
 
 class PostLog:
     """Compact per-tick post arrays.
 
     ``ticks[t]`` holds tick t's ``(authors, valences, surface_kinds,
     surface_targets, organic)`` arrays in emission order; reports read these
-    arrays directly.  ``posts_between`` materialises ``Post`` objects and is
-    a helper for tests and the archive boundary, not the report path.
+    arrays directly.  ``posts_between`` materialises ``Post`` objects; no
+    command calls it, and it stays for the tests and for the benchmark
+    tracer, which wraps it by name.
     """
 
     def __init__(self):
@@ -178,19 +151,6 @@ class PostLog:
 
 
 # -- lifecycle classification ----------------------------------------------
-
-def smooth_series(values: Sequence[float], window: int) -> np.ndarray:
-    """Trailing moving average; causal so live and offline labels agree."""
-    if window < 1:
-        raise ValueError("smoothing window must be >= 1")
-    arr = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(arr)
-    csum = np.concatenate([[0.0], np.cumsum(arr)])
-    for t in range(len(arr)):
-        lo = max(0, t - window + 1)
-        out[t] = (csum[t + 1] - csum[lo]) / (t + 1 - lo)
-    return out
-
 
 class StageTracker:
     """Forward state machine over the smoothed volume curve."""
@@ -235,38 +195,14 @@ class StageTracker:
         return self.stage
 
 
-def classify_stage(totals: Sequence[float], tick: int, *, low: float, high: float,
-                   window: int) -> FirestormStage:
-    """Stage label at ``tick`` given the per-tick volume history."""
-    if not 0 <= tick < len(totals):
-        raise ValueError(f"tick {tick} outside history of length {len(totals)}")
-    smoothed = smooth_series(totals[: tick + 1], window)
-    tracker = StageTracker(low=low, high=high)
-    stage = FirestormStage.LATENT
-    for v in smoothed:
-        stage = tracker.update(float(v))
-    return stage
+def regulator_visibility(page: Sequence[int]) -> list[float]:
+    """Company-page volume at each tick relative to its running maximum so far.
 
-
-def detect_extinguished(totals: Sequence[float], eps: float, window: int) -> int | None:
-    """First tick opening a run of ``window`` consecutive ticks below ``eps``."""
-    if window < 1:
-        raise ValueError("extinguish window must be >= 1")
-    run = 0
-    for t, v in enumerate(totals):
-        run = run + 1 if v < eps else 0
-        if run >= window:
-            return t - window + 1
-    return None
-
-
-def regulator_visibility(history: SimHistory, tick: int) -> float:
-    """Company-page volume now, relative to its running maximum."""
-    if not 0 <= tick < len(history):
-        raise ValueError(f"tick {tick} outside history of length {len(history)}")
-    page = history.company_page_posts[: tick + 1]
-    peak = max(page)
-    return 0.0 if peak == 0 else page[tick] / peak
+    One running maximum, and each value an int / int division: at tick t it
+    is ``page[t] / max(page[:t + 1])``, or 0.0 while that maximum is 0.
+    """
+    return [0.0 if peak == 0 else count / peak
+            for count, peak in zip(page, itertools.accumulate(page, max))]
 
 
 # -- the engine --------------------------------------------------------------
@@ -280,21 +216,21 @@ _NO_POSTS = (*agents.EMPTY_EMISSION, np.empty(0, dtype=bool))
 class Simulation:
     """Full mutable world state plus the tick loop.
 
-    Built by ``scenario.build_simulation``; ``factory`` rebuilds a fresh
-    identical instance, which is what offline fire-point detection replays.
+    Built by ``scenario.build_simulation``.  The fire point is found online,
+    by phase 8's watch.  A fixed seed replays bit for bit, so a fresh build
+    stepped to the same tick holds the same state.
     """
 
     # Attributes no step changes; forks share them by reference.
     SHARED = ("cfg", "graph", "topics", "topic", "logistic_term", "can_activate",
-              "roster_ids", "manager_ids", "employee_ids", "factory", "company.roster")
+              "roster_ids", "manager_ids", "employee_ids", "company.roster")
 
     def __init__(self, *, config: "ScenarioConfig", graph: SocialGraph,
                  accounts: AccountTable, company: CompanyState,
                  topics: list[TargetTopic], cohorts: list[agents.BotCohort],
                  plan: "attack.AttackPlan | None",
                  playbook: "defense.DefenseRuntime | None",
-                 rng: np.random.Generator, seed_posters: list[int],
-                 factory: Callable[[], "Simulation"] | None = None):
+                 rng: np.random.Generator, seed_posters: list[int]):
         self.cfg = config
         self.graph = graph
         self.accounts = accounts
@@ -304,7 +240,6 @@ class Simulation:
         self.plan = plan
         self.playbook = playbook
         self.rng = rng
-        self.factory = factory
 
         n = len(accounts)
         if graph.n_nodes != n:
@@ -367,9 +302,6 @@ class Simulation:
         return (self.logistic_term[users] * self.severity * self.class_multiplier).clip(0.0, 1.0)
 
     # -- tick loop -----------------------------------------------------------
-
-    def organic_count(self, t: int) -> int:
-        return self.history.organic_posts[t]
 
     def run(self, ticks: int) -> "Simulation":
         for _ in range(ticks):
@@ -593,7 +525,7 @@ class Simulation:
         self.tick = t + 1
 
         # 8) fire-point watch on the fully rolled state: the fork here is
-        #    bit-identical to one taken by offline replay at run_until(t + 1)
+        #    bit-identical to one taken from a fresh build at run_until(t + 1)
         if (self.watch_fire_point and self.fire_point is None and topic is not None
                 and organic_n >= contagion.fire_threshold):
             if self._sustains_without_bots(contagion.fire_window, contagion.fire_threshold):
@@ -601,7 +533,7 @@ class Simulation:
                 self.events.append({"tick": t, "kind": "fire_point"})
 
         # 9) attack plan advances last; pre-fire-point stages draw no RNG, so
-        #    the watch above sees the same stream offline replay would
+        #    the watch above sees the same stream such a replay would
         if self.plan is not None:
             for ev in attack.advance_plan(self.plan, self, cfg.attack, t):
                 self.events.append(ev)
@@ -635,29 +567,3 @@ class Simulation:
             if fork.history.organic_posts[-1] < threshold:
                 return False
         return True
-
-
-def detect_fire_point(sim: Simulation, window: int | None = None,
-                      threshold: float | None = None) -> int | None:
-    """First tick whose bot-silenced continuation keeps organic volume up.
-
-    Replays the completed run from scratch (runs are deterministic), pausing
-    at each candidate tick with organic volume at or above ``threshold`` to
-    fork and test the counterfactual.  Returns None when no candidate
-    sustains for ``window`` ticks.
-    """
-    cfg = sim.cfg.contagion
-    window = cfg.fire_window if window is None else window
-    threshold = cfg.fire_threshold if threshold is None else threshold
-    if sim.factory is None:
-        raise ValueError("simulation was built without a replay factory")
-    candidates = [t for t, v in enumerate(sim.history.organic_posts) if v >= threshold]
-    if not candidates:
-        return None
-    shadow = sim.factory()
-    shadow.watch_fire_point = False
-    for t in candidates:
-        shadow.run_until(t + 1)
-        if shadow._sustains_without_bots(window, threshold):
-            return t
-    return None

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .agents import BotMode, TargetTopic
-from .socialgraph import Account
 
 if TYPE_CHECKING:  # pragma: no cover
     from .contagion import Simulation
@@ -80,15 +79,18 @@ class FirestormVerdict:
         }
 
 
-def detect_artificial(early_posters: Sequence[Account], now: int,
+def detect_artificial(ids: Sequence[int], creation_ticks: Sequence[int], now: int,
                       age_threshold: int, requested: int | None = None) -> FirestormVerdict:
     """Score how bot-like the first posters look from account age alone.
 
-    Score is the exact fraction of early posters younger than the
-    threshold at ``now``.  Short samples are used as-is with a note.
+    ``ids[k]`` wrote the k-th early post from an account created at
+    ``creation_ticks[k]``; an id that repeats counts once, aged from its
+    last stamp.  Score is the exact fraction of distinct early posters
+    younger than the threshold at ``now``.  Short samples are used as-is
+    with a note.
     """
-    requested = len(early_posters) if requested is None else requested
-    ages = {int(a.id): int(now - a.creation_tick) for a in early_posters}
+    requested = len(ids) if requested is None else requested
+    ages = {int(i): int(now - c) for i, c in zip(ids, creation_ticks)}
     flagged = sorted(i for i, age in ages.items() if age < age_threshold)
     score = len(flagged) / len(ages) if ages else 0.0
     note = ""
@@ -367,9 +369,8 @@ def _update_verdict(sim: "Simulation", runtime: DefenseRuntime,
     if runtime.posts_seen < cfg.detect_first_k:
         return
     authors = sim.post_log.first_authors(cfg.detect_first_k)
-    accounts = [sim.accounts.account(a) for a in authors]
-    verdict = detect_artificial(accounts, sim.tick, cfg.age_threshold,
-                                requested=cfg.detect_first_k)
+    verdict = detect_artificial(authors, sim.accounts.creation_tick[authors].tolist(),
+                                sim.tick, cfg.age_threshold, requested=cfg.detect_first_k)
     if runtime.db is not None:
         verdict = db_lookup(runtime.db, authors, verdict)
     runtime.verdict = verdict
@@ -412,27 +413,3 @@ def _update_support_cohorts(sim: "Simulation", runtime: DefenseRuntime,
             runtime.support_withdrawn.add(cohort.cohort_id)
             events.append({"tick": t, "kind": "support_withdrawn",
                            "cohort": cohort.cohort_id})
-
-
-def response_timing_effect(history, response_tick: int | None, *,
-                           eps: float, window: int) -> dict:
-    """Summarise one run for response-timing comparisons.
-
-    Duration runs from the first post to extinguishment (or to the end of
-    the series when the volume never settles below ``eps``).
-    """
-    from .contagion import detect_extinguished
-
-    totals = list(history.total_posts) if hasattr(history, "total_posts") else list(history)
-    onset = next((i for i, v in enumerate(totals) if v > 0), None)
-    if onset is None:
-        return {"response_tick": response_tick, "onset": None,
-                "extinguished_tick": None, "duration": 0,
-                "peak_volume": 0.0, "peak_tick": None}
-    rel = detect_extinguished(totals[onset:], eps=eps, window=window)
-    extinguished = None if rel is None else onset + rel
-    duration = (len(totals) - onset) if extinguished is None else extinguished - onset
-    peak_tick = int(np.argmax(totals))
-    return {"response_tick": response_tick, "onset": onset,
-            "extinguished_tick": extinguished, "duration": duration,
-            "peak_volume": float(max(totals)), "peak_tick": peak_tick}

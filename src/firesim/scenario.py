@@ -654,19 +654,6 @@ def default_config() -> ScenarioConfig:
     return ScenarioConfig()
 
 
-def defaults_table() -> str:
-    """Markdown table of every parameter and its default (schema-derived)."""
-    lines = ["| section | field | default |", "| --- | --- | --- |"]
-    cfg = default_config()
-    for section, payload in cfg.to_dict().items():
-        if isinstance(payload, dict):
-            for name, value in payload.items():
-                lines.append(f"| {section} | {name} | `{json.dumps(value)}` |")
-        else:
-            lines.append(f"| {section} | | `{json.dumps(payload)}` |")
-    return "\n".join(lines) + "\n"
-
-
 # -- presets -----------------------------------------------------------------
 
 def _rapid_massive() -> ScenarioConfig:
@@ -815,8 +802,7 @@ def build_simulation(config: ScenarioConfig) -> Simulation:
     sim = Simulation(
         config=config, graph=graph, accounts=accounts, company=company,
         topics=list(config.topics), cohorts=cohorts, plan=plan,
-        playbook=playbook, rng=rng, seed_posters=seed_posters,
-        factory=lambda: build_simulation(config))
+        playbook=playbook, rng=rng, seed_posters=seed_posters)
     if plan is None:
         topic = attack.select_topic(list(config.topics), config.attack.class_weights)
         boost = defense.recurrence_boost(config.company_history, topic, 0,

@@ -34,21 +34,6 @@ class AccountKind(IntEnum):
     MANAGER = 3
 
 
-ROSTER_KINDS = (AccountKind.EMPLOYEE, AccountKind.MANAGER)
-
-
-@dataclass
-class Account:
-    """Per-account view. ``pride`` is meaningful only for roster members."""
-
-    id: AccountId
-    kind: AccountKind
-    creation_tick: int
-    ocean: np.ndarray  # five traits in [0, 1]
-    pride: float | None
-    stress: float
-    posting_rate: float
-
 
 class AccountTable:
     """Column store for the whole population; cheap to copy and to slice.
@@ -95,18 +80,6 @@ class AccountTable:
         self.stress = np.concatenate([self.stress, np.zeros(count)])
         self.posting_rate = np.concatenate([self.posting_rate, np.zeros(count)])
         return list(range(start, start + count))
-
-    def account(self, i: AccountId) -> Account:
-        pride = self.pride[i]
-        return Account(
-            id=int(i),
-            kind=AccountKind(int(self.kind[i])),
-            creation_tick=int(self.creation_tick[i]),
-            ocean=self.ocean[i],
-            pride=None if math.isnan(pride) else float(pride),
-            stress=float(self.stress[i]),
-            posting_rate=float(self.posting_rate[i]),
-        )
 
     def copy(self) -> "AccountTable":
         return AccountTable(
@@ -192,7 +165,8 @@ class SocialGraph:
         # A sort and a neighbour test, as np.unique hashes and is far slower.
         new = np.sort(dst[keep] * n + src[keep])
         new = new[np.diff(new, prepend=-1) != 0]
-        old = self._followees_by_slot() * n + self._indices
+        # the existing edges' keys: each slot's followee, then its follower
+        old = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr)) * n + self._indices
         at = np.searchsorted(old, new)
         fresh = np.append(old, -1)[at] != new  # keys are >= 0; -1 pads the end
         followee, follower = np.divmod(new[fresh], n)
@@ -205,27 +179,6 @@ class SocialGraph:
         self._indptr = _read_only(self._indptr + added)
         return len(follower)
 
-    def has_edge(self, follower: AccountId, followee: AccountId) -> bool:
-        if not (0 <= follower < self._n and 0 <= followee < self._n):
-            return False
-        row = self.follower_array(followee)
-        k = np.searchsorted(row, follower)
-        return bool(k < len(row) and row[k] == follower)
-
-    def add_edge(self, follower: AccountId, followee: AccountId) -> bool:
-        """Add follower -> followee. Returns False for duplicates/self-loops."""
-        return self.add_edges([follower], [followee]) == 1
-
-    def _followees_by_slot(self) -> np.ndarray:
-        """The followee of each entry of ``indices``, ascending."""
-        return np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
-
-    def followees(self, i: AccountId) -> list[AccountId]:
-        return self._followees_by_slot()[self._indices == i].tolist()
-
-    def followers(self, i: AccountId) -> list[AccountId]:
-        return self.follower_array(i).tolist()
-
     def follower_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(indptr, indices)``: the sorted followers of ``i`` are
         ``indices[indptr[i]:indptr[i + 1]]``."""
@@ -235,35 +188,13 @@ class SocialGraph:
         """Sorted followers of ``i`` as a read-only view into the CSR."""
         return self._indices[self._indptr[i]:self._indptr[i + 1]]
 
-    def in_degree(self, i: AccountId) -> int:
-        return int(self._indptr[i + 1] - self._indptr[i])
-
-    def out_degree(self, i: AccountId) -> int:
-        return int(np.count_nonzero(self._indices == i))
-
     def in_degrees(self) -> np.ndarray:
         return np.diff(self._indptr).astype(np.int64)
-
-    def edges(self) -> list[tuple[AccountId, AccountId]]:
-        """Every ``(follower, followee)`` edge, sorted."""
-        followee = self._followees_by_slot()
-        order = np.lexsort((followee, self._indices))
-        return list(zip(self._indices[order].tolist(), followee[order].tolist()))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def scale_free_pair_count(n: int, m: int) -> int:
-    """Undirected follow pairs produced by ``generate_scale_free(n, m)``.
-
-    The seed is a complete clique on ``m0 = min(n, m + 1)`` nodes; every
-    later node attaches to ``m`` distinct existing nodes.
-    """
-    m0 = min(n, m + 1)
-    return m * (n - m0) + m0 * (m0 - 1) // 2
 
 
 # Nodes in the first generation chunk.  A chunk whose draws hold no repeated
@@ -446,15 +377,6 @@ def overlay_company(graph: SocialGraph, accounts: AccountTable, roster: CompanyR
     return graph
 
 
-def identify_hubs(graph: SocialGraph, k: int) -> list[AccountId]:
-    """Top-k accounts by in-degree; ties break toward the lower id."""
-    if k <= 0:
-        return []
-    degrees = graph.in_degrees()
-    order = sorted(range(graph.n_nodes), key=lambda i: (-degrees[i], i))
-    return order[:k]
-
-
 def identify_human_targets(graph: SocialGraph, accounts: AccountTable,
                            roster: CompanyRoster, k: int,
                            weights: tuple[float, float, float]) -> list[AccountId]:
@@ -477,74 +399,3 @@ def identify_human_targets(graph: SocialGraph, accounts: AccountTable,
         scores[i] = w_deg * reach + w_pride * pride + w_mgr * (i in managers)
     order = sorted(scores, key=lambda i: (-scores[i], i))
     return order[:min(k, len(order))]
-
-
-# -- persistence -----------------------------------------------------------
-
-NODE_TABLE_HEADER = "id\tkind\tcreation_tick\tocean\tpride"
-
-
-def write_edge_list(graph: SocialGraph, path) -> None:
-    """One ``follower<TAB>followee`` line per directed edge, sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in graph.edges():
-            fh.write(f"{u}\t{v}\n")
-
-
-def read_edge_list(path, n_nodes: int) -> SocialGraph:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    pairs = [(int(u), int(v)) for u, v in (line.split("\t") for line in lines)]
-    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    g = SocialGraph()
-    g.add_nodes(n_nodes)
-    first = np.zeros(len(pairs), dtype=bool)
-    first[np.unique(dst * n_nodes + src, return_index=True)[1]] = True
-    bad = np.flatnonzero((src == dst) | ~first)
-    if len(bad):
-        # an unknown node on or before the first bad line is reported instead
-        k = bad[0]
-        g.add_edges(src[:k + 1], dst[:k + 1])
-        raise GraphError(f"duplicate or degenerate edge in {path}: {lines[k]!r}")
-    g.add_edges(src, dst)
-    return g
-
-
-def write_node_table(accounts: AccountTable, path) -> None:
-    """Sidecar account annotations: id, kind, creation tick, OCEAN, pride."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(NODE_TABLE_HEADER + "\n")
-        for i in range(len(accounts)):
-            ocean = ",".join(repr(float(x)) for x in accounts.ocean[i])
-            pride = accounts.pride[i]
-            pride_s = "" if math.isnan(pride) else repr(float(pride))
-            fh.write(f"{i}\t{AccountKind(int(accounts.kind[i])).name}\t"
-                     f"{int(accounts.creation_tick[i])}\t{ocean}\t{pride_s}\n")
-
-
-def read_node_table(path) -> AccountTable:
-    kinds, created, oceans, prides = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != NODE_TABLE_HEADER:
-            raise GraphError(f"unexpected node table header in {path}: {header!r}")
-        for idx, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            i, kind, tick, ocean, pride = line.split("\t")
-            if int(i) != idx:
-                raise GraphError(f"node table ids must be dense, got {i} at row {idx}")
-            kinds.append(AccountKind[kind])
-            created.append(int(tick))
-            oceans.append([float(x) for x in ocean.split(",")])
-            prides.append(float(pride) if pride else np.nan)
-    n = len(kinds)
-    return AccountTable(
-        kind=np.array(kinds, dtype=np.int8),
-        creation_tick=np.array(created, dtype=np.int64),
-        ocean=np.array(oceans, dtype=np.float64).reshape(n, 5),
-        pride=np.array(prides, dtype=np.float64),
-        stress=np.zeros(n),
-        posting_rate=np.zeros(n),
-    )

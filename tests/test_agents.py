@@ -11,17 +11,11 @@ from firesim.agents import (BotCohort, BotMode, CompanyState, FailureClass,
                             draw_organic_valence, procedure_compliance,
                             saturate, stress_step, susceptibility_terms)
 from firesim.scenario import AgentConfig, build_from_seed, config_from_dict
-from firesim.socialgraph import Account, AccountKind, CompanyRoster
+from firesim.socialgraph import CompanyRoster
 
 
 def _topic(severity=0.8, appeal=(0.5, 0.4, 0.6, 0.5, 0.7)):
     return TargetTopic("broken-product", FailureClass.PRODUCT_SERVICE, severity, appeal)
-
-
-def _account(ocean, stress=0.0, pride=None):
-    return Account(id=0, kind=AccountKind.REAL_USER, creation_tick=-5000,
-                   ocean=np.asarray(ocean, dtype=float), pride=pride,
-                   stress=stress, posting_rate=0.35)
 
 
 def _susceptibility(ocean, topic, class_multiplier, cfg) -> float:
@@ -93,10 +87,8 @@ def test_procedure_compliance_oracle():
     cfg = AgentConfig(stress_compliance_weight=0.6)
     roster = CompanyRoster(company_id="co")
     company = CompanyState(roster=roster, security_posture=0.9)
-    calm = _account([0.5] * 5, stress=0.0, pride=0.8)
-    fried = _account([0.5] * 5, stress=0.5, pride=0.8)
-    assert procedure_compliance(calm, company, cfg) == pytest.approx(0.9)
-    assert procedure_compliance(fried, company, cfg) == pytest.approx(0.63)
+    assert procedure_compliance(0.0, company, cfg) == pytest.approx(0.9)
+    assert procedure_compliance(0.5, company, cfg) == pytest.approx(0.63)
 
 
 def test_saturate_shape():

@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -12,20 +13,37 @@ from hypothesis import example, given, settings, strategies as st
 from firesim import analytics
 from firesim.agents import GENERAL_STREAM, Post, Surface
 from firesim.analytics import (CascadeClass, CorruptArchiveError,
-                               FinancialProxy, REPORT_FILES, Sentiment,
+                               FinancialProxy, REPORT_FILES,
                                SentimentSummary, _parse_timestamp,
                                _parse_timestamps, aggregate_window,
                                classify_run_cascade, compound_score,
                                emit_report, financial_csv_text,
                                ingest_archive, load_sentiment_summaries,
-                               predict_cascade, run_outcome, score_valence,
-                               sentiment_csv_text, sentiment_windows_for_run)
+                               predict_cascade, run_outcome, sentiment_csv_text,
+                               sentiment_windows, sentiment_windows_for_run)
 from firesim.scenario import build_from_seed, default_config, expand_preset
 
 DATA = Path(__file__).parent / "data"
 
 
 # -- sentiment scoring -----------------------------------------------------------
+
+class Sentiment(Enum):
+    NEGATIVE = "negative"
+    NEUTRAL = "neutral"
+    POSITIVE = "positive"
+
+
+def score_valence(valence: float, neutral_band: float) -> Sentiment:
+    """Scalar oracle of the window kernel's band rule: closed at both ends."""
+    if neutral_band < 0:
+        raise ValueError("neutral_band must be >= 0")
+    if valence < -neutral_band:
+        return Sentiment.NEGATIVE
+    if valence > neutral_band:
+        return Sentiment.POSITIVE
+    return Sentiment.NEUTRAL
+
 
 def test_score_valence_trichotomy():
     assert score_valence(-0.5, 0.1) is Sentiment.NEGATIVE
@@ -36,6 +54,13 @@ def test_score_valence_trichotomy():
     assert score_valence(-0.1, 0.1) is Sentiment.NEUTRAL
     with pytest.raises(ValueError):
         score_valence(0.0, -0.1)
+    # the window kernel draws the same lines
+    [w] = sentiment_windows(np.zeros(5, dtype=np.int64), [-0.5, 0.5, 0.05, 0.1, -0.1], 1,
+                            window=1, neutral_band=0.1, alpha=15.0)
+    assert (w.negative, w.neutral, w.positive) == (1 / 5, 3 / 5, 1 / 5)
+    with pytest.raises(ValueError):
+        sentiment_windows(np.zeros(1, dtype=np.int64), [0.0], 1, window=1,
+                          neutral_band=-0.1, alpha=15.0)
 
 
 def test_compound_score_oracle():

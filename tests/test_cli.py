@@ -366,6 +366,35 @@ def test_analyze_flags_young_accounts(tmp_path, capsys):
     assert payload["verdict"]["artificial_score"] == 1.0
 
 
+def test_analyze_verdict_keeps_the_last_stamp_of_a_repeated_author(tmp_path, capsys):
+    """Author 7 holds two of the first six posts with different creation
+    stamps: the later row's stamp is the one aged.  Pinned before the
+    detector took parallel id and stamp columns."""
+    rows = ["1006,11,1006,general_stream,-0.5",
+            "1002,7,-3000,company_page,-0.4",
+            "1000,7,990,general_stream,-0.6",
+            "1004,9,996,,-0.3",
+            "1030,12,1029,general_stream,0.2",
+            "1001,8,-5000,company_page,0.1",
+            "1003,9,995,general_stream,-0.7",
+            "1005,10,1000,general_stream,-0.2"]
+    archive = tmp_path / "archive.csv"
+    archive.write_text("timestamp,author_id,author_created_at,surface,valence\n"
+                       + "\n".join(rows) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"defense": {"detect_first_k": 6, "age_threshold": 48}}')
+    out = tmp_path / "out"
+    assert cli.main(["analyze", str(archive), "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    verdict = json.loads((out / "analysis.json").read_text())["verdict"]
+    assert verdict == {
+        "artificial_score": 0.5, "db_matched": [],
+        "evidence": {"10": 30, "7": 4030, "8": 6030, "9": 34},
+        "flagged": [9, 10], "note": "only 4 of 6 requested early posts available",
+        "requested": 6, "sample_size": 4}
+
+
 def test_analyze_header_only_archive_is_ok(tmp_path, capsys):
     archive = tmp_path / "empty_but_valid.csv"
     archive.write_text("timestamp,author_id,author_created_at,surface,valence\n")

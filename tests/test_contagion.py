@@ -5,11 +5,72 @@ import numpy as np
 import pytest
 
 from firesim.agents import BotMode
-from firesim.contagion import (FirestormStage, SimHistory, Simulation, StageTracker,
-                               classify_stage, detect_extinguished,
-                               detect_fire_point, regulator_visibility,
-                               smooth_series)
+from firesim.contagion import (HISTORY_COLUMNS, FirestormStage, SimHistory,
+                               Simulation, StageTracker, regulator_visibility)
 from firesim.scenario import build_from_seed, default_config, expand_preset
+
+# -- offline oracles of the online detectors -----------------------------------
+
+
+def detect_extinguished(totals, eps, window):
+    """First tick opening a run of ``window`` consecutive ticks below ``eps``."""
+    if window < 1:
+        raise ValueError("extinguish window must be >= 1")
+    run = 0
+    for t, v in enumerate(totals):
+        run = run + 1 if v < eps else 0
+        if run >= window:
+            return t - window + 1
+    return None
+
+
+def smooth_series(values, window):
+    """Trailing moving average; causal so live and offline labels agree."""
+    arr = np.asarray(values, dtype=np.float64)
+    csum = np.concatenate([[0.0], np.cumsum(arr)])
+    lo = np.maximum(0, np.arange(len(arr)) - window + 1)
+    return (csum[1:] - csum[lo]) / (np.arange(1, len(arr) + 1) - lo)
+
+
+def classify_stage(totals, tick, *, low, high, window):
+    """Stage label at ``tick``, replaying a fresh tracker over the smoothed history."""
+    tracker = StageTracker(low=low, high=high)
+    stage = FirestormStage.LATENT
+    for v in smooth_series(totals[: tick + 1], window):
+        stage = tracker.update(float(v))
+    return stage
+
+
+def replay_fire_point(sim):
+    """First tick whose bot-silenced continuation keeps organic volume up,
+    found by replaying the finished run from a fresh build of its seed and
+    forking at each candidate tick."""
+    cfg = sim.cfg.contagion
+    shadow = build_from_seed(sim.cfg, sim.cfg.run.seed)
+    shadow.watch_fire_point = False
+    for t, organic in enumerate(sim.history.organic_posts):
+        if organic < cfg.fire_threshold:
+            continue
+        shadow.run_until(t + 1)
+        if shadow._sustains_without_bots(cfg.fire_window, cfg.fire_threshold):
+            return t
+    return None
+
+
+_INT_COLUMNS = {"tick", "total_posts", "organic_posts", "bot_posts",
+                "company_page_posts", "employee_profile_posts",
+                "general_stream_posts", "active_organic_posters"}
+
+
+def history_from_csv_text(text):
+    lines = text.splitlines()
+    assert lines[0] == ",".join(HISTORY_COLUMNS)
+    out = SimHistory()
+    for line in lines[1:]:
+        out.append_row(*(raw if col == "stage" else int(raw) if col in _INT_COLUMNS
+                         else float(raw)
+                         for col, raw in zip(HISTORY_COLUMNS, line.split(","))))
+    return out
 
 
 def test_detect_extinguished_oracle():
@@ -56,23 +117,18 @@ def test_classify_stage_matches_tracker(finished_run):
 
 
 def test_regulator_visibility_normalised():
-    h = SimHistory()
-    for t, page in enumerate([0, 10, 40, 20]):
-        h.append(tick=t, total_posts=page, organic_posts=0, bot_posts=page,
-                 company_page_posts=page, employee_profile_posts=0,
-                 general_stream_posts=0, mean_valence=0.0,
-                 active_organic_posters=0, mean_stress=0.0, max_stress=0.0,
-                 reputation=1.0, financial_value=100.0, stage="latent")
-    assert regulator_visibility(h, 0) == 0.0
-    assert regulator_visibility(h, 2) == 1.0
-    assert regulator_visibility(h, 3) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        regulator_visibility(h, 4)
+    page = [0, 0, 10, 40, 20, 0, 40, 7, 50, 3]
+    # the scalar definition: the count at t over the maximum of page[:t + 1]
+    scalar = [0.0 if max(page[:t + 1]) == 0 else page[t] / max(page[:t + 1])
+              for t in range(len(page))]
+    assert regulator_visibility(page) == scalar
+    assert regulator_visibility(page)[:5] == [0.0, 0.0, 1.0, 1.0, 0.5]
+    assert regulator_visibility([]) == []
 
 
 def test_history_csv_roundtrip(finished_run):
     text = finished_run.history.to_csv_text()
-    back = SimHistory.from_csv_text(text)
+    back = history_from_csv_text(text)
     assert back.to_csv_text() == text
     assert len(back) == len(finished_run.history)
 
@@ -80,7 +136,10 @@ def test_history_csv_roundtrip(finished_run):
 def test_history_rejects_partial_rows():
     h = SimHistory()
     with pytest.raises(ValueError):
-        h.append(tick=0, total_posts=1)
+        h.append_row(0, 1)
+    with pytest.raises(ValueError):
+        h.append_row(*range(len(HISTORY_COLUMNS) + 1))
+    assert len(h) == 0
 
 
 # -- engine behaviour ---------------------------------------------------------
@@ -198,7 +257,7 @@ def test_online_fire_point_matches_offline_replay(default_cfg):
         sim = build_from_seed(default_cfg, seed)
         sim.run(default_cfg.run.ticks)
         assert sim.fire_point is not None
-        assert detect_fire_point(sim) == sim.fire_point
+        assert replay_fire_point(sim) == sim.fire_point
 
 
 def test_no_fire_point_without_attack(default_cfg):
@@ -207,7 +266,7 @@ def test_no_fire_point_without_attack(default_cfg):
     sim = build_from_seed(cfg, 0)
     sim.run(cfg.run.ticks)
     assert sim.fire_point is None
-    assert detect_fire_point(sim) is None
+    assert replay_fire_point(sim) is None
 
 
 def test_burnout_caps_posts_per_user(default_cfg):

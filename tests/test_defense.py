@@ -8,25 +8,17 @@ from firesim.agents import BotMode, FailureClass, TargetTopic
 from firesim.defense import (AccountReputationDB, PastFirestorm, PolicyKind,
                              PolicyMismatchError, SUPPORT_COHORT_ID,
                              apply_policy, build_runtime, db_lookup,
-                             detect_artificial, recurrence_boost,
-                             response_timing_effect)
+                             detect_artificial, recurrence_boost)
 from firesim.scenario import (PolicySpec, build_from_seed, default_config,
                               expand_preset)
-from firesim.socialgraph import Account, AccountKind
-
-
-def _poster(i, creation_tick):
-    return Account(id=i, kind=AccountKind.REAL_USER, creation_tick=creation_tick,
-                   ocean=(0.5,) * 5, pride=float("nan"), posting_rate=0.1, stress=0.0)
 
 
 # -- detection ----------------------------------------------------------------
 
 def test_detect_artificial_fraction_oracle():
     # 7 accounts two days old, 13 older than the threshold, at tick 100
-    fresh = [_poster(i, 52) for i in range(7)]
-    aged = [_poster(10 + i, -5000) for i in range(13)]
-    verdict = detect_artificial(fresh + aged, now=100, age_threshold=720)
+    ids = list(range(7)) + list(range(10, 23))
+    verdict = detect_artificial(ids, [52] * 7 + [-5000] * 13, now=100, age_threshold=720)
     assert verdict.artificial_score == pytest.approx(7 / 20)
     assert verdict.flagged == list(range(7))
     assert verdict.sample_size == 20 and verdict.requested == 20
@@ -35,44 +27,51 @@ def test_detect_artificial_fraction_oracle():
 
 
 def test_detect_artificial_short_supply_notes():
-    posters = [_poster(i, 90) for i in range(12)]
-    verdict = detect_artificial(posters, now=100, age_threshold=720, requested=20)
+    verdict = detect_artificial(range(12), [90] * 12, now=100, age_threshold=720,
+                                requested=20)
     assert verdict.sample_size == 12 and verdict.requested == 20
     assert "only 12 of 20" in verdict.note
     assert verdict.artificial_score == 1.0  # all twelve are ten ticks old
 
 
 def test_detect_artificial_empty_sample():
-    verdict = detect_artificial([], now=100, age_threshold=720)
+    verdict = detect_artificial([], [], now=100, age_threshold=720)
     assert verdict.artificial_score == 0.0 and verdict.flagged == []
 
 
+def test_detect_artificial_counts_a_repeated_id_once_with_its_last_stamp():
+    verdict = detect_artificial([4, 5, 4], [90, 95, -5000], now=100, age_threshold=720)
+    assert verdict.evidence == {4: 5100, 5: 5}
+    assert verdict.flagged == [5] and verdict.artificial_score == 0.5
+    assert verdict.sample_size == 2 and verdict.requested == 3
+
+
 def test_detect_age_boundary_is_strict():
-    verdict = detect_artificial([_poster(0, 0)], now=720, age_threshold=720)
+    verdict = detect_artificial([0], [0], now=720, age_threshold=720)
     assert verdict.artificial_score == 0.0  # exactly threshold-old is not flagged
-    verdict = detect_artificial([_poster(0, 1)], now=720, age_threshold=720)
+    verdict = detect_artificial([0], [1], now=720, age_threshold=720)
     assert verdict.artificial_score == 1.0
 
 
 def test_db_lookup_takes_the_max_and_unions_flags():
-    posters = [_poster(i, -5000) for i in range(8)] + [_poster(8, 99), _poster(9, 99)]
-    verdict = detect_artificial(posters, now=100, age_threshold=720)
+    posters = list(range(10))
+    verdict = detect_artificial(posters, [-5000] * 8 + [99, 99], now=100, age_threshold=720)
     assert verdict.artificial_score == pytest.approx(0.2)
     db = AccountReputationDB()
     for i in (0, 1, 2, 3, 8):  # half the sample is known campaign infrastructure
         db.record(i, last_seen_tick=-100, campaign_id="earlier-run")
-    enriched = db_lookup(db, [p.id for p in posters], verdict)
+    enriched = db_lookup(db, posters, verdict)
     assert enriched.artificial_score == pytest.approx(0.5)
     assert enriched.db_matched == [0, 1, 2, 3, 8]
     assert enriched.flagged == [0, 1, 2, 3, 8, 9]
     # an empty database can never lower the age-based score
-    unhelped = db_lookup(AccountReputationDB(), [p.id for p in posters], verdict)
+    unhelped = db_lookup(AccountReputationDB(), posters, verdict)
     assert unhelped.artificial_score == verdict.artificial_score
     assert unhelped.db_matched == []
 
 
 def test_verdict_to_dict_is_json_friendly():
-    verdict = detect_artificial([_poster(3, 99)], now=100, age_threshold=720)
+    verdict = detect_artificial([3], [99], now=100, age_threshold=720)
     payload = verdict.to_dict()
     assert payload["evidence"] == {"3": 1}
     assert payload["flagged"] == [3]
@@ -307,6 +306,25 @@ def test_verdict_emitted_once_enough_posts_seen():
     assert verdicts[0]["artificial_score"] >= 0.9
 
 
+def test_live_verdict_counts_a_repeated_author_once():
+    """Bots and organic posters both post twice among the first 20 posts;
+    pinned before the detector took parallel id and stamp columns."""
+    base = expand_preset("permanent_few_accounts")
+    cfg = replace(base, defense=replace(base.defense, enabled=True, playbook=()),
+                  run=replace(base.run, initial_organic_posters=6))
+    sim = build_from_seed(cfg, 0)
+    sim.run(40)
+    authors = sim.post_log.first_authors(cfg.defense.detect_first_k)
+    assert len(authors) == 20 and len(set(authors)) == 15
+    bots = [1000, 1001, 1002, 1003, 1007, 1008, 1009, 1010, 1011, 1012]
+    assert sim.playbook.verdict.to_dict() == {
+        "artificial_score": 10 / 15, "flagged": bots,
+        "evidence": {"163": 8416, "172": 13489, "182": 11933, "320": 19566,
+                     "429": 6283, **{str(b): 51 for b in bots}},
+        "sample_size": 15, "requested": 20, "db_matched": [],
+        "note": "only 15 of 20 requested early posts available"}
+
+
 def test_shared_db_enriches_live_verdict(tmp_path):
     probe = build_from_seed(_defended([]), 0)
     probe.run(30)
@@ -323,26 +341,6 @@ def test_shared_db_enriches_live_verdict(tmp_path):
     sim.run(30)
     assert sim.playbook.db is not None and len(sim.playbook.db) == 5
     assert len(sim.playbook.verdict.db_matched) == 5
-
-
-# -- timing summaries ------------------------------------------------------------
-
-def test_response_timing_effect_oracle():
-    totals = [0, 0, 5, 10, 3, 0, 0, 0, 0]
-    out = response_timing_effect(totals, response_tick=2, eps=1, window=3)
-    assert out == {"response_tick": 2, "onset": 2, "extinguished_tick": 5,
-                   "duration": 3, "peak_volume": 10.0, "peak_tick": 3}
-
-
-def test_response_timing_effect_never_settles():
-    out = response_timing_effect([0, 5, 5, 5], response_tick=None, eps=1, window=3)
-    assert out["extinguished_tick"] is None
-    assert out["duration"] == 3  # runs to the end of the series
-
-
-def test_response_timing_effect_silent_series():
-    out = response_timing_effect([0, 0, 0], response_tick=1, eps=1, window=2)
-    assert out["onset"] is None and out["duration"] == 0
 
 
 def test_defended_preset_ends_smaller_than_baseline():
