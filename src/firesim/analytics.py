@@ -595,29 +595,29 @@ def run_metadata(sim: "Simulation") -> dict:
     }
 
 
-def emit_report(sim: "Simulation", out_dir: str | Path) -> list[Path]:
-    """Write the four report files atomically; returns their paths.
+def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
+    """Write each ``{name: text}`` under ``out_dir`` whole or not at all.
 
-    Files are staged in a scratch directory next to the target and moved
-    in with os.replace, so a crash cannot leave partial files under
-    ``out_dir``.
+    Every file is staged in a private directory inside ``out_dir`` (where
+    ``ensure_writable`` probes) before any is renamed into place, so a
+    failed write leaves no partial file.  Staged files are opened normally,
+    so their mode follows the umask.  Returns the final paths in order.
     """
     out_dir = Path(out_dir)
+    with tempfile.TemporaryDirectory(dir=out_dir, prefix=".staging-") as staging:
+        for name, text in files.items():
+            (Path(staging) / name).write_text(text, encoding="utf-8")
+        for name in files:
+            os.replace(Path(staging) / name, out_dir / name)
+    return [out_dir / name for name in files]
+
+
+def emit_report(sim: "Simulation", out_dir: str | Path) -> list[Path]:
+    """Write the four report files atomically; returns their paths."""
     ensure_writable(out_dir)
-    contents = {
+    return write_files(out_dir, {
         "run_metadata.json": json.dumps(run_metadata(sim), indent=2, sort_keys=True) + "\n",
         "history.csv": sim.history.to_csv_text(),
         "sentiment_windows.csv": sentiment_csv_text(sentiment_windows_for_run(sim)),
         "financial.csv": financial_csv_text(sim.financial),
-    }
-    written: list[Path] = []
-    with tempfile.TemporaryDirectory(dir=out_dir.parent, prefix=".report-") as staging:
-        staged = []
-        for name, text in contents.items():
-            tmp_path = Path(staging) / name
-            tmp_path.write_text(text, encoding="utf-8")
-            staged.append((tmp_path, out_dir / name))
-        for tmp_path, final_path in staged:
-            os.replace(tmp_path, final_path)
-            written.append(final_path)
-    return written
+    })

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -76,17 +75,8 @@ def _write_json_atomic(payload: dict, out_dir: Path, name: str) -> Path:
 
 
 def _write_text_atomic(text: str, out_dir: Path, name: str) -> Path:
-    """Write ``out_dir/name`` whole or not at all.
-
-    The text is staged in a private directory and renamed into place; the
-    staged file is opened normally, so its mode follows the umask.
-    """
-    target = out_dir / name
-    with tempfile.TemporaryDirectory(dir=out_dir, prefix=f".{name}.") as staging:
-        tmp = Path(staging) / name
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, target)
-    return target
+    """Write ``out_dir/name`` whole or not at all."""
+    return analytics.write_files(out_dir, {name: text})[0]
 
 
 # -- run ----------------------------------------------------------------------
@@ -404,11 +394,12 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
              "positive": w.positive, "compound": w.compound}
             for w in windows],
     }
-    _write_json_atomic(payload, out_dir, "analysis.json")
-    sentiment_text = analytics.sentiment_csv_text(windows)
     volume_lines = ["tick,posts"] + [f"{t},{v}" for t, v in enumerate(volumes)]
-    _write_text_atomic(sentiment_text, out_dir, "sentiment_windows.csv")
-    _write_text_atomic("\n".join(volume_lines) + "\n", out_dir, "volume.csv")
+    analytics.write_files(out_dir, {
+        "analysis.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        "sentiment_windows.csv": analytics.sentiment_csv_text(windows),
+        "volume.csv": "\n".join(volume_lines) + "\n",
+    })
     print(f"analyze posts={posts} duplicates={result.duplicate_count} "
           f"malformed={result.malformed_count} out={out_dir}")
     return EXIT_OK

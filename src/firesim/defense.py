@@ -117,12 +117,16 @@ class AccountReputationDB:
     def load(cls, path: str | Path) -> "AccountReputationDB":
         records: dict[int, tuple[int, str]] = {}
         with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh):
+            for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
-                if not line or (line_no == 0 and line == _DB_HEADER):
+                if not line or (line_no == 1 and line == _DB_HEADER):
                     continue
-                account_id, last_seen, campaign = line.split("\t")
-                records[int(account_id)] = (int(last_seen), campaign)
+                try:
+                    account_id, last_seen, campaign = line.split("\t")
+                    records[int(account_id)] = (int(last_seen), campaign)
+                except ValueError:
+                    raise ValueError(f"{path}:{line_no}: expected account_id, last_seen_tick "
+                                     f"and campaign_id separated by tabs, got {line!r}") from None
         return cls(records)
 
     def save(self, path: str | Path) -> None:
@@ -214,7 +218,7 @@ def build_runtime(cfg: "DefenseConfig") -> DefenseRuntime:
     if wants_db and cfg.db_path is not None:
         try:
             runtime.db = AccountReputationDB.load(cfg.db_path)
-        except OSError as err:
+        except (OSError, ValueError) as err:  # unreadable, not UTF-8 or malformed
             runtime.startup_events.append({
                 "tick": 0, "kind": "db_unavailable",
                 "path": str(cfg.db_path), "reason": str(err)})

@@ -10,7 +10,11 @@ config into a ready engine with a fully deterministic seed tree.
 from __future__ import annotations
 
 import dataclasses
+import enum
+import functools
 import json
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -36,6 +40,10 @@ POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
 # Bots whose follower coins are drawn in one block: at n = 50k, 16 rows of
 # doubles are 6.4 MB, where all 200 bots of a storm at once were 80 MB.
 BOT_COIN_BLOCK_ROWS = 16
+
+# Mean posts per account per hourly tick: one a minute is past any account,
+# and it keeps a tick's post arrays (and numpy's Poisson mean) bounded.
+MAX_POSTING_RATE = 60.0
 
 
 @dataclass(frozen=True)
@@ -216,246 +224,110 @@ class ScenarioConfig:
     company_history: tuple[PastFirestorm, ...] = ()
 
     def to_dict(self) -> dict:
-        out = {}
-        for section in ("graph", "roster", "agents", "contagion", "attack",
-                        "defense", "analytics", "run"):
-            out[section] = _section_to_dict(getattr(self, section))
-        out["topics"] = [
-            {"topic_id": t.topic_id, "failure_class": t.failure_class.value,
-             "severity": t.severity, "appeal": list(t.appeal)}
-            for t in self.topics]
-        out["company_history"] = [
-            {"topic_id": p.topic_id, "failure_class": p.failure_class,
-             "tick": p.tick}
-            for p in self.company_history]
-        return out
+        return _encode(self)
 
 
-def _section_to_dict(section) -> dict:
-    out = {}
-    for f in dataclasses.fields(section):
-        value = getattr(section, f.name)
-        if isinstance(value, RansomConfig):
-            value = _section_to_dict(value)
-        elif isinstance(value, tuple) and value and isinstance(value[0], PolicySpec):
-            value = [_section_to_dict(spec) for spec in value]
-        elif isinstance(value, tuple):
-            value = [list(v) if isinstance(v, tuple) else v for v in value]
-        elif isinstance(value, dict):
-            value = dict(value)
-        out[f.name] = value
-    return out
+# -- the config codec ----------------------------------------------------------
+# ``_decode`` checks JSON data against the dataclass field annotations and
+# ``_encode`` walks a dataclass back into JSON data; errors name the path.
+
+_SCALARS = {bool: ("true/false", bool), int: ("an integer", int),
+            float: ("a number", (int, float)), str: ("a string", str)}
 
 
-# -- strict parsing ----------------------------------------------------------
-
-_SECTION_TYPES = {
-    "graph": GraphConfig,
-    "roster": RosterConfig,
-    "agents": AgentConfig,
-    "contagion": ContagionConfig,
-    "attack": AttackConfig,
-    "defense": DefenseConfig,
-    "analytics": AnalyticsConfig,
-    "run": RunConfig,
-}
-
-# fields whose value may be null / is not inferable from the default
-_OPTIONAL_STR_FIELDS = {
-    (RansomConfig, "force_outcome"),
-    (DefenseConfig, "db_path"),
-    (PolicySpec, "trigger_stage"),
-}
-_OPTIONAL_INT_FIELDS = {(PolicySpec, "trigger_tick")}
+def _type_error(path: str, expected: str, value) -> ConfigError:
+    return ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
-def _require_mapping(data, path: str) -> None:
+@functools.cache
+def _field_specs(cls) -> dict:
+    """name -> (annotation, default or MISSING) for a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    specs = {}
+    for f in dataclasses.fields(cls):
+        default = f.default
+        if f.default_factory is not dataclasses.MISSING:
+            default = f.default_factory()
+        specs[f.name] = (hints[f.name], default)
+    return specs
+
+
+def _decode_section(cls, data, path: str):
+    where = path or "config"
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-
-
-def _scalar(cls, name: str, value, template, path: str):
-    if (cls, name) in _OPTIONAL_STR_FIELDS:
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string or null")
-        return value
-    if (cls, name) in _OPTIONAL_INT_FIELDS:
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{path}: expected an integer or null")
-        return value
-    if isinstance(template, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true/false, got {value!r}")
-        return value
-    if isinstance(template, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if isinstance(template, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if isinstance(template, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    raise ConfigError(f"{path}: unsupported field")  # pragma: no cover
-
-
-def _dict_field(value, template: dict, path: str) -> dict:
-    _require_mapping(value, path)
-    merged = dict(template)
-    for key, item in value.items():
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number, got {item!r}")
-        sample = next(iter(template.values())) if template else 0.0
-        merged[key] = int(item) if isinstance(sample, int) and not isinstance(item, float) else float(item)
-    return merged
-
-
-def _section_from_dict(cls, data, path: str):
-    _require_mapping(data, path)
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(fields))
+        raise _type_error(where, "a mapping", data)
+    specs = _field_specs(cls)
+    unknown = sorted(set(data) - set(specs))
     if unknown:
         raise ConfigError(
-            f"{path}: unknown key '{unknown[0]}'; expected one of {sorted(fields)}")
-    defaults = cls()
+            f"{where}: unknown key '{unknown[0]}'; expected one of {sorted(specs)}")
+    for name, (_, default) in specs.items():
+        if default is dataclasses.MISSING and name not in data:
+            raise ConfigError(f"{where}: missing key '{name}'")
     kwargs = {}
     for name, value in data.items():
-        template = getattr(defaults, name)
-        sub_path = f"{path}.{name}"
-        if isinstance(template, RansomConfig):
-            kwargs[name] = _section_from_dict(RansomConfig, value, sub_path)
-        elif name == "playbook":
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{sub_path}: expected a list of policies")
-            kwargs[name] = tuple(
-                _policy_from_dict(spec, f"{sub_path}[{i}]")
-                for i, spec in enumerate(value))
-        elif name == "action_schedule":
-            kwargs[name] = _schedule_from(value, sub_path)
-        elif name in ("manager_roles",):
-            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-                raise ConfigError(f"{sub_path}: expected a list of strings")
-            kwargs[name] = tuple(value)
-        elif name == "target_weights":
-            if (not isinstance(value, (list, tuple)) or len(value) != 3
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-                raise ConfigError(f"{sub_path}: expected three numbers")
-            kwargs[name] = tuple(float(v) for v in value)
-        elif isinstance(template, dict):
-            kwargs[name] = _dict_field(value, template, sub_path)
-        else:
-            kwargs[name] = _scalar(cls, name, value, template, sub_path)
-    return cls(**kwargs)
-
-
-def _policy_from_dict(data, path: str) -> PolicySpec:
-    _require_mapping(data, path)
-    unknown = sorted(set(data) - {"kind", "trigger_tick", "trigger_stage"})
-    if unknown:
-        raise ConfigError(f"{path}: unknown key '{unknown[0]}'; "
-                          "expected kind, trigger_tick, trigger_stage")
-    if "kind" not in data or not isinstance(data["kind"], str):
-        raise ConfigError(f"{path}.kind: a policy name string is required")
-    tick = data.get("trigger_tick")
-    if tick is not None and (isinstance(tick, bool) or not isinstance(tick, int)):
-        raise ConfigError(f"{path}.trigger_tick: expected an integer or null")
-    stage = data.get("trigger_stage")
-    if stage is not None and not isinstance(stage, str):
-        raise ConfigError(f"{path}.trigger_stage: expected a string or null")
-    return PolicySpec(kind=data["kind"], trigger_tick=tick, trigger_stage=stage)
-
-
-def _schedule_from(value, path: str) -> tuple[tuple[int, str], ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list of [tick, action] pairs")
-    out = []
-    for i, entry in enumerate(value):
-        if isinstance(entry, dict):
-            extra = sorted(set(entry) - {"tick", "action"})
-            if extra or set(entry) != {"tick", "action"}:
-                raise ConfigError(f"{path}[{i}]: expected keys tick and action")
-            tick, action = entry["tick"], entry["action"]
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            tick, action = entry
-        else:
-            raise ConfigError(f"{path}[{i}]: expected [tick, action]")
-        if isinstance(tick, bool) or not isinstance(tick, int) or not isinstance(action, str):
-            raise ConfigError(f"{path}[{i}]: tick must be an integer, action a string")
-        out.append((tick, action))
-    return tuple(out)
-
-
-def _topic_from_dict(data, path: str) -> TargetTopic:
-    _require_mapping(data, path)
-    expected = {"topic_id", "failure_class", "severity", "appeal"}
-    unknown = sorted(set(data) - expected)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key '{unknown[0]}'")
-    missing = sorted(expected - set(data))
-    if missing:
-        raise ConfigError(f"{path}: missing key '{missing[0]}'")
-    if data["failure_class"] not in FAILURE_CLASS_NAMES:
-        raise ConfigError(
-            f"{path}.failure_class: {data['failure_class']!r} not in {list(FAILURE_CLASS_NAMES)}")
-    appeal = data["appeal"]
-    if not isinstance(appeal, (list, tuple)) or len(appeal) != 5:
-        raise ConfigError(f"{path}.appeal: expected five numbers")
+        tp, default = specs[name]
+        kwargs[name] = _decode(tp, value, default, f"{path}.{name}" if path else name)
     try:
-        return TargetTopic(
-            topic_id=str(data["topic_id"]),
-            failure_class=FailureClass(data["failure_class"]),
-            severity=float(data["severity"]),
-            appeal=tuple(float(a) for a in appeal))
+        return cls(**kwargs)
     except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
+        raise ConfigError(f"{where}: {err}") from err
 
 
-def _history_from_dict(data, path: str) -> PastFirestorm:
-    _require_mapping(data, path)
-    expected = {"topic_id", "failure_class", "tick"}
-    if set(data) != expected:
-        diff = sorted(set(data) ^ expected)
-        raise ConfigError(f"{path}: keys must be {sorted(expected)} (mismatch on {diff})")
-    if data["failure_class"] not in FAILURE_CLASS_NAMES:
-        raise ConfigError(
-            f"{path}.failure_class: {data['failure_class']!r} not in {list(FAILURE_CLASS_NAMES)}")
-    if isinstance(data["tick"], bool) or not isinstance(data["tick"], int):
-        raise ConfigError(f"{path}.tick: expected an integer")
-    return PastFirestorm(topic_id=str(data["topic_id"]),
-                         failure_class=data["failure_class"],
-                         tick=data["tick"])
+def _decode(tp, value, default, path: str):
+    """Check ``value`` against the annotation ``tp``; return the field value."""
+    if dataclasses.is_dataclass(tp):
+        return _decode_section(tp, value, path)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        if value is None:
+            return None
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return _decode(inner, value, default, path)
+    if origin is dict:  # any number per key, merged over the default
+        if not isinstance(value, dict):
+            raise _type_error(path, "a mapping", value)
+        merged = dict(default)
+        for key, item in value.items():
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise _type_error(f"{path}.{key}", "a number", item)
+            merged[key] = item if args[1] is int and isinstance(item, int) else float(item)
+        return merged
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _type_error(path, "a list", value)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise _type_error(path, f"a list of {len(args)} items", value)
+        return tuple(_decode(arg, item, None, f"{path}[{i}]")
+                     for i, (arg, item) in enumerate(zip(args, value)))
+    if issubclass(tp, enum.Enum):
+        names = [member.value for member in tp]
+        if value not in names:
+            raise ConfigError(f"{path}: {value!r} not in {names}")
+        return tp(value)
+    expected, accepted = _SCALARS[tp]
+    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
+        raise _type_error(path, expected, value)
+    return float(value) if tp is float else value
+
+
+def _encode(value):
+    """Dataclasses become mappings, tuples lists and enums their values."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    _require_mapping(data, "config")
-    allowed = set(_SECTION_TYPES) | {"topics", "company_history"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(
-            f"config: unknown key '{unknown[0]}'; expected one of {sorted(allowed)}")
-    sections = {
-        name: _section_from_dict(cls, data.get(name, {}), name)
-        for name, cls in _SECTION_TYPES.items()}
-    if "topics" in data:
-        if not isinstance(data["topics"], (list, tuple)):
-            raise ConfigError("topics: expected a list")
-        topics = tuple(_topic_from_dict(d, f"topics[{i}]")
-                       for i, d in enumerate(data["topics"]))
-    else:
-        topics = DEFAULT_TOPICS
-    if "company_history" in data:
-        if not isinstance(data["company_history"], (list, tuple)):
-            raise ConfigError("company_history: expected a list")
-        history = tuple(_history_from_dict(d, f"company_history[{i}]")
-                        for i, d in enumerate(data["company_history"]))
-    else:
-        history = ()
-    cfg = ScenarioConfig(**sections, topics=topics, company_history=history)
-    validate_config(cfg)
-    return cfg
+    return validate_config(_decode_section(ScenarioConfig, data, ""))
 
 
 # -- domain validation -------------------------------------------------------
@@ -489,7 +361,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
 
     _check(a.beta > 0, "agents.beta", f"steepness {a.beta!r} must be > 0")
     _check_unit(a.theta, "agents.theta")
-    _check(a.posting_rate > 0, "agents.posting_rate", "must be > 0")
+    _check(0 < a.posting_rate <= MAX_POSTING_RATE, "agents.posting_rate",
+           f"must lie in (0, {MAX_POSTING_RATE}]")
     _check(a.max_posts_per_user >= 1, "agents.max_posts_per_user", "must be >= 1")
     _check_unit(a.organic_company_page_fraction, "agents.organic_company_page_fraction")
     _check_unit(a.base_negative_weight, "agents.base_negative_weight")
@@ -521,7 +394,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _check(c.smoothing_window >= 1, "contagion.smoothing_window", "must be >= 1")
 
     _check(atk.bots >= 0, "attack.bots", "must be >= 0")
-    _check(atk.bot_posting_rate >= 0, "attack.bot_posting_rate", "must be >= 0")
+    _check(0 <= atk.bot_posting_rate <= MAX_POSTING_RATE, "attack.bot_posting_rate",
+           f"must lie in [0, {MAX_POSTING_RATE}]")
     _check(atk.bot_creation_age >= 0, "attack.bot_creation_age", "must be >= 0")
     _check_unit(atk.valence_noise, "attack.valence_noise")
     _check(set(atk.class_weights) == set(FAILURE_CLASS_NAMES),
@@ -577,7 +451,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _check(d.age_threshold >= 1, "defense.age_threshold", "must be >= 1")
     _check(d.prepared_bots >= 0, "defense.prepared_bots", "must be >= 0")
     _check(d.partner_defenders >= 0, "defense.partner_defenders", "must be >= 0")
-    _check(d.support_posting_rate >= 0, "defense.support_posting_rate", "must be >= 0")
+    _check(0 <= d.support_posting_rate <= MAX_POSTING_RATE, "defense.support_posting_rate",
+           f"must lie in [0, {MAX_POSTING_RATE}]")
     _check(d.support_creation_age >= 0, "defense.support_creation_age", "must be >= 0")
     _check_unit(d.training_posture_boost, "defense.training_posture_boost")
     _check_unit(d.scapegoat_transfer, "defense.scapegoat_transfer")
@@ -626,6 +501,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _check(len(cfg.topics) >= 1, "topics", "at least one topic is required")
     ids = [t.topic_id for t in cfg.topics]
     _check(len(ids) == len(set(ids)), "topics", "topic ids must be unique")
+    for i, past in enumerate(cfg.company_history):
+        _check(past.failure_class in FAILURE_CLASS_NAMES,
+               f"company_history[{i}].failure_class",
+               f"{past.failure_class!r} not in {list(FAILURE_CLASS_NAMES)}")
     return cfg
 
 
@@ -643,7 +522,11 @@ def loads_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    return loads_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+    return loads_config(text)
 
 
 def dumps_config(cfg: ScenarioConfig) -> str:

@@ -573,9 +573,9 @@ def test_emit_report_writes_all_files_atomically(finished_run, tmp_path):
     out_dir = tmp_path / "report"
     written = emit_report(finished_run, out_dir)
     assert [p.name for p in written] == list(REPORT_FILES)
-    assert all(p.exists() for p in written)
-    # no staging debris left behind
-    assert not list(tmp_path.glob(".report-*"))
+    # the report files and nothing else: no staging debris here or above
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(REPORT_FILES)
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
     meta = json.loads((out_dir / "run_metadata.json").read_text())
     assert meta["schema_version"] == 1
     assert meta["outcome"]["seed"] == finished_run.cfg.run.seed

@@ -68,6 +68,13 @@ def test_config_and_preset_conflict_is_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_invalid_config_is_exit_2_and_writes_nothing(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"graph": {"n": -5}}')

@@ -124,6 +124,20 @@ def test_missing_db_becomes_startup_event_not_crash(tmp_path):
     assert kinds == ["db_unavailable"]
 
 
+def test_malformed_db_becomes_startup_event_naming_the_line(tmp_path):
+    path = tmp_path / "db.tsv"
+    path.write_text("account_id\tlast_seen_tick\tcampaign_id\n12\tabc\tc1\n")
+    with pytest.raises(ValueError, match=f"{path}:2:"):
+        AccountReputationDB.load(path)
+    cfg = default_config()
+    runtime = build_runtime(replace(cfg.defense, enabled=True,
+                                    playbook=(PolicySpec(kind="shared_account_database"),),
+                                    db_path=str(path)))
+    assert runtime.db is None
+    [event] = runtime.startup_events
+    assert event["kind"] == "db_unavailable" and f"{path}:2:" in event["reason"]
+
+
 def test_db_wanted_but_unconfigured_is_flagged():
     cfg = default_config()
     dcfg = replace(cfg.defense, enabled=True,

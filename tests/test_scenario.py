@@ -166,6 +166,39 @@ def test_dict_valued_fields_merge_with_defaults():
     assert cfg.agents.class_multipliers["communication"] == defaults["communication"]
 
 
+_TOPIC = {"topic_id": "t", "failure_class": "social", "severity": 0.5,
+          "appeal": [0.5, 0.5, 0.5, 0.5, 0.5]}
+_PAST = {"topic_id": "t", "failure_class": "social", "tick": -100}
+
+
+@pytest.mark.parametrize("path, data", [
+    ("topics[0].severity", {"topics": [dict(_TOPIC, severity=None)]}),
+    ("topics[0].severity", {"topics": [dict(_TOPIC, severity=True)]}),
+    ("topics[0].severity", {"topics": [dict(_TOPIC, severity="0.5")]}),
+    ("topics[0].appeal[0]", {"topics": [dict(_TOPIC, appeal=[[1], 0.5, 0.5, 0.5, 0.5])]}),
+    ("topics[0].appeal", {"topics": [dict(_TOPIC, appeal=[0.5, 0.5, 0.5, 0.5])]}),
+    ("topics[0].topic_id", {"topics": [dict(_TOPIC, topic_id=None)]}),
+    ("topics[0]", {"topics": [{k: v for k, v in _TOPIC.items() if k != "failure_class"}]}),
+    ("company_history[0]",
+     {"company_history": [{k: v for k, v in _PAST.items() if k != "failure_class"}]}),
+    ("company_history[0].failure_class", {"company_history": [dict(_PAST, failure_class="x")]}),
+    ("defense.playbook[0]", {"defense": {"playbook": [{"trigger_tick": 3}]}}),
+    ("attack.target_weights", {"attack": {"target_weights": [0.5, 0.5]}}),
+    ("attack.action_schedule[0]", {"attack": {"action_schedule": [[3, "dos", 1]]}}),
+    ("attack.action_schedule[0]",
+     {"attack": {"action_schedule": [{"tick": 3, "action": "dos"}]}}),
+    ("roster.manager_roles[1]", {"roster": {"manager_roles": ["a", 1]}}),
+    # rates past numpy's Poisson limit validated and then crashed the build
+    ("agents.posting_rate", {"agents": {"posting_rate": 9.3e18}}),
+    ("attack.bot_posting_rate", {"attack": {"bot_posting_rate": 61.0}}),
+    ("defense.support_posting_rate", {"defense": {"support_posting_rate": 1e6}}),
+])
+def test_strict_decoder_names_the_offending_path(path, data):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(data)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_config_json_is_stable():
     text = dumps_config(default_config())
     assert json.loads(text)  # valid JSON
@@ -179,23 +212,26 @@ _SCALAR_FIELDS = sorted(
 _floats = st.floats(min_value=0.0, max_value=1.0) | st.floats(min_value=0.0, allow_nan=False)
 
 
-def _value(template):
+def _value(template, cap=2**40):
     if isinstance(template, bool):
         return st.booleans()
     if isinstance(template, int):
-        return st.just(template) | st.integers(min_value=0, max_value=2**40)
+        return st.just(min(template, cap)) | st.integers(min_value=0, max_value=cap)
     if isinstance(template, float):
         return st.just(template) | st.integers(min_value=0, max_value=10) | _floats
     return st.just(template) | st.text(max_size=8)
 
 
 @st.composite
-def _config_dicts(draw):
-    """JSON-shaped configs touching scalars, dicts, lists and the tuple fields."""
+def _config_dicts(draw, caps=None):
+    """JSON-shaped configs touching scalars, dicts, lists and the tuple fields;
+    ``caps`` bounds chosen integer fields, ``{(section, name): max}``."""
+    caps = caps or {}
     data = {}
     for section, name in draw(st.lists(st.sampled_from(_SCALAR_FIELDS), max_size=6,
                                        unique=True)):
-        data.setdefault(section, {})[name] = draw(_value(_DEFAULTS[section][name]))
+        data.setdefault(section, {})[name] = draw(_value(
+            _DEFAULTS[section][name], caps.get((section, name), 2**40)))
     agents, attack, defense = (data.setdefault(k, {}) for k in ("agents", "attack", "defense"))
     agents["class_multipliers"] = draw(st.dictionaries(
         st.sampled_from(FAILURE_CLASS_NAMES), _floats, max_size=3))
@@ -237,3 +273,20 @@ def test_dumps_loads_roundtrip_property(data):
     except ConfigError:
         reject()
     assert loads_config(dumps_config(cfg)) == cfg
+
+
+# population counts only, so a world stays small enough to build in a test
+_POPULATION_CAPS = {("graph", "n"): 300, ("attack", "bots"): 200,
+                    ("defense", "prepared_bots"): 50, ("defense", "partner_defenders"): 50}
+
+
+@given(data=_config_dicts(caps=_POPULATION_CAPS))
+@settings(max_examples=50, deadline=None)
+def test_every_valid_config_builds_and_runs(data):
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        reject()
+    sim = build_from_seed(cfg, cfg.run.seed)
+    sim.run(5)
+    assert len(sim.history.total_posts) == 5
