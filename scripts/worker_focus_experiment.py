@@ -1,7 +1,8 @@
 """Paired comparison: does retargeting bots at employees pay off?
 
 Runs each seed twice -- once with the mid-campaign pivot toward employee
-profiles, once with bots staying on the broad stream -- and reports how
+profiles, once with bots staying on the broad stream, both on the one world
+the seed builds, as ``firesim compare`` runs a pair -- and reports how
 roster stress and regulator visibility move.  The pivot is the point of
 the focus stage: pressure on staff goes up while the storm's public
 footprint goes down.
@@ -12,7 +13,7 @@ Usage: python3 scripts/worker_focus_experiment.py [--seeds N]
 import argparse
 import statistics
 
-from firesim.cli import TOGGLES, run_metrics
+from firesim.cli import TOGGLES, run_pair
 from firesim.scenario import default_config
 
 
@@ -27,8 +28,7 @@ def main() -> None:
     stress_up = visibility_down = 0
     stress_deltas, visibility_deltas = [], []
     for seed in range(args.seeds):
-        on = run_metrics(cfg_on, seed)
-        off = run_metrics(cfg_off, seed)
+        on, off = run_pair(cfg_on, cfg_off, seed)
         d_stress = on["end_mean_stress"] - off["end_mean_stress"]
         d_vis = on["mean_focus_visibility"] - off["mean_focus_visibility"]
         stress_deltas.append(d_stress)

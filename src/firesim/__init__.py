@@ -14,14 +14,14 @@ from .analytics import (CascadeClass, CascadeForecast, CorruptArchiveError,
 from .attack import (ActionKind, ActionOutcome, AttackPlan, IMPACT_MATRIX,
                      ImpactVector, PlanStage, SequencingError, advance_plan,
                      execute_action, select_topic)
-from .contagion import Simulation, StageTracker, regulator_visibility
+from .contagion import Simulation, StageTracker, World, regulator_visibility
 from .defense import (AccountReputationDB, FirestormVerdict, PastFirestorm,
                       PolicyKind, PolicyMismatchError, detect_artificial,
                       recurrence_boost)
 from .scenario import (ConfigError, PRESETS, PolicySpec, ScenarioConfig,
-                       build_from_seed, build_simulation, default_config,
-                       dumps_config, expand_preset, load_config, loads_config,
-                       validate_config)
+                       build_from_seed, build_simulation, build_world,
+                       default_config, dumps_config, expand_preset, load_config,
+                       loads_config, validate_config)
 from .socialgraph import (AccountKind, AccountTable, CompanyRoster, SocialGraph,
                           generate_scale_free)
 
@@ -35,12 +35,12 @@ __all__ = [
     "ActionKind", "ActionOutcome", "AttackPlan", "IMPACT_MATRIX",
     "ImpactVector", "PlanStage", "SequencingError", "advance_plan",
     "execute_action", "select_topic",
-    "Simulation", "StageTracker", "regulator_visibility",
+    "Simulation", "StageTracker", "World", "regulator_visibility",
     "AccountReputationDB", "FirestormVerdict", "PastFirestorm", "PolicyKind",
     "PolicyMismatchError", "detect_artificial", "recurrence_boost",
     "ConfigError", "PRESETS", "PolicySpec", "ScenarioConfig", "build_from_seed",
-    "build_simulation", "default_config", "dumps_config", "expand_preset",
-    "load_config", "loads_config", "validate_config",
+    "build_simulation", "build_world", "default_config", "dumps_config",
+    "expand_preset", "load_config", "loads_config", "validate_config",
     "AccountKind", "AccountTable", "CompanyRoster", "SocialGraph",
     "generate_scale_free",
 ]

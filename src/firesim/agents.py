@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .socialgraph import AccountId, CompanyRoster
+from .socialgraph import AccountId, read_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import AgentConfig
@@ -121,7 +121,6 @@ class BotCohort:
     cohort_id: str
     members: np.ndarray  # read-only intp ids; forks and replace() share it
     posting_rate: float
-    creation_tick: int
     mode: BotMode = BotMode.DORMANT
     defending: int = 0
     retarget_targets: tuple[AccountId, ...] = ()
@@ -132,9 +131,7 @@ class BotCohort:
         members = self.members
         if not (isinstance(members, np.ndarray) and members.dtype == np.intp
                 and not members.flags.writeable):
-            members = np.array(members, dtype=np.intp)
-            members.flags.writeable = False
-            self.members = members
+            self.members = read_only(np.array(members, dtype=np.intp))
 
     def employee_share(self, tick: int) -> float:
         """Fraction of attack posts aimed at employee profiles this tick."""
@@ -149,7 +146,6 @@ class BotCohort:
 class CompanyState:
     """Mutable company-side state the firestorm acts on."""
 
-    roster: CompanyRoster
     security_posture: float
     reputation: float = 1.0
     page_followers: int = 0

@@ -236,13 +236,13 @@ def execute_action(kind: ActionKind, sim: "Simulation", rng: np.random.Generator
                             probability=0.0, impact=impact)
 
     if kind is ActionKind.HUMAN_ERROR_EXPLOIT:
-        members = company.roster.members
+        members = sim.world.roster.members
         fails = [1.0 - procedure_compliance(float(sim.accounts.stress[i]), company,
                                             sim.cfg.agents)
                  for i in members]
         p = float(np.mean(fails)) if fails else 0.0
     elif kind is ActionKind.INSIDER_THREAT:
-        members = company.roster.members
+        members = sim.world.roster.members
         count = sum(
             1 for i in members
             if sim.accounts.stress[i] > cfg.insider_stress_min
@@ -350,7 +350,7 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
     stage = plan.stage
     if stage is PlanStage.TOPIC_SELECTION:
         try:
-            topic = select_topic(list(sim.topics), cfg.class_weights, plan.excluded_topics)
+            topic = select_topic(list(sim.cfg.topics), cfg.class_weights, plan.excluded_topics)
         except NoTopicError:
             events.append(plan.enter(PlanStage.ABORTED, tick))
             for cohort in _attack_cohorts(sim):
@@ -382,7 +382,7 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
         if stage is PlanStage.SPREAD_WATCH and sim.fire_point is not None:
             events.append(plan.enter(PlanStage.TARGET_IDENTIFICATION, tick))
             plan.targets = identify_human_targets(
-                sim.graph, sim.accounts, sim.company.roster,
+                sim.graph, sim.accounts, sim.world.roster,
                 cfg.retarget_top_k, cfg.target_weights)
             events.append({"tick": tick, "kind": "targets_identified",
                            "targets": [int(i) for i in plan.targets]})

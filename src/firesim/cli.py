@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, contagion, defense
+from .contagion import World
 from .scenario import (ConfigError, PRESETS, PolicySpec, ScenarioConfig,
-                       build_from_seed, default_config, expand_preset,
-                       load_config, validate_config)
+                       build_from_seed, build_world, default_config,
+                       expand_preset, load_config, validate_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -183,25 +184,17 @@ def cmd_batch(cfg: ScenarioConfig, seeds: list[int], parallelism: int,
 
 # -- compare --------------------------------------------------------------------
 
-def _with_extortion(cfg: ScenarioConfig, outcome: str) -> ScenarioConfig:
+def _with_offer(cfg: ScenarioConfig, action: str, terms: str, outcome: str) -> ScenarioConfig:
+    """``action`` scheduled (at tick 24 unless it is already) with the
+    company's answer to its ``terms`` (``ransom`` or ``service``) forced."""
     schedule = cfg.attack.action_schedule
-    if not any(action == "extortion" for _, action in schedule):
-        schedule = schedule + ((24, "extortion"),)
-    return replace(cfg, attack=replace(
-        cfg.attack, action_schedule=schedule,
-        ransom=replace(cfg.attack.ransom, force_outcome=outcome)))
+    if not any(name == action for _, name in schedule):
+        schedule = schedule + ((24, action),)
+    forced = replace(getattr(cfg.attack, terms), force_outcome=outcome)
+    return replace(cfg, attack=replace(cfg.attack, action_schedule=schedule, **{terms: forced}))
 
 
-def _with_service(cfg: ScenarioConfig, outcome: str) -> ScenarioConfig:
-    schedule = cfg.attack.action_schedule
-    if not any(action == "defence_as_a_service" for _, action in schedule):
-        schedule = schedule + ((24, "defence_as_a_service"),)
-    return replace(cfg, attack=replace(
-        cfg.attack, action_schedule=schedule,
-        service=replace(cfg.attack.service, force_outcome=outcome)))
-
-
-def _with_playbook(cfg: ScenarioConfig) -> ScenarioConfig:
+def _with_playbook(cfg: ScenarioConfig, enabled: bool = True) -> ScenarioConfig:
     # Orchestrated storms can jump straight past "triggering", so the
     # reactive entries key on "peak", which every storm passes through.
     playbook = cfg.defense.playbook or (
@@ -209,7 +202,7 @@ def _with_playbook(cfg: ScenarioConfig) -> ScenarioConfig:
         PolicySpec(kind="supporting_bots", trigger_stage="peak"),
         PolicySpec(kind="halt_product_and_review", trigger_stage="peak"),
     )
-    return replace(cfg, defense=replace(cfg.defense, enabled=True, playbook=playbook))
+    return replace(cfg, defense=replace(cfg.defense, enabled=enabled, playbook=playbook))
 
 
 TOGGLES = {
@@ -219,15 +212,15 @@ TOGGLES = {
     ),
     "defense_playbook": (
         _with_playbook,
-        lambda cfg: replace(cfg, defense=replace(cfg.defense, enabled=False)),
+        lambda cfg: _with_playbook(cfg, enabled=False),
     ),
     "ransom_paid": (
-        lambda cfg: _with_extortion(cfg, "pay"),
-        lambda cfg: _with_extortion(cfg, "refuse"),
+        lambda cfg: _with_offer(cfg, "extortion", "ransom", "pay"),
+        lambda cfg: _with_offer(cfg, "extortion", "ransom", "refuse"),
     ),
     "flip_bots": (
-        lambda cfg: _with_service(cfg, "pay"),
-        lambda cfg: _with_service(cfg, "refuse"),
+        lambda cfg: _with_offer(cfg, "defence_as_a_service", "service", "pay"),
+        lambda cfg: _with_offer(cfg, "defence_as_a_service", "service", "refuse"),
     ),
 }
 
@@ -238,9 +231,9 @@ COMPARE_METRICS = (
 )
 
 
-def run_metrics(cfg: ScenarioConfig, seed: int) -> dict:
-    """Scalar metrics for one paired-comparison arm."""
-    sim = build_from_seed(cfg, seed)
+def run_metrics(cfg: ScenarioConfig, seed: int, world: World | None = None) -> dict:
+    """Scalar metrics for one paired-comparison arm, run on ``world`` if given."""
+    sim = build_from_seed(cfg, seed, world)
     sim.run(cfg.run.ticks)
     outcome = analytics.run_outcome(sim)
     ticks = outcome["ticks"]
@@ -266,10 +259,16 @@ def run_metrics(cfg: ScenarioConfig, seed: int) -> dict:
     }
 
 
+def run_pair(cfg_on: ScenarioConfig, cfg_off: ScenarioConfig, seed: int) -> tuple[dict, dict]:
+    """Both arms' metrics for one seed, run on the one world the seed builds."""
+    world = build_world(replace(cfg_on, run=replace(cfg_on.run, seed=seed)))
+    return run_metrics(cfg_on, seed, world), run_metrics(cfg_off, seed, world)
+
+
 def _compare_worker(task: tuple[ScenarioConfig, ScenarioConfig, int]) -> tuple[int, dict | None, dict | None, str | None]:
     cfg_on, cfg_off, seed = task
     try:
-        return seed, run_metrics(cfg_on, seed), run_metrics(cfg_off, seed), None
+        return seed, *run_pair(cfg_on, cfg_off, seed), None
     except Exception as err:  # noqa: BLE001 - per-seed failures must not kill the comparison
         return seed, None, None, f"{type(err).__name__}: {err}"
 

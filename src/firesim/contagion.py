@@ -9,8 +9,8 @@ defense playbook advance.
 
 The fire point is established counterfactually: clone the full state, force
 every bot cohort dormant, and check that organic volume alone stays above
-threshold for a configured window.  The clone shares the immutable graph,
-so forking is cheap enough to run online at candidate ticks.
+threshold for a configured window.  The clone shares the frozen world, so
+forking is cheap enough to run online at candidate ticks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import agents, analytics, attack, defense
 from .agents import BotMode, CompanyState, SurfaceKind, TargetTopic
-from .socialgraph import AccountKind, AccountTable, SocialGraph
+from .socialgraph import AccountKind, AccountTable, CompanyRoster, SocialGraph, read_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
@@ -213,37 +213,58 @@ ACTIVATABLE = (AccountKind.REAL_USER, AccountKind.EMPLOYEE)
 _NO_POSTS = (*agents.EMPTY_EMISSION, np.empty(0, dtype=bool))
 
 
+class World:
+    """What no tick writes, built once per seed by ``scenario.build_world``
+    and shared by reference by every run on it: both arms of a ``compare``
+    pair and every fire-point fork.  Its arrays are read-only, the account
+    table's static columns included; a run copies the writable ``stress``.
+    """
+
+    def __init__(self, graph: SocialGraph, accounts: AccountTable, roster: CompanyRoster,
+                 cohort_members: Sequence[tuple[str, Sequence[int]]],
+                 seed_posters: Sequence[int], engine_seed: np.random.SeedSequence):
+        if graph.n_nodes != len(accounts):
+            raise ValueError("graph and account table disagree on population size")
+        self.graph = graph
+        self.accounts = accounts.freeze()
+        self.roster = roster
+        self.roster_ids, self.manager_ids, self.employee_ids = (
+            read_only(np.array(ids, dtype=np.intp))
+            for ids in (roster.members, roster.managers, roster.employees))
+        self.can_activate = read_only(np.isin(accounts.kind, ACTIVATABLE))
+        # (cohort id, member ids) per bot cohort, in build order
+        self.cohort_members = tuple((cohort_id, read_only(np.array(members, dtype=np.intp)))
+                                    for cohort_id, members in cohort_members)
+        self.seed_posters = tuple(seed_posters)
+        self.engine_seed = engine_seed
+
+
 class Simulation:
-    """Full mutable world state plus the tick loop.
+    """One run's mutable state on a shared ``World``, plus the tick loop.
 
     Built by ``scenario.build_simulation``.  The fire point is found online,
     by phase 8's watch.  A fixed seed replays bit for bit, so a fresh build
     stepped to the same tick holds the same state.
     """
 
-    # Attributes no step changes; forks share them by reference.
-    SHARED = ("cfg", "graph", "topics", "topic", "logistic_term", "can_activate",
-              "roster_ids", "manager_ids", "employee_ids", "company.roster")
-
-    def __init__(self, *, config: "ScenarioConfig", graph: SocialGraph,
-                 accounts: AccountTable, company: CompanyState,
-                 topics: list[TargetTopic], cohorts: list[agents.BotCohort],
-                 plan: "attack.AttackPlan | None",
-                 playbook: "defense.DefenseRuntime | None",
-                 rng: np.random.Generator, seed_posters: list[int]):
+    def __init__(self, config: "ScenarioConfig", world: World):
         self.cfg = config
-        self.graph = graph
-        self.accounts = accounts
-        self.company = company
-        self.topics = topics
-        self.cohorts = cohorts
-        self.plan = plan
-        self.playbook = playbook
-        self.rng = rng
+        self.world = world
+        self.graph = world.graph  # world parts that callers read off a run
+        self.roster_ids = world.roster_ids
+        self.accounts = world.accounts.copy()
+        self.company = CompanyState(security_posture=config.roster.security_posture,
+                                    page_followers=1000)
+        atk, dfn = config.attack, config.defense
+        self.cohorts = [agents.BotCohort(cohort_id, members, dfn.support_posting_rate
+                                         if cohort_id.startswith("defense")
+                                         else atk.bot_posting_rate)
+                        for cohort_id, members in world.cohort_members]
+        self.plan = attack.AttackPlan() if atk.enabled else None
+        self.playbook = defense.build_runtime(dfn) if dfn.enabled else None
+        self.rng = np.random.default_rng(world.engine_seed)
 
-        n = len(accounts)
-        if graph.n_nodes != n:
-            raise ValueError("graph and account table disagree on population size")
+        n = len(self.accounts)
         self.tick = 0
         self.topic: TargetTopic | None = None
         self.logistic_term: np.ndarray | None = None
@@ -256,13 +277,9 @@ class Simulation:
         self.activated_ever = np.zeros(n, dtype=bool)
         self.defender = np.zeros(n, dtype=bool)
         self.remaining = np.full(n, config.agents.max_posts_per_user, dtype=np.int64)
-        self.can_activate = np.isin(accounts.kind, ACTIVATABLE)
 
         self.author_counts_prev = np.zeros(n, dtype=np.int64)
         self.pool_prev = 0
-        self.roster_ids = np.array(company.roster.members, dtype=np.intp)
-        self.manager_ids = np.array(company.roster.managers, dtype=np.intp)
-        self.employee_ids = np.array(company.roster.employees, dtype=np.intp)
 
         self.history = SimHistory()
         self.post_log = PostLog()
@@ -270,7 +287,7 @@ class Simulation:
                                     high=config.contagion.stage_high)
         self.financial = analytics.FinancialProxy(base=config.analytics.value_base,
                                                   floor=config.analytics.value_floor)
-        self._prev_reputation = company.reputation
+        self._prev_reputation = self.company.reputation
 
         self.fire_point: int | None = None
         self.onset: int | None = None
@@ -278,7 +295,6 @@ class Simulation:
         self._below_eps_run = 0
         self.events: list[dict] = []
         self.watch_fire_point = True
-        self._seed_posters = list(seed_posters)
 
     # -- topic wiring --------------------------------------------------------
 
@@ -292,8 +308,8 @@ class Simulation:
         self.recurrence_multiplier = recurrence_multiplier
         # freshly selected topics reset the organic pool only in that users
         # who burned out on a previous topic stay out
-        if self._seed_posters:
-            idx = np.array(self._seed_posters, dtype=np.intp)
+        if self.world.seed_posters:
+            idx = np.array(self.world.seed_posters, dtype=np.intp)
             self.active[idx] = True
             self.activated_ever[idx] = True
 
@@ -330,6 +346,7 @@ class Simulation:
         t = self.tick
         cfg = self.cfg
         acc = self.accounts
+        world = self.world
         n = len(acc)
         topic = self.topic
         parts: list[tuple] = []  # (authors, valences, skinds, stargets, organic)
@@ -348,7 +365,7 @@ class Simulation:
             # each of last tick's authors pushes its post count along its
             # follower row; the counts are integers, so the float sums are
             # exact in any order
-            indptr, indices = self.graph.follower_csr()
+            indptr, indices = world.graph.follower_csr()
             prev = self.author_counts_prev
             pushers = prev.nonzero()[0]
             starts = indptr[pushers]
@@ -359,7 +376,7 @@ class Simulation:
                                    minlength=n)
             # never activated: by the invariant this also rules out the
             # active users, and phase 3's deactivations cannot change it
-            fresh = (self.can_activate & ~self.activated_ever).nonzero()[0]
+            fresh = (world.can_activate & ~self.activated_ever).nonzero()[0]
             if len(fresh):
                 p_trend = min(1.0, self.pool_prev / cfg.contagion.trend_saturation)
                 fresh_exposure = exposure[fresh] + self.rng.binomial(
@@ -370,7 +387,7 @@ class Simulation:
         if topic is not None:
             active_idx = self.active.nonzero()[0]
             if len(active_idx):
-                counts = self.rng.poisson(acc.posting_rate[active_idx])
+                counts = self.rng.poisson(cfg.agents.posting_rate, size=len(active_idx))
                 left = self.remaining[active_idx]
                 np.minimum(counts, left, out=counts)
                 left -= counts
@@ -440,7 +457,7 @@ class Simulation:
         negative = valences < 0.0
 
         # 4) worker stress from targeted mentions and ambient page negativity
-        roster = self.roster_ids
+        roster = world.roster_ids
         if len(roster):
             ag = cfg.agents
             if profile_n:
@@ -455,11 +472,11 @@ class Simulation:
                 gain *= self.severity
             acc.stress[roster] = agents.stress_step(
                 acc.stress[roster], mentions, ambient, ag, direct_gain=gain)
-            if ag.manager_transfer > 0.0 and len(self.manager_ids):
-                mgr_stress = acc.stress[self.manager_ids]
+            if ag.manager_transfer > 0.0 and len(world.manager_ids):
+                mgr_stress = acc.stress[world.manager_ids]
                 spill = ag.manager_transfer * float(
                     np.add.reduce(mgr_stress) / len(mgr_stress))
-                emp = self.employee_ids
+                emp = world.employee_ids
                 if len(emp):
                     acc.stress[emp] = np.clip(acc.stress[emp] + spill, 0.0, 1.0)
 
@@ -541,22 +558,22 @@ class Simulation:
     # -- counterfactual forking ----------------------------------------------
 
     def fork_bots_dormant(self) -> "Simulation":
-        """Clone the world with every cohort silenced and plans frozen.
+        """Clone the run with every cohort silenced and plans frozen.
 
-        Everything outside ``SHARED`` and the cohorts' read-only member
-        arrays is deep-copied, including an identically-positioned RNG, so
+        The config and the world, with every part it holds, are shared;
+        the rest is deep-copied, an identically-positioned RNG included, so
         stepping the fork never disturbs the parent run.  What makes it a
-        fork is set afresh, never copied.
+        fork is set afresh: the parent's cohorts replaced as dormant, no plan.
         """
-        memo = {id(obj): obj for obj in operator.attrgetter(*self.SHARED)(self)}
-        memo.update((id(c.members), c.members) for c in self.cohorts)
-        fresh = {"plan": None, "playbook": None, "post_log": PostLog(), "events": [],
-                 "watch_fire_point": False, "_seed_posters": []}
+        world = self.world
+        memo = {id(obj): obj for obj in (self.cfg, world, *vars(world).values())}
+        fresh = {"cohorts": [replace(c, mode=BotMode.DORMANT) for c in self.cohorts],
+                 "plan": None, "playbook": None, "post_log": PostLog(), "events": [],
+                 "watch_fire_point": False}
         fork = Simulation.__new__(Simulation)
         fork.__dict__ = copy.deepcopy(
             {k: v for k, v in vars(self).items() if k not in fresh}, memo)
         fork.__dict__.update(fresh)
-        fork.cohorts = [replace(c, mode=BotMode.DORMANT) for c in fork.cohorts]
         return fork
 
     def _sustains_without_bots(self, window: int, threshold: float) -> bool:

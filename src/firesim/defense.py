@@ -276,7 +276,7 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
         gain = int(cfg.dialogue_follower_gain)
         sim.company.page_followers += gain
         quota = int(round(cfg.dialogue_convert_fraction * gain))
-        eligible = np.flatnonzero(sim.can_activate & ~sim.defender)
+        eligible = np.flatnonzero(sim.world.can_activate & ~sim.defender)
         quota = min(quota, len(eligible))
         converted: list[int] = []
         if quota > 0:

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import attack, defense
-from .agents import BotCohort, BotMode, CompanyState, FailureClass, TargetTopic
-from .contagion import FirestormStage, Simulation
+from .agents import FailureClass, TargetTopic
+from .contagion import FirestormStage, Simulation, World
 from .defense import PastFirestorm, PolicyKind
 from .socialgraph import (AccountKind, AccountTable, build_roster,
                           generate_scale_free, overlay_company)
@@ -252,7 +252,8 @@ def _field_specs(cls) -> dict:
     return specs
 
 
-def _decode_section(cls, data, path: str):
+def _decode_section(cls, data, path: str, base=None):
+    """``cls`` from ``data``; left-out keys keep ``base``'s values, or the class defaults."""
     where = path or "config"
     if not isinstance(data, dict):
         raise _type_error(where, "a mapping", data)
@@ -262,22 +263,24 @@ def _decode_section(cls, data, path: str):
         raise ConfigError(
             f"{where}: unknown key '{unknown[0]}'; expected one of {sorted(specs)}")
     for name, (_, default) in specs.items():
-        if default is dataclasses.MISSING and name not in data:
+        if default is dataclasses.MISSING and name not in data and base is None:
             raise ConfigError(f"{where}: missing key '{name}'")
     kwargs = {}
     for name, value in data.items():
         tp, default = specs[name]
+        if base is not None:
+            default = getattr(base, name)
         kwargs[name] = _decode(tp, value, default, f"{path}.{name}" if path else name)
     try:
-        return cls(**kwargs)
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
 
 
 def _decode(tp, value, default, path: str):
     """Check ``value`` against the annotation ``tp``; return the field value."""
-    if dataclasses.is_dataclass(tp):
-        return _decode_section(tp, value, path)
+    if dataclasses.is_dataclass(tp):  # a section, or a list item without a default
+        return _decode_section(tp, value, path, default)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # X | None
         if value is None:
@@ -594,12 +597,15 @@ def expand_preset(name: str) -> ScenarioConfig:
 
 # -- wiring ------------------------------------------------------------------
 
-def build_simulation(config: ScenarioConfig) -> Simulation:
-    """Construct a ready-to-run engine from a validated config.
+def build_world(config: ScenarioConfig) -> World:
+    """Build the frozen world of ``config``'s seed: what no tick changes.
 
     The seed tree is spawned in a fixed order (graph, accounts, roster,
     bots, posters, engine) so that changing the bot cohort leaves the
     graph, the population, and the roster untouched for the same seed.
+    The cohorts the playbook names get their rows whether or not defense
+    is enabled (dormant rows without edges), so both arms of every
+    ``compare`` toggle name the same world.
     """
     validate_config(config)
     root = np.random.SeedSequence(config.run.seed)
@@ -608,23 +614,18 @@ def build_simulation(config: ScenarioConfig) -> Simulation:
     graph = generate_scale_free(config.graph.n, config.graph.m, ss_graph)
     accounts = AccountTable.real_users(
         config.graph.n, np.random.default_rng(ss_accounts),
-        posting_rate=config.agents.posting_rate,
         creation_min=config.run.user_creation_min,
         creation_max=config.run.user_creation_max)
     rng_roster = np.random.default_rng(ss_roster)
     roster = build_roster(
         graph, accounts, company_id=config.roster.company_id,
         employees=config.roster.employees, managers=config.roster.managers,
-        security_posture=config.roster.security_posture,
         manager_roles=config.roster.manager_roles, rng=rng_roster)
     overlay_company(graph, accounts, roster,
                     coworker_fraction=config.graph.coworker_fraction, rng=rng_roster)
-    company = CompanyState(roster=roster,
-                           security_posture=config.roster.security_posture,
-                           page_followers=1000)
 
     rng_bots = np.random.default_rng(ss_bots)
-    cohorts: list[BotCohort] = []
+    cohorts: list[tuple[str, list[int]]] = []
     if config.attack.enabled and config.attack.bots > 0:
         members = accounts.append_bots(
             config.attack.bots, creation_tick=-config.attack.bot_creation_age)
@@ -642,35 +643,17 @@ def build_simulation(config: ScenarioConfig) -> Simulation:
                 users.append(user)
             graph.add_edges(np.concatenate(users),
                             np.asarray(members)[np.concatenate(bots)])
-        cohorts.append(BotCohort(
-            cohort_id="attack-0", members=members,
-            posting_rate=config.attack.bot_posting_rate,
-            creation_tick=-config.attack.bot_creation_age))
+        cohorts.append(("attack-0", members))
 
-    playbook = None
-    if config.defense.enabled:
-        playbook = defense.build_runtime(config.defense)
-        policy_kinds = {spec.kind for spec in config.defense.playbook}
-        if PolicyKind.SUPPORTING_BOTS.value in policy_kinds and config.defense.prepared_bots > 0:
-            members = accounts.append_bots(
-                config.defense.prepared_bots,
-                creation_tick=-config.defense.support_creation_age)
-            graph.add_nodes(len(members))
-            cohorts.append(BotCohort(
-                cohort_id=defense.SUPPORT_COHORT_ID, members=members,
-                posting_rate=config.defense.support_posting_rate,
-                creation_tick=-config.defense.support_creation_age,
-                mode=BotMode.DORMANT))
-        if PolicyKind.PARTNER_ASSISTANCE.value in policy_kinds and config.defense.partner_defenders > 0:
-            members = accounts.append_bots(
-                config.defense.partner_defenders,
-                creation_tick=-config.defense.support_creation_age)
-            graph.add_nodes(len(members))
-            cohorts.append(BotCohort(
-                cohort_id=defense.PARTNER_COHORT_ID, members=members,
-                posting_rate=config.defense.support_posting_rate,
-                creation_tick=-config.defense.support_creation_age,
-                mode=BotMode.DORMANT))
+    d = config.defense
+    named = {spec.kind for spec in d.playbook}
+    for policy, count, cohort_id in (
+            (PolicyKind.SUPPORTING_BOTS, d.prepared_bots, defense.SUPPORT_COHORT_ID),
+            (PolicyKind.PARTNER_ASSISTANCE, d.partner_defenders, defense.PARTNER_COHORT_ID)):
+        if policy.value in named and count > 0:
+            members = accounts.append_bots(count, creation_tick=-d.support_creation_age)
+            graph.add_nodes(count)
+            cohorts.append((cohort_id, members))
 
     seed_posters: list[int] = []
     if config.run.initial_organic_posters > 0:
@@ -679,14 +662,13 @@ def build_simulation(config: ScenarioConfig) -> Simulation:
         picked = rng_posters.choice(pool, size=min(config.run.initial_organic_posters,
                                                    len(pool)), replace=False)
         seed_posters = sorted(int(i) for i in picked)
+    return World(graph, accounts, roster, cohorts, seed_posters, ss_engine)
 
-    plan = attack.AttackPlan() if config.attack.enabled else None
-    rng = np.random.default_rng(ss_engine)
-    sim = Simulation(
-        config=config, graph=graph, accounts=accounts, company=company,
-        topics=list(config.topics), cohorts=cohorts, plan=plan,
-        playbook=playbook, rng=rng, seed_posters=seed_posters)
-    if plan is None:
+
+def build_simulation(config: ScenarioConfig, world: World | None = None) -> Simulation:
+    """A ready-to-run engine for ``config`` on ``world`` (default: ``build_world(config)``)."""
+    sim = Simulation(validate_config(config), world or build_world(config))
+    if sim.plan is None:
         topic = attack.select_topic(list(config.topics), config.attack.class_weights)
         boost = defense.recurrence_boost(config.company_history, topic, 0,
                                          config.defense)
@@ -694,5 +676,6 @@ def build_simulation(config: ScenarioConfig) -> Simulation:
     return sim
 
 
-def build_from_seed(config: ScenarioConfig, seed: int) -> Simulation:
-    return build_simulation(replace(config, run=replace(config.run, seed=seed)))
+def build_from_seed(config: ScenarioConfig, seed: int,
+                    world: World | None = None) -> Simulation:
+    return build_simulation(replace(config, run=replace(config.run, seed=seed)), world)

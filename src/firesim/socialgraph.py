@@ -42,19 +42,21 @@ class AccountTable:
     employee or manager" invariant is checkable without a sidecar set.
     """
 
-    def __init__(self, kind, creation_tick, ocean, pride, stress, posting_rate):
+    COLUMNS = ("kind", "creation_tick", "ocean", "pride", "stress")
+    STATIC = COLUMNS[:-1]  # no tick writes these; ``freeze`` makes them read-only
+
+    def __init__(self, kind, creation_tick, ocean, pride, stress):
         self.kind = np.asarray(kind, dtype=np.int8)
         self.creation_tick = np.asarray(creation_tick, dtype=np.int64)
         self.ocean = np.asarray(ocean, dtype=np.float64)
         self.pride = np.asarray(pride, dtype=np.float64)
         self.stress = np.asarray(stress, dtype=np.float64)
-        self.posting_rate = np.asarray(posting_rate, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.kind)
 
     @classmethod
-    def real_users(cls, n: int, rng: np.random.Generator, *, posting_rate: float,
+    def real_users(cls, n: int, rng: np.random.Generator, *,
                    creation_min: int, creation_max: int) -> "AccountTable":
         """Aged organic users with uniform OCEAN traits."""
         if creation_min > creation_max:
@@ -66,7 +68,6 @@ class AccountTable:
             ocean=rng.random((n, 5)),
             pride=np.full(n, np.nan),
             stress=np.zeros(n),
-            posting_rate=np.full(n, float(posting_rate)),
         )
 
     def append_bots(self, count: int, *, creation_tick: int) -> list[AccountId]:
@@ -78,14 +79,18 @@ class AccountTable:
         self.ocean = np.vstack([self.ocean, np.full((count, 5), 0.5)])
         self.pride = np.concatenate([self.pride, np.full(count, np.nan)])
         self.stress = np.concatenate([self.stress, np.zeros(count)])
-        self.posting_rate = np.concatenate([self.posting_rate, np.zeros(count)])
         return list(range(start, start + count))
 
+    def freeze(self) -> "AccountTable":
+        """Make the static columns read-only; copies share them from then on."""
+        for name in self.STATIC:
+            getattr(self, name).flags.writeable = False
+        return self
+
     def copy(self) -> "AccountTable":
-        return AccountTable(
-            self.kind.copy(), self.creation_tick.copy(), self.ocean.copy(),
-            self.pride.copy(), self.stress.copy(), self.posting_rate.copy(),
-        )
+        """A table of its own: read-only columns are shared, writable ones copied."""
+        columns = (getattr(self, name) for name in self.COLUMNS)
+        return AccountTable(*(c.copy() if c.flags.writeable else c for c in columns))
 
     def __deepcopy__(self, memo) -> "AccountTable":
         return self.copy()
@@ -99,15 +104,12 @@ class CompanyRoster:
     employees: list[AccountId] = field(default_factory=list)
     managers: list[AccountId] = field(default_factory=list)
     manager_roles: dict[AccountId, str] = field(default_factory=dict)
-    security_posture: float = 0.9
 
     @property
     def members(self) -> list[AccountId]:
         return sorted(self.employees + self.managers)
 
     def __post_init__(self):
-        if not 0.0 <= self.security_posture <= 1.0:
-            raise GraphError("security_posture must lie in [0, 1]")
         dup = set(self.employees) & set(self.managers)
         if dup:
             raise GraphError(f"accounts cannot be both employee and manager: {sorted(dup)}")
@@ -122,8 +124,8 @@ class SocialGraph:
 
     def __init__(self):
         self._n = 0
-        self._indptr = _read_only(np.zeros(1, dtype=np.intp))
-        self._indices = _read_only(np.empty(0, dtype=np.intp))
+        self._indptr = read_only(np.zeros(1, dtype=np.intp))
+        self._indices = read_only(np.empty(0, dtype=np.intp))
 
     # -- structure ---------------------------------------------------------
 
@@ -140,7 +142,7 @@ class SocialGraph:
             raise GraphError("node count must be non-negative")
         start = self._n
         self._n += count
-        self._indptr = _read_only(np.concatenate(
+        self._indptr = read_only(np.concatenate(
             [self._indptr, np.full(count, self._indptr[-1], dtype=np.intp)]))
         return list(range(start, start + count))
 
@@ -173,10 +175,10 @@ class SocialGraph:
         if not len(follower):
             return 0
         # a key's insertion point in the sorted keys is its place in indices
-        self._indices = _read_only(np.insert(self._indices, at[fresh], follower))
+        self._indices = read_only(np.insert(self._indices, at[fresh], follower))
         added = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(followee, minlength=n), out=added[1:])
-        self._indptr = _read_only(self._indptr + added)
+        self._indptr = read_only(self._indptr + added)
         return len(follower)
 
     def follower_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +194,7 @@ class SocialGraph:
         return np.diff(self._indptr).astype(np.int64)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
@@ -323,8 +325,8 @@ def _resolve_chunk(idx: np.ndarray, a: int, m0: int, clique_pool: np.ndarray,
 
 
 def build_roster(graph: SocialGraph, accounts: AccountTable, *, company_id: str,
-                 employees: int, managers: int, security_posture: float,
-                 manager_roles: tuple[str, ...], rng: np.random.Generator) -> CompanyRoster:
+                 employees: int, managers: int, manager_roles: tuple[str, ...],
+                 rng: np.random.Generator) -> CompanyRoster:
     """Pick roster members among existing untagged real users."""
     total = employees + managers
     if total > graph.n_nodes:
@@ -343,7 +345,6 @@ def build_roster(graph: SocialGraph, accounts: AccountTable, *, company_id: str,
         employees=employee_ids,
         managers=manager_ids,
         manager_roles=roles,
-        security_posture=security_posture,
     )
 
 

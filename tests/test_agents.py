@@ -11,7 +11,6 @@ from firesim.agents import (BotCohort, BotMode, CompanyState, FailureClass,
                             draw_organic_valence, procedure_compliance,
                             saturate, stress_step, susceptibility_terms)
 from firesim.scenario import AgentConfig, build_from_seed, config_from_dict
-from firesim.socialgraph import CompanyRoster
 
 
 def _topic(severity=0.8, appeal=(0.5, 0.4, 0.6, 0.5, 0.7)):
@@ -85,8 +84,7 @@ def test_stress_step_is_pure():
 
 def test_procedure_compliance_oracle():
     cfg = AgentConfig(stress_compliance_weight=0.6)
-    roster = CompanyRoster(company_id="co")
-    company = CompanyState(roster=roster, security_posture=0.9)
+    company = CompanyState(security_posture=0.9)
     assert procedure_compliance(0.0, company, cfg) == pytest.approx(0.9)
     assert procedure_compliance(0.5, company, cfg) == pytest.approx(0.63)
 
@@ -128,7 +126,7 @@ def _exposed_world():
 
 def test_activation_needs_exposure():
     sim, exposure = _exposed_world()
-    eligible = sim.can_activate & (sim.remaining > 0)
+    eligible = sim.world.can_activate & (sim.remaining > 0)
     assert np.any(eligible & (exposure == 0))
     sim.step()
     activated = np.flatnonzero(sim.activated_ever)
@@ -139,7 +137,7 @@ def test_activation_needs_exposure():
 
 def test_activation_rate_matches_probability():
     sim, exposure = _exposed_world()
-    eligible = sim.can_activate & (sim.remaining > 0)
+    eligible = sim.world.can_activate & (sim.remaining > 0)
     p = np.where(eligible, activation_probability(sim.susceptibilities(), exposure), 0.0)
     sim.step()
     activated = int(sim.activated_ever.sum())
@@ -165,7 +163,7 @@ def test_fresh_activations_post_organic_fields():
 
 def _cohort(n=30, mode=BotMode.ATTACK, **kw):
     return BotCohort(cohort_id="attack-0", members=list(range(100, 100 + n)),
-                     posting_rate=1.0, creation_tick=-48, mode=mode, **kw)
+                     posting_rate=1.0, mode=mode, **kw)
 
 
 def test_cohort_members_are_one_read_only_intp_array():

@@ -82,7 +82,7 @@ def test_select_topic_tie_breaks_on_id():
 
 def test_retarget_bots_sets_ramp():
     cohort = firesim.BotCohort(cohort_id="attack-0", members=[5, 6], posting_rate=1.0,
-                               creation_tick=-48, mode=BotMode.ATTACK)
+                               mode=BotMode.ATTACK)
     assert retarget_bots(cohort, [1, 2, 3], ramp=12, start_tick=30) is True
     assert cohort.retarget_targets == (1, 2, 3)
     assert cohort.retarget_start == 30 and cohort.retarget_ramp == 12
@@ -91,7 +91,7 @@ def test_retarget_bots_sets_ramp():
 
 def test_flip_bots_converts_in_ceil_steps():
     cohort = firesim.BotCohort(cohort_id="attack-0", members=list(range(95)),
-                               posting_rate=1.0, creation_tick=-48, mode=BotMode.ATTACK)
+                               posting_rate=1.0, mode=BotMode.ATTACK)
     steps = 0
     while cohort.mode is not BotMode.DEFEND:
         flip_bots(cohort, 0.1)
@@ -104,7 +104,7 @@ def test_flip_bots_converts_in_ceil_steps():
 @pytest.mark.parametrize("fraction", [0.0, -0.2, 1.5])
 def test_flip_bots_rejects_bad_fraction(fraction):
     cohort = firesim.BotCohort(cohort_id="attack-0", members=[1], posting_rate=1.0,
-                               creation_tick=-48, mode=BotMode.ATTACK)
+                               mode=BotMode.ATTACK)
     with pytest.raises(ValueError):
         flip_bots(cohort, fraction)
 
@@ -196,6 +196,7 @@ def test_insider_threat_needs_disgruntled_candidates():
     assert out.probability == 0.0 and not out.success
     # stressed and unproud: p scales with candidate count, capped at 1
     sim.accounts.stress[roster] = 0.9
+    sim.accounts.pride = sim.accounts.pride.copy()  # the world's column is read-only
     sim.accounts.pride[roster] = 0.1
     out = execute_action(ActionKind.INSIDER_THREAT, sim, rng, cfg.attack)
     expected = min(1.0, cfg.attack.insider_rate_per_candidate * len(roster))
@@ -251,7 +252,7 @@ def test_target_identification_happens_at_fire_point(default_cfg):
     entries = dict(sim.plan.stage_entries)
     assert entries["target_identification"] == sim.fire_point
     assert len(sim.plan.targets) == default_cfg.attack.retarget_top_k
-    roster = set(sim.company.roster.members)
+    roster = set(sim.world.roster.members)
     assert set(sim.plan.targets) <= roster
 
 

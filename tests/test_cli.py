@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from firesim import cli
+from firesim import cli, scenario
 from firesim.analytics import load_sentiment_summaries
 from firesim.scenario import ConfigError, config_from_dict, dumps_config
 
@@ -267,6 +267,19 @@ def test_compare_summary_structure(tmp_path, capsys):
     assert summary["positive"] == 2 and summary["negative"] == 0
     assert set(summary) >= {"mean", "ci95_low", "ci95_high", "n",
                             "positive", "negative", "ties", "p_greater", "p_less"}
+
+
+def test_compare_builds_one_world_per_seed(monkeypatch):
+    """Both arms of a pair run on the world their seed builds once."""
+    built = []
+    generate = scenario.generate_scale_free
+    monkeypatch.setattr(scenario, "generate_scale_free",
+                        lambda *args: built.append(args) or generate(*args))
+    cfg = config_from_dict({"graph": {"n": 300}, "attack": {"bots": 60},
+                            "run": {"ticks": 40}})
+    payload = cli.compare_toggle(cfg, "defense_playbook", [0, 1], parallelism=1)
+    assert len(payload["pairs"]) == 2 and payload["errors"] == []
+    assert len(built) == 2
 
 
 def test_unknown_toggle_rejected_by_parser(tmp_path, capsys):

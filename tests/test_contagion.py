@@ -6,8 +6,10 @@ import pytest
 
 from firesim.agents import BotMode
 from firesim.contagion import (HISTORY_COLUMNS, FirestormStage, SimHistory,
-                               Simulation, StageTracker, regulator_visibility)
+                               Simulation, StageTracker, World,
+                               regulator_visibility)
 from firesim.scenario import build_from_seed, default_config, expand_preset
+from firesim.socialgraph import AccountTable
 
 # -- offline oracles of the online detectors -----------------------------------
 
@@ -205,7 +207,22 @@ def _same(a, b) -> bool:
 _IMMUTABLE = (type(None), bool, int, float, str, Enum, tuple, frozenset)
 # What makes a fork a fork; every other attribute must equal the parent's.
 _FORK_OVERRIDES = {"cohorts", "plan", "playbook", "post_log", "events",
-                   "watch_fire_point", "_seed_posters"}
+                   "watch_fire_point"}
+
+
+def _arrays(obj, found: dict) -> dict:
+    """Every array reachable from ``obj`` (by id), not looking into a world."""
+    if isinstance(obj, np.ndarray):
+        found[id(obj)] = obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _arrays(item, found)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _arrays(item, found)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, (World, Enum, type)):
+        _arrays(vars(obj), found)
+    return found
 
 
 def test_fork_copies_every_attribute_except_the_overrides(default_cfg):
@@ -217,23 +234,31 @@ def test_fork_copies_every_attribute_except_the_overrides(default_cfg):
     fork = sim.fork_bots_dormant()
 
     assert vars(fork).keys() == vars(sim).keys()
-    shared = {name for name in Simulation.SHARED if "." not in name}
+    assert fork.world is sim.world and fork.cfg is sim.cfg
+    for name in AccountTable.STATIC:
+        assert getattr(fork.accounts, name) is getattr(sim.world.accounts, name)
+    world_parts = [sim.cfg, sim.world, *vars(sim.world).values()]
     for name, value in vars(sim).items():
         if name in _FORK_OVERRIDES:
             continue
-        assert _same(getattr(fork, name), value), name
-        if name in shared:
+        if any(value is part for part in world_parts):
             assert getattr(fork, name) is value, name
-        elif not isinstance(value, _IMMUTABLE):
+            continue
+        assert _same(getattr(fork, name), value), name
+        if not isinstance(value, _IMMUTABLE):
             assert getattr(fork, name) is not value, name
-    assert fork.company.roster is sim.company.roster
     assert fork.company.integrity_compromised
+
+    ours, theirs = _arrays(vars(sim), {}), _arrays(vars(fork), {})
+    shared = ours.keys() & theirs.keys()
+    assert len(ours) > 10 and shared  # the static columns and cohort members
+    assert [ours[i] for i in shared if ours[i].flags.writeable] == []
 
     assert fork.cohorts == [replace(c, mode=BotMode.DORMANT) for c in sim.cohorts]
     assert all(f is not c for f, c in zip(fork.cohorts, sim.cohorts))
     assert fork.plan is None and fork.playbook is None
     assert fork.post_log.ticks == [] and fork.events == []
-    assert not fork.watch_fire_point and fork._seed_posters == []
+    assert not fork.watch_fire_point
 
 
 def test_fork_shares_the_read_only_cohort_members(default_cfg):

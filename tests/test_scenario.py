@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from firesim import scenario
+from firesim.analytics import run_outcome
+from firesim.cli import TOGGLES
 from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
                               STAGE_NAMES, ConfigError, PRESETS, build_from_seed,
-                              config_from_dict, default_config, dumps_config,
-                              expand_preset, load_config, loads_config,
-                              validate_config)
+                              build_simulation, build_world, config_from_dict,
+                              default_config, dumps_config, expand_preset,
+                              load_config, loads_config, validate_config)
+from firesim.socialgraph import AccountTable
 
 
 def test_empty_text_means_defaults():
@@ -51,6 +54,15 @@ def test_partial_override_keeps_other_defaults():
     cfg = config_from_dict({"graph": {"n": 50, "m": 2}})
     assert cfg.graph.n == 50 and cfg.graph.m == 2
     assert cfg.attack == default_config().attack
+
+
+def test_nested_partial_override_keeps_the_field_default():
+    """A partial ``attack.service`` keeps the service's own terms, not the
+    ``RansomConfig`` class defaults that ``attack.ransom`` uses."""
+    cfg = config_from_dict({"attack": {"service": {"amount": 1000.0}}})
+    assert cfg.attack.service == replace(default_config().attack.service, amount=1000.0)
+    assert (cfg.attack.service.base_willingness, cfg.attack.service.reliability) == (0.5, 0.9)
+    assert cfg.attack.ransom == default_config().attack.ransom
 
 
 def test_type_errors_are_strict():
@@ -124,8 +136,8 @@ def test_same_seed_world_is_invariant_to_bot_count():
     np.testing.assert_array_equal(small.accounts.ocean[:n], big.accounts.ocean[:n])
     np.testing.assert_array_equal(small.accounts.creation_tick[:n],
                                   big.accounts.creation_tick[:n])
-    assert small.company.roster.members == big.company.roster.members
-    assert small._seed_posters == big._seed_posters
+    assert small.world.roster == big.world.roster
+    assert small.world.seed_posters == big.world.seed_posters
 
     def organic_edges(graph):
         indptr, indices = graph.follower_csr()
@@ -151,6 +163,62 @@ def test_bot_follower_coins_in_blocks_give_the_same_edges(monkeypatch, rows):
     assert indptr[bots[-1] + 1] - indptr[bots[0]] > 0  # bots have followers
     for ours, theirs in zip(blocked.graph.follower_csr(), (indptr, indices)):
         np.testing.assert_array_equal(ours, theirs)
+
+
+def _assert_same_world(a, b):
+    assert set(vars(a)) == {"graph", "accounts", "roster", "roster_ids", "manager_ids",
+                            "employee_ids", "can_activate", "cohort_members",
+                            "seed_posters", "engine_seed"}
+    for ours, theirs in zip(a.graph.follower_csr(), b.graph.follower_csr()):
+        np.testing.assert_array_equal(ours, theirs)
+    for name in AccountTable.COLUMNS:
+        np.testing.assert_array_equal(getattr(a.accounts, name), getattr(b.accounts, name))
+    assert a.roster == b.roster
+    for name in ("roster_ids", "manager_ids", "employee_ids", "can_activate"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert ([(cid, m.tolist()) for cid, m in a.cohort_members]
+            == [(cid, m.tolist()) for cid, m in b.cohort_members])
+    assert a.seed_posters == b.seed_posters
+    assert (a.engine_seed.generate_state(4).tolist()
+            == b.engine_seed.generate_state(4).tolist())
+
+
+@pytest.mark.parametrize("preset", [None, "defended_baseline"])
+@pytest.mark.parametrize("toggle", sorted(TOGGLES))
+def test_both_arms_of_every_toggle_build_the_same_world(preset, toggle):
+    cfg = expand_preset(preset) if preset else default_config()
+    on_fn, off_fn = TOGGLES[toggle]
+    for seed in range(3):
+        on, off = (build_world(replace(f(cfg), run=replace(cfg.run, seed=seed)))
+                   for f in (on_fn, off_fn))
+        _assert_same_world(on, off)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dormant_playbook_rows_change_no_output(seed):
+    """``defended_baseline`` with defense disabled gives the same run whether
+    its playbook, and so the support cohort's rows, is kept or dropped."""
+    cfg = expand_preset("defended_baseline")
+    kept = replace(cfg, defense=replace(cfg.defense, enabled=False))
+    dropped = replace(kept, defense=replace(kept.defense, playbook=()))
+    runs = [build_from_seed(c, seed).run(c.run.ticks) for c in (kept, dropped)]
+    assert len(runs[0].accounts) == len(runs[1].accounts) + cfg.defense.prepared_bots
+    assert runs[0].history.to_csv_text() == runs[1].history.to_csv_text()
+    assert run_outcome(runs[0]) == run_outcome(runs[1])
+
+
+def test_world_columns_are_read_only():
+    world = build_world(expand_preset("defended_baseline"))
+    frozen = [getattr(world.accounts, name) for name in AccountTable.STATIC]
+    frozen += [world.roster_ids, world.manager_ids, world.employee_ids,
+               world.can_activate, *world.graph.follower_csr(),
+               *(members for _, members in world.cohort_members)]
+    for column in frozen:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[0]
+    sim = build_simulation(expand_preset("defended_baseline"), world)
+    sim.accounts.stress[sim.roster_ids] = 0.5  # a run writes only its own stress
+    assert not world.accounts.stress.any()
 
 
 def test_run_seed_field_feeds_build():

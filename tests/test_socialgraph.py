@@ -120,8 +120,7 @@ def test_follower_csr_rows_match_followers_after_overlay():
     g = generate_scale_free(300, 3, seed=5)
     accounts = _table(300)
     roster = build_roster(g, accounts, company_id="acme", employees=12, managers=3,
-                          security_posture=0.9, manager_roles=("ceo",),
-                          rng=np.random.default_rng(1))
+                          manager_roles=("ceo",), rng=np.random.default_rng(1))
     g.follower_csr()  # cached before the overlay adds coworker edges
     overlay_company(g, accounts, roster, coworker_fraction=0.5,
                     rng=np.random.default_rng(2))
@@ -130,8 +129,7 @@ def test_follower_csr_rows_match_followers_after_overlay():
 
 def _table(n, seed=0):
     rng = np.random.default_rng(seed)
-    return AccountTable.real_users(n, rng, posting_rate=0.35,
-                                   creation_min=-20000, creation_max=-2000)
+    return AccountTable.real_users(n, rng, creation_min=-20000, creation_max=-2000)
 
 
 def test_real_users_shape_and_ranges():
@@ -150,7 +148,7 @@ def test_append_bots_block():
     assert ids == list(range(10, 15))
     assert np.all(t.kind[10:] == AccountKind.BOT)
     assert np.all(t.creation_tick[10:] == -48)
-    assert np.all(t.posting_rate[10:] == 0.0)
+    assert np.all(np.isnan(t.pride[10:])) and np.all(t.stress[10:] == 0.0)
 
 
 def test_roster_pick_then_overlay_tags():
@@ -158,8 +156,7 @@ def test_roster_pick_then_overlay_tags():
     t = _table(200, seed=5)
     rng = np.random.default_rng(9)
     roster = build_roster(g, t, company_id="co", employees=12, managers=3,
-                          security_posture=0.9, manager_roles=("ceo", "cco", "ciso"),
-                          rng=rng)
+                          manager_roles=("ceo", "cco", "ciso"), rng=rng)
     assert len(roster.employees) == 12 and len(roster.managers) == 3
     assert set(roster.manager_roles.values()) == {"ceo", "cco", "ciso"}
     members = roster.members
@@ -184,8 +181,7 @@ def test_identify_human_targets_prefers_connected_stressed():
     t = _table(120, seed=2)
     rng = np.random.default_rng(4)
     roster = build_roster(g, t, company_id="co", employees=10, managers=3,
-                          security_posture=0.9, manager_roles=("ceo", "cco", "ciso"),
-                          rng=rng)
+                          manager_roles=("ceo", "cco", "ciso"), rng=rng)
     targets = identify_human_targets(g, t, roster, 5, (0.4, 0.4, 0.2))
     assert len(targets) == 5
     assert set(targets) <= set(roster.members)
@@ -313,8 +309,7 @@ def test_overlay_matches_the_scalar_coin_loop():
     ref, _ = _set_scale_free(300, 3, 5)
     accounts, ref_accounts = _table(300), _table(300)
     roster = build_roster(g, accounts, company_id="acme", employees=14, managers=4,
-                          security_posture=0.9, manager_roles=("ceo",),
-                          rng=np.random.default_rng(1))
+                          manager_roles=("ceo",), rng=np.random.default_rng(1))
     overlay_company(g, accounts, roster, coworker_fraction=0.4,
                     rng=np.random.default_rng(2))
     _set_overlay(ref, ref_accounts, roster, 0.4, np.random.default_rng(2))
@@ -334,15 +329,13 @@ def test_built_world_graph_matches_the_edge_set_build(seed):
     ref, _ = _set_scale_free(cfg.graph.n, cfg.graph.m, ss_graph)
     accounts = AccountTable.real_users(
         cfg.graph.n, np.random.default_rng(ss_accounts),
-        posting_rate=cfg.agents.posting_rate, creation_min=cfg.run.user_creation_min,
-        creation_max=cfg.run.user_creation_max)
+        creation_min=cfg.run.user_creation_min, creation_max=cfg.run.user_creation_max)
     rng_roster = np.random.default_rng(ss_roster)
     r = cfg.roster
     nodes = SocialGraph()  # build_roster reads only the node count
     nodes.add_nodes(cfg.graph.n)
     roster = build_roster(nodes, accounts, company_id=r.company_id, employees=r.employees,
-                          managers=r.managers, security_posture=r.security_posture,
-                          manager_roles=r.manager_roles, rng=rng_roster)
+                          managers=r.managers, manager_roles=r.manager_roles, rng=rng_roster)
     _set_overlay(ref, accounts, roster, cfg.graph.coworker_fraction, rng_roster)
     rng_bots = np.random.default_rng(ss_bots)
     ref.add_nodes(cfg.attack.bots)
@@ -350,7 +343,7 @@ def test_built_world_graph_matches_the_edge_set_build(seed):
         mask = rng_bots.random(cfg.graph.n) < cfg.graph.bot_follower_fraction
         for user in np.flatnonzero(mask):
             ref.add_edge(int(user), bot)
-    assert roster.members == sim.company.roster.members
+    assert roster.members == sim.world.roster.members
     _assert_same_graph(sim.graph, ref)
 
 
