@@ -32,6 +32,9 @@ EXIT_RUN = 4
 
 OUT_ROOT_ENV = "FIRESIM_OUT_ROOT"
 
+# The most seeds one --seeds range may name, checked before the list is built.
+MAX_SEEDS = 1_000_000
+
 
 def _default_out(command: str) -> Path:
     root = os.environ.get(OUT_ROOT_ENV, "firesim-out")
@@ -67,6 +70,8 @@ def _parse_seed_range(spec: str) -> list[int]:
         raise ConfigError(f"--seeds range {spec!r} has a negative seed")
     if hi < lo:
         raise ConfigError(f"--seeds range {spec!r} is empty (end before start)")
+    if hi - lo + 1 > MAX_SEEDS:
+        raise ConfigError(f"--seeds range {spec!r} names {hi - lo + 1} seeds; at most {MAX_SEEDS}")
     return list(range(lo, hi + 1))
 
 

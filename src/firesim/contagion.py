@@ -218,11 +218,12 @@ class World:
     and shared by reference by every run on it: both arms of a ``compare``
     pair and every fire-point fork.  Its arrays are read-only, the account
     table's static columns included; a run copies the writable ``stress``.
+    ``key`` maps the path of each config value it was built from to the value.
     """
 
     def __init__(self, graph: SocialGraph, accounts: AccountTable, roster: CompanyRoster,
                  cohort_members: Sequence[tuple[str, Sequence[int]]],
-                 seed_posters: Sequence[int], engine_seed: np.random.SeedSequence):
+                 seed_posters: Sequence[int], engine_seed: np.random.SeedSequence, key: dict):
         if graph.n_nodes != len(accounts):
             raise ValueError("graph and account table disagree on population size")
         self.graph = graph
@@ -237,6 +238,7 @@ class World:
                                     for cohort_id, members in cohort_members)
         self.seed_posters = tuple(seed_posters)
         self.engine_seed = engine_seed
+        self.key = key
 
 
 class Simulation:

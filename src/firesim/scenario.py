@@ -1,9 +1,9 @@
 """Scenario configuration: schema, strict loading, presets, and sim wiring.
 
 Every free parameter in the package lives here as a frozen dataclass
-field with its default.  Loading is strict: unknown keys and out-of-range
-values are errors naming the offending field, so a typo cannot silently
-change a Monte Carlo batch.  ``build_simulation`` turns a validated
+field with its default and, in its metadata, its own bound.  Loading is
+strict: unknown keys and out-of-range values are errors naming the
+offending field, so a typo cannot silently change a Monte Carlo batch.  ``build_simulation`` turns a validated
 config into a ready engine with a fully deterministic seed tree.
 """
 
@@ -45,159 +45,209 @@ BOT_COIN_BLOCK_ROWS = 16
 # and it keeps a tick's post arrays (and numpy's Poisson mean) bounded.
 MAX_POSTING_RATE = 60.0
 
+# Ticks a fire-point fork may run (a week of hourly ticks): the watch forks
+# at most once per tick, so a run takes at most ticks * this many fork steps.
+MAX_FIRE_WINDOW = 168
+
+
+# -- single-field rules -------------------------------------------------------
+# A field's rule sits in its metadata; ``_check_fields`` applies them all.
+
+@dataclass(frozen=True)
+class Bound:
+    """The numeric rule ``lo <= value <= hi``: a ``None`` end is unbounded,
+    an open end strict.  Outside every bound but ``Bound()`` lies NaN."""
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __contains__(self, value) -> bool:
+        return ((self.lo is None or (value > self.lo if self.lo_open else value >= self.lo))
+                and (self.hi is None or (value < self.hi if self.hi_open else value <= self.hi)))
+
+    def __str__(self) -> str:
+        if self.hi is None:
+            return f"must be {'>' if self.lo_open else '>='} {self.lo}"
+        if self.lo is None:
+            return f"must be {'<' if self.hi_open else '<='} {self.hi}"
+        return (f"must lie in {'(' if self.lo_open else '['}{self.lo}, "
+                f"{self.hi}{')' if self.hi_open else ']'}")
+
+
+@dataclass(frozen=True)
+class Keys:
+    """The rule of a mapping: its keys are among ``names`` (all of them if
+    ``exact``) and each of its values lies in ``value``."""
+    names: tuple[str, ...]
+    value: Bound
+    exact: bool = False
+
+
+NON_NEGATIVE, POSITIVE, AT_LEAST_1, UNIT = Bound(0), Bound(0, lo_open=True), Bound(1), Bound(0, 1)
+
+
+def _rule(rule, default=dataclasses.MISSING, **kwargs):
+    """A config field with ``rule``: a ``Bound`` (of each item, for a tuple),
+    a ``Keys``, or a tuple of the names it may take."""
+    return field(default=default, metadata={"rule": rule}, **kwargs)
+
 
 @dataclass(frozen=True)
 class GraphConfig:
-    n: int = 1000
-    m: int = 3
-    coworker_fraction: float = 0.3
+    n: int = _rule(AT_LEAST_1, 1000)
+    m: int = _rule(AT_LEAST_1, 3)
+    coworker_fraction: float = _rule(UNIT, 0.3)
     # bots reach users through trending by default; >0 wires follow edges
-    bot_follower_fraction: float = 0.0
+    bot_follower_fraction: float = _rule(UNIT, 0.0)
 
 
 @dataclass(frozen=True)
 class RosterConfig:
     company_id: str = "company-0"
-    employees: int = 24
-    managers: int = 6
+    employees: int = _rule(NON_NEGATIVE, 24)
+    managers: int = _rule(NON_NEGATIVE, 6)
     manager_roles: tuple[str, ...] = ("ceo", "cco", "ciso")
-    security_posture: float = 0.9
+    security_posture: float = _rule(UNIT, 0.9)
 
 
 @dataclass(frozen=True)
 class AgentConfig:
-    beta: float = 10.0
-    theta: float = 0.7
-    posting_rate: float = 0.35
-    max_posts_per_user: int = 6
-    organic_company_page_fraction: float = 0.3
-    base_negative_weight: float = 0.7
-    class_multipliers: dict[str, float] = field(default_factory=lambda: {
-        "social": 1.1, "communication": 0.9, "product_service": 1.0})
-    stress_decay: float = 0.08
+    beta: float = _rule(POSITIVE, 10.0)
+    theta: float = _rule(UNIT, 0.7)
+    posting_rate: float = _rule(Bound(0, MAX_POSTING_RATE, lo_open=True), 0.35)
+    max_posts_per_user: int = _rule(AT_LEAST_1, 6)
+    organic_company_page_fraction: float = _rule(UNIT, 0.3)
+    base_negative_weight: float = _rule(UNIT, 0.7)
+    class_multipliers: dict[str, float] = _rule(
+        Keys(FAILURE_CLASS_NAMES, NON_NEGATIVE, exact=True), default_factory=lambda: {
+            "social": 1.1, "communication": 0.9, "product_service": 1.0})
+    stress_decay: float = _rule(UNIT, 0.08)
     gamma_direct: float = 0.3
-    gamma_ambient: float = 0.01
-    half_saturation: float = 10.0
-    stress_compliance_weight: float = 0.6
+    gamma_ambient: float = _rule(NON_NEGATIVE, 0.01)
+    half_saturation: float = _rule(POSITIVE, 10.0)
+    stress_compliance_weight: float = _rule(UNIT, 0.6)
     severity_scales_direct_gain: bool = True
-    manager_transfer: float = 0.0
+    manager_transfer: float = _rule(UNIT, 0.0)
 
 
 @dataclass(frozen=True)
 class ContagionConfig:
-    trend_samples: int = 4
-    trend_saturation: float = 1200.0
+    trend_samples: int = _rule(NON_NEGATIVE, 4)
+    trend_saturation: float = _rule(POSITIVE, 1200.0)
     fire_threshold: float = 15.0
-    fire_window: int = 12
-    extinguish_eps: float = 2.0
-    extinguish_window: int = 12
-    stage_low: float = 5.0
+    fire_window: int = _rule(Bound(1, MAX_FIRE_WINDOW), 12)
+    extinguish_eps: float = _rule(POSITIVE, 2.0)
+    extinguish_window: int = _rule(AT_LEAST_1, 12)
+    stage_low: float = _rule(NON_NEGATIVE, 5.0)
     stage_high: float = 40.0
-    smoothing_window: int = 12
+    smoothing_window: int = _rule(AT_LEAST_1, 12)
 
 
 @dataclass(frozen=True)
 class RansomConfig:
-    amount: float = 150000.0
-    base_willingness: float = 0.6
-    amount_scale: float = 200000.0
-    reliability: float = 0.8
-    force_outcome: str | None = None  # None | "pay" | "refuse"
+    amount: float = _rule(POSITIVE, 150000.0)
+    base_willingness: float = _rule(UNIT, 0.6)
+    amount_scale: float = _rule(POSITIVE, 200000.0)
+    reliability: float = _rule(UNIT, 0.8)
+    force_outcome: str | None = _rule(("pay", "refuse"), None)
 
 
 @dataclass(frozen=True)
 class AttackConfig:
     enabled: bool = True
-    bots: int = 200
-    bot_posting_rate: float = 1.0
-    bot_creation_age: int = 48
-    valence_noise: float = 0.2
-    class_weights: dict[str, float] = field(default_factory=lambda: {
-        "social": 1.0, "communication": 1.0, "product_service": 1.0})
-    spread_patience: int = 72
-    campaign_budget: int = 96
+    bots: int = _rule(NON_NEGATIVE, 200)
+    bot_posting_rate: float = _rule(Bound(0, MAX_POSTING_RATE), 1.0)
+    bot_creation_age: int = _rule(NON_NEGATIVE, 48)
+    valence_noise: float = _rule(UNIT, 0.2)
+    class_weights: dict[str, float] = _rule(
+        Keys(FAILURE_CLASS_NAMES, Bound(), exact=True), default_factory=lambda: {
+            "social": 1.0, "communication": 1.0, "product_service": 1.0})
+    spread_patience: int = _rule(AT_LEAST_1, 72)
+    campaign_budget: int = _rule(AT_LEAST_1, 96)
     worker_focus_enabled: bool = True
-    retarget_ramp: int = 12
-    retarget_top_k: int = 12
-    target_weights: tuple[float, float, float] = (0.4, 0.4, 0.2)
-    stress_open_threshold: float = 0.35
-    final_action: str = "human_error_exploit"
-    action_probabilities: dict[str, float] = field(default_factory=lambda: {
+    retarget_ramp: int = _rule(NON_NEGATIVE, 12)
+    retarget_top_k: int = _rule(AT_LEAST_1, 12)
+    target_weights: tuple[float, float, float] = _rule(NON_NEGATIVE, (0.4, 0.4, 0.2))
+    stress_open_threshold: float = _rule(UNIT, 0.35)
+    final_action: str = _rule(ACTION_NAMES, "human_error_exploit")
+    action_probabilities: dict[str, float] = _rule(Keys(ACTION_NAMES, UNIT), default_factory=lambda: {
         "dos": 0.9, "physical_action": 0.7, "offering_help": 0.35})
-    reputation_shocks: dict[str, float] = field(default_factory=lambda: {
+    reputation_shocks: dict[str, float] = _rule(Keys(ACTION_NAMES, UNIT), default_factory=lambda: {
         "human_error_exploit": 0.08, "dos": 0.05, "physical_action": 0.03,
         "offering_help": 0.04, "insider_threat": 0.05})
-    downtime_ticks: dict[str, int] = field(default_factory=lambda: {
+    downtime_ticks: dict[str, int] = _rule(Keys(ACTION_NAMES, NON_NEGATIVE), default_factory=lambda: {
         "dos": 12, "physical_action": 6, "human_error_exploit": 6,
         "insider_threat": 4})
-    insider_stress_min: float = 0.7
-    insider_pride_max: float = 0.3
-    insider_rate_per_candidate: float = 0.15
+    insider_stress_min: float = _rule(UNIT, 0.7)
+    insider_pride_max: float = _rule(UNIT, 0.3)
+    insider_rate_per_candidate: float = _rule(NON_NEGATIVE, 0.15)
     ransom: RansomConfig = field(default_factory=RansomConfig)
     service: RansomConfig = field(default_factory=lambda: RansomConfig(
         amount=60000.0, base_willingness=0.5, amount_scale=200000.0,
         reliability=0.9))
-    flip_fraction: float = 0.1
+    flip_fraction: float = _rule(Bound(0, 1, lo_open=True), 0.1)
     action_schedule: tuple[tuple[int, str], ...] = ()
 
 
 @dataclass(frozen=True)
 class PolicySpec:
-    kind: str
-    trigger_tick: int | None = None
-    trigger_stage: str | None = None
+    kind: str = _rule(POLICY_NAMES)
+    trigger_tick: int | None = _rule(NON_NEGATIVE, None)
+    trigger_stage: str | None = _rule(STAGE_NAMES, None)
 
 
 @dataclass(frozen=True)
 class DefenseConfig:
     enabled: bool = False
     playbook: tuple[PolicySpec, ...] = ()
-    detect_first_k: int = 20
-    age_threshold: int = 720
+    detect_first_k: int = _rule(AT_LEAST_1, 20)
+    age_threshold: int = _rule(AT_LEAST_1, 720)
     db_path: str | None = None
-    prepared_bots: int = 25
-    partner_defenders: int = 8
-    support_posting_rate: float = 0.8
-    support_creation_age: int = 8760
-    training_posture_boost: float = 0.05
-    scapegoat_transfer: float = 0.5
-    scapegoat_backfire_probability: float = 0.2
-    scapegoat_backfire_penalty: float = 0.05
-    dialogue_follower_gain: int = 200
-    dialogue_convert_fraction: float = 0.05
-    mitigation_factors: dict[str, float] = field(default_factory=lambda: {
-        "social": 0.5, "communication": 0.5, "product_service": 0.5})
-    recurrence_gain: float = 0.5
-    recurrence_tau: float = 720.0
-    recurrence_period: int = 17520  # two years of hourly ticks
+    prepared_bots: int = _rule(NON_NEGATIVE, 25)
+    partner_defenders: int = _rule(NON_NEGATIVE, 8)
+    support_posting_rate: float = _rule(Bound(0, MAX_POSTING_RATE), 0.8)
+    support_creation_age: int = _rule(NON_NEGATIVE, 8760)
+    training_posture_boost: float = _rule(UNIT, 0.05)
+    scapegoat_transfer: float = _rule(UNIT, 0.5)
+    scapegoat_backfire_probability: float = _rule(UNIT, 0.2)
+    scapegoat_backfire_penalty: float = _rule(UNIT, 0.05)
+    dialogue_follower_gain: int = _rule(NON_NEGATIVE, 200)
+    dialogue_convert_fraction: float = _rule(UNIT, 0.05)
+    mitigation_factors: dict[str, float] = _rule(  # mitigation never raises severity
+        Keys(FAILURE_CLASS_NAMES, Bound(0, 1, lo_open=True), exact=True), default_factory=lambda: {
+            "social": 0.5, "communication": 0.5, "product_service": 0.5})
+    recurrence_gain: float = _rule(NON_NEGATIVE, 0.5)
+    recurrence_tau: float = _rule(POSITIVE, 720.0)
+    recurrence_period: int = _rule(NON_NEGATIVE, 17520)  # two years of hourly ticks
 
 
 @dataclass(frozen=True)
 class AnalyticsConfig:
-    neutral_band: float = 0.05
-    compound_alpha: float = 15.0
-    sentiment_window: int = 720
-    kappa: float = 1.0
+    neutral_band: float = _rule(NON_NEGATIVE, 0.05)
+    compound_alpha: float = _rule(POSITIVE, 15.0)
+    sentiment_window: int = _rule(AT_LEAST_1, 720)
+    kappa: float = _rule(NON_NEGATIVE, 1.0)
     # half the lost value returns in roughly 60 days of hourly ticks
-    recovery_rho: float = 0.00048
-    value_base: float = 100.0
-    value_floor: float = 1.0
-    reputation_volume_weight: float = 0.004
-    reputation_half_saturation: float = 50.0
-    reputation_recovery: float = 0.002
-    downtime_reputation_penalty: float = 0.003
-    forecast_window: int = 24
-    forecast_horizon: int = 24
-    predictable_rmse: float = 0.2
+    recovery_rho: float = _rule(Bound(0, 1, hi_open=True), 0.00048)
+    value_base: float = _rule(POSITIVE, 100.0)
+    value_floor: float = _rule(POSITIVE, 1.0)
+    reputation_volume_weight: float = _rule(NON_NEGATIVE, 0.004)
+    reputation_half_saturation: float = _rule(POSITIVE, 50.0)
+    reputation_recovery: float = _rule(NON_NEGATIVE, 0.002)
+    downtime_reputation_penalty: float = _rule(NON_NEGATIVE, 0.003)
+    forecast_window: int = _rule(Bound(2), 24)
+    forecast_horizon: int = _rule(AT_LEAST_1, 24)
+    predictable_rmse: float = _rule(POSITIVE, 0.2)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
-    ticks: int = 168
-    initial_organic_posters: int = 0
+    seed: int = _rule(NON_NEGATIVE, 0)
+    ticks: int = _rule(AT_LEAST_1, 168)
+    initial_organic_posters: int = _rule(NON_NEGATIVE, 0)
     user_creation_min: int = -20000
-    user_creation_max: int = -2000
+    user_creation_max: int = _rule(Bound(hi=0), -2000)  # organic accounts predate the run
 
 
 DEFAULT_TOPICS: tuple[TargetTopic, ...] = (
@@ -241,14 +291,14 @@ def _type_error(path: str, expected: str, value) -> ConfigError:
 
 @functools.cache
 def _field_specs(cls) -> dict:
-    """name -> (annotation, default or MISSING) for a config dataclass."""
+    """name -> (annotation, default or MISSING, rule or None) for a config dataclass."""
     hints = typing.get_type_hints(cls)
     specs = {}
     for f in dataclasses.fields(cls):
         default = f.default
         if f.default_factory is not dataclasses.MISSING:
             default = f.default_factory()
-        specs[f.name] = (hints[f.name], default)
+        specs[f.name] = (hints[f.name], default, f.metadata.get("rule"))
     return specs
 
 
@@ -262,12 +312,12 @@ def _decode_section(cls, data, path: str, base=None):
     if unknown:
         raise ConfigError(
             f"{where}: unknown key '{unknown[0]}'; expected one of {sorted(specs)}")
-    for name, (_, default) in specs.items():
+    for name, (_, default, _) in specs.items():
         if default is dataclasses.MISSING and name not in data and base is None:
             raise ConfigError(f"{where}: missing key '{name}'")
     kwargs = {}
     for name, value in data.items():
-        tp, default = specs[name]
+        tp, default, _ = specs[name]
         if base is not None:
             default = getattr(base, name)
         kwargs[name] = _decode(tp, value, default, f"{path}.{name}" if path else name)
@@ -340,167 +390,65 @@ def _check(condition: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _check_unit(value: float, path: str) -> None:
-    _check(0.0 <= value <= 1.0, path, f"value {value!r} outside [0, 1]")
+def _check_fields(value, path: str, rule=None) -> None:
+    """Apply ``rule`` to ``value``, or to each item of a tuple, and each
+    field's own rule inside a config dataclass; ``None`` is skipped."""
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            _check_fields(item, f"{path}[{i}]", rule)
+    elif value is None:
+        return
+    elif isinstance(rule, Bound):
+        if value not in rule:
+            raise ConfigError(f"{path}: {rule}, got {value!r}")
+    elif isinstance(rule, Keys):
+        if rule.exact and set(value) != set(rule.names):
+            raise ConfigError(f"{path}: keys must be exactly {sorted(rule.names)}")
+        for key, item in value.items():
+            if key not in rule.names:
+                raise ConfigError(f"{path}.{key}: unknown key; expected one of {list(rule.names)}")
+            _check_fields(item, f"{path}.{key}", rule.value)
+    elif rule is not None:
+        if value not in rule:
+            raise ConfigError(f"{path}: {value!r} not in {list(rule)}")
+    elif dataclasses.is_dataclass(value):
+        for name, (_, _, field_rule) in _field_specs(type(value)).items():
+            _check_fields(getattr(value, name), f"{path}.{name}" if path else name, field_rule)
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Check each field against its own rule, then the rules that relate fields."""
+    _check_fields(cfg, "")
     g, r, a, c = cfg.graph, cfg.roster, cfg.agents, cfg.contagion
-    atk, d, an, run = cfg.attack, cfg.defense, cfg.analytics, cfg.run
+    atk, an, run = cfg.attack, cfg.analytics, cfg.run
 
-    _check(g.n >= 1, "graph.n", f"population {g.n} must be >= 1")
-    _check(g.m >= 1, "graph.m", f"attachment count {g.m} must be >= 1")
     _check(g.n >= g.m, "graph.n", f"population {g.n} must be >= graph.m ({g.m})")
-    _check_unit(g.coworker_fraction, "graph.coworker_fraction")
-    _check_unit(g.bot_follower_fraction, "graph.bot_follower_fraction")
-
-    _check(r.employees >= 0, "roster.employees", "must be >= 0")
-    _check(r.managers >= 0, "roster.managers", "must be >= 0")
     _check(r.employees + r.managers >= 1, "roster.employees",
            "roster needs at least one member (employees + managers >= 1)")
     _check(r.employees + r.managers <= g.n, "roster.employees",
            f"roster of {r.employees + r.managers} exceeds graph.n ({g.n})")
-    _check_unit(r.security_posture, "roster.security_posture")
-
-    _check(a.beta > 0, "agents.beta", f"steepness {a.beta!r} must be > 0")
-    _check_unit(a.theta, "agents.theta")
-    _check(0 < a.posting_rate <= MAX_POSTING_RATE, "agents.posting_rate",
-           f"must lie in (0, {MAX_POSTING_RATE}]")
-    _check(a.max_posts_per_user >= 1, "agents.max_posts_per_user", "must be >= 1")
-    _check_unit(a.organic_company_page_fraction, "agents.organic_company_page_fraction")
-    _check_unit(a.base_negative_weight, "agents.base_negative_weight")
-    _check(set(a.class_multipliers) == set(FAILURE_CLASS_NAMES),
-           "agents.class_multipliers",
-           f"keys must be exactly {sorted(FAILURE_CLASS_NAMES)}")
-    for key, value in a.class_multipliers.items():
-        _check(value >= 0, f"agents.class_multipliers.{key}", "must be >= 0")
-    _check_unit(a.stress_decay, "agents.stress_decay")
-    _check(a.gamma_ambient >= 0, "agents.gamma_ambient", "must be >= 0")
     _check(a.gamma_direct > a.gamma_ambient, "agents.gamma_direct",
            f"direct mention pressure (gamma_direct={a.gamma_direct!r}) must exceed "
            f"ambient pressure (gamma_ambient={a.gamma_ambient!r})")
-    _check(a.half_saturation > 0, "agents.half_saturation", "must be > 0")
-    _check_unit(a.stress_compliance_weight, "agents.stress_compliance_weight")
-    _check_unit(a.manager_transfer, "agents.manager_transfer")
-
-    _check(c.trend_samples >= 0, "contagion.trend_samples", "must be >= 0")
-    _check(c.trend_saturation > 0, "contagion.trend_saturation", "must be > 0")
-    _check(c.extinguish_eps > 0, "contagion.extinguish_eps", "must be > 0")
     _check(c.fire_threshold >= c.extinguish_eps, "contagion.fire_threshold",
            f"fire_threshold ({c.fire_threshold!r}) must be >= extinguish_eps "
            f"({c.extinguish_eps!r}) so ignition and extinguishment cannot overlap")
-    _check(c.fire_window >= 1, "contagion.fire_window", "must be >= 1")
-    _check(c.extinguish_window >= 1, "contagion.extinguish_window", "must be >= 1")
-    _check(c.stage_low >= 0, "contagion.stage_low", "must be >= 0")
     _check(c.stage_low < c.stage_high, "contagion.stage_low",
            f"stage_low ({c.stage_low!r}) must be below stage_high ({c.stage_high!r})")
-    _check(c.smoothing_window >= 1, "contagion.smoothing_window", "must be >= 1")
-
-    _check(atk.bots >= 0, "attack.bots", "must be >= 0")
-    _check(0 <= atk.bot_posting_rate <= MAX_POSTING_RATE, "attack.bot_posting_rate",
-           f"must lie in [0, {MAX_POSTING_RATE}]")
-    _check(atk.bot_creation_age >= 0, "attack.bot_creation_age", "must be >= 0")
-    _check_unit(atk.valence_noise, "attack.valence_noise")
-    _check(set(atk.class_weights) == set(FAILURE_CLASS_NAMES),
-           "attack.class_weights", f"keys must be exactly {sorted(FAILURE_CLASS_NAMES)}")
-    _check(atk.spread_patience >= 1, "attack.spread_patience", "must be >= 1")
-    _check(atk.campaign_budget >= 1, "attack.campaign_budget", "must be >= 1")
-    _check(atk.retarget_ramp >= 0, "attack.retarget_ramp", "must be >= 0")
-    _check(atk.retarget_top_k >= 1, "attack.retarget_top_k", "must be >= 1")
-    _check(all(w >= 0 for w in atk.target_weights) and sum(atk.target_weights) > 0,
-           "attack.target_weights", "weights must be >= 0 and not all zero")
-    _check_unit(atk.stress_open_threshold, "attack.stress_open_threshold")
-    _check(atk.final_action in ACTION_NAMES, "attack.final_action",
-           f"{atk.final_action!r} not in {list(ACTION_NAMES)}")
-    for key, value in atk.action_probabilities.items():
-        _check(key in ACTION_NAMES, f"attack.action_probabilities.{key}",
-               f"unknown action; expected one of {list(ACTION_NAMES)}")
-        _check_unit(value, f"attack.action_probabilities.{key}")
-    for key, value in atk.reputation_shocks.items():
-        _check(key in ACTION_NAMES, f"attack.reputation_shocks.{key}", "unknown action")
-        _check_unit(value, f"attack.reputation_shocks.{key}")
-    for key, value in atk.downtime_ticks.items():
-        _check(key in ACTION_NAMES, f"attack.downtime_ticks.{key}", "unknown action")
-        _check(value >= 0, f"attack.downtime_ticks.{key}", "must be >= 0")
-    _check_unit(atk.insider_stress_min, "attack.insider_stress_min")
-    _check_unit(atk.insider_pride_max, "attack.insider_pride_max")
-    _check(atk.insider_rate_per_candidate >= 0,
-           "attack.insider_rate_per_candidate", "must be >= 0")
-    for label, ransom in (("attack.ransom", atk.ransom), ("attack.service", atk.service)):
-        _check(ransom.amount > 0, f"{label}.amount", "must be > 0")
-        _check_unit(ransom.base_willingness, f"{label}.base_willingness")
-        _check(ransom.amount_scale > 0, f"{label}.amount_scale", "must be > 0")
-        _check_unit(ransom.reliability, f"{label}.reliability")
-        _check(ransom.force_outcome in (None, "pay", "refuse"),
-               f"{label}.force_outcome", "must be null, 'pay', or 'refuse'")
-    _check(0 < atk.flip_fraction <= 1, "attack.flip_fraction", "must lie in (0, 1]")
+    _check(sum(atk.target_weights) > 0, "attack.target_weights", "weights must not all be zero")
     for i, (tick, action) in enumerate(atk.action_schedule):
         _check(tick >= 0, f"attack.action_schedule[{i}].tick", "must be >= 0")
         _check(action in ACTION_NAMES, f"attack.action_schedule[{i}].action",
                f"{action!r} not in {list(ACTION_NAMES)}")
-
-    for i, spec in enumerate(d.playbook):
-        path = f"defense.playbook[{i}]"
-        _check(spec.kind in POLICY_NAMES, f"{path}.kind",
-               f"{spec.kind!r} not in {list(POLICY_NAMES)}")
-        _check(not (spec.trigger_tick is not None and spec.trigger_stage is not None),
-               path, "set trigger_tick or trigger_stage, not both")
-        if spec.trigger_tick is not None:
-            _check(spec.trigger_tick >= 0, f"{path}.trigger_tick", "must be >= 0")
-        if spec.trigger_stage is not None:
-            _check(spec.trigger_stage in STAGE_NAMES, f"{path}.trigger_stage",
-                   f"{spec.trigger_stage!r} not in {list(STAGE_NAMES)}")
-    _check(d.detect_first_k >= 1, "defense.detect_first_k", "must be >= 1")
-    _check(d.age_threshold >= 1, "defense.age_threshold", "must be >= 1")
-    _check(d.prepared_bots >= 0, "defense.prepared_bots", "must be >= 0")
-    _check(d.partner_defenders >= 0, "defense.partner_defenders", "must be >= 0")
-    _check(0 <= d.support_posting_rate <= MAX_POSTING_RATE, "defense.support_posting_rate",
-           f"must lie in [0, {MAX_POSTING_RATE}]")
-    _check(d.support_creation_age >= 0, "defense.support_creation_age", "must be >= 0")
-    _check_unit(d.training_posture_boost, "defense.training_posture_boost")
-    _check_unit(d.scapegoat_transfer, "defense.scapegoat_transfer")
-    _check_unit(d.scapegoat_backfire_probability, "defense.scapegoat_backfire_probability")
-    _check_unit(d.scapegoat_backfire_penalty, "defense.scapegoat_backfire_penalty")
-    _check(d.dialogue_follower_gain >= 0, "defense.dialogue_follower_gain", "must be >= 0")
-    _check_unit(d.dialogue_convert_fraction, "defense.dialogue_convert_fraction")
-    _check(set(d.mitigation_factors) == set(FAILURE_CLASS_NAMES),
-           "defense.mitigation_factors", f"keys must be exactly {sorted(FAILURE_CLASS_NAMES)}")
-    for key, value in d.mitigation_factors.items():
-        _check(0 < value <= 1, f"defense.mitigation_factors.{key}",
-               "must lie in (0, 1]; mitigation never raises severity")
-    _check(d.recurrence_gain >= 0, "defense.recurrence_gain", "must be >= 0")
-    _check(d.recurrence_tau > 0, "defense.recurrence_tau", "must be > 0")
-    _check(d.recurrence_period >= 0, "defense.recurrence_period", "must be >= 0")
-
-    _check(an.neutral_band >= 0, "analytics.neutral_band", "must be >= 0")
-    _check(an.compound_alpha > 0, "analytics.compound_alpha", "must be > 0")
-    _check(an.sentiment_window >= 1, "analytics.sentiment_window", "must be >= 1")
-    _check(an.kappa >= 0, "analytics.kappa", "must be >= 0")
-    _check(0 <= an.recovery_rho < 1, "analytics.recovery_rho", "must lie in [0, 1)")
-    _check(an.value_base > 0, "analytics.value_base", "must be > 0")
-    _check(0 < an.value_floor <= an.value_base, "analytics.value_floor",
-           "must be > 0 and <= value_base")
-    _check(an.reputation_volume_weight >= 0, "analytics.reputation_volume_weight",
-           "must be >= 0")
-    _check(an.reputation_half_saturation > 0, "analytics.reputation_half_saturation",
-           "must be > 0")
-    _check(an.reputation_recovery >= 0, "analytics.reputation_recovery", "must be >= 0")
-    _check(an.downtime_reputation_penalty >= 0,
-           "analytics.downtime_reputation_penalty", "must be >= 0")
-    _check(an.forecast_window >= 2, "analytics.forecast_window", "must be >= 2")
-    _check(an.forecast_horizon >= 1, "analytics.forecast_horizon", "must be >= 1")
-    _check(an.predictable_rmse > 0, "analytics.predictable_rmse", "must be > 0")
-
-    _check(run.seed >= 0, "run.seed", f"seed {run.seed} must be >= 0")
-    _check(run.ticks >= 1, "run.ticks", "must be >= 1")
-    _check(run.initial_organic_posters >= 0, "run.initial_organic_posters", "must be >= 0")
+    for i, spec in enumerate(cfg.defense.playbook):
+        _check(spec.trigger_tick is None or spec.trigger_stage is None,
+               f"defense.playbook[{i}]", "set trigger_tick or trigger_stage, not both")
+    _check(an.value_floor <= an.value_base, "analytics.value_floor",
+           f"must be <= value_base ({an.value_base!r})")
     _check(run.initial_organic_posters <= g.n, "run.initial_organic_posters",
            f"cannot exceed graph.n ({g.n})")
     _check(run.user_creation_min <= run.user_creation_max, "run.user_creation_min",
            "must be <= run.user_creation_max")
-    _check(run.user_creation_max <= 0, "run.user_creation_max",
-           "organic accounts must predate the run (tick <= 0)")
-
     _check(len(cfg.topics) >= 1, "topics", "at least one topic is required")
     ids = [t.topic_id for t in cfg.topics]
     _check(len(ids) == len(set(ids)), "topics", "topic ids must be unique")
@@ -597,6 +545,24 @@ def expand_preset(name: str) -> ScenarioConfig:
 
 # -- wiring ------------------------------------------------------------------
 
+# What ``build_world`` reads of a config, beside the cohorts the playbook
+# names; ``defense.enabled`` is not read, so both arms of a toggle share a world.
+_WORLD_FIELDS = ("run.seed", "run.user_creation_min", "run.user_creation_max",
+                 "run.initial_organic_posters", "graph.n", "graph.m", "graph.coworker_fraction",
+                 "graph.bot_follower_fraction", "roster.company_id", "roster.employees",
+                 "roster.managers", "roster.manager_roles", "attack.enabled", "attack.bots",
+                 "attack.bot_creation_age", "defense.prepared_bots", "defense.partner_defenders",
+                 "defense.support_creation_age")
+
+
+def _world_key(config: ScenarioConfig) -> dict:
+    """Path -> value of every config value that shapes ``config``'s world."""
+    key = {path: functools.reduce(getattr, path.split("."), config) for path in _WORLD_FIELDS}
+    key["defense.playbook"] = tuple(sorted({spec.kind for spec in config.defense.playbook} & {
+        PolicyKind.SUPPORTING_BOTS.value, PolicyKind.PARTNER_ASSISTANCE.value}))
+    return key
+
+
 def build_world(config: ScenarioConfig) -> World:
     """Build the frozen world of ``config``'s seed: what no tick changes.
 
@@ -608,6 +574,7 @@ def build_world(config: ScenarioConfig) -> World:
     ``compare`` toggle name the same world.
     """
     validate_config(config)
+    key = _world_key(config)
     root = np.random.SeedSequence(config.run.seed)
     ss_graph, ss_accounts, ss_roster, ss_bots, ss_posters, ss_engine = root.spawn(6)
 
@@ -646,11 +613,10 @@ def build_world(config: ScenarioConfig) -> World:
         cohorts.append(("attack-0", members))
 
     d = config.defense
-    named = {spec.kind for spec in d.playbook}
     for policy, count, cohort_id in (
             (PolicyKind.SUPPORTING_BOTS, d.prepared_bots, defense.SUPPORT_COHORT_ID),
             (PolicyKind.PARTNER_ASSISTANCE, d.partner_defenders, defense.PARTNER_COHORT_ID)):
-        if policy.value in named and count > 0:
+        if policy.value in key["defense.playbook"] and count > 0:
             members = accounts.append_bots(count, creation_tick=-d.support_creation_age)
             graph.add_nodes(count)
             cohorts.append((cohort_id, members))
@@ -662,12 +628,19 @@ def build_world(config: ScenarioConfig) -> World:
         picked = rng_posters.choice(pool, size=min(config.run.initial_organic_posters,
                                                    len(pool)), replace=False)
         seed_posters = sorted(int(i) for i in picked)
-    return World(graph, accounts, roster, cohorts, seed_posters, ss_engine)
+    return World(graph, accounts, roster, cohorts, seed_posters, ss_engine, key)
 
 
 def build_simulation(config: ScenarioConfig, world: World | None = None) -> Simulation:
-    """A ready-to-run engine for ``config`` on ``world`` (default: ``build_world(config)``)."""
-    sim = Simulation(validate_config(config), world or build_world(config))
+    """A ready-to-run engine for ``config`` on ``world`` (default: ``build_world(config)``);
+    a world built for another config is a ``ConfigError`` naming the first field that differs."""
+    validate_config(config)
+    world = world or build_world(config)
+    key = _world_key(config)
+    if world.key != key:
+        path = next(path for path in key if world.key[path] != key[path])
+        raise ConfigError(f"{path}: the world was built for {world.key[path]!r}, not {key[path]!r}")
+    sim = Simulation(config, world)
     if sim.plan is None:
         topic = attack.select_topic(list(config.topics), config.attack.class_weights)
         boost = defense.recurrence_boost(config.company_history, topic, 0,

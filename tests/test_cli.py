@@ -100,6 +100,21 @@ def test_bad_seed_range_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["batch", "compare"])
+def test_seed_range_past_the_cap_is_exit_2_before_any_seed_list(monkeypatch, tmp_path,
+                                                                  capsys, command):
+    """The range is checked from its ends, so even a billion seeds are
+    refused without building their list."""
+    monkeypatch.setattr(cli, "MAX_SEEDS", 10)
+    assert cli._parse_seed_range("5..14") == list(range(5, 15))
+    monkeypatch.setattr(cli, "range", lambda *args: pytest.fail("seed list built"), raising=False)
+    argv = [command, "--seeds", "0..1000000000", "--out", str(tmp_path / "out")]
+    if command == "compare":
+        argv += ["--toggle", "ransom_paid"]
+    assert cli.main(argv) == 2
+    assert "'0..1000000000' names 1000000001 seeds; at most 10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--seed", "-1"],
     ["run", "--config", "{neg}"],

@@ -8,7 +8,9 @@ from firesim.agents import BotMode
 from firesim.contagion import (HISTORY_COLUMNS, FirestormStage, SimHistory,
                                Simulation, StageTracker, World,
                                regulator_visibility)
-from firesim.scenario import build_from_seed, default_config, expand_preset
+from firesim.scenario import (MAX_FIRE_WINDOW, ConfigError, build_from_seed,
+                              config_from_dict, default_config, expand_preset,
+                              validate_config)
 from firesim.socialgraph import AccountTable
 
 # -- offline oracles of the online detectors -----------------------------------
@@ -376,3 +378,32 @@ def test_active_users_were_activated_and_budgets_stay_non_negative(monkeypatch, 
     assert fork_steps > 0
     # the dialogue policy converts users, setting both flags at once
     assert defenders == (preset == "defended_baseline")
+
+
+def test_fire_watch_takes_at_most_ticks_times_the_window_cap_in_fork_steps(monkeypatch):
+    """Organic volume flickering around a low ``fire_threshold`` makes the
+    watch fork at tick after tick, many forks running past the default
+    window, yet the capped window bounds the fork steps by ticks x the cap;
+    a window past the cap does not validate, even set by ``replace``."""
+    default = default_config()
+    with pytest.raises(ConfigError, match=r"^contagion\.fire_window: must lie in \[1, 168\]"):
+        validate_config(replace(default, contagion=replace(default.contagion, fire_window=2**40)))
+    cfg = config_from_dict({"graph": {"n": 300}, "run": {"ticks": 40},
+                            "contagion": {"fire_window": MAX_FIRE_WINDOW, "fire_threshold": 8.0}})
+    fork_steps = []  # per main-run tick
+    step = Simulation.step
+
+    def counted_step(sim):
+        if sim.watch_fire_point:
+            fork_steps.append(0)
+        else:
+            fork_steps[-1] += 1
+        step(sim)
+
+    monkeypatch.setattr(Simulation, "step", counted_step)
+    sim = build_from_seed(cfg, 1).run(cfg.run.ticks)
+    assert sim.fire_point is None and len(fork_steps) == cfg.run.ticks
+    assert sum(steps > 0 for steps in fork_steps) > 20  # the watch forks again and again
+    assert max(fork_steps) > default.contagion.fire_window
+    assert max(fork_steps) <= MAX_FIRE_WINDOW
+    assert sum(fork_steps) <= cfg.run.ticks * MAX_FIRE_WINDOW

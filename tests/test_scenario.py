@@ -1,4 +1,9 @@
+import copy
+import dataclasses
 import json
+import math
+import re
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +14,8 @@ from firesim import scenario
 from firesim.analytics import run_outcome
 from firesim.cli import TOGGLES
 from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
-                              STAGE_NAMES, ConfigError, PRESETS, build_from_seed,
+                              STAGE_NAMES, Bound, ConfigError, Keys, PRESETS,
+                              ScenarioConfig, build_from_seed,
                               build_simulation, build_world, config_from_dict,
                               default_config, dumps_config, expand_preset,
                               load_config, loads_config, validate_config)
@@ -168,7 +174,8 @@ def test_bot_follower_coins_in_blocks_give_the_same_edges(monkeypatch, rows):
 def _assert_same_world(a, b):
     assert set(vars(a)) == {"graph", "accounts", "roster", "roster_ids", "manager_ids",
                             "employee_ids", "can_activate", "cohort_members",
-                            "seed_posters", "engine_seed"}
+                            "seed_posters", "engine_seed", "key"}
+    assert a.key == b.key
     for ours, theirs in zip(a.graph.follower_csr(), b.graph.follower_csr()):
         np.testing.assert_array_equal(ours, theirs)
     for name in AccountTable.COLUMNS:
@@ -205,6 +212,20 @@ def test_dormant_playbook_rows_change_no_output(seed):
     assert len(runs[0].accounts) == len(runs[1].accounts) + cfg.defense.prepared_bots
     assert runs[0].history.to_csv_text() == runs[1].history.to_csv_text()
     assert run_outcome(runs[0]) == run_outcome(runs[1])
+
+
+def test_a_world_serves_only_the_config_it_was_built_for():
+    cfg = default_config()
+    world = build_world(cfg)
+    with pytest.raises(ConfigError, match=r"^run\.seed: the world was built for 0, not 5$"):
+        build_from_seed(cfg, 5, world)
+    with pytest.raises(ConfigError, match=r"^attack\.bots: the world was built for 200, not 20$"):
+        build_simulation(config_from_dict({"attack": {"bots": 20}}), world)
+    with pytest.raises(ConfigError, match=r"^defense\.playbook: .*'supporting_bots'"):
+        build_simulation(expand_preset("defended_baseline"), world)
+    # defense.enabled shapes no world: both arms of a toggle share one
+    enabled = replace(cfg, defense=replace(cfg.defense, enabled=True))
+    assert build_simulation(enabled, world).world is world
 
 
 def test_world_columns_are_read_only():
@@ -280,13 +301,73 @@ _SCALAR_FIELDS = sorted(
 _floats = st.floats(min_value=0.0, max_value=1.0) | st.floats(min_value=0.0, allow_nan=False)
 
 
-def _value(template, cap=2**40):
+def _schema_bounds(cls=ScenarioConfig, path=()):
+    """(path, bound, item type) of each ``Bound`` the schema declares on a
+    section's number, tuple of numbers or mapping values, read from the
+    field metadata; a mapping's path ends at its first allowed key."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        rule, tp = f.metadata.get("rule"), hints[f.name]
+        if dataclasses.is_dataclass(tp):
+            yield from _schema_bounds(tp, path + (f.name,))
+        elif isinstance(rule, Keys):
+            yield path + (f.name, rule.names[0]), rule.value, typing.get_args(tp)[1]
+        elif isinstance(rule, Bound):
+            yield path + (f.name,), rule, (typing.get_args(tp) or (tp,))[0]
+
+
+def _edges(bound, tp):
+    """(admitted, rejected) at each end of ``bound``: the value at a closed
+    end and the next one past it, or the value just inside an open end and
+    the end itself; the next value is the next integer or float."""
+    pairs = []
+    for end, is_open, outward in ((bound.lo, bound.lo_open, -1), (bound.hi, bound.hi_open, 1)):
+        if end is None:
+            continue
+        inward = end - outward if tp is int else math.nextafter(end, -outward * math.inf)
+        past = end + outward if tp is int else math.nextafter(end, outward * math.inf)
+        pairs.append((inward, end) if is_open else (end, past))
+    return pairs
+
+
+def _set(path, value, base):
+    """A copy of the config dict ``base`` holding ``value`` at ``path``; a
+    list default keeps its other items, so ``value`` goes to item 0."""
+    default = _DEFAULTS
+    for key in path:
+        default = default[key]
+    data = node = copy.deepcopy(base)
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = [value, *default[1:]] if isinstance(default, list) else value
+    return data
+
+
+_EDGES = {path: _edges(bound, tp) for path, bound, tp in _schema_bounds()}
+# fields that a cross-field rule ties to an edge value, set so that it holds
+_EDGE_BASES = {("graph", "n"): {"graph": {"m": 1}, "roster": {"employees": 1, "managers": 0}},
+               ("analytics", "value_base"): {"analytics": {"value_floor": 5e-324}}}
+
+
+@pytest.mark.parametrize("path, admitted, rejected", [
+    (path, admitted, rejected) for path, pairs in _EDGES.items() for admitted, rejected in pairs],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+def test_each_bound_admits_its_edge_and_rejects_the_next_value(path, admitted, rejected):
+    base = _EDGE_BASES.get(path, {})
+    config_from_dict(_set(path, admitted, base))
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(_set(path, rejected, base))
+    assert re.match(rf"{re.escape('.'.join(path))}(\[0\])?: ", str(err.value)), str(err.value)
+
+
+def _value(template, cap=2**40, edges=()):
     if isinstance(template, bool):
         return st.booleans()
+    edge = st.sampled_from([v for pair in edges for v in pair]) if edges else st.nothing()
     if isinstance(template, int):
-        return st.just(min(template, cap)) | st.integers(min_value=0, max_value=cap)
+        return st.just(min(template, cap)) | st.integers(min_value=0, max_value=cap) | edge
     if isinstance(template, float):
-        return st.just(template) | st.integers(min_value=0, max_value=10) | _floats
+        return st.just(template) | st.integers(min_value=0, max_value=10) | _floats | edge
     return st.just(template) | st.text(max_size=8)
 
 
@@ -299,7 +380,8 @@ def _config_dicts(draw, caps=None):
     for section, name in draw(st.lists(st.sampled_from(_SCALAR_FIELDS), max_size=6,
                                        unique=True)):
         data.setdefault(section, {})[name] = draw(_value(
-            _DEFAULTS[section][name], caps.get((section, name), 2**40)))
+            _DEFAULTS[section][name], caps.get((section, name), 2**40),
+            _EDGES.get((section, name), ())))
     agents, attack, defense = (data.setdefault(k, {}) for k in ("agents", "attack", "defense"))
     agents["class_multipliers"] = draw(st.dictionaries(
         st.sampled_from(FAILURE_CLASS_NAMES), _floats, max_size=3))
