@@ -21,7 +21,7 @@ from .defense import (AccountReputationDB, FirestormVerdict, PastFirestorm,
 from .scenario import (ConfigError, PRESETS, PolicySpec, ScenarioConfig,
                        build_from_seed, build_simulation, build_world,
                        default_config, dumps_config, expand_preset, load_config,
-                       loads_config, validate_config)
+                       loads_config)
 from .socialgraph import (AccountKind, AccountTable, CompanyRoster, SocialGraph,
                           generate_scale_free)
 
@@ -40,7 +40,7 @@ __all__ = [
     "PolicyMismatchError", "detect_artificial", "recurrence_boost",
     "ConfigError", "PRESETS", "PolicySpec", "ScenarioConfig", "build_from_seed",
     "build_simulation", "build_world", "default_config", "dumps_config",
-    "expand_preset", "load_config", "loads_config", "validate_config",
+    "expand_preset", "load_config", "loads_config",
     "AccountKind", "AccountTable", "CompanyRoster", "SocialGraph",
     "generate_scale_free",
 ]

@@ -162,7 +162,8 @@ class CompanyState:
 # -- organic reaction ------------------------------------------------------
 
 def _logistic(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives the exact limit 0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def alignment_scores(ocean: np.ndarray, topic: TargetTopic) -> np.ndarray:

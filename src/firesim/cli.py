@@ -14,16 +14,16 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analytics, contagion, defense
 from .contagion import World
-from .scenario import (ConfigError, PRESETS, PolicySpec, ScenarioConfig,
-                       build_from_seed, build_world, default_config,
-                       expand_preset, load_config, validate_config)
+from .scenario import (ConfigError, PRESETS, REACTIVE_PLAYBOOK, PolicySpec,
+                       ScenarioConfig, build_from_seed, build_world,
+                       default_config, expand_preset, load_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +52,7 @@ def _resolve_config(args) -> ScenarioConfig:
         cfg = default_config()
     seed = getattr(args, "seed", None)
     if seed is not None:
-        cfg = validate_config(replace(cfg, run=replace(cfg.run, seed=seed)))
+        cfg = replace(cfg, run=replace(cfg.run, seed=seed))
     return cfg
 
 
@@ -200,13 +200,7 @@ def _with_offer(cfg: ScenarioConfig, action: str, terms: str, outcome: str) -> S
 
 
 def _with_playbook(cfg: ScenarioConfig, enabled: bool = True) -> ScenarioConfig:
-    # Orchestrated storms can jump straight past "triggering", so the
-    # reactive entries key on "peak", which every storm passes through.
-    playbook = cfg.defense.playbook or (
-        PolicySpec(kind="internal_training"),
-        PolicySpec(kind="supporting_bots", trigger_stage="peak"),
-        PolicySpec(kind="halt_product_and_review", trigger_stage="peak"),
-    )
+    playbook = cfg.defense.playbook or tuple(PolicySpec(**spec) for spec in REACTIVE_PLAYBOOK)
     return replace(cfg, defense=replace(cfg.defense, enabled=enabled, playbook=playbook))
 
 
@@ -391,12 +385,7 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
         "base_tick": base_tick,
         "verdict": verdict.to_dict() if verdict is not None else None,
         "forecast": forecast.to_dict() if forecast is not None else None,
-        "windows": [
-            {"window_id": w.window_id, "start_tick": w.start_tick,
-             "end_tick": w.end_tick, "post_count": w.post_count,
-             "negative": w.negative, "neutral": w.neutral,
-             "positive": w.positive, "compound": w.compound}
-            for w in windows],
+        "windows": [asdict(w) for w in windows],
     }
     volume_lines = ["tick,posts"] + [f"{t},{v}" for t, v in enumerate(volumes)]
     analytics.write_files(out_dir, {

@@ -3,8 +3,11 @@
 Every free parameter in the package lives here as a frozen dataclass
 field with its default and, in its metadata, its own bound.  Loading is
 strict: unknown keys and out-of-range values are errors naming the
-offending field, so a typo cannot silently change a Monte Carlo batch.  ``build_simulation`` turns a validated
-config into a ready engine with a fully deterministic seed tree.
+offending field, so a typo cannot silently change a Monte Carlo batch.
+A ``ScenarioConfig`` checks itself when it is made, so every config is
+valid: decoded, default, preset or ``replace()``d.  Presets are config
+dicts.  ``build_simulation`` turns a config into a ready engine with a
+fully deterministic seed tree.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import dataclasses
 import enum
 import functools
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field, replace
@@ -93,6 +97,40 @@ def _rule(rule, default=dataclasses.MISSING, **kwargs):
     return field(default=default, metadata={"rule": rule}, **kwargs)
 
 
+def _check(condition: bool, path: str, message: str) -> None:
+    if not condition:
+        raise ConfigError(f"{path}: {message}")
+
+
+def _check_fields(value, path: str, rule=None) -> None:
+    """Apply ``rule`` to ``value``, or to each item of a tuple, and each
+    field's own rule inside a config dataclass; ``None`` is skipped and
+    NaN or an infinity is never a value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            _check_fields(item, f"{path}[{i}]", rule)
+    elif value is None:
+        return
+    elif isinstance(rule, Bound):
+        if value not in rule:
+            raise ConfigError(f"{path}: {rule}, got {value!r}")
+    elif isinstance(rule, Keys):
+        if rule.exact and set(value) != set(rule.names):
+            raise ConfigError(f"{path}: keys must be exactly {sorted(rule.names)}")
+        for key, item in value.items():
+            if key not in rule.names:
+                raise ConfigError(f"{path}.{key}: unknown key; expected one of {list(rule.names)}")
+            _check_fields(item, f"{path}.{key}", rule.value)
+    elif rule is not None:
+        if value not in rule:
+            raise ConfigError(f"{path}: {value!r} not in {list(rule)}")
+    elif dataclasses.is_dataclass(value):
+        for name, (_, _, field_rule) in _field_specs(type(value)).items():
+            _check_fields(getattr(value, name), f"{path}.{name}" if path else name, field_rule)
+
+
 @dataclass(frozen=True)
 class GraphConfig:
     n: int = _rule(AT_LEAST_1, 1000)
@@ -168,7 +206,7 @@ class AttackConfig:
     worker_focus_enabled: bool = True
     retarget_ramp: int = _rule(NON_NEGATIVE, 12)
     retarget_top_k: int = _rule(AT_LEAST_1, 12)
-    target_weights: tuple[float, float, float] = _rule(NON_NEGATIVE, (0.4, 0.4, 0.2))
+    target_weights: tuple[float, float, float] = _rule(UNIT, (0.4, 0.4, 0.2))  # relative
     stress_open_threshold: float = _rule(UNIT, 0.35)
     final_action: str = _rule(ACTION_NAMES, "human_error_exploit")
     action_probabilities: dict[str, float] = _rule(Keys(ACTION_NAMES, UNIT), default_factory=lambda: {
@@ -273,6 +311,48 @@ class ScenarioConfig:
     topics: tuple[TargetTopic, ...] = DEFAULT_TOPICS
     company_history: tuple[PastFirestorm, ...] = ()
 
+    def __post_init__(self):
+        """Every config is valid once made: each field against its own
+        rule, then the rules that relate fields."""
+        _check_fields(self, "")
+        g, r, a, c = self.graph, self.roster, self.agents, self.contagion
+        atk, an, run = self.attack, self.analytics, self.run
+
+        _check(g.n >= g.m, "graph.n", f"population {g.n} must be >= graph.m ({g.m})")
+        _check(r.employees + r.managers >= 1, "roster.employees",
+               "roster needs at least one member (employees + managers >= 1)")
+        _check(r.employees + r.managers <= g.n, "roster.employees",
+               f"roster of {r.employees + r.managers} exceeds graph.n ({g.n})")
+        _check(a.gamma_direct > a.gamma_ambient, "agents.gamma_direct",
+               f"direct mention pressure (gamma_direct={a.gamma_direct!r}) must exceed "
+               f"ambient pressure (gamma_ambient={a.gamma_ambient!r})")
+        _check(c.fire_threshold >= c.extinguish_eps, "contagion.fire_threshold",
+               f"fire_threshold ({c.fire_threshold!r}) must be >= extinguish_eps "
+               f"({c.extinguish_eps!r}) so ignition and extinguishment cannot overlap")
+        _check(c.stage_low < c.stage_high, "contagion.stage_low",
+               f"stage_low ({c.stage_low!r}) must be below stage_high ({c.stage_high!r})")
+        _check(sum(atk.target_weights) > 0, "attack.target_weights", "weights must not all be zero")
+        for i, (tick, action) in enumerate(atk.action_schedule):
+            _check(tick >= 0, f"attack.action_schedule[{i}].tick", "must be >= 0")
+            _check(action in ACTION_NAMES, f"attack.action_schedule[{i}].action",
+                   f"{action!r} not in {list(ACTION_NAMES)}")
+        for i, spec in enumerate(self.defense.playbook):
+            _check(spec.trigger_tick is None or spec.trigger_stage is None,
+                   f"defense.playbook[{i}]", "set trigger_tick or trigger_stage, not both")
+        _check(an.value_floor <= an.value_base, "analytics.value_floor",
+               f"must be <= value_base ({an.value_base!r})")
+        _check(run.initial_organic_posters <= g.n, "run.initial_organic_posters",
+               f"cannot exceed graph.n ({g.n})")
+        _check(run.user_creation_min <= run.user_creation_max, "run.user_creation_min",
+               "must be <= run.user_creation_max")
+        _check(len(self.topics) >= 1, "topics", "at least one topic is required")
+        ids = [t.topic_id for t in self.topics]
+        _check(len(ids) == len(set(ids)), "topics", "topic ids must be unique")
+        for i, past in enumerate(self.company_history):
+            _check(past.failure_class in FAILURE_CLASS_NAMES,
+                   f"company_history[{i}].failure_class",
+                   f"{past.failure_class!r} not in {list(FAILURE_CLASS_NAMES)}")
+
     def to_dict(self) -> dict:
         return _encode(self)
 
@@ -323,6 +403,8 @@ def _decode_section(cls, data, path: str, base=None):
         kwargs[name] = _decode(tp, value, default, f"{path}.{name}" if path else name)
     try:
         return cls(**kwargs) if base is None else replace(base, **kwargs)
+    except ConfigError:
+        raise  # a ScenarioConfig names its own paths
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from err
 
@@ -380,83 +462,7 @@ def _encode(value):
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    return validate_config(_decode_section(ScenarioConfig, data, ""))
-
-
-# -- domain validation -------------------------------------------------------
-
-def _check(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(f"{path}: {message}")
-
-
-def _check_fields(value, path: str, rule=None) -> None:
-    """Apply ``rule`` to ``value``, or to each item of a tuple, and each
-    field's own rule inside a config dataclass; ``None`` is skipped."""
-    if isinstance(value, tuple):
-        for i, item in enumerate(value):
-            _check_fields(item, f"{path}[{i}]", rule)
-    elif value is None:
-        return
-    elif isinstance(rule, Bound):
-        if value not in rule:
-            raise ConfigError(f"{path}: {rule}, got {value!r}")
-    elif isinstance(rule, Keys):
-        if rule.exact and set(value) != set(rule.names):
-            raise ConfigError(f"{path}: keys must be exactly {sorted(rule.names)}")
-        for key, item in value.items():
-            if key not in rule.names:
-                raise ConfigError(f"{path}.{key}: unknown key; expected one of {list(rule.names)}")
-            _check_fields(item, f"{path}.{key}", rule.value)
-    elif rule is not None:
-        if value not in rule:
-            raise ConfigError(f"{path}: {value!r} not in {list(rule)}")
-    elif dataclasses.is_dataclass(value):
-        for name, (_, _, field_rule) in _field_specs(type(value)).items():
-            _check_fields(getattr(value, name), f"{path}.{name}" if path else name, field_rule)
-
-
-def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check each field against its own rule, then the rules that relate fields."""
-    _check_fields(cfg, "")
-    g, r, a, c = cfg.graph, cfg.roster, cfg.agents, cfg.contagion
-    atk, an, run = cfg.attack, cfg.analytics, cfg.run
-
-    _check(g.n >= g.m, "graph.n", f"population {g.n} must be >= graph.m ({g.m})")
-    _check(r.employees + r.managers >= 1, "roster.employees",
-           "roster needs at least one member (employees + managers >= 1)")
-    _check(r.employees + r.managers <= g.n, "roster.employees",
-           f"roster of {r.employees + r.managers} exceeds graph.n ({g.n})")
-    _check(a.gamma_direct > a.gamma_ambient, "agents.gamma_direct",
-           f"direct mention pressure (gamma_direct={a.gamma_direct!r}) must exceed "
-           f"ambient pressure (gamma_ambient={a.gamma_ambient!r})")
-    _check(c.fire_threshold >= c.extinguish_eps, "contagion.fire_threshold",
-           f"fire_threshold ({c.fire_threshold!r}) must be >= extinguish_eps "
-           f"({c.extinguish_eps!r}) so ignition and extinguishment cannot overlap")
-    _check(c.stage_low < c.stage_high, "contagion.stage_low",
-           f"stage_low ({c.stage_low!r}) must be below stage_high ({c.stage_high!r})")
-    _check(sum(atk.target_weights) > 0, "attack.target_weights", "weights must not all be zero")
-    for i, (tick, action) in enumerate(atk.action_schedule):
-        _check(tick >= 0, f"attack.action_schedule[{i}].tick", "must be >= 0")
-        _check(action in ACTION_NAMES, f"attack.action_schedule[{i}].action",
-               f"{action!r} not in {list(ACTION_NAMES)}")
-    for i, spec in enumerate(cfg.defense.playbook):
-        _check(spec.trigger_tick is None or spec.trigger_stage is None,
-               f"defense.playbook[{i}]", "set trigger_tick or trigger_stage, not both")
-    _check(an.value_floor <= an.value_base, "analytics.value_floor",
-           f"must be <= value_base ({an.value_base!r})")
-    _check(run.initial_organic_posters <= g.n, "run.initial_organic_posters",
-           f"cannot exceed graph.n ({g.n})")
-    _check(run.user_creation_min <= run.user_creation_max, "run.user_creation_min",
-           "must be <= run.user_creation_max")
-    _check(len(cfg.topics) >= 1, "topics", "at least one topic is required")
-    ids = [t.topic_id for t in cfg.topics]
-    _check(len(ids) == len(set(ids)), "topics", "topic ids must be unique")
-    for i, past in enumerate(cfg.company_history):
-        _check(past.failure_class in FAILURE_CLASS_NAMES,
-               f"company_history[{i}].failure_class",
-               f"{past.failure_class!r} not in {list(FAILURE_CLASS_NAMES)}")
-    return cfg
+    return _decode_section(ScenarioConfig, data, "")
 
 
 # -- loading -----------------------------------------------------------------
@@ -490,57 +496,32 @@ def default_config() -> ScenarioConfig:
 
 # -- presets -----------------------------------------------------------------
 
-def _rapid_massive() -> ScenarioConfig:
-    cfg = default_config()
-    return replace(cfg, attack=replace(cfg.attack, bots=200, bot_posting_rate=1.2,
-                                       retarget_ramp=6))
+# Trigger on "peak" rather than "triggering": orchestrated storms blow up
+# within a tick or two, so the tracker can jump straight past triggering.
+REACTIVE_PLAYBOOK = (
+    {"kind": "internal_training"},
+    {"kind": "supporting_bots", "trigger_stage": "peak"},
+    {"kind": "halt_product_and_review", "trigger_stage": "peak"},
+)
 
-
-def _permanent_few_accounts() -> ScenarioConfig:
-    cfg = default_config()
-    return replace(
-        cfg,
-        attack=replace(cfg.attack, bots=15, bot_posting_rate=0.3,
-                       spread_patience=10_000_000, campaign_budget=10_000_000),
-        run=replace(cfg.run, ticks=336))
-
-
-def _organic_only() -> ScenarioConfig:
-    cfg = default_config()
-    return replace(
-        cfg,
-        attack=replace(cfg.attack, enabled=False, bots=0),
-        run=replace(cfg.run, initial_organic_posters=6))
-
-
-def _defended_baseline() -> ScenarioConfig:
-    cfg = default_config()
-    # Trigger on "peak" rather than "triggering": orchestrated storms blow up
-    # within a tick or two, so the tracker can jump straight past triggering.
-    playbook = (
-        PolicySpec(kind="internal_training"),
-        PolicySpec(kind="supporting_bots", trigger_stage="peak"),
-        PolicySpec(kind="halt_product_and_review", trigger_stage="peak"),
-        PolicySpec(kind="dialogue_engagement", trigger_stage="calming"),
-    )
-    return replace(cfg, defense=replace(cfg.defense, enabled=True, playbook=playbook))
-
-
+# Each preset is the override a config file would hold.
 PRESETS = {
-    "rapid_massive": _rapid_massive,
-    "permanent_few_accounts": _permanent_few_accounts,
-    "organic_only": _organic_only,
-    "defended_baseline": _defended_baseline,
+    "rapid_massive": {"attack": {"bots": 200, "bot_posting_rate": 1.2, "retarget_ramp": 6}},
+    "permanent_few_accounts": {
+        "attack": {"bots": 15, "bot_posting_rate": 0.3,
+                   "spread_patience": 10_000_000, "campaign_budget": 10_000_000},
+        "run": {"ticks": 336}},
+    "organic_only": {"attack": {"enabled": False, "bots": 0},
+                     "run": {"initial_organic_posters": 6}},
+    "defended_baseline": {"defense": {"enabled": True, "playbook": [
+        *REACTIVE_PLAYBOOK, {"kind": "dialogue_engagement", "trigger_stage": "calming"}]}},
 }
 
 
 def expand_preset(name: str) -> ScenarioConfig:
-    try:
-        builder = PRESETS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown preset {name!r}; expected one of {sorted(PRESETS)}") from None
-    return validate_config(builder())
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
+    return config_from_dict(PRESETS[name])
 
 
 # -- wiring ------------------------------------------------------------------
@@ -573,7 +554,6 @@ def build_world(config: ScenarioConfig) -> World:
     is enabled (dormant rows without edges), so both arms of every
     ``compare`` toggle name the same world.
     """
-    validate_config(config)
     key = _world_key(config)
     root = np.random.SeedSequence(config.run.seed)
     ss_graph, ss_accounts, ss_roster, ss_bots, ss_posters, ss_engine = root.spawn(6)
@@ -634,7 +614,6 @@ def build_world(config: ScenarioConfig) -> World:
 def build_simulation(config: ScenarioConfig, world: World | None = None) -> Simulation:
     """A ready-to-run engine for ``config`` on ``world`` (default: ``build_world(config)``);
     a world built for another config is a ``ConfigError`` naming the first field that differs."""
-    validate_config(config)
     world = world or build_world(config)
     key = _world_key(config)
     if world.key != key:

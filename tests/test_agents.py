@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,18 @@ def test_susceptibility_logistic_oracle():
     # alignment = mean(ocean) = 0.8 -> logistic(10 * 0.1)
     expected = 0.8 / (1.0 + math.exp(-1.0))
     assert _susceptibility([0.8] * 5, topic, 1.0, cfg) == pytest.approx(expected, abs=1e-12)
+
+
+def test_steep_logistic_reaches_its_limit_without_overflow_warnings():
+    """An accepted ``beta`` of 1e300 sends ``exp(-x)`` to inf, whose exact
+    limit 0 the logistic returns without an overflow warning."""
+    cfg = config_from_dict({"agents": {"beta": 1e300}, "graph": {"n": 300}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sim = build_from_seed(cfg, 0).run(5)
+        terms = susceptibility_terms(sim.accounts.ocean[:3], _topic(), cfg.agents)
+    assert len(sim.history.total_posts) == 5
+    assert set(terms.tolist()) <= {0.0, 1.0}
 
 
 def test_susceptibility_clipped_to_unit():

@@ -75,13 +75,18 @@ def test_non_utf8_config_is_exit_2(tmp_path, capsys):
     assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
 
 
-def test_invalid_config_is_exit_2_and_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ('{"graph": {"n": -5}}', "graph.n"),
+    # Infinity once ran to a report of NaN rows and non-JSON metadata
+    ('{"agents": {"gamma_direct": Infinity}}', "agents.gamma_direct: must be a finite number, got inf"),
+])
+def test_invalid_config_is_exit_2_and_writes_nothing(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"graph": {"n": -5}}')
+    bad.write_text(text)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "graph.n" in err
+    assert message in err
     assert not out.exists() or not any(out.iterdir())
 
 

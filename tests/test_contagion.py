@@ -9,8 +9,7 @@ from firesim.contagion import (HISTORY_COLUMNS, FirestormStage, SimHistory,
                                Simulation, StageTracker, World,
                                regulator_visibility)
 from firesim.scenario import (MAX_FIRE_WINDOW, ConfigError, build_from_seed,
-                              config_from_dict, default_config, expand_preset,
-                              validate_config)
+                              config_from_dict, default_config, expand_preset)
 from firesim.socialgraph import AccountTable
 
 # -- offline oracles of the online detectors -----------------------------------
@@ -387,7 +386,7 @@ def test_fire_watch_takes_at_most_ticks_times_the_window_cap_in_fork_steps(monke
     a window past the cap does not validate, even set by ``replace``."""
     default = default_config()
     with pytest.raises(ConfigError, match=r"^contagion\.fire_window: must lie in \[1, 168\]"):
-        validate_config(replace(default, contagion=replace(default.contagion, fire_window=2**40)))
+        replace(default, contagion=replace(default.contagion, fire_window=2**40))
     cfg = config_from_dict({"graph": {"n": 300}, "run": {"ticks": 40},
                             "contagion": {"fire_window": MAX_FIRE_WINDOW, "fire_threshold": 8.0}})
     fork_steps = []  # per main-run tick

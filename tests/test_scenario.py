@@ -15,10 +15,10 @@ from firesim.analytics import run_outcome
 from firesim.cli import TOGGLES
 from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
                               STAGE_NAMES, Bound, ConfigError, Keys, PRESETS,
-                              ScenarioConfig, build_from_seed,
+                              PolicySpec, ScenarioConfig, build_from_seed,
                               build_simulation, build_world, config_from_dict,
                               default_config, dumps_config, expand_preset,
-                              load_config, loads_config, validate_config)
+                              load_config, loads_config)
 from firesim.socialgraph import AccountTable
 
 
@@ -114,11 +114,49 @@ def test_topic_ids_must_be_unique():
         config_from_dict({"topics": [topic, dict(topic)]})
 
 
-def test_every_preset_validates():
+def test_every_preset_is_a_config_dict():
     for name in PRESETS:
-        validate_config(expand_preset(name))
+        assert expand_preset(name) == loads_config(json.dumps(PRESETS[name]))
     with pytest.raises(ConfigError, match="unknown preset"):
         expand_preset("maximum_overdrive")
+
+
+def test_one_reactive_playbook_serves_the_toggle_and_the_preset():
+    reactive = (PolicySpec("internal_training"),
+                PolicySpec("supporting_bots", trigger_stage="peak"),
+                PolicySpec("halt_product_and_review", trigger_stage="peak"))
+    on = TOGGLES["defense_playbook"][0](default_config())
+    assert on.defense.enabled and on.defense.playbook == reactive
+    assert expand_preset("defended_baseline").defense.playbook == reactive + (
+        PolicySpec("dialogue_engagement", trigger_stage="calming"),)
+
+
+def test_a_config_checks_itself_when_made():
+    """Whether made by ``replace`` or by the constructor, an out-of-range
+    field is a ``ConfigError`` that starts with its path."""
+    cfg = default_config()
+    with pytest.raises(ConfigError, match=r"^graph\.n: must be >= 1, got 0$"):
+        replace(cfg, graph=replace(cfg.graph, n=0))
+    with pytest.raises(ConfigError, match=r"^run\.seed: must be >= 0, got -1$"):
+        build_from_seed(cfg, -1)
+    with pytest.raises(ConfigError, match=r"^roster\.employees: roster of 30 exceeds graph\.n"):
+        ScenarioConfig(graph=replace(cfg.graph, n=20, m=2))
+    with pytest.raises(ConfigError, match=r"^agents\.gamma_direct: must be a finite number, got inf$"):
+        replace(cfg, agents=replace(cfg.agents, gamma_direct=math.inf))
+
+
+@pytest.mark.parametrize("text, path, shown", [
+    ('{"agents": {"gamma_direct": Infinity}}', "agents.gamma_direct", "inf"),
+    ('{"agents": {"beta": 1e999}}', "agents.beta", "inf"),
+    ('{"contagion": {"fire_threshold": -Infinity}}', "contagion.fire_threshold", "-inf"),
+    ('{"attack": {"class_weights": {"social": NaN}}}', "attack.class_weights.social", "nan"),
+])
+def test_non_finite_numbers_are_rejected(text, path, shown):
+    """JSON text may hold NaN and the infinities (1e999 parses to inf): none
+    is a value, not even of a field without a bound."""
+    message = rf"^{re.escape(path)}: must be a finite number, got {shown}$"
+    with pytest.raises(ConfigError, match=message):
+        loads_config(text)
 
 
 def test_preset_bot_scales():
@@ -226,6 +264,29 @@ def test_a_world_serves_only_the_config_it_was_built_for():
     # defense.enabled shapes no world: both arms of a toggle share one
     enabled = replace(cfg, defense=replace(cfg.defense, enabled=True))
     assert build_simulation(enabled, world).world is world
+
+
+class _ReadRecorder:
+    """A config stand-in that records the path of each value read from it."""
+
+    def __init__(self, config, reads, path=""):
+        self._config, self._reads, self._path = config, reads, path
+
+    def __getattr__(self, name):
+        value, path = getattr(self._config, name), f"{self._path}{name}"
+        if dataclasses.is_dataclass(value):
+            return _ReadRecorder(value, self._reads, f"{path}.")
+        self._reads.add(path)
+        return value
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_build_world_reads_only_the_world_key(preset):
+    """A value that ``build_world`` reads but its key leaves out would let a
+    world serve a config it was not built for."""
+    reads = set()
+    build_world(_ReadRecorder(config_from_dict({**PRESETS[preset], "graph": {"n": 300}}), reads))
+    assert reads == set(scenario._WORLD_FIELDS) | {"defense.playbook"}
 
 
 def test_world_columns_are_read_only():
@@ -387,7 +448,7 @@ def _config_dicts(draw, caps=None):
         st.sampled_from(FAILURE_CLASS_NAMES), _floats, max_size=3))
     attack["downtime_ticks"] = draw(st.dictionaries(
         st.sampled_from(ACTION_NAMES), st.integers(0, 500) | st.floats(0, 500), max_size=3))
-    attack["target_weights"] = draw(st.lists(_floats, min_size=3, max_size=3))
+    attack["target_weights"] = draw(st.lists(st.floats(0, 1), min_size=3, max_size=3))
     attack["action_schedule"] = draw(st.lists(st.tuples(
         st.integers(0, 1000), st.sampled_from(ACTION_NAMES)).map(list), max_size=3))
     attack["ransom"] = {"force_outcome": draw(st.sampled_from([None, "pay", "refuse"])),
