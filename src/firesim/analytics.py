@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .agents import Post, Surface
+from .pool import pool_size, run_tasks
 
 if TYPE_CHECKING:  # pragma: no cover
     from .contagion import Simulation
@@ -333,32 +334,103 @@ def _first_occurrences(authors: np.ndarray, ticks: np.ndarray,
 # chunk (58 MB at 8,192 rows, 88 MB at 32,768).
 _CHUNK_ROWS = 8192
 
+# Bytes each range of a split archive holds at least: a file shorter than
+# two ranges is read in one pass and starts no pool.
+_MIN_RANGE_BYTES = 1 << 20
+# Bytes read at a time while looking for a quote or a line end.
+_SCAN_BYTES = 1 << 16
 
-def ingest_archive(path: str | Path) -> IngestResult:
-    """Read an exported post archive, deduplicating and counting bad rows.
 
-    Rows are parsed ``_CHUNK_ROWS`` at a time into typed columns, which
-    bounds the Python objects alive at once.  Exact
-    duplicate rows (same author, timestamp, and valence) collapse to the
-    first one in file order.  Malformed rows are counted, not fatal,
-    unless they are the majority of the file.  Bytes that are not UTF-8
-    and CSV the reader rejects (such as a field over its size limit)
-    raise CorruptArchiveError.
+class _Slice(io.RawIOBase):
+    """``length`` bytes of a binary file from its current offset, as a raw stream."""
+
+    def __init__(self, raw, length: int):
+        self._raw, self._left = raw, length
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(memoryview(buffer)[:self._left])
+        self._left -= count
+        return count
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _next_line_start(fh, offset: int) -> int | None:
+    """The offset just past the first ``\n`` at or after ``offset``, if any."""
+    fh.seek(offset)
+    while block := fh.read(_SCAN_BYTES):
+        end = block.find(b"\n")
+        if end >= 0:
+            return offset + end + 1
+        offset += len(block)
+    return None
+
+
+def _byte_ranges(path: str | Path) -> list[tuple[int, int | None]]:
+    """``[start, end)`` byte ranges that tile the archive, one per CPU.
+
+    A file is cut only when it holds no ``"`` and is at least two ranges
+    long, and then only just after a ``\n``.  That byte starts a record:
+    ``\n`` is never part of a UTF-8 multi-byte sequence, and without a
+    quote the CSV reader ends a record at every ``\r``, ``\n`` or
+    ``\r\n``.  Any other file is one range, ``(0, None)``, read to its end.
     """
+    size = os.path.getsize(path)
+    count = pool_size(os.cpu_count() or 1, size // _MIN_RANGE_BYTES)
+    if count <= 1:
+        return [(0, None)]
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BYTES):
+            if b'"' in block:
+                return [(0, None)]
+        cuts = [0]
+        for k in range(1, count):
+            cut = _next_line_start(fh, max(size * k // count, cuts[-1]))
+            if cut is None or cut >= size:
+                break
+            cuts.append(cut)
+    if len(cuts) == 1:
+        return [(0, None)]
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+def _ingest_range(task: tuple[str | Path, int, int | None]) -> tuple:
+    """Kept-row columns of one byte range with its (total, malformed) counts.
+
+    The range starting at byte 0 reads and checks the header.  Rows are
+    parsed ``_CHUNK_ROWS`` at a time into typed columns, which bounds the
+    Python objects alive at once.  Bytes that are not UTF-8 and CSV the
+    reader rejects (such as a field over its size limit) raise
+    CorruptArchiveError.
+    """
+    path, start, end = task
     parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
     total = malformed = 0
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        if end is None:
+            fh = open(path, encoding="utf-8", newline="")
+        else:
+            raw = open(path, "rb", buffering=0)
+            raw.seek(start)
+            fh = io.TextIOWrapper(io.BufferedReader(_Slice(raw, end - start)),
+                                  encoding="utf-8", newline="")
+        with fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise CorruptArchiveError(f"{path}: empty file, expected header")
-            header = tuple(h.strip() for h in header)
-            if (len(header) != 5 or header[:4] != ARCHIVE_HEADER[:4]
-                    or header[4] not in _TICKS_PER_HOUR_COLUMN_ALIASES):
-                raise CorruptArchiveError(
-                    f"{path}: expected header {','.join(ARCHIVE_HEADER)} "
-                    f"(last column may be text_score)")
+            if start == 0:
+                header = next(reader, None)
+                if header is None:
+                    raise CorruptArchiveError(f"{path}: empty file, expected header")
+                header = tuple(h.strip() for h in header)
+                if (len(header) != 5 or header[:4] != ARCHIVE_HEADER[:4]
+                        or header[4] not in _TICKS_PER_HOUR_COLUMN_ALIASES):
+                    raise CorruptArchiveError(
+                        f"{path}: expected header {','.join(ARCHIVE_HEADER)} "
+                        f"(last column may be text_score)")
             while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
                 rows = [row for row in chunk if "".join(row).strip()]  # skip blank rows
                 wide = [row for row in rows if len(row) == 5]
@@ -372,10 +444,38 @@ def ingest_archive(path: str | Path) -> IngestResult:
         raise CorruptArchiveError(f"{path}: not UTF-8 text ({err.reason})") from None
     except csv.Error as err:
         raise CorruptArchiveError(f"{path}: unreadable CSV ({err})") from None
+    return *(np.concatenate(column) for column in zip(*parts)), total, malformed
+
+
+def ingest_archive(path: str | Path) -> IngestResult:
+    """Read an exported post archive, deduplicating and counting bad rows.
+
+    A large quote-free archive is parsed as byte ranges (``_byte_ranges``),
+    one per CPU, in a process pool; any other archive is read in one pass in
+    this process.  Ranges merge in file order, so the result is the same
+    either way.  Exact duplicate rows (same author, timestamp, and valence)
+    collapse to the first one in file order.  Malformed rows are counted,
+    not fatal, unless they are the majority of the file.  An archive with
+    no header, bytes that are not UTF-8 or CSV the reader rejects raises
+    CorruptArchiveError; when a range fails, the file is read again in one
+    pass, so the error is the one a single pass meets first.
+    """
+    ranges = _byte_ranges(path)
+    try:
+        parts = run_tasks([(path, start, end) for start, end in ranges], _ingest_range,
+                          len(ranges))
+    except CorruptArchiveError:
+        if len(ranges) == 1:
+            raise
+        # The decoder reads ahead of the CSV reader, so across a cut the
+        # first error in range order need not be the first a single pass meets.
+        parts = [_ingest_range((path, 0, None))]
+    *columns, totals, malformeds = zip(*parts)
+    total, malformed = sum(totals), sum(malformeds)
     if total > 0 and malformed / total > 0.5:
         raise CorruptArchiveError(
             f"{path}: {malformed} of {total} rows malformed; archive looks corrupt")
-    ticks, authors, created, valences = (np.concatenate(column) for column in zip(*parts))
+    ticks, authors, created, valences = (np.concatenate(column) for column in columns)
     first = _first_occurrences(authors, ticks, valences)
     return IngestResult(ticks=ticks[first], authors=authors[first],
                         created_ticks=created[first], valences=valences[first],
@@ -459,12 +559,13 @@ class CascadeForecast:
     relative_rmse: float
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a non-finite ``relative_rmse`` (no fit) is None."""
         return {
             "horizon": self.horizon,
             "values": list(self.values),
             "classification": self.classification.value,
             "decay_rate": self.decay_rate,
-            "relative_rmse": self.relative_rmse,
+            "relative_rmse": self.relative_rmse if math.isfinite(self.relative_rmse) else None,
         }
 
 

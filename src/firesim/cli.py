@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import __version__, analytics, contagion, defense
 from .contagion import World
+from .pool import run_tasks
 from .scenario import (ConfigError, PRESETS, REACTIVE_PLAYBOOK, PolicySpec,
                        ScenarioConfig, build_from_seed, build_world,
                        default_config, expand_preset, load_config)
@@ -111,24 +111,6 @@ def _batch_worker(task: tuple[ScenarioConfig, int]) -> tuple[int, dict | None, s
         return seed, None, f"{type(err).__name__}: {err}"
 
 
-def _pool_size(parallelism: int, task_count: int) -> int:
-    """Workers worth starting: no more than the tasks or the CPUs.
-
-    ``ProcessPoolExecutor`` under the fork start method starts every
-    worker at once, so an unclamped ``--parallelism`` forks that many
-    processes however few tasks there are.
-    """
-    return min(parallelism, task_count, os.cpu_count() or 1)
-
-
-def _run_tasks(tasks: list, worker, parallelism: int) -> list:
-    workers = _pool_size(parallelism, len(tasks))
-    if workers <= 1:
-        return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def _mean_ci(values: list[float]) -> dict:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -168,7 +150,7 @@ def aggregate_outcomes(outcomes: list[dict]) -> dict:
 def cmd_batch(cfg: ScenarioConfig, seeds: list[int], parallelism: int,
               out_dir: Path) -> int:
     analytics.ensure_writable(out_dir)
-    results = _run_tasks([(cfg, seed) for seed in seeds], _batch_worker, parallelism)
+    results = run_tasks([(cfg, seed) for seed in seeds], _batch_worker, parallelism)
     results.sort(key=lambda item: item[0])
     outcomes = [outcome for _, outcome, err in results if err is None]
     errors = [{"seed": seed, "error": err} for seed, _, err in results if err is not None]
@@ -299,7 +281,7 @@ def compare_toggle(cfg: ScenarioConfig, toggle: str, seeds: list[int],
     on_fn, off_fn = TOGGLES[toggle]
     cfg_on, cfg_off = on_fn(cfg), off_fn(cfg)
     tasks = [(cfg_on, cfg_off, seed) for seed in seeds]
-    results = _run_tasks(tasks, _compare_worker, parallelism)
+    results = run_tasks(tasks, _compare_worker, parallelism)
     results.sort(key=lambda item: item[0])
     pairs = [(seed, on, off) for seed, on, off, err in results if err is None]
     errors = [{"seed": seed, "error": err} for seed, _, _, err in results if err is not None]

@@ -1,6 +1,8 @@
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from firesim import analytics
 from firesim.agents import GENERAL_STREAM, Post, Surface
@@ -430,24 +432,28 @@ _ARCHIVE_ROWS = st.lists(st.one_of(
     max_size=60)
 
 
-@given(_ARCHIVE_ROWS, st.integers(1, 9))
-@settings(max_examples=150, deadline=None)
-def test_chunked_ingest_matches_row_loop(tmp_path_factory, rows, chunk_rows):
-    path = _write_archive(tmp_path_factory.mktemp("archive"), rows)
+def _assert_ingest_matches_row_loop(path):
     columns, total, duplicates, malformed = _ingest_rows_oracle(path)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analytics, "_CHUNK_ROWS", chunk_rows)
-        if total and malformed / total > 0.5:
-            with pytest.raises(CorruptArchiveError, match="malformed"):
-                ingest_archive(path)
-            return
-        result = ingest_archive(path)
+    if total and malformed / total > 0.5:
+        with pytest.raises(CorruptArchiveError, match="malformed"):
+            ingest_archive(path)
+        return
+    result = ingest_archive(path)
     assert (result.total_rows, result.duplicate_count, result.malformed_count) == \
         (total, duplicates, malformed)
     assert _columns(result) == columns
     # -0.0 rows keep their sign when they come first
     assert [math.copysign(1, v) for v in result.valences.tolist()] == \
         [math.copysign(1, v) for v in columns[3]]
+
+
+@given(_ARCHIVE_ROWS, st.integers(1, 9))
+@settings(max_examples=150, deadline=None)
+def test_chunked_ingest_matches_row_loop(tmp_path_factory, rows, chunk_rows):
+    path = _write_archive(tmp_path_factory.mktemp("archive"), rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytics, "_CHUNK_ROWS", chunk_rows)
+        _assert_ingest_matches_row_loop(path)
 
 
 def test_chunked_ingest_dedups_across_chunks(tmp_path, monkeypatch):
@@ -460,6 +466,203 @@ def test_chunked_ingest_dedups_across_chunks(tmp_path, monkeypatch):
         assert result.created_ticks.tolist() == [50, 51, 52, 53]
         assert [math.copysign(1, v) for v in result.valences.tolist()] == [1, -1, -1, 1]
         assert result.duplicate_count == 8
+
+
+def _force_split(mp, cpus, min_range_bytes=1):
+    """Let ingest cut any archive of ``2 * min_range_bytes`` bytes or more
+    into up to ``cpus`` ranges."""
+    mp.setattr(analytics.os, "cpu_count", lambda: cpus)
+    mp.setattr(analytics, "_MIN_RANGE_BYTES", min_range_bytes)
+
+
+@given(_ARCHIVE_ROWS, st.integers(1, 9), st.integers(2, 4), st.integers(1, 64))
+@settings(max_examples=40, deadline=None)
+def test_split_ingest_matches_row_loop(tmp_path_factory, rows, chunk_rows, cpus,
+                                       min_range_bytes):
+    path = _write_archive(tmp_path_factory.mktemp("archive"), rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytics, "_CHUNK_ROWS", chunk_rows)
+        _force_split(mp, cpus, min_range_bytes)
+        _assert_ingest_matches_row_loop(path)
+    assert multiprocessing.active_children() == []
+
+
+def _outcome(path):
+    """An ingest as plain values (valences as bits, so -0.0 shows), or its
+    CorruptArchiveError message."""
+    try:
+        result = ingest_archive(path)
+    except CorruptArchiveError as err:
+        return str(err)
+    return (*_columns(result), result.valences.tobytes(), result.total_rows,
+            result.duplicate_count, result.malformed_count)
+
+
+def _one_and_split(path, cpus=2, min_range_bytes=1):
+    """The ingest outcome on one CPU, which is one pass, and with the split
+    forced, and the ranges the split used.  Neither leaves a process behind."""
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp, 1, min_range_bytes)
+        assert analytics._byte_ranges(path) == [(0, None)]
+        one = _outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp, cpus, min_range_bytes)
+        ranges = analytics._byte_ranges(path)
+        split = _outcome(path)
+    assert multiprocessing.active_children() == []
+    return one, split, ranges
+
+
+def _cuts(ranges) -> list[int]:
+    return [start for start, _ in ranges[1:]]
+
+
+def test_split_keeps_the_first_copy_of_a_duplicate_across_a_cut(tmp_path):
+    rows = ["100,7,50,general_stream,-0.5"]
+    rows += [f"{200 + k},{k},50,company_page,0.25" for k in range(8)]
+    rows += ["2024-01-01T00:00:00Z,9,50,,0.0", "100,7,60,company_page,-0.5",
+             "473352,9,70,general_stream,-0.0"]
+    path = _write_archive(tmp_path, rows)
+    one, split, ranges = _one_and_split(path)
+    data = path.read_bytes()
+    [cut] = _cuts(ranges)
+    assert data.index(b"100,7,50") < cut < data.index(b"100,7,60")
+    assert one == split
+    ticks, authors, created, valences = split[:4]
+    assert created[ticks.index(100)] == 50 and created[authors.index(9)] == 50
+    assert split[-2:] == (2, 0)  # two duplicates, no malformed row
+
+
+@pytest.mark.parametrize("ends", ["\r\n", "\r", "\r\r\n", "mixed"])
+def test_split_cuts_only_after_a_line_feed(tmp_path, ends):
+    rows = [ARCHIVE_HEADER_LINE] + [f"{100 + k % 5},{k % 3},50,general_stream,{k / 20}"
+                                    for k in range(20)]
+    if ends == "mixed":
+        text = "".join(row + ("\n" if k % 4 == 3 else "\r") for k, row in enumerate(rows))
+    else:
+        text = ends.join(rows) + ends
+    path = tmp_path / "archive.csv"
+    path.write_bytes(text.encode("utf-8"))
+    one, split, ranges = _one_and_split(path, cpus=3)
+    assert one == split and one[-3] == 20
+    data = path.read_bytes()
+    if ends == "\r":  # no line feed: nowhere to cut
+        assert ranges == [(0, None)]
+    else:
+        assert len(ranges) == 3 and all(data[cut - 1:cut] == b"\n" for cut in _cuts(ranges))
+
+
+def test_split_skips_blank_rows_at_a_cut(tmp_path):
+    rows = [f"{100 + k},{k},50,general_stream,-0.5" for k in range(6)]
+    rows += ["", " , , , , ", "", "", " ", ""] * 3
+    rows += [f"{200 + k},{k},50,company_page,0.5" for k in range(6)]
+    path = _write_archive(tmp_path, rows)
+    one, split, ranges = _one_and_split(path, cpus=4)
+    assert len(ranges) == 4 and one == split
+    assert split[-3:] == (12, 0, 0)
+
+
+def test_quoted_archive_is_one_range_with_no_pool(tmp_path, monkeypatch):
+    rows = [f"{100 + k},{k},50,general_stream,-0.5" for k in range(20)]
+    rows.append('120,7,50,"company_page",0.5')
+    path = _write_archive(tmp_path, rows)
+    _force_split(monkeypatch, 4)
+    assert analytics._byte_ranges(path) == [(0, None)]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert ingest_archive(path).total_rows == 21
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3(", b"\xe2\x82", b"\xc3"])
+def test_split_bad_utf8_in_the_last_range_is_the_one_pass_error(tmp_path, bad):
+    good = [f"{100 + k},{k},50,general_stream,-0.5".encode() for k in range(12)]
+    path = tmp_path / "archive.csv"
+    path.write_bytes(b"\n".join([ARCHIVE_HEADER_LINE.encode()] + good + [b"101,7,50," + bad]))
+    one, split, ranges = _one_and_split(path, cpus=3)
+    assert len(ranges) == 3 and path.read_bytes().index(bad) > ranges[-1][0]
+    assert isinstance(one, str) and "not UTF-8 text" in one
+    assert split == one
+
+
+def test_split_bad_header_before_bad_utf8_is_the_one_pass_error(tmp_path):
+    """A single pass decodes ahead of the CSV reader, so it meets the bad
+    byte of a later range before it checks the header."""
+    path = tmp_path / "archive.csv"
+    path.write_bytes(b"a,b,c,d,e\n" + b"100,7,50,general_stream,-0.5\n" * 4 + b"\xff\n")
+    one, split, ranges = _one_and_split(path)
+    assert len(ranges) == 2
+    assert split == one == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+@pytest.mark.parametrize("first,second,fatal", [
+    (["ok"] * 3 + ["junk"] * 2, ["ok"] + ["junk"] * 3, True),   # 5 of 9 malformed
+    (["ok"] * 4 + ["junk"], ["ok"] + ["junk"] * 2, False),      # 3 of 8
+])
+def test_split_majority_malformed_is_judged_on_summed_counts(tmp_path, first, second,
+                                                             fatal):
+    """Range 0 holds a minority of malformed rows and range 1 a majority;
+    only the sum over both decides."""
+    good = "100,7,50,general_stream,-0.5"
+    first, second = ([good if row == "ok" else row for row in rows] for rows in (first, second))
+    head = "\n".join([ARCHIVE_HEADER_LINE] + first) + "\n"
+    # pad the last (malformed) row so that the middle byte ends range 0
+    second[-1] += "x" * (len(head) - 2 - len("\n".join(second) + "\n"))
+    path = tmp_path / "archive.csv"
+    path.write_text(head + "\n".join(second) + "\n", encoding="utf-8")
+    one, split, ranges = _one_and_split(path)
+    assert _cuts(ranges) == [len(head)]
+    counts = [analytics._ingest_range((path, start, end))[-2:] for start, end in ranges]
+    assert counts == [(len(first), first.count("junk")), (len(second), len(second) - 1)]
+    assert one == split
+    assert isinstance(split, str) == fatal
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n\n \n", " , , , , \r\n\r\n"])
+def test_split_header_only_archive_is_empty(tmp_path, body):
+    path = tmp_path / "archive.csv"
+    path.write_text(ARCHIVE_HEADER_LINE + "\n" + body, encoding="utf-8")
+    one, split, _ = _one_and_split(path, cpus=4)
+    assert one == split
+    assert split[-3:] == (0, 0, 0) and split[0] == []
+
+
+def test_split_empty_file_is_fatal(tmp_path):
+    path = tmp_path / "archive.csv"
+    path.write_bytes(b"")
+    one, split, _ = _one_and_split(path)
+    assert split == one == f"{path}: empty file, expected header"
+
+
+# Pieces of archive text: CSV syntax, line ends, quotes, NULs, valid cells
+# and rows, and any short text; pieces of bytes add stray UTF-8 lead and
+# continuation bytes and random bytes.  Whole rows are drawn twice as
+# often as other pieces, so that many archives are mostly well formed.
+_TEXT_PIECES = st.one_of(
+    st.sampled_from([b"\n", b"\n", b"\r", b"\r\n", b",", b", ,", b" ", b'"', b"\x00",
+                     b"\xc3\xa9", b"\xe2\x82\xac", b"100,7,50,general_stream,-0.5\n",
+                     b"2024-01-01T00:00:00Z,", b"-0.0", b"employee_profile:4", b"9" * 20]),
+    st.text(max_size=4).map(str.encode))
+_ROWS = st.sampled_from([b"100,7,50,general_stream,-0.5\n", b"101,7,50,,0.0\r\n",
+                         b"2024-01-01T00:00:00Z,8,-9,company_page,-0.0\n", b"\n"])
+_BYTE_PIECES = st.one_of(_TEXT_PIECES, st.sampled_from([b"\xff", b"\xc3", b"\xa9", b"\xe2\x82"]),
+                         st.binary(max_size=6))
+
+
+@given(st.booleans(),
+       st.one_of(st.lists(_ROWS | _ROWS | _TEXT_PIECES, max_size=40),
+                 st.lists(_ROWS | _ROWS | _BYTE_PIECES, max_size=40)).map(b"".join),
+       st.integers(2, 4), st.integers(1, 16))
+@settings(max_examples=80, deadline=None)
+def test_arbitrary_bytes_give_a_result_or_corrupt_archive_error(tmp_path_factory, header,
+                                                               body, cpus, min_range_bytes):
+    path = tmp_path_factory.mktemp("bytes") / "archive.csv"
+    path.write_bytes((ARCHIVE_HEADER_LINE.encode() + b"\n" if header else b"") + body)
+    one, split, ranges = _one_and_split(path, cpus, min_range_bytes)  # raise nothing else
+    event(f"{min(len(ranges), 2)} ranges, {'error' if isinstance(one, str) else 'result'}")
+    assert split == one
 
 
 # -- financial proxy ---------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from firesim import cli, scenario
+from firesim import cli, pool, scenario
 from firesim.analytics import load_sentiment_summaries
 from firesim.scenario import ConfigError, config_from_dict, dumps_config
 
@@ -201,6 +201,25 @@ def test_analyze_tick_span_outside_int64_is_exit_4(tmp_path, capsys):
     assert not any(out.glob("analysis.json"))
 
 
+def test_analyze_without_a_fit_writes_strict_json(tmp_path, capsys):
+    """Two posts 30 ticks apart leave a forecast tail with one nonzero tick,
+    so there is no fit and no finite relative RMSE to write."""
+    archive = tmp_path / "sparse.csv"
+    archive.write_text("timestamp,author_id,author_created_at,surface,valence\n"
+                       "0,7,0,general_stream,-0.5\n"
+                       "30,8,0,general_stream,-0.5\n")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", str(archive), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    payload = json.loads((out / "analysis.json").read_text(), parse_constant=reject)
+    assert payload["forecast"]["relative_rmse"] is None
+    assert payload["forecast"]["classification"] == "random"
+
+
 # -- determinism --------------------------------------------------------------------
 
 def test_run_twice_is_byte_identical(tmp_path, capsys):
@@ -242,8 +261,8 @@ def test_batch_parallelism_does_not_change_bytes(tmp_path, capsys):
     (2, 1, 100, 1),
 ])
 def test_pool_size_is_clamped(monkeypatch, cpus, parallelism, tasks, expected):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli._pool_size(parallelism, tasks) == expected
+    monkeypatch.setattr(pool.os, "cpu_count", lambda: cpus)
+    assert pool.pool_size(parallelism, tasks) == expected
 
 
 # -- payload shapes --------------------------------------------------------------------

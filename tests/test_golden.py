@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from firesim import cli
+from firesim import analytics, cli
 
 # the numpy release every digest below was recorded on
 DIGESTS_NUMPY = "2.4.6"
@@ -300,3 +300,16 @@ def test_analyze_digests(tmp_path):
 def test_analyze_edge_digests(tmp_path):
     assert analyze_digests(tmp_path, write_analyze_edge_inputs) == ANALYZE_EDGE_DIGESTS, \
         _RECORDED_ON
+
+
+@pytest.mark.parametrize("write_inputs,digests,ranges", [
+    (write_analyze_inputs, ANALYZE_DIGESTS, 3),
+    (write_analyze_edge_inputs, ANALYZE_EDGE_DIGESTS, 1),  # a quoted field: one range
+])
+def test_analyze_digests_with_the_split_forced(tmp_path, monkeypatch, write_inputs, digests,
+                                               ranges):
+    """The same bytes when ingest cuts any archive into one range per CPU."""
+    monkeypatch.setattr(analytics.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(analytics, "_MIN_RANGE_BYTES", 64)
+    assert analyze_digests(tmp_path, write_inputs) == digests, _RECORDED_ON
+    assert len(analytics._byte_ranges(tmp_path / "archive.csv")) == ranges
