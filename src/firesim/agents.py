@@ -273,10 +273,3 @@ def stress_step(stress, mentions, ambient, cfg: "AgentConfig",
     out += gain * saturate(mentions, cfg.half_saturation)
     out += cfg.gamma_ambient * saturate(ambient, cfg.half_saturation)
     return out.clip(0.0, 1.0)
-
-
-def procedure_compliance(stress: float, company: CompanyState,
-                         cfg: "AgentConfig") -> float:
-    """How reliably a staff member at ``stress`` follows security procedure now."""
-    value = company.security_posture * (1.0 - cfg.stress_compliance_weight * stress)
-    return float(np.clip(value, 0.0, 1.0))

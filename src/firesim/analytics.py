@@ -371,35 +371,33 @@ def _next_line_start(fh, offset: int) -> int | None:
     return None
 
 
-def _byte_ranges(path: str | Path) -> list[tuple[int, int | None]]:
+def _byte_ranges(path: str | Path) -> list[tuple[int, int]]:
     """``[start, end)`` byte ranges that tile the archive, one per CPU.
 
     A file is cut only when it holds no ``"`` and is at least two ranges
     long, and then only just after a ``\n``.  That byte starts a record:
     ``\n`` is never part of a UTF-8 multi-byte sequence, and without a
     quote the CSV reader ends a record at every ``\r``, ``\n`` or
-    ``\r\n``.  Any other file is one range, ``(0, None)``, read to its end.
+    ``\r\n``.  Any other file is the one range ``(0, size)``.
     """
     size = os.path.getsize(path)
     count = pool_size(os.cpu_count() or 1, size // _MIN_RANGE_BYTES)
     if count <= 1:
-        return [(0, None)]
+        return [(0, size)]
     with open(path, "rb") as fh:
         while block := fh.read(_SCAN_BYTES):
             if b'"' in block:
-                return [(0, None)]
+                return [(0, size)]
         cuts = [0]
         for k in range(1, count):
             cut = _next_line_start(fh, max(size * k // count, cuts[-1]))
             if cut is None or cut >= size:
                 break
             cuts.append(cut)
-    if len(cuts) == 1:
-        return [(0, None)]
     return list(zip(cuts, cuts[1:] + [size]))
 
 
-def _ingest_range(task: tuple[str | Path, int, int | None]) -> tuple:
+def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
     """Kept-row columns of one byte range with its (total, malformed) counts.
 
     The range starting at byte 0 reads and checks the header.  Rows are
@@ -412,14 +410,10 @@ def _ingest_range(task: tuple[str | Path, int, int | None]) -> tuple:
     parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
     total = malformed = 0
     try:
-        if end is None:
-            fh = open(path, encoding="utf-8", newline="")
-        else:
-            raw = open(path, "rb", buffering=0)
-            raw.seek(start)
-            fh = io.TextIOWrapper(io.BufferedReader(_Slice(raw, end - start)),
-                                  encoding="utf-8", newline="")
-        with fh:
+        raw = open(path, "rb", buffering=0)
+        raw.seek(start)
+        with io.TextIOWrapper(io.BufferedReader(_Slice(raw, end - start)),
+                              encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if start == 0:
                 header = next(reader, None)
@@ -469,7 +463,7 @@ def ingest_archive(path: str | Path) -> IngestResult:
             raise
         # The decoder reads ahead of the CSV reader, so across a cut the
         # first error in range order need not be the first a single pass meets.
-        parts = [_ingest_range((path, 0, None))]
+        parts = [_ingest_range((path, 0, ranges[-1][1]))]
     *columns, totals, malformeds = zip(*parts)
     total, malformed = sum(totals), sum(malformeds)
     if total > 0 and malformed / total > 0.5:
@@ -559,14 +553,23 @@ class CascadeForecast:
     relative_rmse: float
 
     def to_dict(self) -> dict:
-        """JSON-ready fields; a non-finite ``relative_rmse`` (no fit) is None."""
+        """JSON-ready fields; a non-finite ``relative_rmse`` (no fit) or
+        projected value (out of float range) is None."""
         return {
             "horizon": self.horizon,
-            "values": list(self.values),
+            "values": [v if math.isfinite(v) else None for v in self.values],
             "classification": self.classification.value,
             "decay_rate": self.decay_rate,
             "relative_rmse": self.relative_rmse if math.isfinite(self.relative_rmse) else None,
         }
+
+
+def _project(last: float, g: float, h: int) -> float:
+    """``last * g ** h``, or ``inf`` when a positive value leaves float range."""
+    try:
+        return last * g ** h
+    except OverflowError:  # g > 1 at a long horizon
+        return math.inf if last > 0 else 0.0
 
 
 def predict_cascade(volumes: Sequence[float], horizon: int, *, window: int,
@@ -590,7 +593,7 @@ def predict_cascade(volumes: Sequence[float], horizon: int, *, window: int,
     relative = rmse / float(np.mean(tail))
     g = float(np.exp(slope))
     last = float(tail[-1])
-    values = tuple(last * g ** h for h in range(1, horizon + 1))
+    values = tuple(_project(last, g, h) for h in range(1, horizon + 1))
     label = CascadeClass.PREDICTABLE if relative < rmse_threshold else CascadeClass.RANDOM
     return CascadeForecast(horizon, values, label, g, relative)
 

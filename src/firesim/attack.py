@@ -10,14 +10,14 @@ candidates run out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import defense
-from .agents import BotCohort, BotMode, TargetTopic, procedure_compliance
+from .agents import BotCohort, BotMode, TargetTopic, clip_unit
 from .socialgraph import AccountId, identify_human_targets
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,19 +36,9 @@ class PlanStage(Enum):
     ABORTED = "aborted"
 
 
-_STAGE_ORDER = (
-    PlanStage.TOPIC_SELECTION,
-    PlanStage.LATENT_AMPLIFICATION,
-    PlanStage.SPREAD_WATCH,
-    PlanStage.TARGET_IDENTIFICATION,
-    PlanStage.WORKER_FOCUS,
-    PlanStage.CYBER_ATTACK,
-    PlanStage.DONE,
-)
-
-
 def stage_index(stage: PlanStage) -> int:
-    return _STAGE_ORDER.index(stage)
+    """Position of ``stage`` in the plan, in declaration order."""
+    return list(PlanStage).index(stage)
 
 
 class ActionKind(Enum):
@@ -123,12 +113,7 @@ class ActionOutcome:
             "downtime_ticks": self.downtime_ticks,
             "exfiltrated": self.exfiltrated,
             "ransom_paid": self.ransom_paid,
-            "impact": {
-                "reputation": self.impact.reputation,
-                "confidentiality": self.impact.confidentiality,
-                "integrity": self.impact.integrity,
-                "availability": self.impact.availability,
-            },
+            "impact": asdict(self.impact),
         }
 
 
@@ -210,7 +195,7 @@ def ransom_decision(cfg: "RansomConfig", rng: np.random.Generator) -> tuple[bool
     ``force_outcome`` pins the result for scripted comparisons.
     """
     willingness = cfg.base_willingness * math.exp(-cfg.amount / cfg.amount_scale)
-    p = float(np.clip(willingness * cfg.reliability, 0.0, 1.0))
+    p = clip_unit(willingness * cfg.reliability)
     if cfg.force_outcome == "pay":
         return True, p
     if cfg.force_outcome == "refuse":
@@ -235,38 +220,27 @@ def execute_action(kind: ActionKind, sim: "Simulation", rng: np.random.Generator
     outcome = ActionOutcome(kind=kind, tick=sim.tick, success=False,
                             probability=0.0, impact=impact)
 
+    roster, accounts = sim.roster_ids, sim.accounts
     if kind is ActionKind.HUMAN_ERROR_EXPLOIT:
-        members = sim.world.roster.members
-        fails = [1.0 - procedure_compliance(float(sim.accounts.stress[i]), company,
-                                            sim.cfg.agents)
-                 for i in members]
-        p = float(np.mean(fails)) if fails else 0.0
+        # how reliably each staff member follows security procedure at their stress
+        compliance = company.security_posture * (
+            1.0 - sim.cfg.agents.stress_compliance_weight * accounts.stress[roster])
+        p = float(np.mean(1.0 - np.clip(compliance, 0.0, 1.0))) if len(roster) else 0.0
     elif kind is ActionKind.INSIDER_THREAT:
-        members = sim.world.roster.members
-        count = sum(
-            1 for i in members
-            if sim.accounts.stress[i] > cfg.insider_stress_min
-            and sim.accounts.pride[i] < cfg.insider_pride_max)
-        p = float(np.clip(cfg.insider_rate_per_candidate * count, 0.0, 1.0))
-    elif kind is ActionKind.EXTORTION:
-        paid, p = ransom_decision(cfg.ransom, rng)
-        outcome.probability = p
-        outcome.success = paid
-        if paid:
-            company.ransom_paid_total += cfg.ransom.amount
-            outcome.ransom_paid = cfg.ransom.amount
-            for cohort in sim.cohorts:
-                if cohort.mode is BotMode.ATTACK:
-                    cohort.mode = BotMode.DORMANT
-        return outcome
-    elif kind is ActionKind.DEFENCE_AS_A_SERVICE:
-        paid, p = ransom_decision(cfg.service, rng)
-        outcome.probability = p
-        outcome.success = paid
-        if paid:
-            company.ransom_paid_total += cfg.service.amount
-            outcome.ransom_paid = cfg.service.amount
-            if plan is not None:
+        count = np.count_nonzero((accounts.stress[roster] > cfg.insider_stress_min)
+                                 & (accounts.pride[roster] < cfg.insider_pride_max))
+        p = clip_unit(cfg.insider_rate_per_candidate * int(count))
+    elif kind in (ActionKind.EXTORTION, ActionKind.DEFENCE_AS_A_SERVICE):
+        terms = cfg.ransom if kind is ActionKind.EXTORTION else cfg.service
+        outcome.success, outcome.probability = ransom_decision(terms, rng)
+        if outcome.success:
+            company.ransom_paid_total += terms.amount
+            outcome.ransom_paid = terms.amount
+            if kind is ActionKind.EXTORTION:
+                for cohort in sim.cohorts:
+                    if cohort.mode is BotMode.ATTACK:
+                        cohort.mode = BotMode.DORMANT
+            elif plan is not None:
                 plan.flip_active = True
         return outcome
     else:
@@ -279,13 +253,10 @@ def execute_action(kind: ActionKind, sim: "Simulation", rng: np.random.Generator
 
     if impact.reputation:
         drop = cfg.reputation_shocks.get(kind.value, 0.0)
-        company.reputation = float(np.clip(company.reputation - drop, 0.0, 1.0))
+        company.reputation = clip_unit(company.reputation - drop)
         outcome.reputation_drop = drop
-    if impact.confidentiality:
-        company.data_exfiltrated = True
-        outcome.exfiltrated = True
-    if kind is ActionKind.OFFERING_HELP and outcome.success:
-        # access is handed over voluntarily; data walks out with it
+    # offered help hands access over voluntarily; data walks out with it
+    if impact.confidentiality or kind is ActionKind.OFFERING_HELP:
         company.data_exfiltrated = True
         outcome.exfiltrated = True
     if impact.integrity:
@@ -319,29 +290,20 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
         if retired:
             events.append({"tick": tick, "kind": "campaign_concluded"})
 
-    if plan.stage in (PlanStage.DONE, PlanStage.ABORTED):
-        if plan.flip_active:
-            _flip_step(plan, sim, cfg, tick, events)
-        return events
-
-    for scheduled_tick, action_name in cfg.action_schedule:
-        if scheduled_tick != tick:
-            continue
-        kind = ActionKind(action_name)
+    live = plan.stage not in (PlanStage.DONE, PlanStage.ABORTED)
+    due = [ActionKind(name) for at, name in cfg.action_schedule if at == tick] if live else []
+    for kind in due:
         try:
-            outcome = execute_action(kind, sim, sim.rng, cfg)
+            _record_action(plan, sim, cfg, kind, tick, events)
         except SequencingError as err:
             events.append({"tick": tick, "kind": "action_skipped",
                            "action": kind.value, "reason": str(err)})
-            continue
-        plan.actions.append(outcome)
-        sim.financial.markers.append((tick, kind.value))
-        events.append({"tick": tick, "kind": "action", "action": kind.value,
-                       "success": outcome.success})
 
     if plan.flip_active:
         _flip_step(plan, sim, cfg, tick, events)
 
+    if not live:
+        return events
     if budget_spent:
         done = sim.fire_point is not None
         events.append(plan.enter(PlanStage.DONE if done else PlanStage.ABORTED, tick))
@@ -353,14 +315,12 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
             topic = select_topic(list(sim.cfg.topics), cfg.class_weights, plan.excluded_topics)
         except NoTopicError:
             events.append(plan.enter(PlanStage.ABORTED, tick))
-            for cohort in _attack_cohorts(sim):
-                cohort.mode = BotMode.DORMANT
+            _set_attack_mode(sim, BotMode.DORMANT)
             return events
         boost = defense.recurrence_boost(
             list(sim.cfg.company_history), topic, tick, sim.cfg.defense)
         sim.set_topic(topic, recurrence_multiplier=boost)
-        for cohort in _attack_cohorts(sim):
-            cohort.mode = BotMode.ATTACK
+        _set_attack_mode(sim, BotMode.ATTACK)
         plan.abandoned_at = None
         plan.amplify_started = tick
         events.append({"tick": tick, "kind": "topic_selected", "topic": topic.topic_id,
@@ -390,8 +350,7 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
         started = plan.amplify_started if plan.amplify_started is not None else 0
         if tick - started >= cfg.spread_patience:
             plan.abandoned_at = tick
-            for cohort in _attack_cohorts(sim):
-                cohort.mode = BotMode.DORMANT
+            _set_attack_mode(sim, BotMode.DORMANT)
             events.append({"tick": tick, "kind": "amplification_abandoned",
                            "topic": sim.topic.topic_id})
         return events
@@ -414,12 +373,7 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
         return events
 
     if stage is PlanStage.CYBER_ATTACK:
-        kind = ActionKind(cfg.final_action)
-        outcome = execute_action(kind, sim, sim.rng, cfg)
-        plan.actions.append(outcome)
-        sim.financial.markers.append((tick, kind.value))
-        events.append({"tick": tick, "kind": "action", "action": kind.value,
-                       "success": outcome.success})
+        _record_action(plan, sim, cfg, ActionKind(cfg.final_action), tick, events)
         events.append(plan.enter(PlanStage.DONE, tick))
         return events
 
@@ -428,6 +382,21 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
 
 def _attack_cohorts(sim: "Simulation") -> list[BotCohort]:
     return [c for c in sim.cohorts if not c.cohort_id.startswith("defense")]
+
+
+def _set_attack_mode(sim: "Simulation", mode: BotMode) -> None:
+    for cohort in _attack_cohorts(sim):
+        cohort.mode = mode
+
+
+def _record_action(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
+                   kind: ActionKind, tick: int, events: list[dict]) -> None:
+    """Resolve ``kind`` now and book it in the plan, the financial markers and ``events``."""
+    outcome = execute_action(kind, sim, sim.rng, cfg)
+    plan.actions.append(outcome)
+    sim.financial.markers.append((tick, kind.value))
+    events.append({"tick": tick, "kind": "action", "action": kind.value,
+                   "success": outcome.success})
 
 
 def _flip_step(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",

@@ -101,14 +101,31 @@ def cmd_run(cfg: ScenarioConfig, out_dir: Path) -> int:
 
 # -- batch ---------------------------------------------------------------------
 
-def _batch_worker(task: tuple[ScenarioConfig, int]) -> tuple[int, dict | None, str | None]:
-    cfg, seed = task
+def _seed_worker(task: tuple) -> tuple[int, object, str | None]:
+    """``(job, *args, seed)`` -> ``(seed, job(*args, seed), None)``, or
+    ``(seed, None, error)`` when the job raised."""
+    job, *args, seed = task
     try:
-        sim = build_from_seed(cfg, seed)
-        sim.run(cfg.run.ticks)
-        return seed, analytics.run_outcome(sim), None
-    except Exception as err:  # noqa: BLE001 - per-seed failures must not kill the batch
+        return seed, job(*args, seed), None
+    except Exception as err:  # noqa: BLE001 - per-seed failures must not kill the run
         return seed, None, f"{type(err).__name__}: {err}"
+
+
+def _run_seeds(job, args: tuple, seeds: list[int],
+               parallelism: int) -> tuple[list[tuple[int, object]], list[dict]]:
+    """``job(*args, seed)`` for each seed: (seed, result) pairs and error rows, by seed."""
+    results = run_tasks([(job, *args, seed) for seed in seeds], _seed_worker, parallelism)
+    results.sort(key=lambda item: item[0])
+    done = [(seed, result) for seed, result, err in results if err is None]
+    errors = [{"seed": seed, "error": err} for seed, _, err in results if err is not None]
+    return done, errors
+
+
+def _run_outcome(cfg: ScenarioConfig, seed: int) -> dict:
+    """One batch seed's run outcome."""
+    sim = build_from_seed(cfg, seed)
+    sim.run(cfg.run.ticks)
+    return analytics.run_outcome(sim)
 
 
 def _mean_ci(values: list[float]) -> dict:
@@ -150,10 +167,8 @@ def aggregate_outcomes(outcomes: list[dict]) -> dict:
 def cmd_batch(cfg: ScenarioConfig, seeds: list[int], parallelism: int,
               out_dir: Path) -> int:
     analytics.ensure_writable(out_dir)
-    results = run_tasks([(cfg, seed) for seed in seeds], _batch_worker, parallelism)
-    results.sort(key=lambda item: item[0])
-    outcomes = [outcome for _, outcome, err in results if err is None]
-    errors = [{"seed": seed, "error": err} for seed, _, err in results if err is not None]
+    done, errors = _run_seeds(_run_outcome, (cfg,), seeds, parallelism)
+    outcomes = [outcome for _, outcome in done]
     payload = {
         "schema_version": 1,
         "command": "batch",
@@ -246,14 +261,6 @@ def run_pair(cfg_on: ScenarioConfig, cfg_off: ScenarioConfig, seed: int) -> tupl
     return run_metrics(cfg_on, seed, world), run_metrics(cfg_off, seed, world)
 
 
-def _compare_worker(task: tuple[ScenarioConfig, ScenarioConfig, int]) -> tuple[int, dict | None, dict | None, str | None]:
-    cfg_on, cfg_off, seed = task
-    try:
-        return seed, *run_pair(cfg_on, cfg_off, seed), None
-    except Exception as err:  # noqa: BLE001 - per-seed failures must not kill the comparison
-        return seed, None, None, f"{type(err).__name__}: {err}"
-
-
 def _binomial_tails(successes: int, trials: int) -> tuple[float, float]:
     """Exact one-sided sign-test p-values: P(X >= k) and P(X <= k), X ~ B(n, 1/2)."""
     whole = 2 ** trials
@@ -280,11 +287,8 @@ def compare_toggle(cfg: ScenarioConfig, toggle: str, seeds: list[int],
         raise ConfigError(f"unknown toggle {toggle!r}; expected one of {sorted(TOGGLES)}")
     on_fn, off_fn = TOGGLES[toggle]
     cfg_on, cfg_off = on_fn(cfg), off_fn(cfg)
-    tasks = [(cfg_on, cfg_off, seed) for seed in seeds]
-    results = run_tasks(tasks, _compare_worker, parallelism)
-    results.sort(key=lambda item: item[0])
-    pairs = [(seed, on, off) for seed, on, off, err in results if err is None]
-    errors = [{"seed": seed, "error": err} for seed, _, _, err in results if err is not None]
+    done, errors = _run_seeds(run_pair, (cfg_on, cfg_off), seeds, parallelism)
+    pairs = [(seed, on, off) for seed, (on, off) in done]
     deltas = {metric: [on[metric] - off[metric] for _, on, off in pairs]
               for metric in COMPARE_METRICS}
     per_seed = [

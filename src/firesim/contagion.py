@@ -167,7 +167,7 @@ class StageTracker:
         slope = 0.0 if self._prev is None else smoothed - self._prev
         self._prev = smoothed
         s, low, high = self.stage, self.low, self.high
-        if s is _LATENT:
+        if s is _LATENT or s is _MINOR:
             if smoothed >= high:
                 self.stage = _PEAK
             elif smoothed >= low and slope > 0:
@@ -187,11 +187,6 @@ class StageTracker:
                 self.stage = _PEAK
             elif smoothed < low:
                 self.stage = _MINOR
-        elif s is _MINOR:
-            if smoothed >= high:
-                self.stage = _PEAK
-            elif smoothed >= low and slope > 0:
-                self.stage = _TRIGGERING
         return self.stage
 
 

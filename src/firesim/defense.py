@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .agents import BotMode, TargetTopic
+from .agents import BotMode, TargetTopic, clip_unit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .contagion import Simulation
@@ -51,6 +51,14 @@ CLASS_MATCHED_POLICIES = {
 
 SUPPORT_COHORT_ID = "defense_support"
 PARTNER_COHORT_ID = "defense_partner"
+
+# The defend cohort each arming policy wakes, and why it has no effect
+# when that cohort was never built.  Partner assistance is proactive, so
+# it is applied at tick 0 only, before any cohort can stand down.
+ARMING_POLICIES = {
+    PolicyKind.SUPPORTING_BOTS: (SUPPORT_COHORT_ID, "no prepared support cohort"),
+    PolicyKind.PARTNER_ASSISTANCE: (PARTNER_COHORT_ID, "no partner cohort configured"),
+}
 
 
 class PolicyMismatchError(ValueError):
@@ -107,8 +115,9 @@ _DB_HEADER = "account_id\tlast_seen_tick\tcampaign_id"
 class AccountReputationDB:
     """Shareable record of accounts seen in earlier campaigns.
 
-    Stored as a sorted text table so organisations can diff and merge
-    their copies.
+    Read from a tab-separated text table (``account_id``, ``last_seen_tick``,
+    ``campaign_id``, after an optional header line) that organisations
+    exchange; the run only asks whether an account is listed.
     """
 
     records: dict[int, tuple[int, str]] = field(default_factory=dict)
@@ -128,22 +137,6 @@ class AccountReputationDB:
                     raise ValueError(f"{path}:{line_no}: expected account_id, last_seen_tick "
                                      f"and campaign_id separated by tabs, got {line!r}") from None
         return cls(records)
-
-    def save(self, path: str | Path) -> None:
-        lines = [_DB_HEADER]
-        for account_id in sorted(self.records):
-            last_seen, campaign = self.records[account_id]
-            lines.append(f"{account_id}\t{last_seen}\t{campaign}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def record(self, account_id: int, last_seen_tick: int, campaign_id: str) -> None:
-        prev = self.records.get(int(account_id))
-        if prev is None or prev[0] <= last_seen_tick:
-            self.records[int(account_id)] = (int(last_seen_tick), campaign_id)
-
-    def merge(self, other: "AccountReputationDB") -> None:
-        for account_id, (last_seen, campaign) in other.records.items():
-            self.record(account_id, last_seen, campaign)
 
     def __contains__(self, account_id: int) -> bool:
         return int(account_id) in self.records
@@ -202,7 +195,6 @@ class DefenseRuntime:
     """Mutable playbook state carried by one simulation run."""
 
     pending: list["PolicySpec"]
-    applied: list[tuple[int, str]] = field(default_factory=list)
     verdict: FirestormVerdict | None = None
     db: AccountReputationDB | None = None
     startup_events: list[dict] = field(default_factory=list)
@@ -251,16 +243,17 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
         sim.severity *= factor
         event["severity_after"] = sim.severity
 
-    elif kind is PolicyKind.SUPPORTING_BOTS:
-        cohort = next((c for c in sim.cohorts if c.cohort_id == SUPPORT_COHORT_ID), None)
+    elif kind in ARMING_POLICIES:
+        cohort_id, reason = ARMING_POLICIES[kind]
+        cohort = next((c for c in sim.cohorts if c.cohort_id == cohort_id), None)
         if cohort is None or len(cohort.members) == 0:
             event["kind"] = "policy_no_effect"
-            event["reason"] = "no prepared support cohort"
+            event["reason"] = reason
         else:
             cohort.mode = BotMode.DEFEND
             cohort.defending = len(cohort.members)
-            runtime.support_active_since[cohort.cohort_id] = t
-            runtime.support_withdrawn.discard(cohort.cohort_id)
+            runtime.support_active_since[cohort_id] = t
+            runtime.support_withdrawn.discard(cohort_id)
             event["cohort_size"] = len(cohort.members)
 
     elif kind is PolicyKind.SCAPEGOAT:
@@ -269,8 +262,8 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
         backfired = bool(sim.rng.random() < cfg.scapegoat_backfire_probability)
         event["backfired"] = backfired
         if backfired:
-            sim.company.reputation = float(np.clip(
-                sim.company.reputation - cfg.scapegoat_backfire_penalty, 0.0, 1.0))
+            sim.company.reputation = clip_unit(
+                sim.company.reputation - cfg.scapegoat_backfire_penalty)
 
     elif kind is PolicyKind.DIALOGUE_ENGAGEMENT:
         gain = int(cfg.dialogue_follower_gain)
@@ -290,21 +283,9 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
 
     elif kind is PolicyKind.INTERNAL_TRAINING:
         before = sim.company.security_posture
-        sim.company.security_posture = float(np.clip(
-            before + cfg.training_posture_boost, 0.0, 1.0))
+        sim.company.security_posture = clip_unit(before + cfg.training_posture_boost)
         event["posture_before"] = before
         event["posture_after"] = sim.company.security_posture
-
-    elif kind is PolicyKind.PARTNER_ASSISTANCE:
-        cohort = next((c for c in sim.cohorts if c.cohort_id == PARTNER_COHORT_ID), None)
-        if cohort is None or len(cohort.members) == 0:
-            event["kind"] = "policy_no_effect"
-            event["reason"] = "no partner cohort configured"
-        else:
-            cohort.mode = BotMode.DEFEND
-            cohort.defending = len(cohort.members)
-            runtime.support_active_since.setdefault(cohort.cohort_id, t)
-            event["cohort_size"] = len(cohort.members)
 
     elif kind is PolicyKind.SHARED_ACCOUNT_DATABASE:
         if runtime.db is None:
@@ -312,8 +293,6 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
             event["reason"] = "database unavailable"
         else:
             event["db_records"] = len(runtime.db)
-
-    runtime.applied.append((t, kind.value))
     return event
 
 

@@ -14,7 +14,6 @@ managers, their coworker follow edges) is overlaid on it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -358,17 +357,14 @@ def overlay_company(graph: SocialGraph, accounts: AccountTable, roster: CompanyR
     """
     if not 0.0 <= coworker_fraction <= 1.0:
         raise GraphError("coworker_fraction must lie in [0, 1]")
-    members = roster.members
-    for i in members:
-        if not 0 <= i < graph.n_nodes:
-            raise GraphError(f"roster account {i} not present in graph")
-    for i in roster.employees:
-        accounts.kind[i] = AccountKind.EMPLOYEE
-    for i in roster.managers:
-        accounts.kind[i] = AccountKind.MANAGER
+    ids = np.array(roster.members, dtype=np.int64)
+    absent = ids[(ids < 0) | (ids >= graph.n_nodes)]
+    if len(absent):
+        raise GraphError(f"roster account {absent[0]} not present in graph")
+    accounts.kind[roster.employees] = AccountKind.EMPLOYEE
+    accounts.kind[roster.managers] = AccountKind.MANAGER
     # one draw per member, then one coin per ordered pair a != b, a-major:
     # the same doubles as a scalar draw each
-    ids = np.array(members, dtype=np.int64)
     accounts.pride[ids] = rng.random(len(ids))
     off_diagonal = ~np.eye(len(ids), dtype=bool)
     follower = np.repeat(ids, len(ids)).reshape(len(ids), -1)[off_diagonal]
@@ -384,19 +380,17 @@ def identify_human_targets(graph: SocialGraph, accounts: AccountTable,
     """Roster members ranked for worker-focused pressure.
 
     Score blends follower reach (in-degree relative to the best-followed
-    account in the graph), pride, and a manager flag.
+    account in the graph), pride, and a manager flag.  Ties rank by
+    ascending id.
     """
     if k <= 0:
         return []
     w_deg, w_pride, w_mgr = weights
+    ids = np.array(roster.members, dtype=np.intp)
     degrees = graph.in_degrees()
     max_deg = int(degrees.max()) if graph.n_nodes else 0
-    managers = set(roster.managers)
-    scores: dict[AccountId, float] = {}
-    for i in roster.members:
-        reach = degrees[i] / max_deg if max_deg else 0.0
-        pride = accounts.pride[i]
-        pride = 0.0 if math.isnan(pride) else pride
-        scores[i] = w_deg * reach + w_pride * pride + w_mgr * (i in managers)
-    order = sorted(scores, key=lambda i: (-scores[i], i))
-    return order[:min(k, len(order))]
+    reach = degrees[ids] / max_deg if max_deg else np.zeros(len(ids))
+    pride = accounts.pride[ids]
+    pride = np.where(np.isnan(pride), 0.0, pride)
+    scores = w_deg * reach + w_pride * pride + w_mgr * np.isin(ids, roster.managers)
+    return ids[np.lexsort((ids, -scores))][:k].tolist()

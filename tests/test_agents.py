@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from firesim.agents import (BotCohort, BotMode, CompanyState, FailureClass,
                             SurfaceKind, TargetTopic, activation_probability,
                             alignment_scores, bot_emit_arrays,
-                            draw_organic_valence, procedure_compliance,
-                            saturate, stress_step, susceptibility_terms)
+                            draw_organic_valence, saturate, stress_step,
+                            susceptibility_terms)
 from firesim.scenario import AgentConfig, build_from_seed, config_from_dict
 
 
@@ -93,13 +93,6 @@ def test_stress_step_is_pure():
     out = stress_step(stress, mentions=np.array([5.0, 0.0]), ambient=2.0, cfg=cfg)
     assert stress.tolist() == [0.3, 0.6]
     assert np.all((out >= 0.0) & (out <= 1.0))
-
-
-def test_procedure_compliance_oracle():
-    cfg = AgentConfig(stress_compliance_weight=0.6)
-    company = CompanyState(security_posture=0.9)
-    assert procedure_compliance(0.0, company, cfg) == pytest.approx(0.9)
-    assert procedure_compliance(0.5, company, cfg) == pytest.approx(0.63)
 
 
 def test_saturate_shape():

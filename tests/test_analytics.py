@@ -503,7 +503,7 @@ def _one_and_split(path, cpus=2, min_range_bytes=1):
     forced, and the ranges the split used.  Neither leaves a process behind."""
     with pytest.MonkeyPatch.context() as mp:
         _force_split(mp, 1, min_range_bytes)
-        assert analytics._byte_ranges(path) == [(0, None)]
+        assert analytics._byte_ranges(path) == [(0, path.stat().st_size)]
         one = _outcome(path)
     with pytest.MonkeyPatch.context() as mp:
         _force_split(mp, cpus, min_range_bytes)
@@ -547,7 +547,7 @@ def test_split_cuts_only_after_a_line_feed(tmp_path, ends):
     assert one == split and one[-3] == 20
     data = path.read_bytes()
     if ends == "\r":  # no line feed: nowhere to cut
-        assert ranges == [(0, None)]
+        assert ranges == [(0, len(data))]
     else:
         assert len(ranges) == 3 and all(data[cut - 1:cut] == b"\n" for cut in _cuts(ranges))
 
@@ -567,7 +567,7 @@ def test_quoted_archive_is_one_range_with_no_pool(tmp_path, monkeypatch):
     rows.append('120,7,50,"company_page",0.5')
     path = _write_archive(tmp_path, rows)
     _force_split(monkeypatch, 4)
-    assert analytics._byte_ranges(path) == [(0, None)]
+    assert analytics._byte_ranges(path) == [(0, path.stat().st_size)]
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")

@@ -171,6 +171,23 @@ def test_human_error_probability_tracks_mean_noncompliance():
     assert out.probability == pytest.approx(1.0 - 0.9 * 0.7, abs=1e-9)
 
 
+def test_human_error_probability_oracle():
+    """The mean over staff of 1 - posture * (1 - weight * stress), clipped to [0, 1]."""
+    cfg, sim = _armed_sim()
+    assert (sim.company.security_posture, cfg.agents.stress_compliance_weight) == (0.9, 0.6)
+    roster = sim.roster_ids
+    rng = np.random.default_rng(0)
+    sim.accounts.stress[roster] = 0.0
+    out = execute_action(ActionKind.HUMAN_ERROR_EXPLOIT, sim, rng, cfg.attack)
+    assert out.probability == pytest.approx(1.0 - 0.9)
+    # half the staff calm, half at 0.5 stress: compliance 0.9 and 0.63
+    sim.accounts.stress[roster[::2]] = 0.5
+    calm = len(roster) // 2
+    expected = (calm * (1.0 - 0.9) + (len(roster) - calm) * (1.0 - 0.63)) / len(roster)
+    out = execute_action(ActionKind.HUMAN_ERROR_EXPLOIT, sim, rng, cfg.attack)
+    assert out.probability == pytest.approx(expected)
+
+
 def test_human_error_success_hits_all_four_impacts():
     cfg, sim = _armed_sim()
     sim.accounts.stress[sim.roster_ids] = 1.0
@@ -201,6 +218,25 @@ def test_insider_threat_needs_disgruntled_candidates():
     out = execute_action(ActionKind.INSIDER_THREAT, sim, rng, cfg.attack)
     expected = min(1.0, cfg.attack.insider_rate_per_candidate * len(roster))
     assert out.probability == pytest.approx(expected)
+
+
+def test_insider_threat_thresholds_are_strict_on_a_partial_mask():
+    cfg, sim = _armed_sim()
+    atk = cfg.attack
+    roster = sim.roster_ids
+    sim.accounts.stress[roster] = 0.0
+    sim.accounts.pride = sim.accounts.pride.copy()  # the world's column is read-only
+    sim.accounts.pride[roster] = 0.0
+    # stress exactly at the minimum or pride exactly at the maximum does not count
+    stress_pride = [(atk.insider_stress_min, 0.1), (0.9, atk.insider_pride_max),
+                    (0.9, 0.1), (np.nextafter(atk.insider_stress_min, 1.0),
+                                 np.nextafter(atk.insider_pride_max, 0.0)),
+                    (0.9, np.nan)]
+    assert len(roster[1::3]) >= len(stress_pride)
+    for member, (stress, pride) in zip(roster[1::3], stress_pride):
+        sim.accounts.stress[member], sim.accounts.pride[member] = stress, pride
+    out = execute_action(ActionKind.INSIDER_THREAT, sim, np.random.default_rng(2), atk)
+    assert out.probability == atk.insider_rate_per_candidate * 2
 
 
 def test_extortion_paid_stands_down_bots_and_books_ransom():

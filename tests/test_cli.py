@@ -220,6 +220,35 @@ def test_analyze_without_a_fit_writes_strict_json(tmp_path, capsys):
     assert payload["forecast"]["classification"] == "random"
 
 
+def test_analyze_forecast_past_float_range_writes_null(tmp_path, capsys):
+    """A rising post-peak tail projected 5,000 ticks ahead leaves float range:
+    those values are written as null, not raised as OverflowError."""
+    rows = ["timestamp,author_id,author_created_at,surface,valence"]
+    for tick, volume in enumerate((10, 1, 5, 10)):
+        rows += [f"{tick},{tick * 100 + k},0,general_stream,-0.5" for k in range(volume)]
+    archive = tmp_path / "rising.csv"
+    archive.write_text("\n".join(rows) + "\n")
+    cfg_path = tmp_path / "long.json"
+    cfg_path.write_text(json.dumps({"analytics": {"forecast_horizon": 5000,
+                                                  "forecast_window": 4}}))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", str(archive), "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    forecast = json.loads((out / "analysis.json").read_text(),
+                          parse_constant=reject)["forecast"]
+    values = forecast["values"]
+    assert len(values) == 5000 and forecast["decay_rate"] > 1.0
+    assert values[0] > 10.0 and values[-1] is None
+    first_null = values.index(None)
+    assert all(isinstance(v, float) for v in values[:first_null])
+    assert values[first_null:] == [None] * (5000 - first_null)
+
+
 # -- determinism --------------------------------------------------------------------
 
 def test_run_twice_is_byte_identical(tmp_path, capsys):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from firesim.agents import BotMode, FailureClass, TargetTopic
-from firesim.defense import (AccountReputationDB, PastFirestorm, PolicyKind,
-                             PolicyMismatchError, SUPPORT_COHORT_ID,
+from firesim.defense import (AccountReputationDB, PARTNER_COHORT_ID, PastFirestorm,
+                             PolicyKind, PolicyMismatchError, SUPPORT_COHORT_ID,
                              apply_policy, build_runtime, db_lookup,
                              detect_artificial, recurrence_boost)
 from firesim.scenario import (PolicySpec, build_from_seed, default_config,
@@ -57,9 +57,8 @@ def test_db_lookup_takes_the_max_and_unions_flags():
     posters = list(range(10))
     verdict = detect_artificial(posters, [-5000] * 8 + [99, 99], now=100, age_threshold=720)
     assert verdict.artificial_score == pytest.approx(0.2)
-    db = AccountReputationDB()
-    for i in (0, 1, 2, 3, 8):  # half the sample is known campaign infrastructure
-        db.record(i, last_seen_tick=-100, campaign_id="earlier-run")
+    # half the sample is known campaign infrastructure
+    db = AccountReputationDB({i: (-100, "earlier-run") for i in (0, 1, 2, 3, 8)})
     enriched = db_lookup(db, posters, verdict)
     assert enriched.artificial_score == pytest.approx(0.5)
     assert enriched.db_matched == [0, 1, 2, 3, 8]
@@ -79,38 +78,20 @@ def test_verdict_to_dict_is_json_friendly():
 
 # -- shared account database ---------------------------------------------------
 
+def _write_db(path, records: dict[int, tuple[int, str]]) -> None:
+    """The tab-separated table ``AccountReputationDB.load`` reads."""
+    lines = ["account_id\tlast_seen_tick\tcampaign_id"]
+    lines += [f"{i}\t{last_seen}\t{campaign}" for i, (last_seen, campaign) in records.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def test_reputation_db_roundtrip(tmp_path):
-    db = AccountReputationDB()
-    db.record(42, 100, "spring-campaign")
-    db.record(7, 50, "spring-campaign")
+    records = {42: (100, "spring-campaign"), 7: (50, "spring-campaign")}
     path = tmp_path / "accounts.tsv"
-    db.save(path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "account_id\tlast_seen_tick\tcampaign_id"
+    _write_db(path, records)
     loaded = AccountReputationDB.load(path)
-    assert loaded.records == db.records
+    assert loaded.records == records
     assert 42 in loaded and 8 not in loaded and len(loaded) == 2
-
-
-def test_reputation_db_record_keeps_latest_sighting():
-    db = AccountReputationDB()
-    db.record(1, 100, "first")
-    db.record(1, 50, "stale")  # older sighting must not clobber
-    assert db.records[1] == (100, "first")
-    db.record(1, 200, "newer")
-    assert db.records[1] == (200, "newer")
-
-
-def test_reputation_db_merge_is_max_by_last_seen():
-    ours = AccountReputationDB()
-    ours.record(1, 100, "ours")
-    ours.record(2, 10, "ours")
-    theirs = AccountReputationDB()
-    theirs.record(1, 50, "theirs")
-    theirs.record(2, 99, "theirs")
-    theirs.record(3, 5, "theirs")
-    ours.merge(theirs)
-    assert ours.records == {1: (100, "ours"), 2: (99, "theirs"), 3: (5, "theirs")}
 
 
 def test_missing_db_becomes_startup_event_not_crash(tmp_path):
@@ -261,6 +242,35 @@ def test_support_cohort_defends_then_stands_down():
     assert support_posts and min(p.valence for p in support_posts) > 0
 
 
+def test_partner_listed_twice_and_support_rearmed_by_policy():
+    """Partner assistance applied twice at tick 0 arms its cohort once from
+    tick 0; supporting bots applied again after they stood down re-arm at
+    once and restart their active time."""
+    cfg = _defended([PolicySpec(kind="partner_assistance"),
+                     PolicySpec(kind="supporting_bots", trigger_tick=2),
+                     PolicySpec(kind="partner_assistance"),
+                     PolicySpec(kind="supporting_bots", trigger_tick=156)])
+    sim = build_from_seed(cfg, 0)
+    sim.run(cfg.run.ticks)
+    cohort_ids = (SUPPORT_COHORT_ID, PARTNER_COHORT_ID)
+    events = [e for e in sim.events if e.get("policy") in ("partner_assistance",
+                                                           "supporting_bots")
+              or e.get("cohort") in cohort_ids]
+    partner = {"kind": "policy_applied", "policy": "partner_assistance", "cohort_size": 8}
+    support = {"kind": "policy_applied", "policy": "supporting_bots", "cohort_size": 25}
+    assert events == [
+        {"tick": 0, **partner}, {"tick": 0, **partner}, {"tick": 2, **support},
+        {"tick": 155, "kind": "support_withdrawn", "cohort": SUPPORT_COHORT_ID},
+        {"tick": 155, "kind": "support_withdrawn", "cohort": PARTNER_COHORT_ID},
+        {"tick": 156, **support},
+        {"tick": 161, "kind": "support_rearmed", "cohort": PARTNER_COHORT_ID}]
+    assert sim.playbook.support_active_since == {PARTNER_COHORT_ID: 161,
+                                                 SUPPORT_COHORT_ID: 156}
+    assert sim.playbook.support_withdrawn == set()
+    assert {c.cohort_id: c.mode for c in sim.cohorts if c.cohort_id in cohort_ids} == \
+        dict.fromkeys(cohort_ids, BotMode.DEFEND)
+
+
 def test_dialogue_engagement_gains_followers_and_converts():
     cfg = _defended([PolicySpec(kind="dialogue_engagement", trigger_tick=30)])
     sim = build_from_seed(cfg, 0)
@@ -344,11 +354,8 @@ def test_shared_db_enriches_live_verdict(tmp_path):
     probe.run(30)
     # first_authors keeps emission order with repeats; seed five unique ids
     unique_authors = list(dict.fromkeys(probe.post_log.first_authors(20)))
-    db = AccountReputationDB()
-    for a in unique_authors[:5]:
-        db.record(a, -200, "prior-campaign")
     path = tmp_path / "known.tsv"
-    db.save(path)
+    _write_db(path, {a: (-200, "prior-campaign") for a in unique_authors[:5]})
 
     cfg = _defended([PolicySpec(kind="shared_account_database")], db_path=str(path))
     sim = build_from_seed(cfg, 0)

@@ -192,6 +192,25 @@ def test_identify_human_targets_prefers_connected_stressed():
     assert top in targets or degrees[targets[0]] >= degrees[top]
 
 
+def test_identify_human_targets_breaks_score_ties_by_ascending_id():
+    g = generate_scale_free(120, 3, seed=2)
+    t = _table(120, seed=2)
+    roster = build_roster(g, t, company_id="co", employees=10, managers=3,
+                          manager_roles=("ceo",), rng=np.random.default_rng(4))
+    members = roster.members
+    # pride alone decides: two levels, each held by members spread over the roster
+    t.pride[members] = [0.5 if k % 3 else 0.75 for k in range(len(members))]
+    targets = identify_human_targets(g, t, roster, 8, (0.0, 1.0, 0.0))
+    high = [i for k, i in enumerate(members) if k % 3 == 0]
+    low = [i for k, i in enumerate(members) if k % 3]
+    assert targets == (high + low)[:8]
+    assert all(type(i) is int for i in targets)
+    # with every score tied the ranking is the roster in id order
+    assert identify_human_targets(g, t, roster, 99, (0.0, 0.0, 1.0)) == roster.managers + \
+        [i for i in members if i not in roster.managers]
+    assert identify_human_targets(g, t, roster, 99, (0.0, 0.0, 0.0)) == members
+
+
 @given(n=st.integers(min_value=2, max_value=60), m=st.integers(min_value=1, max_value=6),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
