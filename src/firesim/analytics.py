@@ -184,7 +184,6 @@ def _parse_timestamp(raw: str) -> int:
 _ISO_WIDTH = 25  # YYYY-MM-DDTHH:MM:SS+HH:MM
 _ISO_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
 _ISO_PUNCTUATION = ((4, "-"), (7, "-"), (13, ":"), (16, ":"))
-_INT_DIGITS = 18  # any 18-digit integer fits in int64
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -220,9 +219,9 @@ def _mapped(convert, cells: Sequence[str]) -> list:
 def _parse_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Ticks of a column of timestamp cells and the mask of cells that parse.
 
-    ASCII integers and ``YYYY-MM-DD[T ]HH:MM:SS`` with an optional ``Z`` or
-    ``+-HH:MM`` are read with array arithmetic (days from the civil date,
-    with every field's range checked); any other cell goes through
+    ``YYYY-MM-DD[T ]HH:MM:SS`` with an optional ``Z`` or ``+-HH:MM`` is read
+    with array arithmetic (days from the civil date, with every field's
+    range checked); any other cell, integer ticks included, goes through
     ``_parse_timestamp``.  So a cell parses, and to the same tick, exactly
     when ``_parse_timestamp`` accepts it and its tick fits in int64.
     """
@@ -238,17 +237,6 @@ def _parse_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         for c in columns:
             value = value * 10 + d[:, c]
         return value
-
-    # integer ticks: an optional "-", then 1 to 17 (18 unsigned) digits
-    minus = codes[:, 0] == ord("-")
-    position = np.arange(_ISO_WIDTH)
-    body = (position >= minus[:, None]) & (position < lengths[:, None])
-    is_int = ((lengths > minus) & (lengths <= _INT_DIGITS)
-              & (digit | ~body).all(axis=1))
-    value = np.zeros(n, dtype=np.int64)
-    for c in range(_INT_DIGITS):
-        value = np.where(body[:, c], value * 10 + d[:, c], value)
-    ticks = np.where(minus, -value, value)
 
     # ISO stamps: 19 characters, then nothing, "Z" or "+HH:MM"/"-HH:MM"
     iso = np.isin(lengths, (19, 20, 25)) & digit[:, _ISO_DIGITS].all(axis=1)
@@ -276,9 +264,9 @@ def _parse_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
     offset = np.where(signed, sign * (off_hour * 3600 + off_minute * 60), 0)
     seconds = days * 86400 + hour * 3600 + minute * 60 + second - offset
-    ticks = np.where(iso, seconds // 3600, ticks)
+    ticks = seconds // 3600
 
-    ok = is_int | iso
+    ok = iso
     rest = np.flatnonzero(~ok).tolist()
     if rest:
         slow, slow_ok = _int64_column(_mapped(_parse_timestamp, [cells[i] for i in rest]))
@@ -699,6 +687,11 @@ def run_metadata(sim: "Simulation") -> dict:
     }
 
 
+def json_text(payload: dict) -> str:
+    """``payload`` as report JSON: two-space indent, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
     """Write each ``{name: text}`` under ``out_dir`` whole or not at all.
 
@@ -720,7 +713,7 @@ def emit_report(sim: "Simulation", out_dir: str | Path) -> list[Path]:
     """Write the four report files atomically; returns their paths."""
     ensure_writable(out_dir)
     return write_files(out_dir, {
-        "run_metadata.json": json.dumps(run_metadata(sim), indent=2, sort_keys=True) + "\n",
+        "run_metadata.json": json_text(run_metadata(sim)),
         "history.csv": sim.history.to_csv_text(),
         "sentiment_windows.csv": sentiment_csv_text(sentiment_windows_for_run(sim)),
         "financial.csv": financial_csv_text(sim.financial),

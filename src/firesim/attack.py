@@ -225,7 +225,7 @@ def execute_action(kind: ActionKind, sim: "Simulation", rng: np.random.Generator
         # how reliably each staff member follows security procedure at their stress
         compliance = company.security_posture * (
             1.0 - sim.cfg.agents.stress_compliance_weight * accounts.stress[roster])
-        p = float(np.mean(1.0 - np.clip(compliance, 0.0, 1.0))) if len(roster) else 0.0
+        p = float(np.mean(1.0 - np.clip(compliance, 0.0, 1.0)))
     elif kind is ActionKind.INSIDER_THREAT:
         count = np.count_nonzero((accounts.stress[roster] > cfg.insider_stress_min)
                                  & (accounts.pride[roster] < cfg.insider_pride_max))
@@ -366,8 +366,7 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
         return events
 
     if stage is PlanStage.WORKER_FOCUS:
-        roster = sim.roster_ids
-        mean_stress = float(sim.accounts.stress[roster].mean()) if len(roster) else 0.0
+        mean_stress = float(sim.accounts.stress[sim.roster_ids].mean())
         if mean_stress >= cfg.stress_open_threshold:
             events.append(plan.enter(PlanStage.CYBER_ATTACK, tick))
         return events

@@ -9,7 +9,6 @@ invocation never leaves partial files behind.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -35,6 +34,10 @@ OUT_ROOT_ENV = "FIRESIM_OUT_ROOT"
 # The most seeds one --seeds range may name, checked before the list is built.
 MAX_SEEDS = 1_000_000
 
+# The widest span (last tick minus first) an archive may have: ``analyze``
+# writes one volume row per tick of it, so this bounds its memory and output.
+MAX_TICK_SPAN = 1_000_000
+
 
 def _default_out(command: str) -> Path:
     root = os.environ.get(OUT_ROOT_ENV, "firesim-out")
@@ -42,11 +45,11 @@ def _default_out(command: str) -> Path:
 
 
 def _resolve_config(args) -> ScenarioConfig:
-    if getattr(args, "config", None) and getattr(args, "preset", None):
+    if args.config and args.preset:
         raise ConfigError("pass --config or --preset, not both")
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg = expand_preset(args.preset)
-    elif getattr(args, "config", None):
+    elif args.config:
         cfg = load_config(args.config)
     else:
         cfg = default_config()
@@ -76,8 +79,7 @@ def _parse_seed_range(spec: str) -> list[int]:
 
 
 def _write_json_atomic(payload: dict, out_dir: Path, name: str) -> Path:
-    return _write_text_atomic(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              out_dir, name)
+    return _write_text_atomic(analytics.json_text(payload), out_dir, name)
 
 
 def _write_text_atomic(text: str, out_dir: Path, name: str) -> Path:
@@ -88,7 +90,6 @@ def _write_text_atomic(text: str, out_dir: Path, name: str) -> Path:
 # -- run ----------------------------------------------------------------------
 
 def cmd_run(cfg: ScenarioConfig, out_dir: Path) -> int:
-    analytics.ensure_writable(out_dir)
     sim = build_from_seed(cfg, cfg.run.seed)
     sim.run(cfg.run.ticks)
     analytics.emit_report(sim, out_dir)
@@ -166,7 +167,6 @@ def aggregate_outcomes(outcomes: list[dict]) -> dict:
 
 def cmd_batch(cfg: ScenarioConfig, seeds: list[int], parallelism: int,
               out_dir: Path) -> int:
-    analytics.ensure_writable(out_dir)
     done, errors = _run_seeds(_run_outcome, (cfg,), seeds, parallelism)
     outcomes = [outcome for _, outcome in done]
     payload = {
@@ -314,7 +314,6 @@ def compare_toggle(cfg: ScenarioConfig, toggle: str, seeds: list[int],
 
 def cmd_compare(cfg: ScenarioConfig, toggle: str, seeds: list[int],
                 parallelism: int, out_dir: Path) -> int:
-    analytics.ensure_writable(out_dir)
     payload = compare_toggle(cfg, toggle, seeds, parallelism)
     path = _write_json_atomic(payload, out_dir, "compare_summary.json")
     print(f"compare toggle={toggle} pairs={len(payload['pairs'])} "
@@ -325,7 +324,6 @@ def cmd_compare(cfg: ScenarioConfig, toggle: str, seeds: list[int],
 # -- analyze --------------------------------------------------------------------
 
 def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
-    analytics.ensure_writable(out_dir)
     result = analytics.ingest_archive(archive)
     order = np.argsort(result.ticks, kind="stable")  # ties stay in file order
     ticks = result.ticks[order]
@@ -337,9 +335,9 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
     verdict = None
     base_tick = int(ticks[0]) if posts else None
     if posts:
-        if int(ticks[-1]) - base_tick > np.iinfo(np.int64).max:
+        if int(ticks[-1]) - base_tick > MAX_TICK_SPAN:
             raise analytics.CorruptArchiveError(
-                f"{archive}: timestamps span more than 2**63 - 1 ticks")
+                f"{archive}: timestamps span more than {MAX_TICK_SPAN:,} ticks")
         post_ticks = ticks - base_tick
         volumes = np.bincount(post_ticks).tolist()
         windows = analytics.sentiment_windows(
@@ -375,7 +373,7 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
     }
     volume_lines = ["tick,posts"] + [f"{t},{v}" for t, v in enumerate(volumes)]
     analytics.write_files(out_dir, {
-        "analysis.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        "analysis.json": analytics.json_text(payload),
         "sentiment_windows.csv": analytics.sentiment_csv_text(windows),
         "volume.csv": "\n".join(volume_lines) + "\n",
     })
@@ -394,57 +392,44 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"firesim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeds=False, toggle=False):
+    def common(name, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON scenario config (empty file = defaults)")
         p.add_argument("--preset", choices=sorted(PRESETS), default=None)
         p.add_argument("--out", type=Path, default=None,
                        help=f"output directory (default ${OUT_ROOT_ENV} or ./firesim-out)")
-        if seeds:
-            p.add_argument("--seeds", required=True,
-                           help="seed range A..B (inclusive) or a single seed")
-            p.add_argument("--parallelism", type=int, default=1)
-        else:
-            p.add_argument("--seed", type=int, default=None)
-        if toggle:
-            p.add_argument("--toggle", required=True, choices=sorted(TOGGLES))
+        return p
 
-    common(sub.add_parser("run", help="one simulation, full report"))
-    common(sub.add_parser("batch", help="independent seeds, aggregate JSON"), seeds=True)
-    common(sub.add_parser("compare", help="paired runs with/without a toggle"),
-           seeds=True, toggle=True)
-    analyze = sub.add_parser("analyze", help="offline analysis of a post archive")
-    analyze.add_argument("archive", type=Path)
-    analyze.add_argument("--config", type=Path, default=None)
-    analyze.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    analyze.add_argument("--out", type=Path, default=None)
+    common("run", "one simulation, full report").add_argument("--seed", type=int, default=None)
+    batch = common("batch", "independent seeds, aggregate JSON")
+    compare = common("compare", "paired runs with/without a toggle")
+    for p in (batch, compare):
+        p.add_argument("--seeds", required=True,
+                       help="seed range A..B (inclusive) or a single seed")
+        p.add_argument("--parallelism", type=int, default=1)
+    compare.add_argument("--toggle", required=True, choices=sorted(TOGGLES))
+    common("analyze", "offline analysis of a post archive").add_argument("archive", type=Path)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out_dir = args.out if args.out is not None else _default_out(args.command)
     try:
+        cfg = _resolve_config(args)
+        if args.command in ("batch", "compare"):
+            seeds = _parse_seed_range(args.seeds)
+            if args.parallelism < 1:
+                raise ConfigError("--parallelism must be >= 1")
+        analytics.ensure_writable(out_dir)
         if args.command == "run":
-            cfg = _resolve_config(args)
             return cmd_run(cfg, out_dir)
         if args.command == "batch":
-            cfg = _resolve_config(args)
-            seeds = _parse_seed_range(args.seeds)
-            if args.parallelism < 1:
-                raise ConfigError("--parallelism must be >= 1")
             return cmd_batch(cfg, seeds, args.parallelism, out_dir)
         if args.command == "compare":
-            cfg = _resolve_config(args)
-            seeds = _parse_seed_range(args.seeds)
-            if args.parallelism < 1:
-                raise ConfigError("--parallelism must be >= 1")
             return cmd_compare(cfg, args.toggle, seeds, args.parallelism, out_dir)
-        if args.command == "analyze":
-            cfg = _resolve_config(args)
-            return cmd_analyze(args.archive, cfg, out_dir)
-        parser.error(f"unknown command {args.command!r}")  # pragma: no cover
+        return cmd_analyze(args.archive, cfg, out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -454,7 +439,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -106,36 +106,39 @@ class PostLog:
     """Compact per-tick post arrays.
 
     ``ticks[t]`` holds tick t's ``(authors, valences, surface_kinds,
-    surface_targets, organic)`` arrays in emission order; reports read these
-    arrays directly.  ``posts_between`` materialises ``Post`` objects; no
-    command calls it, and it stays for the tests and for the benchmark
-    tracer, which wraps it by name.
+    surface_targets)`` arrays in emission order; reports read these arrays
+    directly.  A post is organic exactly when its author is not a bot, so
+    the flag is read off ``kind``, the world's read-only account-kind
+    column.  ``posts_between`` materialises ``Post`` objects; no command
+    calls it, and it stays for the tests and for the benchmark tracer,
+    which wraps it by name.
     """
 
-    def __init__(self):
+    def __init__(self, kind: np.ndarray):
+        self.kind = kind
         self.ticks: list[tuple] = []
         self.topic_ids: list[str] = []
 
     def append_tick(self, topic_id, authors, valences, surface_kinds,
-                    surface_targets, organic) -> None:
-        self.ticks.append((authors, valences, surface_kinds, surface_targets, organic))
+                    surface_targets) -> None:
+        self.ticks.append((authors, valences, surface_kinds, surface_targets))
         self.topic_ids.append(topic_id)
 
     def first_authors(self, k: int) -> list[int]:
-        """Authors of the first k posts in emission order."""
+        """Authors of the first k posts in emission order (all, if fewer)."""
         out: list[int] = []
         for authors, *_ in self.ticks:
-            for a in authors:
-                out.append(int(a))
-                if len(out) == k:
-                    return out
+            if len(out) >= k:
+                break
+            out.extend(authors[:k - len(out)].tolist())
         return out
 
     def posts_between(self, t0: int, t1: int) -> list[agents.Post]:
         """Posts with t0 <= tick < t1."""
         posts = []
         for t in range(max(t0, 0), min(t1, len(self.ticks))):
-            authors, valences, skinds, stargets, organic = self.ticks[t]
+            authors, valences, skinds, stargets = self.ticks[t]
+            organic = self.kind[authors] != AccountKind.BOT
             topic = self.topic_ids[t]
             for i in range(len(authors)):
                 if skinds[i] == SurfaceKind.EMPLOYEE_PROFILE:
@@ -204,9 +207,6 @@ def regulator_visibility(page: Sequence[int]) -> list[float]:
 
 ACTIVATABLE = (AccountKind.REAL_USER, AccountKind.EMPLOYEE)
 
-# A tick without posts: (authors, valences, skinds, stargets, organic).
-_NO_POSTS = (*agents.EMPTY_EMISSION, np.empty(0, dtype=bool))
-
 
 class World:
     """What no tick writes, built once per seed by ``scenario.build_world``
@@ -221,6 +221,8 @@ class World:
                  seed_posters: Sequence[int], engine_seed: np.random.SeedSequence, key: dict):
         if graph.n_nodes != len(accounts):
             raise ValueError("graph and account table disagree on population size")
+        if not (roster.employees or roster.managers):
+            raise ValueError("company roster has no members")
         self.graph = graph
         self.accounts = accounts.freeze()
         self.roster = roster
@@ -279,7 +281,7 @@ class Simulation:
         self.pool_prev = 0
 
         self.history = SimHistory()
-        self.post_log = PostLog()
+        self.post_log = PostLog(world.accounts.kind)
         self.tracker = StageTracker(low=config.contagion.stage_low,
                                     high=config.contagion.stage_high)
         self.financial = analytics.FinancialProxy(base=config.analytics.value_base,
@@ -317,9 +319,7 @@ class Simulation:
     # -- tick loop -----------------------------------------------------------
 
     def run(self, ticks: int) -> "Simulation":
-        for _ in range(ticks):
-            self.step()
-        return self
+        return self.run_until(self.tick + ticks)
 
     def run_until(self, tick: int) -> "Simulation":
         while self.tick < tick:
@@ -346,15 +346,15 @@ class Simulation:
         world = self.world
         n = len(acc)
         topic = self.topic
-        parts: list[tuple] = []  # (authors, valences, skinds, stargets, organic)
+        parts: list[tuple] = []  # (authors, valences, skinds, stargets)
 
         # 1) bot cohorts post
         if topic is not None:
             noise = cfg.attack.valence_noise
             for cohort in self.cohorts:
-                a, v, sk, st = agents.bot_emit_arrays(cohort, t, topic, self.rng, noise=noise)
-                if len(a):
-                    parts.append((a, v, sk, st, np.zeros(len(a), dtype=bool)))
+                emission = agents.bot_emit_arrays(cohort, t, topic, self.rng, noise=noise)
+                if len(emission[0]):
+                    parts.append(emission)
 
         # 2) exposure to last tick's posts
         fresh_exposure = None
@@ -436,18 +436,17 @@ class Simulation:
                                    < cfg.agents.organic_company_page_fraction)
                         skind[plain[on_page]] = _PAGE_KIND
                     skind[helpers] = _PAGE_KIND
-                parts.append((organic_authors, vals, skind, np.full(k, -1, dtype=np.intp),
-                              np.ones(k, dtype=bool)))
+                parts.append((organic_authors, vals, skind, np.full(k, -1, dtype=np.intp)))
                 organic_n = k
 
         # collapse the tick's posts
         if len(parts) == 1:
-            authors, valences, skinds, stargets, organic_mask = parts[0]
+            authors, valences, skinds, stargets = parts[0]
         elif parts:
-            authors, valences, skinds, stargets, organic_mask = (
+            authors, valences, skinds, stargets = (
                 np.concatenate(column) for column in zip(*parts))
         else:
-            authors, valences, skinds, stargets, organic_mask = _NO_POSTS
+            authors, valences, skinds, stargets = agents.EMPTY_EMISSION
 
         total = len(authors)
         page_n, profile_n, stream_n = np.bincount(skinds, minlength=3).tolist()
@@ -455,27 +454,24 @@ class Simulation:
 
         # 4) worker stress from targeted mentions and ambient page negativity
         roster = world.roster_ids
-        if len(roster):
-            ag = cfg.agents
-            if profile_n:
-                on_profile = skinds == _PROFILE_KIND
-                mentions = np.bincount(stargets[on_profile], minlength=n)[roster]
-            else:
-                mentions = 0.0
-            ambient = (float(np.count_nonzero(negative & (skinds == _PAGE_KIND)))
-                       if page_n else 0.0)
-            gain = ag.gamma_direct
-            if ag.severity_scales_direct_gain and topic is not None:
-                gain *= self.severity
-            acc.stress[roster] = agents.stress_step(
-                acc.stress[roster], mentions, ambient, ag, direct_gain=gain)
-            if ag.manager_transfer > 0.0 and len(world.manager_ids):
-                mgr_stress = acc.stress[world.manager_ids]
-                spill = ag.manager_transfer * float(
-                    np.add.reduce(mgr_stress) / len(mgr_stress))
-                emp = world.employee_ids
-                if len(emp):
-                    acc.stress[emp] = np.clip(acc.stress[emp] + spill, 0.0, 1.0)
+        ag = cfg.agents
+        if profile_n:
+            on_profile = skinds == _PROFILE_KIND
+            mentions = np.bincount(stargets[on_profile], minlength=n)[roster]
+        else:
+            mentions = 0.0
+        ambient = (float(np.count_nonzero(negative & (skinds == _PAGE_KIND)))
+                   if page_n else 0.0)
+        gain = ag.gamma_direct
+        if ag.severity_scales_direct_gain and topic is not None:
+            gain *= self.severity
+        acc.stress[roster] = agents.stress_step(
+            acc.stress[roster], mentions, ambient, ag, direct_gain=gain)
+        if ag.manager_transfer > 0.0 and len(world.manager_ids):
+            mgr_stress = acc.stress[world.manager_ids]
+            spill = ag.manager_transfer * float(np.add.reduce(mgr_stress) / len(mgr_stress))
+            emp = world.employee_ids
+            acc.stress[emp] = np.clip(acc.stress[emp] + spill, 0.0, 1.0)
 
         # 5) defense playbook (reacts to the state visible so far)
         if self.playbook is not None:
@@ -517,22 +513,17 @@ class Simulation:
         # integer totals, so this equals a float cumulative-sum difference
         smoothed = (sum(history.total_posts[lo:t]) + total) / (t + 1 - lo)
         stage = self.tracker.update(smoothed)
-        if len(roster):
-            roster_stress = acc.stress[roster]
-            # ndarray.mean is add.reduce over the count
-            mean_stress = float(np.add.reduce(roster_stress) / len(roster))
-            max_stress = float(np.maximum.reduce(roster_stress))
-        else:
-            mean_stress = 0.0
-            max_stress = 0.0
+        roster_stress = acc.stress[roster]
         history.append_row(
             t, total, organic_n, total - organic_n, page_n, profile_n, stream_n,
             float(np.add.reduce(valences) / total) if total else 0.0,
-            int(np.count_nonzero(self.active)), mean_stress, max_stress,
+            int(np.count_nonzero(self.active)),
+            # ndarray.mean is add.reduce over the count
+            float(np.add.reduce(roster_stress) / len(roster)),
+            float(np.maximum.reduce(roster_stress)),
             comp.reputation, self.financial.value, stage.value)
         self.post_log.append_tick(
-            topic.topic_id if topic else "", authors, valences,
-            skinds, stargets, organic_mask)
+            topic.topic_id if topic else "", authors, valences, skinds, stargets)
 
         self.author_counts_prev = np.bincount(authors, minlength=n)
         self.pool_prev = total
@@ -565,7 +556,8 @@ class Simulation:
         world = self.world
         memo = {id(obj): obj for obj in (self.cfg, world, *vars(world).values())}
         fresh = {"cohorts": [replace(c, mode=BotMode.DORMANT) for c in self.cohorts],
-                 "plan": None, "playbook": None, "post_log": PostLog(), "events": [],
+                 "plan": None, "playbook": None, "post_log": PostLog(world.accounts.kind),
+                 "events": [],
                  "watch_fire_point": False}
         fork = Simulation.__new__(Simulation)
         fork.__dict__ = copy.deepcopy(

@@ -200,7 +200,6 @@ class DefenseRuntime:
     startup_events: list[dict] = field(default_factory=list)
     support_active_since: dict[str, int] = field(default_factory=dict)
     support_withdrawn: set[str] = field(default_factory=set)
-    posts_seen: int = 0
 
 
 def build_runtime(cfg: "DefenseConfig") -> DefenseRuntime:
@@ -347,11 +346,9 @@ def _update_verdict(sim: "Simulation", runtime: DefenseRuntime,
                     cfg: "DefenseConfig", events: list[dict]) -> None:
     if runtime.verdict is not None:
         return
-    if sim.tick > 0:
-        runtime.posts_seen += int(sim.history.total_posts[sim.tick - 1])
-    if runtime.posts_seen < cfg.detect_first_k:
-        return
     authors = sim.post_log.first_authors(cfg.detect_first_k)
+    if len(authors) < cfg.detect_first_k:
+        return
     verdict = detect_artificial(authors, sim.accounts.creation_tick[authors].tolist(),
                                 sim.tick, cfg.age_threshold, requested=cfg.detect_first_k)
     if runtime.db is not None:

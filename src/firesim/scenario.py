@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attack, defense
+from . import analytics, attack, defense
 from .agents import FailureClass, TargetTopic
 from .contagion import FirestormStage, Simulation, World
 from .defense import PastFirestorm, PolicyKind
@@ -52,6 +52,10 @@ MAX_POSTING_RATE = 60.0
 # Ticks a fire-point fork may run (a week of hourly ticks): the watch forks
 # at most once per tick, so a run takes at most ticks * this many fork steps.
 MAX_FIRE_WINDOW = 168
+
+# Ticks a cascade forecast may project (a year of hourly ticks): a forecast
+# holds one value per projected tick, and ``analyze`` writes each of them.
+MAX_FORECAST_HORIZON = 8_760
 
 
 # -- single-field rules -------------------------------------------------------
@@ -275,7 +279,7 @@ class AnalyticsConfig:
     reputation_recovery: float = _rule(NON_NEGATIVE, 0.002)
     downtime_reputation_penalty: float = _rule(NON_NEGATIVE, 0.003)
     forecast_window: int = _rule(Bound(2), 24)
-    forecast_horizon: int = _rule(AT_LEAST_1, 24)
+    forecast_horizon: int = _rule(Bound(1, MAX_FORECAST_HORIZON), 24)
     predictable_rmse: float = _rule(POSITIVE, 0.2)
 
 
@@ -487,7 +491,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def dumps_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+    return analytics.json_text(cfg.to_dict())
 
 
 def default_config() -> ScenarioConfig:

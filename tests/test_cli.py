@@ -120,6 +120,24 @@ def test_seed_range_past_the_cap_is_exit_2_before_any_seed_list(monkeypatch, tmp
     assert "'0..1000000000' names 1000000001 seeds; at most 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["batch", "compare"])
+def test_unwritable_out_is_exit_3_before_any_seed_runs(monkeypatch, tmp_path, capsys,
+                                                         command):
+    """``--out`` naming a regular file is probed once, before the first seed."""
+    builds = []
+    monkeypatch.setattr(cli, "build_from_seed", lambda *args: builds.append(args))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = [command, "--config", str(_small_config(tmp_path)), "--seeds", "0..3",
+            "--out", str(blocker)]
+    if command == "compare":
+        argv += ["--toggle", "retarget_bots"]
+    assert cli.main(argv) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert builds == []
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--seed", "-1"],
     ["run", "--config", "{neg}"],
@@ -199,6 +217,28 @@ def test_analyze_tick_span_outside_int64_is_exit_4(tmp_path, capsys):
     assert cli.main(["analyze", str(archive), "--out", str(out)]) == 4
     assert "span more than" in capsys.readouterr().err
     assert not any(out.glob("analysis.json"))
+
+
+def test_analyze_tick_span_over_the_cap_is_exit_4(tmp_path, capsys):
+    """One volume row per tick of the span: a 51-row archive reaching tick
+    3,600,000 is refused before any row is allocated or any file written."""
+    rows = ["timestamp,author_id,author_created_at,surface,valence"]
+    rows += [f"{i},{i},0,general_stream,-0.5" for i in range(50)]
+    rows.append("3600000,99,0,general_stream,-0.5")
+    archive = tmp_path / "wide.csv"
+    archive.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", str(archive), "--out", str(out)]) == 4
+    assert f"span more than {cli.MAX_TICK_SPAN:,} ticks" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_analyze_help_lists_no_seed(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["analyze", "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    assert "--config" in text and "--seed" not in text
 
 
 def test_analyze_without_a_fit_writes_strict_json(tmp_path, capsys):

@@ -306,6 +306,23 @@ def test_burnout_caps_posts_per_user(default_cfg):
     assert max(organic_counts.values()) <= default_cfg.agents.max_posts_per_user
 
 
+def test_post_log_organic_flag_matches_the_history():
+    """The post log derives each post's organic flag from its author's kind;
+    per tick it counts what the step counted, support bots and dialogue
+    defenders included."""
+    cfg = expand_preset("defended_baseline")
+    sim = build_from_seed(cfg, 0)
+    sim.run(cfg.run.ticks)
+    support = dict(sim.world.cohort_members)["defense_support"]
+    posts = sim.post_log.posts_between(0, cfg.run.ticks)
+    assert any(p.author in support and not p.organic for p in posts)
+    assert any(sim.defender[p.author] and p.organic for p in posts)
+    organic = [0] * cfg.run.ticks
+    for post in posts:
+        organic[post.tick] += post.organic
+    assert organic == sim.history.organic_posts
+
+
 def test_downtime_drains_reputation_and_counts_down(default_cfg):
     base = build_from_seed(default_cfg, 0)
     base.run(30)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -328,6 +329,20 @@ def test_verdict_emitted_once_enough_posts_seen():
     assert sim.playbook.verdict.requested == cfg.defense.detect_first_k
     # a bot-driven default run should look almost entirely artificial
     assert verdicts[0]["artificial_score"] >= 0.9
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_verdict_lands_the_tick_after_the_kth_post(extra):
+    """Phase 5 of tick t sees the posts of ticks 0..t-1, so the verdict comes
+    on the first tick whose earlier ticks hold ``detect_first_k`` posts."""
+    probe = build_from_seed(_defended([]), 0)
+    probe.run(30)
+    cumulative = list(itertools.accumulate(probe.history.total_posts))
+    k = next(c for c in cumulative if c > 0) + extra
+    sim = build_from_seed(_defended([], detect_first_k=k), 0)
+    sim.run(30)
+    want = next(t for t, c in enumerate(cumulative) if c >= k) + 1
+    assert [e["tick"] for e in sim.events if e["kind"] == "verdict"] == [want]
 
 
 def test_live_verdict_counts_a_repeated_author_once():

@@ -19,7 +19,8 @@ from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
                               build_simulation, build_world, config_from_dict,
                               default_config, dumps_config, expand_preset,
                               load_config, loads_config)
-from firesim.socialgraph import AccountTable
+from firesim.contagion import World
+from firesim.socialgraph import AccountTable, CompanyRoster
 
 
 def test_empty_text_means_defaults():
@@ -96,6 +97,13 @@ def test_roster_cannot_exceed_population():
     with pytest.raises(ConfigError, match="roster of 40 exceeds graph.n"):
         config_from_dict({"graph": {"n": 30, "m": 3},
                           "roster": {"employees": 36, "managers": 4}})
+
+
+def test_forecast_horizon_is_bounded():
+    """A forecast holds one value per projected tick, so the horizon has a cap."""
+    assert config_from_dict({"analytics": {"forecast_horizon": 8_760}})
+    with pytest.raises(ConfigError, match=r"analytics\.forecast_horizon"):
+        config_from_dict({"analytics": {"forecast_horizon": 8_761}})
 
 
 def test_playbook_trigger_exclusivity():
@@ -301,6 +309,13 @@ def test_world_columns_are_read_only():
     sim = build_simulation(expand_preset("defended_baseline"), world)
     sim.accounts.stress[sim.roster_ids] = 0.5  # a run writes only its own stress
     assert not world.accounts.stress.any()
+
+
+def test_world_rejects_an_empty_roster():
+    world = build_world(default_config())
+    with pytest.raises(ValueError, match="roster has no members"):
+        World(world.graph, world.accounts, CompanyRoster("acme"), world.cohort_members,
+              world.seed_posters, world.engine_seed, world.key)
 
 
 def test_run_seed_field_feeds_build():
