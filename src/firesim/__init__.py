@@ -8,8 +8,8 @@ __version__ = "0.1.0"
 from .agents import (BotCohort, BotMode, CompanyState, FailureClass, Post,
                      SurfaceKind, TargetTopic)
 from .analytics import (CascadeClass, CascadeForecast, CorruptArchiveError,
-                        FinancialProxy, SentimentSummary, aggregate_window,
-                        compound_score, emit_report, ingest_archive,
+                        FinancialOverflowError, FinancialProxy, SentimentSummary,
+                        aggregate_window, compound_score, emit_report, ingest_archive,
                         predict_cascade, run_outcome, update_financial_proxy)
 from .attack import (ActionKind, ActionOutcome, AttackPlan, IMPACT_MATRIX,
                      ImpactVector, PlanStage, SequencingError, advance_plan,
@@ -29,8 +29,8 @@ __all__ = [
     "__version__",
     "BotCohort", "BotMode", "CompanyState", "FailureClass", "Post",
     "SurfaceKind", "TargetTopic",
-    "CascadeClass", "CascadeForecast", "CorruptArchiveError", "FinancialProxy",
-    "SentimentSummary", "aggregate_window", "compound_score", "emit_report",
+    "CascadeClass", "CascadeForecast", "CorruptArchiveError", "FinancialOverflowError",
+    "FinancialProxy", "SentimentSummary", "aggregate_window", "compound_score", "emit_report",
     "ingest_archive", "predict_cascade", "run_outcome", "update_financial_proxy",
     "ActionKind", "ActionOutcome", "AttackPlan", "IMPACT_MATRIX",
     "ImpactVector", "PlanStage", "SequencingError", "advance_plan",

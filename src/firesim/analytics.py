@@ -9,6 +9,7 @@ run never leaves a half-written report behind.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import itertools
 import json
@@ -187,33 +188,30 @@ _ISO_PUNCTUATION = ((4, "-"), (7, "-"), (13, ":"), (16, ":"))
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def _int64_column(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as int64 and the mask of entries that are ints within int64.
-
-    Entries that are None or out of range are 0 in the array.
-    """
+def _int64_column(values: list[int], rejected: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as int64 and the mask of entries that are within int64 and
+    not ``rejected``; entries out of range are 0 in the array."""
     try:
-        return np.array(values, dtype=np.int64), np.ones(len(values), dtype=bool)
-    except (TypeError, OverflowError):
-        pass
-    ok = [v is not None and _INT64_MIN <= v <= _INT64_MAX for v in values]
-    return (np.array([v if good else 0 for v, good in zip(values, ok)], dtype=np.int64),
-            np.array(ok, dtype=bool))
+        column, ok = np.array(values, dtype=np.int64), np.ones(len(values), dtype=bool)
+    except OverflowError:
+        ok = np.array([_INT64_MIN <= v <= _INT64_MAX for v in values], dtype=bool)
+        column = np.array([v if good else 0 for v, good in zip(values, ok)], dtype=np.int64)
+    ok[rejected] = False
+    return column, ok
 
 
-def _mapped(convert, cells: Sequence[str]) -> list:
-    """``convert`` over a column; cells it rejects become None."""
-    try:
-        return list(map(convert, cells))
-    except (ValueError, OverflowError):
-        pass
-    out = []
-    for cell in cells:
+def _mapped(convert, cells: Sequence[str], fill=0) -> tuple[list, list[int]]:
+    """``convert`` over a column, with ``fill`` for each cell it rejects, and
+    the indices of those cells.  ``list.extend`` keeps what it appended
+    before ``convert`` raised, so each cell is converted once."""
+    out, rejected, cells = [], [], iter(cells)
+    while True:
         try:
-            out.append(convert(cell))
+            out.extend(map(convert, cells))
+            return out, rejected
         except (ValueError, OverflowError):
-            out.append(None)
-    return out
+            rejected.append(len(out))
+            out.append(fill)
 
 
 def _parse_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -221,9 +219,10 @@ def _parse_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
     ``YYYY-MM-DD[T ]HH:MM:SS`` with an optional ``Z`` or ``+-HH:MM`` is read
     with array arithmetic (days from the civil date, with every field's
-    range checked); any other cell, integer ticks included, goes through
-    ``_parse_timestamp``.  So a cell parses, and to the same tick, exactly
-    when ``_parse_timestamp`` accepts it and its tick fits in int64.
+    range checked); other cells go through ``int`` (which strips as
+    ``str.strip`` does), and those it rejects through ``_parse_timestamp``.
+    So a cell parses, and to the same tick, exactly when ``_parse_timestamp``
+    accepts it and its tick fits in int64.
     """
     n = len(cells)
     lengths = np.fromiter(map(len, cells), dtype=np.int64, count=n)
@@ -269,9 +268,11 @@ def _parse_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     ok = iso
     rest = np.flatnonzero(~ok).tolist()
     if rest:
-        slow, slow_ok = _int64_column(_mapped(_parse_timestamp, [cells[i] for i in rest]))
-        ticks[rest] = slow
-        ok[rest] = slow_ok
+        values, rejected = _mapped(int, [cells[i] for i in rest])
+        slow, failed = _mapped(_parse_timestamp, [cells[rest[i]] for i in rejected])
+        for i, value in zip(rejected, slow):
+            values[i] = value
+        ticks[rest], ok[rest] = _int64_column(values, [rejected[i] for i in failed])
     return ticks, ok
 
 
@@ -286,20 +287,29 @@ def _surface_ok(cell: str) -> bool:
     return True
 
 
-def _parse_rows(rows: list[list[str]]) -> tuple[np.ndarray, ...]:
-    """Columns of five-cell rows: ticks, authors, creation ticks, valences,
-    and the mask of rows whose every cell is valid."""
-    stamps, author_cells, created_cells, surfaces, valence_cells = (
-        [row[i] for row in rows] for i in range(5))
+def _parse_rows(rows: list[list[str]], surface_ok: dict[str, bool]) -> tuple[np.ndarray, ...]:
+    """Columns of five-cell rows (ticks, authors, creation ticks, valences) and
+    the mask of valid rows; ``surface_ok`` caches surface verdicts across chunks."""
+    stamps, author_cells, created_cells, surfaces, valence_cells = zip(*rows)
     ticks, ok = _parse_timestamps(stamps)
-    authors, authors_ok = _int64_column(_mapped(int, author_cells))
+    authors, authors_ok = _int64_column(*_mapped(int, author_cells))
     created, created_ok = _parse_timestamps(created_cells)
-    surface_ok = {cell: _surface_ok(cell) for cell in set(surfaces)}
-    # a rejected valence is None, which numpy reads as NaN: out of range below
-    valences = np.array(_mapped(float, valence_cells), dtype=np.float64)
+    if len(surface_ok) > _CHUNK_ROWS:  # bounded, as the chunk bounds the rows
+        surface_ok.clear()
+    for cell in set(surfaces).difference(surface_ok):
+        surface_ok[cell] = _surface_ok(cell)
+    # a rejected valence is NaN: out of range below
+    valences = np.array(_mapped(float, valence_cells, math.nan)[0], dtype=np.float64)
     ok &= authors_ok & created_ok & (valences >= -1.0) & (valences <= 1.0)
     ok &= np.fromiter(map(surface_ok.__getitem__, surfaces), dtype=bool, count=len(rows))
     return ticks, authors, created, valences, ok
+
+
+def _dedup_keys(authors: np.ndarray, ticks: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """One uint64 per (author, tick, valence bits) row, mixed by odd
+    multipliers (wrapping); equal rows share a key."""
+    mixed = authors.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) ^ ticks.view(np.uint64)
+    return mixed * np.uint64(0xC2B2AE3D27D4EB4F) ^ bits.view(np.uint64)
 
 
 def _first_occurrences(authors: np.ndarray, ticks: np.ndarray,
@@ -307,13 +317,20 @@ def _first_occurrences(authors: np.ndarray, ticks: np.ndarray,
     """Mask of rows whose (author, tick, valence) no earlier row has.
 
     Valences compare as floats do in a ``set``: ``-0.0`` equals ``0.0``.
+    Rows are grouped by a stable sort on one key (``_dedup_keys``), or on the
+    three columns when two rows that meet in that order share only the key.
     """
     bits = (valences + 0.0).view(np.int64)  # -0.0 + 0.0 is +0.0
-    order = np.lexsort((bits, ticks, authors))  # stable: ties stay in file order
-    a, t, b = authors[order], ticks[order], bits[order]
-    repeat = (a[1:] == a[:-1]) & (t[1:] == t[:-1]) & (b[1:] == b[:-1])
+    keys = _dedup_keys(authors, ticks, bits)
+    order = np.argsort(keys, kind="stable")  # stable: ties stay in file order
+    tie = np.diff(keys[order]) == 0  # uint64 differences wrap: zero only on a tie
+    later, earlier = order[1:][tie], order[:-1][tie]
+    if any((c[later] != c[earlier]).any() for c in (authors, ticks, bits)):
+        order = np.lexsort((bits, ticks, authors))
+        a, t, b = authors[order], ticks[order], bits[order]
+        later = order[1:][(a[1:] == a[:-1]) & (t[1:] == t[:-1]) & (b[1:] == b[:-1])]
     first = np.ones(len(order), dtype=bool)
-    first[order[1:][repeat]] = False
+    first[later] = False
     return first
 
 
@@ -393,10 +410,17 @@ def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
     Python objects alive at once.  Bytes that are not UTF-8 and CSV the
     reader rejects (such as a field over its size limit) raise
     CorruptArchiveError.
+
+    The cyclic collector is off while the range parses: its rows, lists of
+    strings, hold no cycles, and their allocations would start collections
+    that walk the whole heap.  The caller's setting is restored on return.
     """
     path, start, end = task
     parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
     total = malformed = 0
+    surface_ok: dict[str, bool] = {}
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         raw = open(path, "rb", buffering=0)
         raw.seek(start)
@@ -414,18 +438,22 @@ def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
                         f"{path}: expected header {','.join(ARCHIVE_HEADER)} "
                         f"(last column may be text_score)")
             while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-                rows = [row for row in chunk if "".join(row).strip()]  # skip blank rows
+                # skip blank rows (text in the first cell settles it at once)
+                rows = [row for row in chunk if row and (row[0].strip() or "".join(row).strip())]
                 wide = [row for row in rows if len(row) == 5]
                 total += len(rows)
                 malformed += len(rows) - len(wide)
                 if wide:
-                    *columns, ok = _parse_rows(wide)
+                    *columns, ok = _parse_rows(wide, surface_ok)
                     malformed += int(np.count_nonzero(~ok))
                     parts.append(tuple(column[ok] for column in columns))
     except UnicodeDecodeError as err:
         raise CorruptArchiveError(f"{path}: not UTF-8 text ({err.reason})") from None
     except csv.Error as err:
         raise CorruptArchiveError(f"{path}: unreadable CSV ({err})") from None
+    finally:
+        if collecting:
+            gc.enable()
     return *(np.concatenate(column) for column in zip(*parts)), total, malformed
 
 
@@ -465,6 +493,10 @@ def ingest_archive(path: str | Path) -> IngestResult:
                         malformed_count=malformed)
 
 
+class FinancialOverflowError(OverflowError):
+    """A market-value proxy that left the float range."""
+
+
 @dataclass
 class FinancialProxy:
     """Per-tick market-value proxy with event markers."""
@@ -499,6 +531,8 @@ def update_financial_proxy(proxy: FinancialProxy, reputation_delta: float,
 
     With no further shocks the value contracts geometrically toward base,
     so a one-off drop of d recovers to base - d*(1-rho)^n after n ticks.
+    A value past the float range (a large ``kappa`` compounded over many
+    ticks) raises FinancialOverflowError; one below it is clamped at the floor.
     """
     tick = len(proxy.series)
     value = proxy.value * (1.0 + kappa * reputation_delta) + rho * (proxy.base - proxy.value)
@@ -507,6 +541,9 @@ def update_financial_proxy(proxy: FinancialProxy, reputation_delta: float,
         proxy.floor_hits += 1
         if proxy.floor_hits == 1:
             warnings.warn("financial proxy clamped at floor value", stacklevel=2)
+    if not math.isfinite(value):
+        raise FinancialOverflowError(f"financial proxy value {value} at tick {tick} "
+                                     f"is out of float range (kappa {kappa})")
     proxy.value = float(value)
     proxy.series.append(proxy.value)
     if event is not None:

@@ -436,6 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     except analytics.CorruptArchiveError as err:
         print(f"archive error: {err}", file=sys.stderr)
         return EXIT_RUN
+    except analytics.FinancialOverflowError as err:
+        print(f"run error: {err}", file=sys.stderr)
+        return EXIT_RUN
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

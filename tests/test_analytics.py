@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import gc
 import json
 import math
 import multiprocessing
@@ -636,6 +637,164 @@ def test_split_empty_file_is_fatal(tmp_path):
     assert split == one == f"{path}: empty file, expected header"
 
 
+# -- converting each cell once ------------------------------------------------------
+
+def _mapped_by_cell(convert, cells, fill):
+    """``analytics._mapped`` as a loop over cells: the oracle."""
+    out, rejected = [], []
+    for i, cell in enumerate(cells):
+        try:
+            out.append(convert(cell))
+        except (ValueError, OverflowError):
+            out.append(fill)
+            rejected.append(i)
+    return out, rejected
+
+
+_CONVERTERS = {"int": (int, 0), "float": (float, math.nan), "timestamp": (_parse_timestamp, 0)}
+
+
+@given(st.sampled_from(sorted(_CONVERTERS)),
+       st.lists(st.sampled_from(["7", " -8 ", "+9", "1_0", "0.5", "nan", "x", "", "1e999",
+                                 "2024-01-01T00:00:00Z", "9" * 25]), max_size=30))
+@example("int", [])
+@example("int", ["x"])
+@example("int", ["x", "7", "8"])  # rejected first
+@example("int", ["7", "8", "x"])  # last
+@example("int", ["7", "x", "y", "z", "8"])  # several in a row
+@example("int", ["x", "y", "z"])  # every cell
+@example("float", ["x", "7", "y", "8", "z"])
+@settings(max_examples=200, deadline=None)
+def test_mapped_converts_each_cell_once_like_a_cell_loop(converter, cells):
+    convert, fill = _CONVERTERS[converter]
+    seen = []
+
+    def counting(cell):
+        seen.append(cell)
+        return convert(cell)
+
+    out, rejected = analytics._mapped(counting, cells, fill)
+    assert seen == cells
+    assert repr((out, rejected)) == repr(_mapped_by_cell(convert, cells, fill))
+
+
+@pytest.mark.parametrize("cell", [" 7 ", "\t7\n", "+7", "7_0", " -7", "\u20037\u2003", "\u0663",
+                                  " +1_000 ", "-0"])
+def test_integer_stamps_read_as_the_scalar_parser_reads_them(cell):
+    # "2024-01-01T06:30" is off the array path, and ``int`` rejects it
+    ticks, ok = _parse_timestamps([cell, "2024-01-01T00:00:00Z", "soon", cell, "7_",
+                                   "2024-01-01T06:30"])
+    assert ok.tolist() == [True, True, False, True, False, True]
+    assert ticks[0] == ticks[3] == _parse_timestamp(cell)
+    assert ticks[5] == _parse_timestamp("2024-01-01T06:30")
+
+
+def test_a_cell_outside_int64_spoils_only_its_own_row(tmp_path):
+    """Rejected and out-of-range cells sit first, mid-chunk and last in one
+    chunk; every other row of the chunk parses."""
+    big = str(2 ** 63)
+    rows = [f"{100 + k},{k},2024-01-0{1 + k % 9}T00:00:00Z,general_stream,-0.5"
+            for k in range(12)]
+    rows[0] = f"100,{big},50,general_stream,-0.5"        # author past int64
+    rows[4] = f"-{big}0,4,50,general_stream,-0.5"        # tick below int64
+    rows[5] = "yesterday,5,50,general_stream,-0.5"      # no tick at all
+    rows[6] = f"106,6,{big},general_stream,-0.5"         # creation past int64
+    rows[11] = f"111,{-2 ** 63 - 1},50,general_stream,-0.5"
+    assert len(rows) < analytics._CHUNK_ROWS
+    result = ingest_archive(_write_archive(tmp_path, rows))
+    assert result.malformed_count == 5
+    assert result.authors.tolist() == [1, 2, 3, 7, 8, 9, 10]
+    assert result.ticks.tolist() == [101, 102, 103, 107, 108, 109, 110]
+
+
+# -- dedup on one sort key ----------------------------------------------------------
+
+def _first_occurrences_by_lexsort(authors, ticks, valences):
+    """The three-key sort ``_first_occurrences`` ran before it mixed one key."""
+    bits = (valences + 0.0).view(np.int64)
+    order = np.lexsort((bits, ticks, authors))
+    a, t, b = authors[order], ticks[order], bits[order]
+    repeat = (a[1:] == a[:-1]) & (t[1:] == t[:-1]) & (b[1:] == b[:-1])
+    first = np.ones(len(order), dtype=bool)
+    first[order[1:][repeat]] = False
+    return first
+
+
+def _constant_keys(authors, ticks, bits):
+    """Every row on one key: each pair of different rows collides."""
+    return np.zeros(len(authors), dtype=np.uint64)
+
+
+_INT64S = st.one_of(st.integers(-3, 3), st.sampled_from([-2 ** 63, -2 ** 63 + 1, 2 ** 63 - 1]),
+                    st.integers(-2 ** 63, 2 ** 63 - 1))
+_DEDUP_ROWS = st.lists(st.tuples(_INT64S, _INT64S, st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0]), st.floats(-1, 1))), min_size=1, max_size=6
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=60))
+
+
+@given(_DEDUP_ROWS, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_first_occurrences_match_the_three_key_sort(rows, collide):
+    authors, ticks = (np.array([row[i] for row in rows], dtype=np.int64) for i in (0, 1))
+    valences = np.array([row[2] for row in rows], dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        if collide:
+            mp.setattr(analytics, "_dedup_keys", _constant_keys)
+        first = analytics._first_occurrences(authors, ticks, valences)
+    assert first.tolist() == _first_occurrences_by_lexsort(authors, ticks, valences).tolist()
+
+
+def test_colliding_keys_fall_back_to_the_three_key_sort(tmp_path, monkeypatch):
+    rows = [f"{100 + k % 3},{k % 4},50,general_stream,{('-0.0', '0.0', '0.5')[k % 3]}"
+            for k in range(30)]
+    path = _write_archive(tmp_path, rows)
+    monkeypatch.setattr(analytics, "_dedup_keys", _constant_keys)
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    _assert_ingest_matches_row_loop(path)
+    assert sorts == [1]
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp, 3)
+        assert len(analytics._byte_ranges(path)) == 3
+        _assert_ingest_matches_row_loop(path)
+    assert sorts == [1, 1]
+    assert multiprocessing.active_children() == []
+
+
+# -- the cyclic collector -------------------------------------------------------------
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_ingest_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, cpus, collecting):
+    rows = [f"{100 + k},{k},50,general_stream,-0.5" for k in range(24)]
+    good = _write_archive(tmp_path, rows)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(good.read_bytes() + b"101,7,50,\xff\n")
+    _force_split(monkeypatch, cpus)
+    assert len(analytics._byte_ranges(good)) == cpus
+    parse_rows, parsing = analytics._parse_rows, []
+
+    def spy(*args):
+        parsing.append(gc.isenabled())
+        return parse_rows(*args)
+
+    monkeypatch.setattr(analytics, "_parse_rows", spy)
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert ingest_archive(good).total_rows == 24
+        assert gc.isenabled() == collecting
+        with pytest.raises(CorruptArchiveError, match="not UTF-8"):
+            ingest_archive(bad)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert multiprocessing.active_children() == []
+    if cpus == 1:  # forked workers record into their own copy of ``parsing``
+        assert parsing and not any(parsing)
+
+
 # Pieces of archive text: CSV syntax, line ends, quotes, NULs, valid cells
 # and rows, and any short text; pieces of bytes add stray UTF-8 lead and
 # continuation bytes and random bytes.  Whole rows are drawn twice as
@@ -707,6 +866,18 @@ def test_financial_proxy_floor_clamps_with_one_warning():
         _warnings.simplefilter("error")  # a second clamp must stay silent
         _advance(proxy, -0.5)
     assert proxy.floor_hits == 2
+
+
+def test_financial_proxy_overflow_raises_and_leaves_the_proxy_as_it_was():
+    from firesim.analytics import FinancialOverflowError, update_financial_proxy
+    proxy = FinancialProxy(base=100.0, floor=1.0)
+    update_financial_proxy(proxy, 0.5, kappa=1e300, rho=0.05)
+    with pytest.raises(FinancialOverflowError, match="out of float range"):
+        update_financial_proxy(proxy, 0.5, kappa=1e300, rho=0.05)
+    assert proxy.series == [proxy.value] and math.isfinite(proxy.value)
+    # overflowing downward is clamped at the floor, as any other drop
+    with pytest.warns(UserWarning, match="clamped"):
+        assert update_financial_proxy(proxy, -0.5, kappa=1e300, rho=0.05) == 1.0
 
 
 def test_financial_proxy_rejects_bad_anchors():

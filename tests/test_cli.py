@@ -194,6 +194,53 @@ def test_unreadable_archive_is_exit_4(tmp_path, capsys, bad_row):
     assert not any(out.glob("analysis.json"))
 
 
+def _kappa_config(tmp_path, kappa: float) -> Path:
+    path = tmp_path / "kappa.json"
+    path.write_text(json.dumps({"analytics": {"kappa": kappa}}))
+    return path
+
+
+# a large kappa also drives the proxy down to its floor, which warns once per run
+_FLOOR_WARNING = pytest.mark.filterwarnings("ignore:financial proxy clamped:UserWarning")
+
+
+@_FLOOR_WARNING
+def test_financial_proxy_overflow_is_exit_4_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(_kappa_config(tmp_path, 1e200)), "--seed", "0",
+                     "--out", str(out)])
+    assert code == 4
+    assert "run error: financial proxy value inf" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@_FLOOR_WARNING
+def test_financial_proxy_overflow_is_a_seed_error_in_batch_and_compare(tmp_path, capsys):
+    cfg = str(_kappa_config(tmp_path, 1e200))
+    assert cli.main(["batch", "--config", cfg, "--seeds", "0..1",
+                     "--out", str(tmp_path / "batch")]) == 4
+    assert cli.main(["compare", "--config", cfg, "--seeds", "0", "--toggle", "defense_playbook",
+                     "--out", str(tmp_path / "compare")]) == 4
+    capsys.readouterr()
+    batch = json.loads((tmp_path / "batch" / "batch_summary.json").read_text())
+    compare = json.loads((tmp_path / "compare" / "compare_summary.json").read_text())
+    assert [e["seed"] for e in batch["errors"]] == [0, 1] and batch["outcomes"] == []
+    assert [e["seed"] for e in compare["errors"]] == [0]
+    for error in batch["errors"] + compare["errors"]:
+        assert error["error"].startswith("FinancialOverflowError: ")
+
+
+@_FLOOR_WARNING
+def test_large_finite_financial_proxy_still_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(_kappa_config(tmp_path, 1e6)), "--seed", "0",
+                     "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    final = json.loads((out / "run_metadata.json").read_text())["outcome"]["final_financial_value"]
+    assert final == pytest.approx(2.1e173, rel=0.01)
+
+
 def test_analyze_counts_tick_outside_int64_as_malformed(tmp_path, capsys):
     rows = ["timestamp,author_id,author_created_at,surface,valence",
             "100000000000000000000,7,50,general_stream,-0.5"]
