@@ -9,6 +9,7 @@ run never leaves a half-written report behind.
 from __future__ import annotations
 
 import csv
+import functools
 import gc
 import io
 import itertools
@@ -100,18 +101,26 @@ def aggregate_window(posts: Sequence[Post], window_id: int, start_tick: int,
                    end_tick=end_tick)
 
 
+def _cell(value) -> str:
+    return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+
+def csv_text(header: str, rows: Iterable[Iterable]) -> str:
+    """A report CSV: the ``header`` line, then one line per row.  A float is
+    written with ``repr`` (so it reads back exactly), ``None`` as an empty
+    cell and any other value with ``str``."""
+    lines = [header]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 SENTIMENT_CSV_HEADER = "window_id,start_tick,end_tick,post_count,negative,neutral,positive,compound"
 
 
 def sentiment_csv_text(summaries: Iterable[SentimentSummary]) -> str:
-    lines = [SENTIMENT_CSV_HEADER]
-    for s in summaries:
-        parts = [str(s.window_id), str(s.start_tick), str(s.end_tick), str(s.post_count)]
-        for value in (s.negative, s.neutral, s.positive):
-            parts.append("" if value is None else repr(value))
-        parts.append(repr(s.compound))
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
+    return csv_text(SENTIMENT_CSV_HEADER, (
+        (s.window_id, s.start_tick, s.end_tick, s.post_count, s.negative, s.neutral,
+         s.positive, s.compound) for s in summaries))
 
 
 def load_sentiment_summaries(text: str, closure_tolerance: float = 0.01) -> list[SentimentSummary]:
@@ -143,7 +152,7 @@ def load_sentiment_summaries(text: str, closure_tolerance: float = 0.01) -> list
 
 
 ARCHIVE_HEADER = ("timestamp", "author_id", "author_created_at", "surface", "valence")
-_TICKS_PER_HOUR_COLUMN_ALIASES = {"valence", "text_score"}
+_VALENCE_COLUMN_NAMES = {"valence", "text_score"}
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
@@ -276,6 +285,13 @@ def _parse_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return ticks, ok
 
 
+# Rows parsed per chunk.  From 4,096 to 32,768 rows the ingest time of a
+# 220k-row archive stays within noise, while the peak memory grows with the
+# chunk (58 MB at 8,192 rows, 88 MB at 32,768).
+_CHUNK_ROWS = 8192
+
+
+@functools.lru_cache(maxsize=_CHUNK_ROWS)  # bounded, as the chunk bounds the rows
 def _surface_ok(cell: str) -> bool:
     text = cell.strip()
     if not text:
@@ -287,21 +303,17 @@ def _surface_ok(cell: str) -> bool:
     return True
 
 
-def _parse_rows(rows: list[list[str]], surface_ok: dict[str, bool]) -> tuple[np.ndarray, ...]:
+def _parse_rows(rows: list[list[str]]) -> tuple[np.ndarray, ...]:
     """Columns of five-cell rows (ticks, authors, creation ticks, valences) and
-    the mask of valid rows; ``surface_ok`` caches surface verdicts across chunks."""
+    the mask of valid rows."""
     stamps, author_cells, created_cells, surfaces, valence_cells = zip(*rows)
     ticks, ok = _parse_timestamps(stamps)
     authors, authors_ok = _int64_column(*_mapped(int, author_cells))
     created, created_ok = _parse_timestamps(created_cells)
-    if len(surface_ok) > _CHUNK_ROWS:  # bounded, as the chunk bounds the rows
-        surface_ok.clear()
-    for cell in set(surfaces).difference(surface_ok):
-        surface_ok[cell] = _surface_ok(cell)
     # a rejected valence is NaN: out of range below
     valences = np.array(_mapped(float, valence_cells, math.nan)[0], dtype=np.float64)
     ok &= authors_ok & created_ok & (valences >= -1.0) & (valences <= 1.0)
-    ok &= np.fromiter(map(surface_ok.__getitem__, surfaces), dtype=bool, count=len(rows))
+    ok &= np.fromiter(map(_surface_ok, surfaces), dtype=bool, count=len(rows))
     return ticks, authors, created, valences, ok
 
 
@@ -333,11 +345,6 @@ def _first_occurrences(authors: np.ndarray, ticks: np.ndarray,
     first[later] = False
     return first
 
-
-# Rows parsed per chunk.  From 4,096 to 32,768 rows the ingest time of a
-# 220k-row archive stays within noise, while the peak memory grows with the
-# chunk (58 MB at 8,192 rows, 88 MB at 32,768).
-_CHUNK_ROWS = 8192
 
 # Bytes each range of a split archive holds at least: a file shorter than
 # two ranges is read in one pass and starts no pool.
@@ -418,7 +425,6 @@ def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
     path, start, end = task
     parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
     total = malformed = 0
-    surface_ok: dict[str, bool] = {}
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -433,7 +439,7 @@ def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
                     raise CorruptArchiveError(f"{path}: empty file, expected header")
                 header = tuple(h.strip() for h in header)
                 if (len(header) != 5 or header[:4] != ARCHIVE_HEADER[:4]
-                        or header[4] not in _TICKS_PER_HOUR_COLUMN_ALIASES):
+                        or header[4] not in _VALENCE_COLUMN_NAMES):
                     raise CorruptArchiveError(
                         f"{path}: expected header {','.join(ARCHIVE_HEADER)} "
                         f"(last column may be text_score)")
@@ -444,7 +450,7 @@ def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
                 total += len(rows)
                 malformed += len(rows) - len(wide)
                 if wide:
-                    *columns, ok = _parse_rows(wide, surface_ok)
+                    *columns, ok = _parse_rows(wide)
                     malformed += int(np.count_nonzero(~ok))
                     parts.append(tuple(column[ok] for column in columns))
     except UnicodeDecodeError as err:
@@ -558,10 +564,8 @@ def financial_csv_text(proxy: FinancialProxy) -> str:
     marks: dict[int, str] = {}
     for tick, kind in proxy.markers:
         marks[tick] = f"{marks[tick]};{kind}" if tick in marks else kind
-    lines = [FINANCIAL_CSV_HEADER]
-    for tick, value in enumerate(proxy.series):
-        lines.append(f"{tick},{value!r},{marks.get(tick, '')}")
-    return "\n".join(lines) + "\n"
+    return csv_text(FINANCIAL_CSV_HEADER, (
+        (tick, value, marks.get(tick, "")) for tick, value in enumerate(proxy.series)))
 
 
 class CascadeClass(Enum):
@@ -747,11 +751,10 @@ def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
 
 
 def emit_report(sim: "Simulation", out_dir: str | Path) -> list[Path]:
-    """Write the four report files atomically; returns their paths."""
+    """Write the ``REPORT_FILES`` atomically; returns their paths."""
     ensure_writable(out_dir)
-    return write_files(out_dir, {
-        "run_metadata.json": json_text(run_metadata(sim)),
-        "history.csv": sim.history.to_csv_text(),
-        "sentiment_windows.csv": sentiment_csv_text(sentiment_windows_for_run(sim)),
-        "financial.csv": financial_csv_text(sim.financial),
-    })
+    return write_files(out_dir, dict(zip(REPORT_FILES, (
+        json_text(run_metadata(sim)),
+        sim.history.to_csv_text(),
+        sentiment_csv_text(sentiment_windows_for_run(sim)),
+        financial_csv_text(sim.financial)))))

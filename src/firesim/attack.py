@@ -104,17 +104,9 @@ class ActionOutcome:
     ransom_paid: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "action": self.kind.value,
-            "tick": self.tick,
-            "success": self.success,
-            "probability": self.probability,
-            "reputation_drop": self.reputation_drop,
-            "downtime_ticks": self.downtime_ticks,
-            "exfiltrated": self.exfiltrated,
-            "ransom_paid": self.ransom_paid,
-            "impact": asdict(self.impact),
-        }
+        out = asdict(self)
+        out["action"] = out.pop("kind").value
+        return out
 
 
 @dataclass
@@ -312,25 +304,24 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
     stage = plan.stage
     if stage is PlanStage.TOPIC_SELECTION:
         try:
-            topic = select_topic(list(sim.cfg.topics), cfg.class_weights, plan.excluded_topics)
+            topic = sim.choose_topic(tick, plan.excluded_topics)
         except NoTopicError:
             events.append(plan.enter(PlanStage.ABORTED, tick))
             _set_attack_mode(sim, BotMode.DORMANT)
             return events
-        boost = defense.recurrence_boost(
-            list(sim.cfg.company_history), topic, tick, sim.cfg.defense)
-        sim.set_topic(topic, recurrence_multiplier=boost)
         _set_attack_mode(sim, BotMode.ATTACK)
         plan.abandoned_at = None
         plan.amplify_started = tick
         events.append({"tick": tick, "kind": "topic_selected", "topic": topic.topic_id,
-                       "recurrence_multiplier": boost})
+                       "recurrence_multiplier": sim.recurrence_multiplier})
         events.append(plan.enter(PlanStage.LATENT_AMPLIFICATION, tick))
         return events
 
     if stage in (PlanStage.LATENT_AMPLIFICATION, PlanStage.SPREAD_WATCH):
         if plan.abandoned_at is not None:
-            if _topic_died(sim, cfg, tick):
+            contagion = sim.cfg.contagion
+            if sim.history.quiet("total_posts", contagion.extinguish_window,
+                                 contagion.extinguish_eps):
                 plan.excluded_topics.append(sim.topic.topic_id)
                 events.append({"tick": tick, "kind": "topic_exhausted",
                                "topic": sim.topic.topic_id})
@@ -380,7 +371,7 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
 
 
 def _attack_cohorts(sim: "Simulation") -> list[BotCohort]:
-    return [c for c in sim.cohorts if not c.cohort_id.startswith("defense")]
+    return [c for c in sim.cohorts if c.cohort_id not in defense.DEFEND_COHORT_IDS]
 
 
 def _set_attack_mode(sim: "Simulation", mode: BotMode) -> None:
@@ -413,12 +404,3 @@ def _flip_step(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
         events.append({"tick": tick, "kind": "bots_flipped", "count": flipped})
     if not flippable:
         plan.flip_active = False
-
-
-def _topic_died(sim: "Simulation", cfg: "AttackConfig", tick: int) -> bool:
-    window = sim.cfg.contagion.extinguish_window
-    eps = sim.cfg.contagion.extinguish_eps
-    totals = sim.history.total_posts
-    if len(totals) < window:
-        return False
-    return all(v < eps for v in totals[-window:])

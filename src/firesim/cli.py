@@ -170,7 +170,7 @@ def cmd_batch(cfg: ScenarioConfig, seeds: list[int], parallelism: int,
     done, errors = _run_seeds(_run_outcome, (cfg,), seeds, parallelism)
     outcomes = [outcome for _, outcome in done]
     payload = {
-        "schema_version": 1,
+        "schema_version": analytics.REPORT_SCHEMA_VERSION,
         "command": "batch",
         "config": cfg.to_dict(),
         "seeds": seeds,
@@ -233,9 +233,6 @@ def run_metrics(cfg: ScenarioConfig, seed: int, world: World | None = None) -> d
     sim.run(cfg.run.ticks)
     outcome = analytics.run_outcome(sim)
     ticks = outcome["ticks"]
-    duration = outcome["duration"]
-    if duration is None:
-        duration = 0 if outcome["onset"] is None else ticks - outcome["onset"]
     focus_start = None
     if sim.plan is not None:
         focus_start = next((tick for stage, tick in sim.plan.stage_entries
@@ -243,7 +240,7 @@ def run_metrics(cfg: ScenarioConfig, seed: int, world: World | None = None) -> d
     visibility = contagion.regulator_visibility(
         sim.history.company_page_posts[:ticks])[focus_start or 0:]
     return {
-        "duration_effective": float(duration),
+        "duration_effective": float(outcome["duration"] or 0),  # None: no onset
         "peak_total_posts": outcome["peak_total_posts"],
         "total_organic_posts": float(outcome["total_organic_posts"]),
         "end_mean_stress": outcome["end_mean_stress"],
@@ -301,7 +298,7 @@ def compare_toggle(cfg: ScenarioConfig, toggle: str, seeds: list[int],
         metric: {**_mean_ci(values), **_sign_test(values)}
         for metric, values in deltas.items() if values}
     return {
-        "schema_version": 1,
+        "schema_version": analytics.REPORT_SCHEMA_VERSION,
         "command": "compare",
         "toggle": toggle,
         "config": cfg.to_dict(),
@@ -359,7 +356,7 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
             rmse_threshold=an.predictable_rmse)
 
     payload = {
-        "schema_version": 1,
+        "schema_version": analytics.REPORT_SCHEMA_VERSION,
         "command": "analyze",
         "source": str(archive),
         "rows": result.total_rows,
@@ -371,11 +368,10 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
         "forecast": forecast.to_dict() if forecast is not None else None,
         "windows": [asdict(w) for w in windows],
     }
-    volume_lines = ["tick,posts"] + [f"{t},{v}" for t, v in enumerate(volumes)]
     analytics.write_files(out_dir, {
         "analysis.json": analytics.json_text(payload),
         "sentiment_windows.csv": analytics.sentiment_csv_text(windows),
-        "volume.csv": "\n".join(volume_lines) + "\n",
+        "volume.csv": analytics.csv_text("tick,posts", enumerate(volumes)),
     })
     print(f"analyze posts={posts} duplicates={result.duplicate_count} "
           f"malformed={result.malformed_count} out={out_dir}")

@@ -89,17 +89,18 @@ class SimHistory:
     def __deepcopy__(self, memo) -> "SimHistory":
         return self.copy()
 
+    def quiet(self, column: str, window: int, eps: float) -> bool:
+        """Whether the last ``window`` values of ``column`` all lie below ``eps``
+        (never with fewer recorded): the one rule behind extinction, topic
+        exhaustion and the support cohorts' stand-down."""
+        values = getattr(self, column)
+        # the newest value settles most calls
+        return len(values) >= window and values[-1] < eps and max(values[-window:]) < eps
+
     # -- persistence: round-trips losslessly ---------------------------------
 
     def to_csv_text(self) -> str:
-        lines = [",".join(HISTORY_COLUMNS)]
-        for t in range(len(self)):
-            row = []
-            for col in HISTORY_COLUMNS:
-                v = getattr(self, col)[t]
-                row.append(repr(v) if isinstance(v, float) else str(v))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return analytics.csv_text(",".join(HISTORY_COLUMNS), zip(*_history_columns(self)))
 
 
 class PostLog:
@@ -256,7 +257,7 @@ class Simulation:
                                     page_followers=1000)
         atk, dfn = config.attack, config.defense
         self.cohorts = [agents.BotCohort(cohort_id, members, dfn.support_posting_rate
-                                         if cohort_id.startswith("defense")
+                                         if cohort_id in defense.DEFEND_COHORT_IDS
                                          else atk.bot_posting_rate)
                         for cohort_id, members in world.cohort_members]
         self.plan = attack.AttackPlan() if atk.enabled else None
@@ -291,26 +292,30 @@ class Simulation:
         self.fire_point: int | None = None
         self.onset: int | None = None
         self.extinguished_tick: int | None = None
-        self._below_eps_run = 0
         self.events: list[dict] = []
         self.watch_fire_point = True
 
     # -- topic wiring --------------------------------------------------------
 
-    def set_topic(self, topic: TargetTopic, recurrence_multiplier: float = 1.0) -> None:
-        """Install the active topic and precompute per-account alignment."""
-        cfg = self.cfg.agents
+    def choose_topic(self, tick: int, excluded: Sequence[str] = ()) -> TargetTopic:
+        """Install the most promising topic not in ``excluded`` (NoTopicError
+        when none is left) with its recurrence boost at ``tick``, and
+        precompute per-account alignment; returns the topic."""
+        cfg = self.cfg
+        topic = attack.select_topic(list(cfg.topics), cfg.attack.class_weights, excluded)
         self.topic = topic
         self.severity = topic.severity
-        self.class_multiplier = cfg.class_multipliers[topic.failure_class.value]
-        self.logistic_term = agents.susceptibility_terms(self.accounts.ocean, topic, cfg)
-        self.recurrence_multiplier = recurrence_multiplier
+        self.class_multiplier = cfg.agents.class_multipliers[topic.failure_class.value]
+        self.logistic_term = agents.susceptibility_terms(self.accounts.ocean, topic, cfg.agents)
+        self.recurrence_multiplier = defense.recurrence_boost(cfg.company_history, topic, tick,
+                                                              cfg.defense)
         # freshly selected topics reset the organic pool only in that users
         # who burned out on a previous topic stay out
         if self.world.seed_posters:
             idx = np.array(self.world.seed_posters, dtype=np.intp)
             self.active[idx] = True
             self.activated_ever[idx] = True
+        return topic
 
     def susceptibilities(self, users=slice(None)) -> np.ndarray:
         """Per-post flip probability in [0, 1] of ``users`` (default: everyone)."""
@@ -477,17 +482,11 @@ class Simulation:
         if self.playbook is not None:
             self.events.extend(defense.run_playbook_tick(self, self.playbook))
 
-        # 6) onset / extinguishment bookkeeping and reputation drift
+        # 6) onset bookkeeping and reputation drift
         negative_posts = int(np.count_nonzero(negative))
         contagion = cfg.contagion
         if self.onset is None and total > 0:
             self.onset = t
-        if self.onset is not None and self.extinguished_tick is None:
-            self._below_eps_run = self._below_eps_run + 1 if total < contagion.extinguish_eps else 0
-            if self._below_eps_run >= contagion.extinguish_window:
-                self.extinguished_tick = t - contagion.extinguish_window + 1
-                self.events.append({"tick": t, "kind": "extinguished",
-                                    "start": self.extinguished_tick})
 
         an = cfg.analytics
         comp = self.company
@@ -501,7 +500,7 @@ class Simulation:
         comp.reputation = agents.clip_unit(float(rep))
 
         # 7) financial proxy (action shocks land via next tick's delta),
-        #    history row, and exposure buffer roll
+        #    history row, extinguishment, and exposure buffer roll
         analytics.update_financial_proxy(
             self.financial, comp.reputation - self._prev_reputation, None,
             kappa=an.kappa, rho=an.recovery_rho)
@@ -524,6 +523,14 @@ class Simulation:
             comp.reputation, self.financial.value, stage.value)
         self.post_log.append_tick(
             topic.topic_id if topic else "", authors, valences, skinds, stargets)
+        # extinguished once every tick of a window since onset was quiet
+        window = contagion.extinguish_window
+        if (self.onset is not None and self.extinguished_tick is None
+                and t - self.onset >= window - 1
+                and history.quiet("total_posts", window, contagion.extinguish_eps)):
+            self.extinguished_tick = t - window + 1
+            self.events.append({"tick": t, "kind": "extinguished",
+                                "start": self.extinguished_tick})
 
         self.author_counts_prev = np.bincount(authors, minlength=n)
         self.pool_prev = total

@@ -10,7 +10,7 @@ by a shared database of known campaign accounts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -59,6 +59,8 @@ ARMING_POLICIES = {
     PolicyKind.SUPPORTING_BOTS: (SUPPORT_COHORT_ID, "no prepared support cohort"),
     PolicyKind.PARTNER_ASSISTANCE: (PARTNER_COHORT_ID, "no partner cohort configured"),
 }
+# The cohorts that defend the company; every other cohort attacks it.
+DEFEND_COHORT_IDS = frozenset(cohort_id for cohort_id, _ in ARMING_POLICIES.values())
 
 
 class PolicyMismatchError(ValueError):
@@ -76,15 +78,8 @@ class FirestormVerdict:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "artificial_score": self.artificial_score,
-            "flagged": list(self.flagged),
-            "evidence": {str(k): v for k, v in sorted(self.evidence.items())},
-            "sample_size": self.sample_size,
-            "requested": self.requested,
-            "db_matched": list(self.db_matched),
-            "note": self.note,
-        }
+        # JSON keys are strings; the report writer sorts them
+        return {**asdict(self), "evidence": {str(k): v for k, v in self.evidence.items()}}
 
 
 def detect_artificial(ids: Sequence[int], creation_ticks: Sequence[int], now: int,
@@ -225,7 +220,8 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
     """Apply one policy to the running simulation; returns the event row.
 
     Class-specific mitigations raise PolicyMismatchError when aimed at the
-    wrong failure class; the per-tick hook screens for that before calling.
+    wrong failure class, before they change anything; the per-tick hook
+    books that as a ``policy_mismatch_skipped`` event.
     """
     cfg = sim.cfg.defense
     t = sim.tick
@@ -317,18 +313,16 @@ def run_playbook_tick(sim: "Simulation", runtime: DefenseRuntime) -> list[dict]:
         kind = PolicyKind(spec.kind)
         if not _triggered(spec, sim, t):
             continue
-        if kind in CLASS_MATCHED_POLICIES:
-            if sim.topic is None:
-                continue
-            if CLASS_MATCHED_POLICIES[kind] != sim.topic.failure_class.value:
-                runtime.pending.remove(spec)
-                events.append({
-                    "tick": t, "kind": "policy_mismatch_skipped", "policy": kind.value,
-                    "topic_class": sim.topic.failure_class.value,
-                    "policy_class": CLASS_MATCHED_POLICIES[kind]})
-                continue
+        if kind in CLASS_MATCHED_POLICIES and sim.topic is None:
+            continue  # a class-specific mitigation waits for a topic
         runtime.pending.remove(spec)
-        events.append(apply_policy(kind, sim, runtime))
+        try:
+            events.append(apply_policy(kind, sim, runtime))
+        except PolicyMismatchError:
+            events.append({
+                "tick": t, "kind": "policy_mismatch_skipped", "policy": kind.value,
+                "topic_class": sim.topic.failure_class.value,
+                "policy_class": CLASS_MATCHED_POLICIES[kind]})
 
     _update_support_cohorts(sim, runtime, events)
     return events
@@ -370,7 +364,7 @@ def _update_support_cohorts(sim: "Simulation", runtime: DefenseRuntime,
     t = sim.tick
     window = sim.cfg.contagion.extinguish_window
     eps = sim.cfg.contagion.extinguish_eps
-    organic = sim.history.organic_posts
+    organic = sim.history.organic_posts  # ticks 0 .. t - 1
     for cohort in sim.cohorts:
         since = runtime.support_active_since.get(cohort.cohort_id)
         if since is None:
@@ -385,10 +379,7 @@ def _update_support_cohorts(sim: "Simulation", runtime: DefenseRuntime,
             continue
         if cohort.mode is not BotMode.DEFEND:
             continue
-        if t - since < window or t < window:
-            continue
-        recent = organic[t - window:t]
-        if all(v < eps for v in recent):
+        if t - since >= window and sim.history.quiet("organic_posts", window, eps):
             cohort.mode = BotMode.DORMANT
             runtime.support_withdrawn.add(cohort.cohort_id)
             events.append({"tick": t, "kind": "support_withdrawn",

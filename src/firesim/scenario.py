@@ -625,10 +625,7 @@ def build_simulation(config: ScenarioConfig, world: World | None = None) -> Simu
         raise ConfigError(f"{path}: the world was built for {world.key[path]!r}, not {key[path]!r}")
     sim = Simulation(config, world)
     if sim.plan is None:
-        topic = attack.select_topic(list(config.topics), config.attack.class_weights)
-        boost = defense.recurrence_boost(config.company_history, topic, 0,
-                                         config.defense)
-        sim.set_topic(topic, recurrence_multiplier=boost)
+        sim.choose_topic(0)
     return sim
 
 

@@ -3,6 +3,7 @@ from enum import Enum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from firesim.agents import BotMode
 from firesim.contagion import (HISTORY_COLUMNS, FirestormStage, SimHistory,
@@ -143,6 +144,34 @@ def test_history_rejects_partial_rows():
     with pytest.raises(ValueError):
         h.append_row(*range(len(HISTORY_COLUMNS) + 1))
     assert len(h) == 0
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40),
+       st.integers(1, 8), st.one_of(st.integers(1, 6), st.floats(0.25, 6.5)),
+       st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_quiet_window_decides_as_each_rule_it_replaced(posts, window, eps, onset):
+    """``SimHistory.quiet`` against the three rules it replaced: the engine's
+    run counter from onset, the attack's slice of the totals and the
+    support cohorts' slice of organic posts before the tick's row."""
+    history = SimHistory()
+    run = 0
+    for t, (total, organic) in enumerate(posts):
+        # support stand-down, asked in phase 5: rows 0 .. t - 1 exist
+        column = history.organic_posts
+        support = not t < window and all(v < eps for v in column[t - window:t])
+        assert history.quiet("organic_posts", window, eps) == support
+        history.append_row(t, total, organic, *[0] * (len(HISTORY_COLUMNS) - 3))
+        # extinction, once tick t's row is in
+        if t >= onset:
+            run = run + 1 if total < eps else 0
+        counter = t >= onset and run >= window
+        assert (t - onset >= window - 1
+                and history.quiet("total_posts", window, eps)) == counter
+        # topic exhaustion, in phase 9
+        totals = history.total_posts
+        died = len(totals) >= window and all(v < eps for v in totals[-window:])
+        assert history.quiet("total_posts", window, eps) == died
 
 
 # -- engine behaviour ---------------------------------------------------------

@@ -7,7 +7,11 @@ digests before archive ingest moved from rows to columns, and the
 `run --config` digests before the follower graph became a CSR built in
 chunks, and the `compare` digests before the tick engine's kernels
 (`Simulation.step`, `bot_emit_arrays`, `draw_organic_valence`,
-`stress_step`) were rewritten to make fewer numpy calls per tick.  Any
+`stress_step`) were rewritten to make fewer numpy calls per tick.  The
+``weak-bots`` and ``mismatched-playbook`` digests, the only cases that
+emit ``topic_exhausted``, ``policy_mismatch_skipped``, ``db_unavailable``
+and ``policy_no_effect``, were recorded before the quiet-window,
+topic-choice and policy-match rules each moved behind one function.  Any
 refactor of the engine, the fork or the report writers must leave these
 bytes unchanged; a change that moves them on purpose has to re-record the
 tables and say why.
@@ -68,9 +72,26 @@ RUN_DIGESTS = {
 RUN_CONFIGS = {
     "n5000": {"graph": {"n": 5000}},
     "n2000-bot-followers": {"graph": {"n": 2000, "bot_follower_fraction": 0.05}},
+    # a campaign too weak to catch: three topics tried, exhausted, then aborted
+    "weak-bots": {"attack": {"bots": 10, "bot_posting_rate": 0.3, "spread_patience": 12},
+                  "run": {"ticks": 200}},
+    # policies that miss the topic's class, a database with no path, and a
+    # partner cohort that stands down, re-arms and stands down again
+    "mismatched-playbook": {"defense": {"enabled": True, "playbook": [
+        {"kind": "shared_account_database"},
+        {"kind": "distance_from_partner", "trigger_stage": "peak"},
+        {"kind": "apology_and_continue"},
+        {"kind": "partner_assistance"},
+        {"kind": "dialogue_engagement", "trigger_tick": 5}]}},
 }
 
 CONFIG_RUN_DIGESTS = {
+    ("mismatched-playbook", 0): {
+        "financial.csv": "448ba97f8b7d9fb8f973ae7199c609c666f3fe57a9ea8e300669925e9866a3bd",
+        "history.csv": "a42cac0c4d956ee6ef6c85689026b7f84cfba7ce6f5db767be69eb14f788d9e8",
+        "run_metadata.json": "450a78a8269c83677520e4ad22090e5942f3b494c29668936f40ff607dfcfe3b",
+        "sentiment_windows.csv": "b6848a39eb0ffed4e052c9ecd3c716436fe876e0526331c371780ed9c7d5237f",
+    },
     ("n2000-bot-followers", 0): {
         "financial.csv": "dbf25c6bbe812941d62d86de1645d3be12cd55949522166168d0ab147f410ed4",
         "history.csv": "60b0e4f61ab7ae7d6c05c36f4c0bb9364e02862172b4c1aa3cf397892b62c1da",
@@ -88,6 +109,12 @@ CONFIG_RUN_DIGESTS = {
         "history.csv": "cf8787b198f22e14e0af69110042b78997413159fd97246b5a91afb4b68f1b76",
         "run_metadata.json": "4c6de9c6805f928b3ba8b7812cc354c772fcc1fe8be573b5e25847da782a1d8a",
         "sentiment_windows.csv": "b909a60d9374fff3b9deea1e47484f01b37cf0f6cf078fdfa24cfbcf1df1ee32",
+    },
+    ("weak-bots", 2): {
+        "financial.csv": "64ac19ae4258d8cee4a1898906bfc499f22785b02e85c606267094b3c082f2c6",
+        "history.csv": "6ab6c31b2c44fcc2c8dc66a520641f1ca9948fbc752fe05f3a916570de96f505",
+        "run_metadata.json": "18e540f690a79267d4016e42ff030b67c416b63264c3077f0250b8f442383d69",
+        "sentiment_windows.csv": "1b670dd0f9a050f1e7c0cad4927f42ecbce9cd727a18d43f66b1bba2fa23e26f",
     },
 }
 
