@@ -710,21 +710,18 @@ def sentiment_windows_for_run(sim: "Simulation") -> list[SentimentSummary]:
 def run_metadata(sim: "Simulation") -> dict:
     plan = sim.plan
     verdict = sim.playbook.verdict if sim.playbook is not None else None
+    outcome = run_outcome(sim)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "seed": sim.cfg.run.seed,
-        "ticks": len(sim.history.total_posts),
+        **{key: outcome[key] for key in ("seed", "ticks", "plan_stage", "fire_point", "onset",
+                                         "extinguished_tick")},
         "config": sim.cfg.to_dict(),
         "stage_entries": list(plan.stage_entries) if plan is not None else [],
-        "plan_stage": plan.stage.value if plan is not None else None,
         "excluded_topics": list(plan.excluded_topics) if plan is not None else [],
         "actions": [a.to_dict() for a in plan.actions] if plan is not None else [],
         "events": sim.events,
-        "fire_point": sim.fire_point,
-        "onset": sim.onset,
-        "extinguished_tick": sim.extinguished_tick,
         "verdict": verdict.to_dict() if verdict is not None else None,
-        "outcome": run_outcome(sim),
+        "outcome": outcome,
     }
 
 

@@ -229,9 +229,7 @@ def execute_action(kind: ActionKind, sim: "Simulation", rng: np.random.Generator
             company.ransom_paid_total += terms.amount
             outcome.ransom_paid = terms.amount
             if kind is ActionKind.EXTORTION:
-                for cohort in sim.cohorts:
-                    if cohort.mode is BotMode.ATTACK:
-                        cohort.mode = BotMode.DORMANT
+                _silence_attack_cohorts(sim)
             elif plan is not None:
                 plan.flip_active = True
         return outcome
@@ -273,14 +271,8 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
     # plan's objectives does not silence it, only payout, flip, or abandon do.
     budget_spent = (plan.amplify_started is not None
                     and tick - plan.amplify_started >= cfg.campaign_budget)
-    if budget_spent:
-        retired = False
-        for cohort in _attack_cohorts(sim):
-            if cohort.mode is BotMode.ATTACK:
-                cohort.mode = BotMode.DORMANT
-                retired = True
-        if retired:
-            events.append({"tick": tick, "kind": "campaign_concluded"})
+    if budget_spent and _silence_attack_cohorts(sim):
+        events.append({"tick": tick, "kind": "campaign_concluded"})
 
     live = plan.stage not in (PlanStage.DONE, PlanStage.ABORTED)
     due = [ActionKind(name) for at, name in cfg.action_schedule if at == tick] if live else []
@@ -372,6 +364,15 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
 
 def _attack_cohorts(sim: "Simulation") -> list[BotCohort]:
     return [c for c in sim.cohorts if c.cohort_id not in defense.DEFEND_COHORT_IDS]
+
+
+def _silence_attack_cohorts(sim: "Simulation") -> bool:
+    """Send every attacking cohort dormant; whether any was attacking.  A
+    fully flipped cohort defends and stays so."""
+    attacking = [c for c in _attack_cohorts(sim) if c.mode is BotMode.ATTACK]
+    for cohort in attacking:
+        cohort.mode = BotMode.DORMANT
+    return bool(attacking)
 
 
 def _set_attack_mode(sim: "Simulation", mode: BotMode) -> None:

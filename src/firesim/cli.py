@@ -285,15 +285,13 @@ def compare_toggle(cfg: ScenarioConfig, toggle: str, seeds: list[int],
     on_fn, off_fn = TOGGLES[toggle]
     cfg_on, cfg_off = on_fn(cfg), off_fn(cfg)
     done, errors = _run_seeds(run_pair, (cfg_on, cfg_off), seeds, parallelism)
-    pairs = [(seed, on, off) for seed, (on, off) in done]
-    deltas = {metric: [on[metric] - off[metric] for _, on, off in pairs]
-              for metric in COMPARE_METRICS}
     per_seed = [
         {"seed": seed,
          "on": {k: on[k] for k in COMPARE_METRICS},
          "off": {k: off[k] for k in COMPARE_METRICS},
          "delta": {k: on[k] - off[k] for k in COMPARE_METRICS}}
-        for seed, on, off in pairs]
+        for seed, (on, off) in done]
+    deltas = {metric: [pair["delta"][metric] for pair in per_seed] for metric in COMPARE_METRICS}
     summary = {
         metric: {**_mean_ci(values), **_sign_test(values)}
         for metric, values in deltas.items() if values}

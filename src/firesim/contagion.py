@@ -80,14 +80,11 @@ class SimHistory:
         for column, value in zip(_history_columns(self), values):
             column.append(value)
 
-    def copy(self) -> "SimHistory":
+    def __deepcopy__(self, memo) -> "SimHistory":
         out = SimHistory.__new__(SimHistory)
         for col in HISTORY_COLUMNS:
             setattr(out, col, list(getattr(self, col)))
         return out
-
-    def __deepcopy__(self, memo) -> "SimHistory":
-        return self.copy()
 
     def quiet(self, column: str, window: int, eps: float) -> bool:
         """Whether the last ``window`` values of ``column`` all lie below ``eps``
@@ -261,7 +258,8 @@ class Simulation:
                                          else atk.bot_posting_rate)
                         for cohort_id, members in world.cohort_members]
         self.plan = attack.AttackPlan() if atk.enabled else None
-        self.playbook = defense.build_runtime(dfn) if dfn.enabled else None
+        self.events: list[dict] = []
+        self.playbook = defense.build_runtime(dfn, self.events) if dfn.enabled else None
         self.rng = np.random.default_rng(world.engine_seed)
 
         n = len(self.accounts)
@@ -278,8 +276,7 @@ class Simulation:
         self.defender = np.zeros(n, dtype=bool)
         self.remaining = np.full(n, config.agents.max_posts_per_user, dtype=np.int64)
 
-        self.author_counts_prev = np.zeros(n, dtype=np.int64)
-        self.pool_prev = 0
+        self.prev_authors = np.empty(0, dtype=np.intp)  # one entry per post of last tick
 
         self.history = SimHistory()
         self.post_log = PostLog(world.accounts.kind)
@@ -292,7 +289,6 @@ class Simulation:
         self.fire_point: int | None = None
         self.onset: int | None = None
         self.extinguished_tick: int | None = None
-        self.events: list[dict] = []
         self.watch_fire_point = True
 
     # -- topic wiring --------------------------------------------------------
@@ -363,12 +359,13 @@ class Simulation:
 
         # 2) exposure to last tick's posts
         fresh_exposure = None
-        if topic is not None and self.pool_prev > 0:
+        prev_total = len(self.prev_authors)
+        if topic is not None and prev_total > 0:
             # each of last tick's authors pushes its post count along its
             # follower row; the counts are integers, so the float sums are
             # exact in any order
             indptr, indices = world.graph.follower_csr()
-            prev = self.author_counts_prev
+            prev = np.bincount(self.prev_authors, minlength=n)
             pushers = prev.nonzero()[0]
             starts = indptr[pushers]
             lens = indptr[pushers + 1] - starts
@@ -380,7 +377,7 @@ class Simulation:
             # active users, and phase 3's deactivations cannot change it
             fresh = (world.can_activate & ~self.activated_ever).nonzero()[0]
             if len(fresh):
-                p_trend = min(1.0, self.pool_prev / cfg.contagion.trend_saturation)
+                p_trend = min(1.0, prev_total / cfg.contagion.trend_saturation)
                 fresh_exposure = exposure[fresh] + self.rng.binomial(
                     cfg.contagion.trend_samples, p_trend, size=len(fresh))
 
@@ -532,8 +529,7 @@ class Simulation:
             self.events.append({"tick": t, "kind": "extinguished",
                                 "start": self.extinguished_tick})
 
-        self.author_counts_prev = np.bincount(authors, minlength=n)
-        self.pool_prev = total
+        self.prev_authors = authors
         self.tick = t + 1
 
         # 8) fire-point watch on the fully rolled state: the fork here is
@@ -547,8 +543,7 @@ class Simulation:
         # 9) attack plan advances last; pre-fire-point stages draw no RNG, so
         #    the watch above sees the same stream such a replay would
         if self.plan is not None:
-            for ev in attack.advance_plan(self.plan, self, cfg.attack, t):
-                self.events.append(ev)
+            self.events.extend(attack.advance_plan(self.plan, self, cfg.attack, t))
 
     # -- counterfactual forking ----------------------------------------------
 

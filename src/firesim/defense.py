@@ -52,15 +52,17 @@ CLASS_MATCHED_POLICIES = {
 SUPPORT_COHORT_ID = "defense_support"
 PARTNER_COHORT_ID = "defense_partner"
 
-# The defend cohort each arming policy wakes, and why it has no effect
-# when that cohort was never built.  Partner assistance is proactive, so
-# it is applied at tick 0 only, before any cohort can stand down.
+# The defend cohort each arming policy wakes, the ``DefenseConfig`` field
+# that sizes it, and why the policy has no effect when that cohort was never
+# built.  Partner assistance is proactive, so it is applied at tick 0 only,
+# before any cohort can stand down.
 ARMING_POLICIES = {
-    PolicyKind.SUPPORTING_BOTS: (SUPPORT_COHORT_ID, "no prepared support cohort"),
-    PolicyKind.PARTNER_ASSISTANCE: (PARTNER_COHORT_ID, "no partner cohort configured"),
+    PolicyKind.SUPPORTING_BOTS: (SUPPORT_COHORT_ID, "prepared_bots", "no prepared support cohort"),
+    PolicyKind.PARTNER_ASSISTANCE: (PARTNER_COHORT_ID, "partner_defenders",
+                                    "no partner cohort configured"),
 }
 # The cohorts that defend the company; every other cohort attacks it.
-DEFEND_COHORT_IDS = frozenset(cohort_id for cohort_id, _ in ARMING_POLICIES.values())
+DEFEND_COHORT_IDS = frozenset(cohort_id for cohort_id, _, _ in ARMING_POLICIES.values())
 
 
 class PolicyMismatchError(ValueError):
@@ -192,12 +194,12 @@ class DefenseRuntime:
     pending: list["PolicySpec"]
     verdict: FirestormVerdict | None = None
     db: AccountReputationDB | None = None
-    startup_events: list[dict] = field(default_factory=list)
+    # armed defend cohorts; one whose mode is DORMANT has stood down
     support_active_since: dict[str, int] = field(default_factory=dict)
-    support_withdrawn: set[str] = field(default_factory=set)
 
 
-def build_runtime(cfg: "DefenseConfig") -> DefenseRuntime:
+def build_runtime(cfg: "DefenseConfig", events: list[dict]) -> DefenseRuntime:
+    """A new run's playbook state; an unloadable database is booked in ``events``."""
     runtime = DefenseRuntime(pending=list(cfg.playbook))
     wants_db = any(PolicyKind(s.kind) is PolicyKind.SHARED_ACCOUNT_DATABASE
                    for s in cfg.playbook)
@@ -205,11 +207,11 @@ def build_runtime(cfg: "DefenseConfig") -> DefenseRuntime:
         try:
             runtime.db = AccountReputationDB.load(cfg.db_path)
         except (OSError, ValueError) as err:  # unreadable, not UTF-8 or malformed
-            runtime.startup_events.append({
+            events.append({
                 "tick": 0, "kind": "db_unavailable",
                 "path": str(cfg.db_path), "reason": str(err)})
     elif wants_db:
-        runtime.startup_events.append({
+        events.append({
             "tick": 0, "kind": "db_unavailable", "path": None,
             "reason": "no db_path configured"})
     return runtime
@@ -239,7 +241,7 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
         event["severity_after"] = sim.severity
 
     elif kind in ARMING_POLICIES:
-        cohort_id, reason = ARMING_POLICIES[kind]
+        cohort_id, _, reason = ARMING_POLICIES[kind]
         cohort = next((c for c in sim.cohorts if c.cohort_id == cohort_id), None)
         if cohort is None or len(cohort.members) == 0:
             event["kind"] = "policy_no_effect"
@@ -248,7 +250,6 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
             cohort.mode = BotMode.DEFEND
             cohort.defending = len(cohort.members)
             runtime.support_active_since[cohort_id] = t
-            runtime.support_withdrawn.discard(cohort_id)
             event["cohort_size"] = len(cohort.members)
 
     elif kind is PolicyKind.SCAPEGOAT:
@@ -266,15 +267,13 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
         quota = int(round(cfg.dialogue_convert_fraction * gain))
         eligible = np.flatnonzero(sim.world.can_activate & ~sim.defender)
         quota = min(quota, len(eligible))
-        converted: list[int] = []
         if quota > 0:
             picks = np.sort(sim.rng.choice(eligible, size=quota, replace=False))
             sim.defender[picks] = True
             sim.active[picks] = True
             sim.activated_ever[picks] = True
-            converted = [int(i) for i in picks]
         event["follower_gain"] = gain
-        event["converted"] = len(converted)
+        event["converted"] = quota
 
     elif kind is PolicyKind.INTERNAL_TRAINING:
         before = sim.company.security_posture
@@ -296,10 +295,6 @@ def run_playbook_tick(sim: "Simulation", runtime: DefenseRuntime) -> list[dict]:
     cfg = sim.cfg.defense
     t = sim.tick
     events: list[dict] = []
-
-    if runtime.startup_events:
-        events.extend(runtime.startup_events)
-        runtime.startup_events = []
 
     if t == 0:
         for spec in list(runtime.pending):
@@ -369,18 +364,14 @@ def _update_support_cohorts(sim: "Simulation", runtime: DefenseRuntime,
         since = runtime.support_active_since.get(cohort.cohort_id)
         if since is None:
             continue
-        if cohort.cohort_id in runtime.support_withdrawn:
+        if cohort.mode is BotMode.DORMANT:  # stood down
             if t > 0 and organic[t - 1] >= eps:
                 cohort.mode = BotMode.DEFEND
-                runtime.support_withdrawn.discard(cohort.cohort_id)
                 runtime.support_active_since[cohort.cohort_id] = t
                 events.append({"tick": t, "kind": "support_rearmed",
                                "cohort": cohort.cohort_id})
             continue
-        if cohort.mode is not BotMode.DEFEND:
-            continue
         if t - since >= window and sim.history.quiet("organic_posts", window, eps):
             cohort.mode = BotMode.DORMANT
-            runtime.support_withdrawn.add(cohort.cohort_id)
             events.append({"tick": t, "kind": "support_withdrawn",
                            "cohort": cohort.cohort_id})

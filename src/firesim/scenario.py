@@ -536,15 +536,16 @@ _WORLD_FIELDS = ("run.seed", "run.user_creation_min", "run.user_creation_max",
                  "run.initial_organic_posters", "graph.n", "graph.m", "graph.coworker_fraction",
                  "graph.bot_follower_fraction", "roster.company_id", "roster.employees",
                  "roster.managers", "roster.manager_roles", "attack.enabled", "attack.bots",
-                 "attack.bot_creation_age", "defense.prepared_bots", "defense.partner_defenders",
+                 "attack.bot_creation_age",
+                 *(f"defense.{size}" for _, size, _ in defense.ARMING_POLICIES.values()),
                  "defense.support_creation_age")
 
 
 def _world_key(config: ScenarioConfig) -> dict:
     """Path -> value of every config value that shapes ``config``'s world."""
     key = {path: functools.reduce(getattr, path.split("."), config) for path in _WORLD_FIELDS}
-    key["defense.playbook"] = tuple(sorted({spec.kind for spec in config.defense.playbook} & {
-        PolicyKind.SUPPORTING_BOTS.value, PolicyKind.PARTNER_ASSISTANCE.value}))
+    key["defense.playbook"] = tuple(sorted({spec.kind for spec in config.defense.playbook}
+                                           & {kind.value for kind in defense.ARMING_POLICIES}))
     return key
 
 
@@ -597,10 +598,9 @@ def build_world(config: ScenarioConfig) -> World:
         cohorts.append(("attack-0", members))
 
     d = config.defense
-    for policy, count, cohort_id in (
-            (PolicyKind.SUPPORTING_BOTS, d.prepared_bots, defense.SUPPORT_COHORT_ID),
-            (PolicyKind.PARTNER_ASSISTANCE, d.partner_defenders, defense.PARTNER_COHORT_ID)):
-        if policy.value in key["defense.playbook"] and count > 0:
+    for kind, (cohort_id, size, _) in defense.ARMING_POLICIES.items():
+        count = getattr(d, size)
+        if kind.value in key["defense.playbook"] and count > 0:
             members = accounts.append_bots(count, creation_tick=-d.support_creation_age)
             graph.add_nodes(count)
             cohorts.append((cohort_id, members))

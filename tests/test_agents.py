@@ -121,9 +121,7 @@ def _exposed_world():
     sim.activated_ever[:] = False
     sim.recurrence_multiplier = sim.activation_multiplier = 1.0
     posted = np.arange(0, len(sim.accounts), 2)
-    sim.author_counts_prev = np.zeros(len(sim.accounts), dtype=np.int64)
-    sim.author_counts_prev[posted] = 1
-    sim.pool_prev = len(posted)
+    sim.prev_authors = posted
     exposure = np.zeros(len(sim.accounts))
     for author in posted:
         exposure[sim.graph.follower_array(int(author))] += 1

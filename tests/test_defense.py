@@ -100,9 +100,10 @@ def test_missing_db_becomes_startup_event_not_crash(tmp_path):
     dcfg = replace(cfg.defense, enabled=True,
                    playbook=(PolicySpec(kind="shared_account_database"),),
                    db_path=str(tmp_path / "nope.tsv"))
-    runtime = build_runtime(dcfg)
+    events = []
+    runtime = build_runtime(dcfg, events)
     assert runtime.db is None
-    kinds = [e["kind"] for e in runtime.startup_events]
+    kinds = [e["kind"] for e in events]
     assert kinds == ["db_unavailable"]
 
 
@@ -112,11 +113,12 @@ def test_malformed_db_becomes_startup_event_naming_the_line(tmp_path):
     with pytest.raises(ValueError, match=f"{path}:2:"):
         AccountReputationDB.load(path)
     cfg = default_config()
+    events = []
     runtime = build_runtime(replace(cfg.defense, enabled=True,
                                     playbook=(PolicySpec(kind="shared_account_database"),),
-                                    db_path=str(path)))
+                                    db_path=str(path)), events)
     assert runtime.db is None
-    [event] = runtime.startup_events
+    [event] = events
     assert event["kind"] == "db_unavailable" and f"{path}:2:" in event["reason"]
 
 
@@ -125,8 +127,9 @@ def test_db_wanted_but_unconfigured_is_flagged():
     dcfg = replace(cfg.defense, enabled=True,
                    playbook=(PolicySpec(kind="shared_account_database"),),
                    db_path=None)
-    runtime = build_runtime(dcfg)
-    assert runtime.startup_events[0]["reason"] == "no db_path configured"
+    events = []
+    build_runtime(dcfg, events)
+    assert events[0]["reason"] == "no db_path configured"
 
 
 # -- recurrence memory ----------------------------------------------------------
@@ -267,7 +270,6 @@ def test_partner_listed_twice_and_support_rearmed_by_policy():
         {"tick": 161, "kind": "support_rearmed", "cohort": PARTNER_COHORT_ID}]
     assert sim.playbook.support_active_since == {PARTNER_COHORT_ID: 161,
                                                  SUPPORT_COHORT_ID: 156}
-    assert sim.playbook.support_withdrawn == set()
     assert {c.cohort_id: c.mode for c in sim.cohorts if c.cohort_id in cohort_ids} == \
         dict.fromkeys(cohort_ids, BotMode.DEFEND)
 

@@ -11,10 +11,14 @@ chunks, and the `compare` digests before the tick engine's kernels
 ``weak-bots`` and ``mismatched-playbook`` digests, the only cases that
 emit ``topic_exhausted``, ``policy_mismatch_skipped``, ``db_unavailable``
 and ``policy_no_effect``, were recorded before the quiet-window,
-topic-choice and policy-match rules each moved behind one function.  Any
-refactor of the engine, the fork or the report writers must leave these
-bytes unchanged; a change that moves them on purpose has to re-record the
-tables and say why.
+topic-choice and policy-match rules each moved behind one function.  The
+``paid-offers`` digests, the only case that pays an offer (six
+``bots_flipped`` events, then a part-flipped cohort sent dormant), were
+recorded before the run state kept twice (last tick's posts, stand-down,
+startup events, the arming table, the silencing of attack cohorts) was
+cut to one record each.  Any refactor of the engine, the fork or the
+report writers must leave these bytes unchanged; a change that moves them
+on purpose has to re-record the tables and say why.
 ``scripts/golden_digests.py`` recomputes every table below.
 
 The draws behind these bytes (the chunked ``integers`` draw, the
@@ -83,6 +87,12 @@ RUN_CONFIGS = {
         {"kind": "apology_and_continue"},
         {"kind": "partner_assistance"},
         {"kind": "dialogue_engagement", "trigger_tick": 5}]}},
+    # both offers paid: the service flips 20 bots a tick from tick 6, then
+    # extortion sends the part-flipped cohort dormant at tick 12
+    "paid-offers": {"attack": {"action_schedule": [[6, "defence_as_a_service"],
+                                                   [12, "extortion"]],
+                               "ransom": {"force_outcome": "pay"},
+                               "service": {"force_outcome": "pay"}}},
 }
 
 CONFIG_RUN_DIGESTS = {
@@ -109,6 +119,12 @@ CONFIG_RUN_DIGESTS = {
         "history.csv": "cf8787b198f22e14e0af69110042b78997413159fd97246b5a91afb4b68f1b76",
         "run_metadata.json": "4c6de9c6805f928b3ba8b7812cc354c772fcc1fe8be573b5e25847da782a1d8a",
         "sentiment_windows.csv": "b909a60d9374fff3b9deea1e47484f01b37cf0f6cf078fdfa24cfbcf1df1ee32",
+    },
+    ("paid-offers", 0): {
+        "financial.csv": "b4b0ede688fdd6a26e996d4b3841d9f02db169d665c5479aa91601ed4209568e",
+        "history.csv": "142bd9f6c3f8a6f8fdbbcd2208b63ee3e3156d4a370762e5f78e3825889b1fb6",
+        "run_metadata.json": "02c56403221bdffc5442bd13f086cf5c5eabc35065efcb2ce5d5c99c58ca1292",
+        "sentiment_windows.csv": "1a8ae9648ba34d965defa53e8c3dd056e96c5d153739ce111ba3c27030e42303",
     },
     ("weak-bots", 2): {
         "financial.csv": "64ac19ae4258d8cee4a1898906bfc499f22785b02e85c606267094b3c082f2c6",

@@ -20,6 +20,7 @@ from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
                               default_config, dumps_config, expand_preset,
                               load_config, loads_config)
 from firesim.contagion import World
+from firesim.defense import ARMING_POLICIES
 from firesim.socialgraph import AccountTable, CompanyRoster
 
 
@@ -272,6 +273,22 @@ def test_a_world_serves_only_the_config_it_was_built_for():
     # defense.enabled shapes no world: both arms of a toggle share one
     enabled = replace(cfg, defense=replace(cfg.defense, enabled=True))
     assert build_simulation(enabled, world).world is world
+
+
+@pytest.mark.parametrize("kind", list(ARMING_POLICIES), ids=lambda kind: kind.value)
+def test_each_arming_policy_sizes_its_cohort_by_its_own_field(kind):
+    """Every entry of the arming table, so a new arming policy is covered
+    without editing this test: the policy builds its cohort at the size its
+    field names, no other config builds it, and the size is part of the key."""
+    cohort_id, size, _ = ARMING_POLICIES[kind]
+    plain = {"graph": {"n": 300}, "defense": {size: 3}}
+    armed = config_from_dict({**plain, "defense": {size: 3, "playbook": [{"kind": kind.value}]}})
+    world = build_world(armed)
+    assert len(dict(world.cohort_members)[cohort_id]) == 3
+    assert cohort_id not in dict(build_world(config_from_dict(plain)).cohort_members)
+    resized = replace(armed, defense=replace(armed.defense, **{size: 4}))
+    with pytest.raises(ConfigError, match=rf"^defense\.{size}: the world was built for 3, not 4$"):
+        build_simulation(resized, world)
 
 
 class _ReadRecorder:
