@@ -2,9 +2,10 @@
 
 Runs every case the test module lists (the `run` presets and seeds, the
 `run --config` configs and seeds, the `batch` seed range, the `compare`
-toggles and the two `analyze` archives) and prints RUN_DIGESTS,
-CONFIG_RUN_DIGESTS, BATCH_DIGEST, COMPARE_DIGESTS, ANALYZE_DIGESTS and
-ANALYZE_EDGE_DIGESTS as Python literals.  Run it on the commit
+toggles, the two `analyze` archives and the follower CSR of the world
+configs) and prints RUN_DIGESTS, CONFIG_RUN_DIGESTS, WORLD_CSR_DIGESTS,
+BATCH_DIGEST, COMPARE_DIGESTS, ANALYZE_DIGESTS and ANALYZE_EDGE_DIGESTS
+as Python literals.  Run it on the commit
 before a change to record the digests the change must keep.
 
 Usage: PYTHONPATH=src python3 scripts/golden_digests.py
@@ -32,6 +33,8 @@ def main() -> None:
         config_runs = {(name, seed): test_golden.config_run_digests(
                            name, seed, work / f"config-run-{name}-{seed}")
                        for name, seed in sorted(test_golden.CONFIG_RUN_DIGESTS)}
+        world_csrs = {name: test_golden.world_csr_digest(name)
+                      for name in sorted(test_golden.WORLD_CSR_DIGESTS)}
         batch = test_golden.batch_digest(work / "batch")
         compares = {(preset, toggle, seeds): test_golden.compare_digest(
                         preset, toggle, seeds, work / f"compare-{preset}-{toggle}")
@@ -54,6 +57,10 @@ def main() -> None:
         print(f'    ("{name}", {seed}): {{')
         _digest_lines(digests, " " * 8)
         print("    },")
+    print("}")
+    print()
+    print("WORLD_CSR_DIGESTS = {")
+    _digest_lines(world_csrs, " " * 4)
     print("}")
     print()
     print(f"# `batch --seeds {test_golden.BATCH_SEEDS}` on the default config")

@@ -50,40 +50,39 @@ class SentimentSummary:
     compound: float
 
 
-def sentiment_windows(post_ticks: np.ndarray, valences: np.ndarray, ticks: int, *,
-                      window: int, neutral_band: float,
-                      alpha: float) -> list[SentimentSummary]:
-    """Proportions and compound score for each ``window``-tick slice of [0, ticks).
+def sentiment_windows(counts: Sequence[int], valences: np.ndarray, *, window: int,
+                      neutral_band: float, alpha: float) -> list[SentimentSummary]:
+    """Proportions and compound score for each ``window``-tick slice of the
+    ``len(counts)`` ticks.
 
-    ``post_ticks`` must be sorted; ``valences`` is in the same (emission)
-    order.  A post is negative when its valence is strictly below
-    ``-neutral_band``, positive when strictly above ``neutral_band`` and
-    neutral otherwise, so the band is closed at both ends; each
-    window's valences are summed left to right in that order, so the
-    compound score does not depend on numpy's pairwise summation.  Empty
-    windows report null proportions and a zero compound rather than
-    dividing by zero.
+    ``counts[t]`` posts were made at tick t, and ``valences`` holds them
+    tick by tick, each tick's in emission order.  A post is negative when
+    its valence is strictly below ``-neutral_band``, positive when strictly
+    above ``neutral_band`` and neutral otherwise, so the band is closed at
+    both ends; each window's valences are counted on its own slice and
+    summed left to right, so the compound score does not depend on numpy's
+    pairwise summation.  Empty windows report null proportions and a zero
+    compound rather than dividing by zero.
     """
     if neutral_band < 0:
         raise ValueError("neutral_band must be >= 0")
     valences = np.asarray(valences, dtype=np.float64)
-    starts = np.arange(0, ticks, window)
-    ends = np.minimum(starts + window, ticks)
-    lo = np.searchsorted(post_ticks, starts)
-    hi = np.searchsorted(post_ticks, ends)
-    negative = np.concatenate([[0], np.cumsum(valences < -neutral_band)])
-    positive = np.concatenate([[0], np.cumsum(valences > neutral_band)])
+    starts = np.arange(0, len(counts), window)
+    ends = np.minimum(starts + window, len(counts))
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)  # posts before each tick
+    np.cumsum(counts, out=offsets[1:])
     out = []
-    for window_id, (start, end, a, b) in enumerate(
-            zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist())):
+    for window_id, (start, end, a, b) in enumerate(zip(
+            starts.tolist(), ends.tolist(), offsets[starts].tolist(), offsets[ends].tolist())):
         n = b - a
         if n == 0:
             out.append(SentimentSummary(window_id, start, end, 0, None, None, None, 0.0))
             continue
-        neg = int(negative[b] - negative[a])
-        pos = int(positive[b] - positive[a])
+        slice_ = valences[a:b]
+        neg = int(np.count_nonzero(slice_ < -neutral_band))
+        pos = int(np.count_nonzero(slice_ > neutral_band))
         # 0.0 + ...: a running sum that starts at +0.0 never ends at -0.0
-        total = 0.0 + float(np.cumsum(valences[a:b])[-1])
+        total = 0.0 + float(np.cumsum(slice_)[-1])
         out.append(SentimentSummary(window_id, start, end, n, neg / n,
                                     (n - neg - pos) / n, pos / n,
                                     compound_score(total, alpha)))
@@ -95,8 +94,8 @@ def aggregate_window(posts: Sequence[Post], window_id: int, start_tick: int,
                      alpha: float) -> SentimentSummary:
     """Proportions and compound score for one window of posts."""
     valences = np.fromiter((p.valence for p in posts), dtype=np.float64, count=len(posts))
-    [summary] = sentiment_windows(np.zeros(len(posts), dtype=np.int64), valences, 1,
-                                  window=1, neutral_band=neutral_band, alpha=alpha)
+    [summary] = sentiment_windows([len(posts)], valences, window=1,
+                                  neutral_band=neutral_band, alpha=alpha)
     return replace(summary, window_id=window_id, start_tick=start_tick,
                    end_tick=end_tick)
 
@@ -700,9 +699,8 @@ def run_outcome(sim: "Simulation") -> dict:
 def sentiment_windows_for_run(sim: "Simulation") -> list[SentimentSummary]:
     cfg = sim.cfg.analytics
     per_tick = [valences for _, valences, *_ in sim.post_log.ticks]
-    post_ticks = np.repeat(np.arange(len(per_tick)), [len(v) for v in per_tick])
     valences = np.concatenate(per_tick) if per_tick else np.empty(0)
-    return sentiment_windows(post_ticks, valences, len(sim.history.total_posts),
+    return sentiment_windows([len(v) for v in per_tick], valences,
                              window=cfg.sentiment_window,
                              neutral_band=cfg.neutral_band, alpha=cfg.compound_alpha)
 

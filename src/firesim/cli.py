@@ -333,10 +333,10 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
         if int(ticks[-1]) - base_tick > MAX_TICK_SPAN:
             raise analytics.CorruptArchiveError(
                 f"{archive}: timestamps span more than {MAX_TICK_SPAN:,} ticks")
-        post_ticks = ticks - base_tick
-        volumes = np.bincount(post_ticks).tolist()
+        counts = np.bincount(ticks - base_tick)
+        volumes = counts.tolist()
         windows = analytics.sentiment_windows(
-            post_ticks, result.valences[order], len(volumes), window=an.sentiment_window,
+            counts, result.valences[order], window=an.sentiment_window,
             neutral_band=an.neutral_band, alpha=an.compound_alpha)
         k = cfg.defense.detect_first_k
         early = order[:k]

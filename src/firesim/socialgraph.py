@@ -150,7 +150,10 @@ class SocialGraph:
 
         Self-loops, repeats within the batch and edges already present are
         skipped.  Returns how many edges were added.  An id outside the graph
-        raises ``GraphError`` and adds nothing.
+        raises ``GraphError`` and adds nothing.  The CSR is rebuilt from one
+        int64 array of ``followee * n + follower`` keys, those of the edges
+        held and then the batch's, sorted in place, so that a repeat sits
+        beside its first copy.
         """
         src = np.asarray(src, dtype=np.int64).ravel()
         dst = np.asarray(dst, dtype=np.int64).ravel()
@@ -161,24 +164,27 @@ class SocialGraph:
         if len(outside):
             k = outside[0]
             raise GraphError(f"edge references unknown node: ({src[k]}, {dst[k]})")
-        keep = src != dst
-        # one key per edge, ordered by followee and then follower: CSR order.
-        # A sort and a neighbour test, as np.unique hashes and is far slower.
-        new = np.sort(dst[keep] * n + src[keep])
-        new = new[np.diff(new, prepend=-1) != 0]
-        # the existing edges' keys: each slot's followee, then its follower
-        old = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr)) * n + self._indices
-        at = np.searchsorted(old, new)
-        fresh = np.append(old, -1)[at] != new  # keys are >= 0; -1 pads the end
-        followee, follower = np.divmod(new[fresh], n)
-        if not len(follower):
-            return 0
-        # a key's insertion point in the sorted keys is its place in indices
-        self._indices = read_only(np.insert(self._indices, at[fresh], follower))
-        added = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(followee, minlength=n), out=added[1:])
-        self._indptr = read_only(self._indptr + added)
-        return len(follower)
+        old_count = len(self._indices)
+        keys = np.empty(old_count + len(src), dtype=np.int64)
+        old, new = keys[:old_count], keys[old_count:]
+        np.multiply(np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr)), n, out=old)
+        old += self._indices
+        np.multiply(dst, n, out=new)
+        new += src
+        new[src == dst] = -1  # self-loops: keys are >= 0, and -1s drop with the repeats
+        keys.sort()
+        # a sort and a neighbour test, as np.unique hashes and is far slower
+        fresh = np.empty(len(keys), dtype=bool)
+        fresh[:1] = keys[:1] != -1
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        del old, new, fresh  # the views would keep the uncompacted keys alive
+        follower = (keys % n).astype(np.intp, copy=False)
+        keys //= n  # now each edge's followee
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+        self._indptr, self._indices = read_only(indptr), read_only(follower)
+        return len(follower) - old_count
 
     def follower_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(indptr, indices)``: the sorted followers of ``i`` are
@@ -264,12 +270,14 @@ def generate_scale_free(n: int, m: int, seed) -> SocialGraph:
         targets[v - m0] = sorted(picked)
         a, chunk = v + 1, max(1, chunk // 2)
 
+    # both directions of every pair, built once; the parts go before the CSR build
     grown = np.repeat(np.arange(m0, n, dtype=np.int64), m)
-    u = np.concatenate([clique_u, grown])
-    w = np.concatenate([clique_w, targets.ravel()])
+    src = np.concatenate([clique_u, grown, clique_w, targets.ravel()])
+    dst = np.concatenate([clique_w, targets.ravel(), clique_u, grown])
+    del grown, targets
     g = SocialGraph()
     g.add_nodes(n)
-    g.add_edges(np.concatenate([u, w]), np.concatenate([w, u]))
+    g.add_edges(src, dst)
     return g
 
 

@@ -58,12 +58,11 @@ def test_score_valence_trichotomy():
     with pytest.raises(ValueError):
         score_valence(0.0, -0.1)
     # the window kernel draws the same lines
-    [w] = sentiment_windows(np.zeros(5, dtype=np.int64), [-0.5, 0.5, 0.05, 0.1, -0.1], 1,
-                            window=1, neutral_band=0.1, alpha=15.0)
+    [w] = sentiment_windows([5], [-0.5, 0.5, 0.05, 0.1, -0.1], window=1,
+                            neutral_band=0.1, alpha=15.0)
     assert (w.negative, w.neutral, w.positive) == (1 / 5, 3 / 5, 1 / 5)
     with pytest.raises(ValueError):
-        sentiment_windows(np.zeros(1, dtype=np.int64), [0.0], 1, window=1,
-                          neutral_band=-0.1, alpha=15.0)
+        sentiment_windows([1], [0.0], window=1, neutral_band=-0.1, alpha=15.0)
 
 
 def test_compound_score_oracle():
@@ -134,6 +133,47 @@ def test_run_sentiment_windows_match_materialised_posts(preset, seed):
                            neutral_band=an.neutral_band, alpha=an.compound_alpha)
             for k, start, end in bounds)
         assert kernel == wrapped == scalar
+
+
+@st.composite
+def _window_logs(draw):
+    """Posts per tick, their valences (the band's edges and -0.0 among
+    them), the neutral band and a window width from 1 to the tick count."""
+    band = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=24))
+    valence = st.one_of(st.sampled_from([band, -band, 0.0, -0.0]),
+                        st.floats(min_value=-1.0, max_value=1.0))
+    valences = draw(st.lists(valence, min_size=sum(counts), max_size=sum(counts)))
+    return counts, valences, band, draw(st.integers(1, len(counts)))
+
+
+@given(_window_logs())
+@example(([0, 3, 0, 0, 2], [0.1, -0.1, -0.0, -0.0, 0.5], 0.1, 2))
+@settings(max_examples=200, deadline=None)
+def test_sentiment_windows_match_each_window_aggregated_alone(log):
+    counts, valences, band, width = log
+    ticks = np.repeat(np.arange(len(counts)), counts).tolist()
+    posts = [_post(v, tick=t) for v, t in zip(valences, ticks)]
+    kernel = sentiment_csv_text(sentiment_windows(counts, valences, window=width,
+                                                  neutral_band=band, alpha=15.0))
+    bounds = [(k, start, min(start + width, len(counts)))
+              for k, start in enumerate(range(0, len(counts), width))]
+    for one_window in (aggregate_window, _scalar_window):
+        rows = (one_window([p for p in posts if start <= p.tick < end], k, start, end,
+                           neutral_band=band, alpha=15.0) for k, start, end in bounds)
+        assert kernel == sentiment_csv_text(rows)
+
+
+def test_sentiment_windows_hold_no_whole_log_array(traced_peak):
+    """Counting on each window's slice peaks at 0.33 MB for 300k posts in
+    seven windows; cumulative counts over the whole log took 7.2 MB."""
+    rng = np.random.default_rng(0)
+    counts = rng.poisson(1785, 168)
+    valences = rng.uniform(-1.0, 1.0, counts.sum())
+    windows, peak = traced_peak(sentiment_windows, counts, valences, window=24,
+                                neutral_band=0.05, alpha=15.0)
+    assert sum(w.post_count for w in windows) == len(valences)
+    assert peak < valences.nbytes / 2
 
 
 def test_aggregate_empty_window_reports_nulls():

@@ -16,7 +16,11 @@ topic-choice and policy-match rules each moved behind one function.  The
 ``bots_flipped`` events, then a part-flipped cohort sent dormant), were
 recorded before the run state kept twice (last tick's posts, stand-down,
 startup events, the arming table, the silencing of attack cohorts) was
-cut to one record each.  Any refactor of the engine, the fork or the
+cut to one record each.  The storm-scale digests (``n50000`` and the
+``WORLD_CSR_DIGESTS`` of the 50k follower graph, with and without bot
+followers) were recorded before ``SocialGraph.add_edges`` built the CSR
+from one sorted key array and the sentiment windows were counted by
+slice.  Any refactor of the engine, the fork or the
 report writers must leave these bytes unchanged; a change that moves them
 on purpose has to re-record the tables and say why.
 ``scripts/golden_digests.py`` recomputes every table below.
@@ -38,6 +42,7 @@ import numpy as np
 import pytest
 
 from firesim import analytics, cli
+from firesim.scenario import build_world, config_from_dict
 
 # the numpy release every digest below was recorded on
 DIGESTS_NUMPY = "2.4.6"
@@ -75,6 +80,7 @@ RUN_DIGESTS = {
 # chunks, one of them with bot follower edges added in one batch
 RUN_CONFIGS = {
     "n5000": {"graph": {"n": 5000}},
+    "n50000": {"graph": {"n": 50000}},
     "n2000-bot-followers": {"graph": {"n": 2000, "bot_follower_fraction": 0.05}},
     # a campaign too weak to catch: three topics tried, exhausted, then aborted
     "weak-bots": {"attack": {"bots": 10, "bot_posting_rate": 0.3, "spread_patience": 12},
@@ -120,6 +126,12 @@ CONFIG_RUN_DIGESTS = {
         "run_metadata.json": "4c6de9c6805f928b3ba8b7812cc354c772fcc1fe8be573b5e25847da782a1d8a",
         "sentiment_windows.csv": "b909a60d9374fff3b9deea1e47484f01b37cf0f6cf078fdfa24cfbcf1df1ee32",
     },
+    ("n50000", 0): {
+        "financial.csv": "131a209e4a0d5d7dfadc5b80e4d55bb81ae714396b510b2ba7ae8d74a5f5a15b",
+        "history.csv": "a67d8816b6a0a2019b6cc3ba7ec332868a21e01204e9a6146b292e7ff7bff0ec",
+        "run_metadata.json": "371989211fd454ea9885a39bdecf9a11799814a5217d1bdc9b942a75cbd5316d",
+        "sentiment_windows.csv": "902d91d3d05767c365145470870ea9074460d952439ba22548116042773909d3",
+    },
     ("paid-offers", 0): {
         "financial.csv": "b4b0ede688fdd6a26e996d4b3841d9f02db169d665c5479aa91601ed4209568e",
         "history.csv": "142bd9f6c3f8a6f8fdbbcd2208b63ee3e3156d4a370762e5f78e3825889b1fb6",
@@ -132,6 +144,19 @@ CONFIG_RUN_DIGESTS = {
         "run_metadata.json": "18e540f690a79267d4016e42ff030b67c416b63264c3077f0250b8f442383d69",
         "sentiment_windows.csv": "1b670dd0f9a050f1e7c0cad4927f42ecbce9cd727a18d43f66b1bba2fa23e26f",
     },
+}
+
+# sha256 of the `indptr` bytes then the `indices` bytes of `follower_csr()`
+# for `build_world` of each config at seed 0: the storm-scale graph, and the
+# same graph with 200 bots that each draw followers from every user
+WORLD_CSR_CONFIGS = {
+    "n50000": {"graph": {"n": 50000}},
+    "n50000-bot-followers": {"graph": {"n": 50000, "bot_follower_fraction": 0.05}},
+}
+
+WORLD_CSR_DIGESTS = {
+    "n50000": "e4746fb698fc0b32dc57f8ab7a5b89c5b8e1e8edbe1f52d424a3c1de683af111",
+    "n50000-bot-followers": "6bc62136c7a98465e26dba728c9d1f225781d35483d854f0f19d67cd583f75df",
 }
 
 # `batch --seeds 0..3` on the default config
@@ -191,6 +216,14 @@ def config_run_digests(name: str, seed: int, work_dir) -> dict[str, str]:
     out_dir = work_dir / "out"
     _main(["run", "--config", str(config), "--seed", str(seed), "--out", str(out_dir)])
     return {p.name: _sha256(p) for p in out_dir.iterdir()}
+
+
+def world_csr_digest(name: str) -> str:
+    """Digest of the follower CSR of ``build_world(WORLD_CSR_CONFIGS[name])``."""
+    indptr, indices = build_world(config_from_dict(WORLD_CSR_CONFIGS[name])).graph.follower_csr()
+    digest = hashlib.sha256(indptr.tobytes())
+    digest.update(indices.tobytes())
+    return digest.hexdigest()
 
 
 def batch_digest(out_dir) -> str:
@@ -324,6 +357,11 @@ def test_run_report_digests(tmp_path, preset, seed):
 def test_config_run_report_digests(tmp_path, name, seed):
     assert config_run_digests(name, seed, tmp_path) == CONFIG_RUN_DIGESTS[(name, seed)], \
         _RECORDED_ON
+
+
+@pytest.mark.parametrize("name", sorted(WORLD_CSR_DIGESTS))
+def test_world_csr_digests(name):
+    assert world_csr_digest(name) == WORLD_CSR_DIGESTS[name], _RECORDED_ON
 
 
 def test_batch_summary_digest(tmp_path):
