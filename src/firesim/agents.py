@@ -104,8 +104,8 @@ _DORMANT = BotMode.DORMANT
 _DEFEND = BotMode.DEFEND
 
 # What a silent cohort emits; every caller gets these same length-0 arrays.
-EMPTY_EMISSION = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.int8),
-                  np.empty(0, dtype=np.intp))
+NO_TARGETS = np.empty(0, dtype=np.intp)
+EMPTY_EMISSION = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.int8), NO_TARGETS)
 
 
 @dataclass
@@ -201,7 +201,8 @@ def draw_organic_valence(failure_class: FailureClass, rng: np.random.Generator,
 
 def bot_emit_arrays(cohort: BotCohort, tick: int, topic: TargetTopic,
                     rng: np.random.Generator, *, noise: float):
-    """Vectorised cohort emission: (authors, valences, surface kinds, targets).
+    """Vectorised cohort emission: (authors, valences, surface kinds, targets),
+    with one target per profile post, in post order.
 
     Attack members push ``-severity`` (plus bounded noise), shifting from the
     company page toward the retarget profiles once a ramp is active; flipped
@@ -235,13 +236,12 @@ def bot_emit_arrays(cohort: BotCohort, tick: int, topic: TargetTopic,
         to_profile = rng.random(total) < share
         to_profile[:flipped] = False
         picks = rng.integers(len(cohort.retarget_targets), size=total)
-        chosen = np.asarray(cohort.retarget_targets, dtype=np.intp)[picks]
         surface_kind = to_profile.astype(np.int8)  # profile is 1, page is 0
-        surface_target = np.where(to_profile, chosen, -1)
+        targets = np.asarray(cohort.retarget_targets, dtype=np.intp)[picks[to_profile]]
     else:
         surface_kind = np.zeros(total, dtype=np.int8)  # SurfaceKind.COMPANY_PAGE
-        surface_target = np.full(total, -1, dtype=np.intp)
-    return authors, valence, surface_kind, surface_target
+        targets = NO_TARGETS
+    return authors, valence, surface_kind, targets
 
 
 # -- worker pressure -------------------------------------------------------

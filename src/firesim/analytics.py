@@ -18,7 +18,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -50,43 +50,54 @@ class SentimentSummary:
     compound: float
 
 
-def sentiment_windows(counts: Sequence[int], valences: np.ndarray, *, window: int,
-                      neutral_band: float, alpha: float) -> list[SentimentSummary]:
-    """Proportions and compound score for each ``window``-tick slice of the
-    ``len(counts)`` ticks.
+# Valences summed per ``np.cumsum`` call, which bounds the sum's scratch.
+SUM_BLOCK = 4096
 
-    ``counts[t]`` posts were made at tick t, and ``valences`` holds them
-    tick by tick, each tick's in emission order.  A post is negative when
-    its valence is strictly below ``-neutral_band``, positive when strictly
-    above ``neutral_band`` and neutral otherwise, so the band is closed at
-    both ends; each window's valences are counted on its own slice and
-    summed left to right, so the compound score does not depend on numpy's
-    pairwise summation.  Empty windows report null proportions and a zero
-    compound rather than dividing by zero.
-    """
+
+def window_summary(window_id: int, start: int, end: int, chunks: Iterable[np.ndarray], *,
+                   neutral_band: float, alpha: float) -> SentimentSummary:
+    """Proportions and compound score of a window whose float64 valences
+    are ``chunks``, in order, read in place.  A valence is negative below
+    ``-neutral_band``, positive above ``neutral_band``, else neutral.  The
+    valences are summed left to right from +0.0, a block at a time with the
+    running sum carried, so the compound score depends neither on numpy's
+    pairwise summation nor on how the valences are split.  An empty window
+    reports null proportions and a zero compound."""
     if neutral_band < 0:
         raise ValueError("neutral_band must be >= 0")
+    n = neg = pos = 0
+    total = 0.0
+    run = np.empty(SUM_BLOCK + 1)  # the carried sum, then one block
+    for chunk in chunks:
+        n += len(chunk)
+        neg += int(np.count_nonzero(chunk < -neutral_band))
+        pos += int(np.count_nonzero(chunk > neutral_band))
+        for a in range(0, len(chunk), SUM_BLOCK):
+            block = chunk[a:a + SUM_BLOCK]
+            part = run[:len(block) + 1]
+            part[0], part[1:] = total, block
+            total = float(np.cumsum(part, out=part)[-1])
+    if n == 0:
+        return SentimentSummary(window_id, start, end, 0, None, None, None, 0.0)
+    return SentimentSummary(window_id, start, end, n, neg / n, (n - neg - pos) / n, pos / n,
+                            compound_score(total, alpha))
+
+
+def _window_bounds(ticks: int, width: int):
+    """``(window id, (start, end))`` of each ``width``-tick window of ``ticks`` ticks."""
+    return enumerate((start, min(start + width, ticks)) for start in range(0, ticks, width))
+
+
+def sentiment_windows(counts: Sequence[int], valences: np.ndarray, *, window: int,
+                      neutral_band: float, alpha: float) -> list[SentimentSummary]:
+    """``window_summary`` of each ``window``-tick slice of ``len(counts)``
+    ticks, where ``valences`` holds tick t's ``counts[t]`` posts in turn."""
     valences = np.asarray(valences, dtype=np.float64)
-    starts = np.arange(0, len(counts), window)
-    ends = np.minimum(starts + window, len(counts))
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)  # posts before each tick
     np.cumsum(counts, out=offsets[1:])
-    out = []
-    for window_id, (start, end, a, b) in enumerate(zip(
-            starts.tolist(), ends.tolist(), offsets[starts].tolist(), offsets[ends].tolist())):
-        n = b - a
-        if n == 0:
-            out.append(SentimentSummary(window_id, start, end, 0, None, None, None, 0.0))
-            continue
-        slice_ = valences[a:b]
-        neg = int(np.count_nonzero(slice_ < -neutral_band))
-        pos = int(np.count_nonzero(slice_ > neutral_band))
-        # 0.0 + ...: a running sum that starts at +0.0 never ends at -0.0
-        total = 0.0 + float(np.cumsum(slice_)[-1])
-        out.append(SentimentSummary(window_id, start, end, n, neg / n,
-                                    (n - neg - pos) / n, pos / n,
-                                    compound_score(total, alpha)))
-    return out
+    return [window_summary(window_id, start, end, [valences[offsets[start]:offsets[end]]],
+                           neutral_band=neutral_band, alpha=alpha)
+            for window_id, (start, end) in _window_bounds(len(counts), window)]
 
 
 def aggregate_window(posts: Sequence[Post], window_id: int, start_tick: int,
@@ -94,10 +105,8 @@ def aggregate_window(posts: Sequence[Post], window_id: int, start_tick: int,
                      alpha: float) -> SentimentSummary:
     """Proportions and compound score for one window of posts."""
     valences = np.fromiter((p.valence for p in posts), dtype=np.float64, count=len(posts))
-    [summary] = sentiment_windows([len(posts)], valences, window=1,
-                                  neutral_band=neutral_band, alpha=alpha)
-    return replace(summary, window_id=window_id, start_tick=start_tick,
-                   end_tick=end_tick)
+    return window_summary(window_id, start_tick, end_tick, [valences],
+                          neutral_band=neutral_band, alpha=alpha)
 
 
 def _cell(value) -> str:
@@ -697,12 +706,12 @@ def run_outcome(sim: "Simulation") -> dict:
 
 
 def sentiment_windows_for_run(sim: "Simulation") -> list[SentimentSummary]:
+    """The run's sentiment windows, read from its post log's per-tick valences."""
     cfg = sim.cfg.analytics
     per_tick = [valences for _, valences, *_ in sim.post_log.ticks]
-    valences = np.concatenate(per_tick) if per_tick else np.empty(0)
-    return sentiment_windows([len(v) for v in per_tick], valences,
-                             window=cfg.sentiment_window,
-                             neutral_band=cfg.neutral_band, alpha=cfg.compound_alpha)
+    return [window_summary(window_id, start, end, per_tick[start:end],
+                           neutral_band=cfg.neutral_band, alpha=cfg.compound_alpha)
+            for window_id, (start, end) in _window_bounds(len(per_tick), cfg.sentiment_window)]
 
 
 def run_metadata(sim: "Simulation") -> dict:

@@ -49,7 +49,6 @@ _CALMING = FirestormStage.CALMING
 _MINOR = FirestormStage.MINOR
 _PAGE_KIND = np.int8(SurfaceKind.COMPANY_PAGE)
 _STREAM_KIND = np.int8(SurfaceKind.GENERAL_STREAM)
-_PROFILE_KIND = np.int8(SurfaceKind.EMPLOYEE_PROFILE)
 
 
 HISTORY_COLUMNS = (
@@ -101,15 +100,16 @@ class SimHistory:
 
 
 class PostLog:
-    """Compact per-tick post arrays.
+    """Compact per-tick post arrays: 13 bytes a post, plus 8 a profile target.
 
     ``ticks[t]`` holds tick t's ``(authors, valences, surface_kinds,
-    surface_targets)`` arrays in emission order; reports read these arrays
-    directly.  A post is organic exactly when its author is not a bot, so
-    the flag is read off ``kind``, the world's read-only account-kind
-    column.  ``posts_between`` materialises ``Post`` objects; no command
-    calls it, and it stays for the tests and for the benchmark tracer,
-    which wraps it by name.
+    profile_targets)`` arrays: int32 authors, float64 valences and int8
+    kinds in emission order, and one target per profile post, in the same
+    order; reports read these arrays directly.  A post is organic exactly
+    when its author is not a bot, so the flag is read off ``kind``, the
+    world's read-only account-kind column.  ``posts_between`` materialises
+    ``Post`` objects; no command calls it, and it stays for the tests and
+    for the benchmark tracer, which wraps it by name.
     """
 
     def __init__(self, kind: np.ndarray):
@@ -118,8 +118,8 @@ class PostLog:
         self.topic_ids: list[str] = []
 
     def append_tick(self, topic_id, authors, valences, surface_kinds,
-                    surface_targets) -> None:
-        self.ticks.append((authors, valences, surface_kinds, surface_targets))
+                    profile_targets) -> None:
+        self.ticks.append((authors.astype(np.int32), valences, surface_kinds, profile_targets))
         self.topic_ids.append(topic_id)
 
     def first_authors(self, k: int) -> list[int]:
@@ -135,12 +135,13 @@ class PostLog:
         """Posts with t0 <= tick < t1."""
         posts = []
         for t in range(max(t0, 0), min(t1, len(self.ticks))):
-            authors, valences, skinds, stargets = self.ticks[t]
+            authors, valences, skinds, targets = self.ticks[t]
             organic = self.kind[authors] != AccountKind.BOT
             topic = self.topic_ids[t]
+            profile_targets = iter(targets.tolist())
             for i in range(len(authors)):
                 if skinds[i] == SurfaceKind.EMPLOYEE_PROFILE:
-                    surface = agents.Surface(SurfaceKind.EMPLOYEE_PROFILE, int(stargets[i]))
+                    surface = agents.Surface(SurfaceKind.EMPLOYEE_PROFILE, next(profile_targets))
                 elif skinds[i] == SurfaceKind.GENERAL_STREAM:
                     surface = agents.GENERAL_STREAM
                 else:
@@ -337,9 +338,11 @@ class Simulation:
         or not, and kept only for posts sent to a profile.
 
         State invariant: ``active`` implies ``activated_ever`` (every path
-        that activates a user sets both), and ``remaining`` never goes below
-        0.  Phase 2 relies on the first: the users it may activate are the
-        never-activated ones, with no separate test for ``active``.
+        that activates a user sets both), ``remaining`` never goes below 0,
+        and a never-activated user keeps all ``max_posts_per_user`` (>= 1).
+        Phase 2 relies on the first: the users it may activate are the
+        never-activated ones, with no test for ``active``; phase 3 relies
+        on the last, with no test for a spent budget.
         """
         t = self.tick
         cfg = self.cfg
@@ -347,7 +350,7 @@ class Simulation:
         world = self.world
         n = len(acc)
         topic = self.topic
-        parts: list[tuple] = []  # (authors, valences, skinds, stargets)
+        parts: list[tuple] = []  # (authors, valences, skinds, profile targets)
 
         # 1) bot cohorts post
         if topic is not None:
@@ -366,7 +369,7 @@ class Simulation:
             # exact in any order
             indptr, indices = world.graph.follower_csr()
             prev = np.bincount(self.prev_authors, minlength=n)
-            pushers = prev.nonzero()[0]
+            pushers = (prev != 0).nonzero()[0]  # a bool array takes nonzero's fast path
             starts = indptr[pushers]
             lens = indptr[pushers + 1] - starts
             ends = lens.cumsum()
@@ -397,7 +400,7 @@ class Simulation:
                 organic_authors = active_idx
 
             if fresh_exposure is not None:
-                keep = (fresh_exposure > 0) & (self.remaining[fresh] > 0)
+                keep = fresh_exposure > 0
                 cand = fresh[keep]
                 if len(cand):
                     p = agents.activation_probability(self.susceptibilities(cand),
@@ -438,17 +441,17 @@ class Simulation:
                                    < cfg.agents.organic_company_page_fraction)
                         skind[plain[on_page]] = _PAGE_KIND
                     skind[helpers] = _PAGE_KIND
-                parts.append((organic_authors, vals, skind, np.full(k, -1, dtype=np.intp)))
+                parts.append((organic_authors, vals, skind, agents.NO_TARGETS))
                 organic_n = k
 
         # collapse the tick's posts
         if len(parts) == 1:
-            authors, valences, skinds, stargets = parts[0]
+            authors, valences, skinds, targets = parts[0]
         elif parts:
-            authors, valences, skinds, stargets = (
+            authors, valences, skinds, targets = (
                 np.concatenate(column) for column in zip(*parts))
         else:
-            authors, valences, skinds, stargets = agents.EMPTY_EMISSION
+            authors, valences, skinds, targets = agents.EMPTY_EMISSION
 
         total = len(authors)
         page_n, profile_n, stream_n = np.bincount(skinds, minlength=3).tolist()
@@ -457,9 +460,8 @@ class Simulation:
         # 4) worker stress from targeted mentions and ambient page negativity
         roster = world.roster_ids
         ag = cfg.agents
-        if profile_n:
-            on_profile = skinds == _PROFILE_KIND
-            mentions = np.bincount(stargets[on_profile], minlength=n)[roster]
+        if profile_n:  # one target per profile post
+            mentions = np.bincount(targets, minlength=n)[roster]
         else:
             mentions = 0.0
         ambient = (float(np.count_nonzero(negative & (skinds == _PAGE_KIND)))
@@ -519,7 +521,7 @@ class Simulation:
             float(np.maximum.reduce(roster_stress)),
             comp.reputation, self.financial.value, stage.value)
         self.post_log.append_tick(
-            topic.topic_id if topic else "", authors, valences, skinds, stargets)
+            topic.topic_id if topic else "", authors, valences, skinds, targets)
         # extinguished once every tick of a window since onset was quiet
         window = contagion.extinguish_window
         if (self.onset is not None and self.extinguished_tick is None

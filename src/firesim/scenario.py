@@ -323,6 +323,10 @@ class ScenarioConfig:
         atk, an, run = self.attack, self.analytics, self.run
 
         _check(g.n >= g.m, "graph.n", f"population {g.n} must be >= graph.m ({g.m})")
+        population = g.n + atk.bots + sum(getattr(self.defense, size)
+                                          for _, size, _ in defense.ARMING_POLICIES.values())
+        _check(population < 2**31, "graph.n", f"population {population} (graph.n plus every bot "
+               "and defender cohort) must fit the post log's int32 account ids (< 2**31)")
         _check(r.employees + r.managers >= 1, "roster.employees",
                "roster needs at least one member (employees + managers >= 1)")
         _check(r.employees + r.managers <= g.n, "roster.employees",
@@ -586,15 +590,16 @@ def build_world(config: ScenarioConfig) -> World:
             # row b holds bot b's coin per user: the doubles of one
             # rng_bots.random(n) call per bot, in bot order, drawn a block
             # of bots at a time so the coins never all sit in memory
-            bots, users = [], []
+            edges = []  # (followers, followed bots) per block
             for first in range(0, len(members), BOT_COIN_BLOCK_ROWS):
                 rows = min(BOT_COIN_BLOCK_ROWS, len(members) - first)
-                coins = rng_bots.random((rows, config.graph.n))
-                bot, user = np.nonzero(coins < config.graph.bot_follower_fraction)
-                bots.append(bot + first)
-                users.append(user)
-            graph.add_edges(np.concatenate(users),
-                            np.asarray(members)[np.concatenate(bots)])
+                bot, user = np.nonzero(rng_bots.random((rows, config.graph.n))
+                                       < config.graph.bot_follower_fraction)
+                edges.append((user, np.asarray(members)[bot + first]))
+            # the per-block arrays go before add_edges, so they never sit beside its keys
+            users, bots = (np.concatenate(column) for column in zip(*edges))
+            del edges
+            graph.add_edges(users, bots)
         cohorts.append(("attack-0", members))
 
     d = config.defense

@@ -152,8 +152,8 @@ class SocialGraph:
         skipped.  Returns how many edges were added.  An id outside the graph
         raises ``GraphError`` and adds nothing.  The CSR is rebuilt from one
         int64 array of ``followee * n + follower`` keys, those of the edges
-        held and then the batch's, sorted in place, so that a repeat sits
-        beside its first copy.
+        held (in order) and then the batch's (sorted alone), merged in place
+        by a stable sort in O(E), so that a repeat sits beside its first copy.
         """
         src = np.asarray(src, dtype=np.int64).ravel()
         dst = np.asarray(dst, dtype=np.int64).ravel()
@@ -172,7 +172,8 @@ class SocialGraph:
         np.multiply(dst, n, out=new)
         new += src
         new[src == dst] = -1  # self-loops: keys are >= 0, and -1s drop with the repeats
-        keys.sort()
+        new.sort()
+        keys.sort(kind="stable")
         # a sort and a neighbour test, as np.unique hashes and is far slower
         fresh = np.empty(len(keys), dtype=bool)
         fresh[:1] = keys[:1] != -1

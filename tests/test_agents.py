@@ -243,10 +243,30 @@ def test_flipped_members_stay_on_the_page_while_rest_retarget():
     rng = np.random.default_rng(6)
     authors, valence, kinds, targets = bot_emit_arrays(c, 1, _topic(), rng, noise=0.0)
     flipped = authors < 150
-    assert np.all(kinds[flipped] == SurfaceKind.COMPANY_PAGE)
-    assert np.all(targets[flipped] == -1) and np.all(valence[flipped] > 0)
+    assert flipped.any() and (~flipped).any()
+    assert np.all(kinds[flipped] == SurfaceKind.COMPANY_PAGE) and np.all(valence[flipped] > 0)
     assert np.all(kinds[~flipped] == SurfaceKind.EMPLOYEE_PROFILE)
-    assert set(targets[~flipped].tolist()) <= {7, 8} and np.all(valence[~flipped] < 0)
+    assert np.all(valence[~flipped] < 0)
+    # one target per profile post: the flipped members' page posts have none
+    assert len(targets) == np.count_nonzero(kinds == SurfaceKind.EMPLOYEE_PROFILE)
+    assert set(targets.tolist()) == {7, 8}
+
+
+def test_profile_targets_follow_the_profile_posts_and_keep_the_rng_stream():
+    """A partial share sends some posts to profiles; each carries the pick
+    drawn at its position, and every post draws a pick either way."""
+    c = _cohort(n=200, retarget_targets=(7, 8, 9), retarget_start=0, retarget_ramp=10)
+    rng = np.random.default_rng(8)
+    _, _, kinds, targets = bot_emit_arrays(c, 5, _topic(), rng, noise=0.1)
+    replay = np.random.default_rng(8)
+    total = int(replay.poisson(1.0, size=200).sum())
+    replay.random(total)  # valence noise
+    to_profile = replay.random(total) < c.employee_share(5)
+    picks = replay.integers(3, size=total)
+    assert 0 < to_profile.sum() < total
+    np.testing.assert_array_equal(kinds, to_profile.astype(np.int8))
+    np.testing.assert_array_equal(targets, np.array([7, 8, 9])[picks[to_profile]])
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 # -- properties ---------------------------------------------------------------

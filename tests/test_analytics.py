@@ -23,7 +23,8 @@ from firesim.analytics import (CascadeClass, CorruptArchiveError,
                                emit_report, financial_csv_text,
                                ingest_archive, load_sentiment_summaries,
                                predict_cascade, run_outcome, sentiment_csv_text,
-                               sentiment_windows, sentiment_windows_for_run)
+                               sentiment_windows, sentiment_windows_for_run,
+                               window_summary)
 from firesim.scenario import build_from_seed, default_config, expand_preset
 
 DATA = Path(__file__).parent / "data"
@@ -174,6 +175,69 @@ def test_sentiment_windows_hold_no_whole_log_array(traced_peak):
                                 neutral_band=0.05, alpha=15.0)
     assert sum(w.post_count for w in windows) == len(valences)
     assert peak < valences.nbytes / 2
+
+
+@st.composite
+def _chunked_logs(draw):
+    """Valences per tick as chunks (empty ticks, -0.0 and the band's edges
+    among them), the neutral band, a window width and a sum block short
+    enough that some chunks span several blocks."""
+    band = draw(st.sampled_from([0.0, 0.05, 0.25]))
+    valence = st.one_of(st.sampled_from([band, -band, 0.0, -0.0]),
+                        st.floats(min_value=-1.0, max_value=1.0))
+    chunks = draw(st.lists(st.lists(valence, max_size=9), min_size=1, max_size=16))
+    return chunks, band, draw(st.integers(1, len(chunks))), draw(st.integers(1, 4))
+
+
+@given(_chunked_logs())
+@example(([[-0.0], [], [-0.0, -0.0]], 0.0, 3, 1))
+@example(([[0.05, -0.05, 1e-300, -1e-300, 0.5], [0.1]], 0.05, 1, 2))
+@settings(max_examples=300, deadline=None)
+def test_chunked_window_summary_matches_one_array_and_scalar_loop(log):
+    chunks, band, width, block = log
+    counts = [len(c) for c in chunks]
+    flat = [v for c in chunks for v in c]
+    posts = [_post(v, tick=t) for t, c in enumerate(chunks) for v in c]
+    bounds = [(k, start, min(start + width, len(chunks)))
+              for k, start in enumerate(range(0, len(chunks), width))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytics, "SUM_BLOCK", block)
+        chunked = sentiment_csv_text(
+            window_summary(k, start, end, [np.array(c, dtype=float) for c in chunks[start:end]],
+                           neutral_band=band, alpha=15.0)
+            for k, start, end in bounds)
+        one_array = sentiment_csv_text(sentiment_windows(counts, flat, window=width,
+                                                         neutral_band=band, alpha=15.0))
+    scalar = sentiment_csv_text(
+        _scalar_window([p for p in posts if start <= p.tick < end], k, start, end,
+                       neutral_band=band, alpha=15.0)
+        for k, start, end in bounds)
+    assert chunked == one_array == scalar
+
+
+def test_window_sum_over_blocks_is_the_cumulative_sum():
+    """Chunks longer than ``SUM_BLOCK`` carry the running sum across blocks,
+    so the compound score is the one ``0.0 + np.cumsum(valences)[-1]`` gives."""
+    rng = np.random.default_rng(3)
+    valences = rng.uniform(-1.0, 1.0, 5 * analytics.SUM_BLOCK + 17) ** 3
+    cuts = np.sort(rng.integers(0, len(valences), 6))
+    summary = window_summary(0, 0, 7, np.split(valences, cuts), neutral_band=0.05,
+                             alpha=15.0)
+    assert summary.post_count == len(valences)
+    assert summary.compound == compound_score(0.0 + float(np.cumsum(valences)[-1]), 15.0)
+
+
+def test_run_report_reads_valences_in_place(traced_peak, tmp_path):
+    """The report reads each window's valences from the post log's per-tick
+    arrays: it peaks well below one copy of all valences, where the
+    concatenation and its cumulative sum took two."""
+    cfg = default_config()
+    sim = build_from_seed(replace(cfg, graph=replace(cfg.graph, n=10_000)), 1)
+    sim.run(cfg.run.ticks)
+    valence_bytes = sum(valences.nbytes for _, valences, *_ in sim.post_log.ticks)
+    _, peak = traced_peak(emit_report, sim, tmp_path)
+    assert valence_bytes > 200_000
+    assert peak < valence_bytes / 4
 
 
 def test_aggregate_empty_window_reports_nulls():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from firesim.agents import BotMode
+from firesim.agents import BotMode, SurfaceKind
 from firesim.contagion import (HISTORY_COLUMNS, FirestormStage, SimHistory,
                                Simulation, StageTracker, World,
                                regulator_visibility)
@@ -352,6 +352,25 @@ def test_post_log_organic_flag_matches_the_history():
     assert organic == sim.history.organic_posts
 
 
+def test_post_log_keeps_int32_authors_and_one_target_per_profile_post(finished_run):
+    """13 bytes a post (int32 author, float64 valence, int8 surface kind)
+    plus one intp target per profile post, each a roster member."""
+    sim = finished_run
+    profile_posts = 0
+    for t, (authors, valences, kinds, targets) in enumerate(sim.post_log.ticks):
+        assert authors.dtype == np.int32 and valences.dtype == np.float64
+        assert kinds.dtype == np.int8 and targets.dtype == np.intp
+        assert authors.nbytes + valences.nbytes + kinds.nbytes == 13 * len(authors)
+        assert len(targets) == np.count_nonzero(kinds == SurfaceKind.EMPLOYEE_PROFILE)
+        assert len(targets) == sim.history.employee_profile_posts[t]
+        assert np.isin(targets, sim.roster_ids).all()
+        profile_posts += len(targets)
+    assert 0 < profile_posts < sum(sim.history.total_posts)
+    posts = sim.post_log.posts_between(0, len(sim.post_log.ticks))
+    assert ([p.surface.target for p in posts if p.surface.kind is SurfaceKind.EMPLOYEE_PROFILE]
+            == np.concatenate([targets for *_, targets in sim.post_log.ticks]).tolist())
+
+
 def test_downtime_drains_reputation_and_counts_down(default_cfg):
     base = build_from_seed(default_cfg, 0)
     base.run(30)
@@ -403,8 +422,10 @@ def test_fork_copies_the_financial_proxy_whole_and_apart():
 @pytest.mark.parametrize("preset", ["defended_baseline", "rapid_massive", "organic_only"])
 def test_active_users_were_activated_and_budgets_stay_non_negative(monkeypatch, preset):
     """Phase 2 counts the never-activated users as the fresh ones, which
-    holds only if every active user has ``activated_ever`` set; checked
-    after every tick of the main run and of every fire-point fork."""
+    holds only if every active user has ``activated_ever`` set, and phase 3
+    activates them with no budget test, which holds only while their budget
+    is untouched; checked after every tick of the main run and of every
+    fire-point fork."""
     fork_steps = 0
     defenders = False
     step = Simulation.step
@@ -414,6 +435,8 @@ def test_active_users_were_activated_and_budgets_stay_non_negative(monkeypatch, 
         step(sim)
         assert not np.any(sim.active & ~sim.activated_ever), sim.tick
         assert sim.remaining.min() >= 0, sim.tick
+        untouched = sim.remaining[~sim.activated_ever]
+        assert np.all(untouched == sim.cfg.agents.max_posts_per_user), sim.tick
         fork_steps += not sim.watch_fire_point
         defenders = defenders or bool(sim.defender.any())
 
