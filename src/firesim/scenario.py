@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import json
 import math
 import types
@@ -28,7 +29,7 @@ from . import analytics, attack, defense
 from .agents import FailureClass, TargetTopic
 from .contagion import FirestormStage, Simulation, World
 from .defense import PastFirestorm, PolicyKind
-from .socialgraph import (AccountKind, AccountTable, build_roster,
+from .socialgraph import (AccountKind, AccountTable, SocialGraph, build_roster,
                           generate_scale_free, overlay_company)
 
 
@@ -56,6 +57,10 @@ MAX_FIRE_WINDOW = 168
 # Ticks a cascade forecast may project (a year of hourly ticks): a forecast
 # holds one value per projected tick, and ``analyze`` writes each of them.
 MAX_FORECAST_HORIZON = 8_760
+
+# Ticks a run may take (a year of hourly ticks): every tick steps the whole
+# population, so a run's time grows with this bound.
+MAX_TICKS = 8_760
 
 
 # -- single-field rules -------------------------------------------------------
@@ -286,7 +291,7 @@ class AnalyticsConfig:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = _rule(NON_NEGATIVE, 0)
-    ticks: int = _rule(AT_LEAST_1, 168)
+    ticks: int = _rule(Bound(1, MAX_TICKS), 168)
     initial_organic_posters: int = _rule(NON_NEGATIVE, 0)
     user_creation_min: int = -20000
     user_creation_max: int = _rule(Bound(hi=0), -2000)  # organic accounts predate the run
@@ -475,14 +480,27 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 # -- loading -----------------------------------------------------------------
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's mapping; a key given twice is a ``ConfigError``, as
+    the last copy would otherwise win unseen."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config: repeated key '{key}'")
+        data[key] = value
+    return data
+
+
 def loads_config(text: str) -> ScenarioConfig:
     """Parse a JSON config string; empty text means all defaults."""
     if not text.strip():
         return config_from_dict({})
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to parse") from None
     return config_from_dict(data)
 
 
@@ -561,54 +579,52 @@ def build_world(config: ScenarioConfig) -> World:
     graph, the population, and the roster untouched for the same seed.
     The cohorts the playbook names get their rows whether or not defense
     is enabled (dormant rows without edges), so both arms of every
-    ``compare`` toggle name the same world.
+    ``compare`` toggle name the same world.  The account table is sized
+    once for every cohort, and the graph is built once from every edge batch.
     """
     key = _world_key(config)
     root = np.random.SeedSequence(config.run.seed)
     ss_graph, ss_accounts, ss_roster, ss_bots, ss_posters, ss_engine = root.spawn(6)
+    n = config.graph.n
 
-    graph = generate_scale_free(config.graph.n, config.graph.m, ss_graph)
+    # (cohort id, size, creation tick) of each bot cohort, in build order
+    attack_bots = config.attack.bots if config.attack.enabled else 0
+    specs = [("attack-0", attack_bots, -config.attack.bot_creation_age)] if attack_bots else []
+    d = config.defense
+    specs += [(cohort_id, getattr(d, size), -d.support_creation_age)
+              for kind, (cohort_id, size, _) in defense.ARMING_POLICIES.items()
+              if kind.value in key["defense.playbook"] and getattr(d, size) > 0]
+    starts = itertools.accumulate((count for _, count, _ in specs), initial=n)
+    cohorts = [(cohort_id, range(start, start + count))
+               for (cohort_id, count, _), start in zip(specs, starts)]
+
+    edges = [generate_scale_free(n, config.graph.m, ss_graph)]
     accounts = AccountTable.real_users(
-        config.graph.n, np.random.default_rng(ss_accounts),
+        n, np.random.default_rng(ss_accounts),
         creation_min=config.run.user_creation_min,
-        creation_max=config.run.user_creation_max)
+        creation_max=config.run.user_creation_max,
+        bots=[(count, created) for _, count, created in specs])
     rng_roster = np.random.default_rng(ss_roster)
     roster = build_roster(
-        graph, accounts, company_id=config.roster.company_id,
+        accounts, company_id=config.roster.company_id,
         employees=config.roster.employees, managers=config.roster.managers,
         manager_roles=config.roster.manager_roles, rng=rng_roster)
-    overlay_company(graph, accounts, roster,
-                    coworker_fraction=config.graph.coworker_fraction, rng=rng_roster)
+    edges.append(overlay_company(accounts, roster,
+                                 coworker_fraction=config.graph.coworker_fraction,
+                                 rng=rng_roster))
 
-    rng_bots = np.random.default_rng(ss_bots)
-    cohorts: list[tuple[str, list[int]]] = []
-    if config.attack.enabled and config.attack.bots > 0:
-        members = accounts.append_bots(
-            config.attack.bots, creation_tick=-config.attack.bot_creation_age)
-        graph.add_nodes(len(members))
-        if config.graph.bot_follower_fraction > 0:
-            # row b holds bot b's coin per user: the doubles of one
-            # rng_bots.random(n) call per bot, in bot order, drawn a block
-            # of bots at a time so the coins never all sit in memory
-            edges = []  # (followers, followed bots) per block
-            for first in range(0, len(members), BOT_COIN_BLOCK_ROWS):
-                rows = min(BOT_COIN_BLOCK_ROWS, len(members) - first)
-                bot, user = np.nonzero(rng_bots.random((rows, config.graph.n))
-                                       < config.graph.bot_follower_fraction)
-                edges.append((user, np.asarray(members)[bot + first]))
-            # the per-block arrays go before add_edges, so they never sit beside its keys
-            users, bots = (np.concatenate(column) for column in zip(*edges))
-            del edges
-            graph.add_edges(users, bots)
-        cohorts.append(("attack-0", members))
-
-    d = config.defense
-    for kind, (cohort_id, size, _) in defense.ARMING_POLICIES.items():
-        count = getattr(d, size)
-        if kind.value in key["defense.playbook"] and count > 0:
-            members = accounts.append_bots(count, creation_tick=-d.support_creation_age)
-            graph.add_nodes(count)
-            cohorts.append((cohort_id, members))
+    if attack_bots and config.graph.bot_follower_fraction > 0:
+        rng_bots = np.random.default_rng(ss_bots)
+        # row b holds bot b's coin per user: the doubles of one
+        # rng_bots.random(n) call per bot, in bot order, drawn a block of
+        # bots at a time so the coins never all sit in memory; int32 halves
+        # what each block's edges hold until the graph is built
+        for first in range(0, attack_bots, BOT_COIN_BLOCK_ROWS):
+            rows = min(BOT_COIN_BLOCK_ROWS, attack_bots - first)
+            bot, user = np.nonzero(rng_bots.random((rows, n))
+                                   < config.graph.bot_follower_fraction)
+            edges.append((user.astype(np.int32), (bot + n + first).astype(np.int32)))
+    graph = SocialGraph(len(accounts), edges)
 
     seed_posters: list[int] = []
     if config.run.initial_organic_posters > 0:

@@ -3,13 +3,13 @@
 Edges point follower -> followee; content exposure flows the other way
 (a post by ``v`` is seen by every ``u`` with an edge ``u -> v``).  The
 graph is held only as a follower CSR (the sorted followers of each node),
-and ``SocialGraph.add_edges`` is the one way edges get in: a batch with
-self-loops and repeats dropped, merged into the CSR.  The substrate is a
-scale-free preferential-attachment graph seeded with a complete clique,
-drawn in chunks of nodes with one bounded draw per chunk; a chunk that
-hits a repeated target rewinds the generator, so the graph and the stream
-are those of one draw per attachment.  A company roster (employees,
-managers, their coworker follow edges) is overlaid on it.
+built once, when the graph is made, from every batch of edges its world
+has: self-loops and repeats dropped, and never changed after.  The
+substrate is a scale-free preferential-attachment graph seeded with a
+complete clique, drawn in chunks of nodes with one bounded draw per chunk;
+a chunk that hits a repeated target rewinds the generator, so the graph
+and the stream are those of one draw per attachment.  A company roster
+(employees, managers, their coworker follow edges) is overlaid on it.
 """
 
 from __future__ import annotations
@@ -55,30 +55,26 @@ class AccountTable:
         return len(self.kind)
 
     @classmethod
-    def real_users(cls, n: int, rng: np.random.Generator, *,
-                   creation_min: int, creation_max: int) -> "AccountTable":
-        """Aged organic users with uniform OCEAN traits."""
+    def real_users(cls, n: int, rng: np.random.Generator, *, creation_min: int,
+                   creation_max: int, bots=()) -> "AccountTable":
+        """Aged organic users with uniform OCEAN traits in rows ``[:n]``, then
+        one block of ``count`` bots made at ``creation_tick`` for each
+        ``(count, creation_tick)`` of ``bots``, in order; bots carry no
+        behavioural traits of their own.  Every column is allocated once."""
         if creation_min > creation_max:
             raise GraphError("creation_min must not exceed creation_max")
-        created = rng.integers(creation_min, creation_max + 1, size=n)
-        return cls(
-            kind=np.full(n, AccountKind.REAL_USER, dtype=np.int8),
-            creation_tick=created,
-            ocean=rng.random((n, 5)),
-            pride=np.full(n, np.nan),
-            stress=np.zeros(n),
-        )
-
-    def append_bots(self, count: int, *, creation_tick: int) -> list[AccountId]:
-        """Append a bot block; bots carry no behavioural traits of their own."""
-        start = len(self)
-        self.kind = np.concatenate([self.kind, np.full(count, AccountKind.BOT, dtype=np.int8)])
-        self.creation_tick = np.concatenate(
-            [self.creation_tick, np.full(count, creation_tick, dtype=np.int64)])
-        self.ocean = np.vstack([self.ocean, np.full((count, 5), 0.5)])
-        self.pride = np.concatenate([self.pride, np.full(count, np.nan)])
-        self.stress = np.concatenate([self.stress, np.zeros(count)])
-        return list(range(start, start + count))
+        total = n + sum(count for count, _ in bots)
+        kind = np.full(total, AccountKind.BOT, dtype=np.int8)
+        kind[:n] = AccountKind.REAL_USER
+        creation_tick = np.empty(total, dtype=np.int64)
+        creation_tick[:n] = rng.integers(creation_min, creation_max + 1, size=n)
+        ocean = np.full((total, 5), 0.5)
+        rng.random(out=ocean[:n])
+        start = n
+        for count, created in bots:
+            creation_tick[start:start + count] = created
+            start += count
+        return cls(kind, creation_tick, ocean, np.full(total, np.nan), np.zeros(total))
 
     def freeze(self) -> "AccountTable":
         """Make the static columns read-only; copies share them from then on."""
@@ -115,18 +111,52 @@ class CompanyRoster:
 
 
 class SocialGraph:
-    """Directed follower graph over integer account ids, held as a CSR.
+    """Immutable directed follower graph over the ids ``0..n-1``, held as a CSR.
 
     ``indices[indptr[i]:indptr[i + 1]]`` are the followers of ``i`` in
-    ascending order.  ``add_edges`` is the one way edges get in.
+    ascending order.
     """
 
-    def __init__(self):
-        self._n = 0
-        self._indptr = read_only(np.zeros(1, dtype=np.intp))
-        self._indices = read_only(np.empty(0, dtype=np.intp))
+    def __init__(self, n: int, batches):
+        """The graph of the follow edges ``src[k] -> dst[k]`` of every
+        ``(src, dst)`` pair of integer arrays in ``batches``.
 
-    # -- structure ---------------------------------------------------------
+        Self-loops and repeats are dropped.  An id outside the graph raises
+        ``GraphError``.  The CSR is built from one int64 array of
+        ``followee * n + follower`` keys, each batch's written into its own
+        slice and all sorted once in place, so that a repeat sits beside its
+        first copy; the edges are never copied into one array.
+        """
+        if n < 0:
+            raise GraphError("node count must be non-negative")
+        batches = [tuple(np.asarray(ids).reshape(-1) for ids in batch) for batch in batches]
+        keys = np.empty(sum(len(src) for src, _ in batches), dtype=np.int64)
+        end = 0
+        for src, dst in batches:
+            if src.shape != dst.shape:
+                raise GraphError("follower and followee arrays differ in length")
+            outside = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+            if len(outside):
+                k = outside[0]
+                raise GraphError(f"edge references unknown node: ({src[k]}, {dst[k]})")
+            stop = end + len(src)
+            # in int64 even for int32 ids, whose product with n would overflow
+            np.multiply(dst, n, out=keys[end:stop], dtype=np.int64)
+            keys[end:stop] += src
+            # self-loops: keys are >= 0, and -1s drop with the repeats
+            keys[end:stop][src == dst] = -1
+            end = stop
+        keys.sort()
+        # a sort and a neighbour test, as np.unique hashes and is far slower
+        fresh = np.empty(len(keys), dtype=bool)
+        fresh[:1] = keys[:1] != -1
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        self._n = n
+        # keys are sorted by followee: node i's followers start at the first key >= i * n
+        self._indptr = read_only(np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n))
+        keys %= n
+        self._indices = read_only(keys)
 
     @property
     def n_nodes(self) -> int:
@@ -135,57 +165,6 @@ class SocialGraph:
     @property
     def edge_count(self) -> int:
         return len(self._indices)
-
-    def add_nodes(self, count: int) -> list[AccountId]:
-        if count < 0:
-            raise GraphError("node count must be non-negative")
-        start = self._n
-        self._n += count
-        self._indptr = read_only(np.concatenate(
-            [self._indptr, np.full(count, self._indptr[-1], dtype=np.intp)]))
-        return list(range(start, start + count))
-
-    def add_edges(self, src, dst) -> int:
-        """Add the follow edges ``src[k] -> dst[k]`` in one batch.
-
-        Self-loops, repeats within the batch and edges already present are
-        skipped.  Returns how many edges were added.  An id outside the graph
-        raises ``GraphError`` and adds nothing.  The CSR is rebuilt from one
-        int64 array of ``followee * n + follower`` keys, those of the edges
-        held (in order) and then the batch's (sorted alone), merged in place
-        by a stable sort in O(E), so that a repeat sits beside its first copy.
-        """
-        src = np.asarray(src, dtype=np.int64).ravel()
-        dst = np.asarray(dst, dtype=np.int64).ravel()
-        if src.shape != dst.shape:
-            raise GraphError("follower and followee arrays differ in length")
-        n = self._n
-        outside = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
-        if len(outside):
-            k = outside[0]
-            raise GraphError(f"edge references unknown node: ({src[k]}, {dst[k]})")
-        old_count = len(self._indices)
-        keys = np.empty(old_count + len(src), dtype=np.int64)
-        old, new = keys[:old_count], keys[old_count:]
-        np.multiply(np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr)), n, out=old)
-        old += self._indices
-        np.multiply(dst, n, out=new)
-        new += src
-        new[src == dst] = -1  # self-loops: keys are >= 0, and -1s drop with the repeats
-        new.sort()
-        keys.sort(kind="stable")
-        # a sort and a neighbour test, as np.unique hashes and is far slower
-        fresh = np.empty(len(keys), dtype=bool)
-        fresh[:1] = keys[:1] != -1
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        keys = keys[fresh]
-        del old, new, fresh  # the views would keep the uncompacted keys alive
-        follower = (keys % n).astype(np.intp, copy=False)
-        keys //= n  # now each edge's followee
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
-        self._indptr, self._indices = read_only(indptr), read_only(follower)
-        return len(follower) - old_count
 
     def follower_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(indptr, indices)``: the sorted followers of ``i`` are
@@ -210,8 +189,9 @@ def read_only(a: np.ndarray) -> np.ndarray:
 _FIRST_CHUNK = 64
 
 
-def generate_scale_free(n: int, m: int, seed) -> SocialGraph:
-    """Preferential-attachment follower graph with mutual follow pairs.
+def generate_scale_free(n: int, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The follow edges ``(src, dst)`` of a preferential-attachment graph
+    with mutual follow pairs.
 
     Starts from a complete clique on ``m0 = min(n, m + 1)`` nodes, then grows
     one node per step, wiring each to ``m`` distinct targets drawn
@@ -271,15 +251,12 @@ def generate_scale_free(n: int, m: int, seed) -> SocialGraph:
         targets[v - m0] = sorted(picked)
         a, chunk = v + 1, max(1, chunk // 2)
 
-    # both directions of every pair, built once; the parts go before the CSR build
+    # both directions of every pair, built once; int32 halves what the
+    # edges hold until the graph is built, and every account id fits one
     grown = np.repeat(np.arange(m0, n, dtype=np.int64), m)
-    src = np.concatenate([clique_u, grown, clique_w, targets.ravel()])
-    dst = np.concatenate([clique_w, targets.ravel(), clique_u, grown])
-    del grown, targets
-    g = SocialGraph()
-    g.add_nodes(n)
-    g.add_edges(src, dst)
-    return g
+    src = np.concatenate([clique_u, grown, clique_w, targets.ravel()], dtype=np.int32)
+    dst = np.concatenate([clique_w, targets.ravel(), clique_u, grown], dtype=np.int32)
+    return src, dst
 
 
 def _pool_entries(idx: np.ndarray, a: int, m: int, m0: int, clique_pool: np.ndarray,
@@ -332,14 +309,10 @@ def _resolve_chunk(idx: np.ndarray, a: int, m0: int, clique_pool: np.ndarray,
     return vals
 
 
-def build_roster(graph: SocialGraph, accounts: AccountTable, *, company_id: str,
-                 employees: int, managers: int, manager_roles: tuple[str, ...],
-                 rng: np.random.Generator) -> CompanyRoster:
+def build_roster(accounts: AccountTable, *, company_id: str, employees: int, managers: int,
+                 manager_roles: tuple[str, ...], rng: np.random.Generator) -> CompanyRoster:
     """Pick roster members among existing untagged real users."""
     total = employees + managers
-    if total > graph.n_nodes:
-        raise GraphError(
-            f"roster of {total} exceeds graph population {graph.n_nodes}")
     pool = np.flatnonzero(accounts.kind == AccountKind.REAL_USER)
     if total > len(pool):
         raise GraphError(f"roster of {total} exceeds untagged population {len(pool)}")
@@ -356,20 +329,22 @@ def build_roster(graph: SocialGraph, accounts: AccountTable, *, company_id: str,
     )
 
 
-def overlay_company(graph: SocialGraph, accounts: AccountTable, roster: CompanyRoster,
-                    *, coworker_fraction: float, rng: np.random.Generator) -> SocialGraph:
-    """Tag roster accounts and wire coworker follow edges in place.
+def overlay_company(accounts: AccountTable, roster: CompanyRoster, *,
+                    coworker_fraction: float, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Tag roster accounts in place and return their coworker follow edges
+    ``(src, dst)``.
 
-    Each ordered coworker pair gains a follow edge with probability
-    ``coworker_fraction``; existing edges are never removed.  Pride is
-    sampled uniformly for every roster member.
+    Each ordered coworker pair gets a follow edge with probability
+    ``coworker_fraction``.  Pride is sampled uniformly for every roster
+    member.
     """
     if not 0.0 <= coworker_fraction <= 1.0:
         raise GraphError("coworker_fraction must lie in [0, 1]")
     ids = np.array(roster.members, dtype=np.int64)
-    absent = ids[(ids < 0) | (ids >= graph.n_nodes)]
+    absent = ids[(ids < 0) | (ids >= len(accounts))]
     if len(absent):
-        raise GraphError(f"roster account {absent[0]} not present in graph")
+        raise GraphError(f"roster account {absent[0]} not present in the account table")
     accounts.kind[roster.employees] = AccountKind.EMPLOYEE
     accounts.kind[roster.managers] = AccountKind.MANAGER
     # one draw per member, then one coin per ordered pair a != b, a-major:
@@ -379,8 +354,7 @@ def overlay_company(graph: SocialGraph, accounts: AccountTable, roster: CompanyR
     follower = np.repeat(ids, len(ids)).reshape(len(ids), -1)[off_diagonal]
     followee = np.tile(ids, len(ids)).reshape(len(ids), -1)[off_diagonal]
     hit = rng.random(len(follower)) < coworker_fraction
-    graph.add_edges(follower[hit], followee[hit])
-    return graph
+    return follower[hit], followee[hit]
 
 
 def identify_human_targets(graph: SocialGraph, accounts: AccountTable,

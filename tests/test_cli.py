@@ -79,6 +79,8 @@ def test_non_utf8_config_is_exit_2(tmp_path, capsys):
     ('{"graph": {"n": -5}}', "graph.n"),
     # Infinity once ran to a report of NaN rows and non-JSON metadata
     ('{"agents": {"gamma_direct": Infinity}}', "agents.gamma_direct: must be a finite number, got inf"),
+    # json.loads once ended this in a RecursionError traceback with exit 1
+    ("[" * 100_000, "config is nested too deeply to parse"),
 ])
 def test_invalid_config_is_exit_2_and_writes_nothing(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.json"
@@ -86,7 +88,7 @@ def test_invalid_config_is_exit_2_and_writes_nothing(tmp_path, capsys, text, mes
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(bad), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert message in err
+    assert message in err and "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -51,6 +51,16 @@ def test_invalid_json_is_a_config_error():
         loads_config("{nope")
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"graph": {"n": 300}, "graph": {"n": 400}}', "graph"),
+    ('{"run": {"seed": 1}, "graph": {"n": 300, "m": 2, "n": 400}}', "n"),
+])
+def test_repeated_keys_are_config_errors(text, key):
+    """The last copy of a repeated key once won unseen."""
+    with pytest.raises(ConfigError, match=f"^config: repeated key '{key}'$"):
+        loads_config(text)
+
+
 def test_unknown_keys_name_their_path():
     with pytest.raises(ConfigError, match="config: unknown key 'grph'"):
         config_from_dict({"grph": {}})
@@ -105,6 +115,13 @@ def test_forecast_horizon_is_bounded():
     assert config_from_dict({"analytics": {"forecast_horizon": 8_760}})
     with pytest.raises(ConfigError, match=r"analytics\.forecast_horizon"):
         config_from_dict({"analytics": {"forecast_horizon": 8_761}})
+
+
+def test_run_ticks_are_bounded():
+    """Every tick steps the whole population, so a run's length has a cap."""
+    assert config_from_dict({"run": {"ticks": 8_760}})
+    with pytest.raises(ConfigError, match=r"^run\.ticks: must lie in \[1, 8760\], got 8761$"):
+        config_from_dict({"run": {"ticks": 8_761}})
 
 
 def test_playbook_trigger_exclusivity():
@@ -219,9 +236,10 @@ def test_bot_follower_coins_in_blocks_give_the_same_edges(monkeypatch, rows):
 
 
 def test_bot_follower_build_drops_its_coin_blocks_before_adding_edges(traced_peak):
-    """The coin blocks and per-block index lists go before ``add_edges``
-    sorts its keys, so the build peaks below five times the finished CSR;
-    holding them across the call took 6.3 times (8.6 MB at n=10k)."""
+    """Each coin block goes once its int32 follower edges are taken, and
+    the graph is built once from all the edges, so the build peaks below
+    five times the finished CSR; holding the coin blocks across the graph
+    build took 6.3 times (8.6 MB at n=10k)."""
     cfg = config_from_dict({"graph": {"n": 10_000, "bot_follower_fraction": 0.05}})
     world, peak = traced_peak(build_world, cfg)
     indptr, indices = world.graph.follower_csr()

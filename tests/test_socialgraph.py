@@ -19,6 +19,11 @@ def scale_free_pair_count(n: int, m: int) -> int:
     return m * (n - m0) + m0 * (m0 - 1) // 2
 
 
+def _scale_free(n, m, seed, *batches):
+    """The graph of ``generate_scale_free(n, m, seed)``'s edges and ``batches``."""
+    return SocialGraph(n, [generate_scale_free(n, m, seed), *batches])
+
+
 def _edges(g):
     """Every ``(follower, followee)`` edge, sorted, read off the CSR."""
     indptr, indices = g.follower_csr()
@@ -43,15 +48,15 @@ def test_pair_count_closed_form(n, m, expected):
 
 @pytest.mark.parametrize("n,m,expected", _pair_counts)
 def test_generator_matches_pair_count(n, m, expected):
-    g = generate_scale_free(n, m, seed=1)
+    g = _scale_free(n, m, seed=1)
     assert g.edge_count == 2 * expected  # mutual follows: two directed edges
 
 
 def test_generator_deterministic():
-    a = generate_scale_free(300, 3, seed=42)
-    b = generate_scale_free(300, 3, seed=42)
+    a = _scale_free(300, 3, seed=42)
+    b = _scale_free(300, 3, seed=42)
     assert _edges(a) == _edges(b)
-    c = generate_scale_free(300, 3, seed=43)
+    c = _scale_free(300, 3, seed=43)
     assert _edges(a) != _edges(c)
 
 
@@ -63,30 +68,28 @@ def test_generator_rejects_bad_sizes():
 
 
 def test_degree_skew_is_heavy_tailed():
-    g = generate_scale_free(2000, 3, seed=7)
+    g = _scale_free(2000, 3, seed=7)
     degrees = np.sort(g.in_degrees())[::-1]
     # preferential attachment: the top node should dwarf the median
     assert degrees[0] >= 8 * np.median(degrees)
 
 
 def test_edges_are_mutual_followS():
-    g = generate_scale_free(50, 2, seed=3)
+    g = _scale_free(50, 2, seed=3)
     edges = set(_edges(g))
     for u, v in edges:
         assert (v, u) in edges
 
 
-def test_add_edge_rules():
-    g = SocialGraph()
-    g.add_nodes(3)
-    assert g.add_edges([0], [1]) == 1
-    assert g.add_edges([0], [1]) == 0      # duplicate
-    assert g.add_edges([2], [2]) == 0      # self-loop
-    with pytest.raises(GraphError):
-        g.add_edges([0], [9])
+def test_edge_rules():
+    g = SocialGraph(3, [([0], [1]), ([0, 2], [1, 2])])  # a repeat, then a self-loop
     assert _edges(g) == [(0, 1)]
     assert g.follower_array(1).tolist() == [0]
     assert g.in_degrees().tolist() == [0, 1, 0]
+    indptr, indices = g.follower_csr()
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    with pytest.raises(GraphError):
+        SocialGraph(3, [([0], [9])])
 
 
 def _assert_csr_rows_match(g):
@@ -98,33 +101,13 @@ def _assert_csr_rows_match(g):
         assert np.all(np.diff(row) > 0)
 
 
-def test_follower_array_cache_invalidates():
-    g = SocialGraph()
-    g.add_nodes(3)
-    g.add_edges([0], [2])
-    assert list(g.follower_array(2)) == [0]
-    g.add_edges([1], [2])
-    assert list(g.follower_array(2)) == [0, 1]
-    _assert_csr_rows_match(g)
-    g.add_nodes(2)
-    assert g.follower_array(4).tolist() == []
-    g.add_edges([4], [1])
-    g.add_edges([3], [1])
-    assert g.follower_array(1).tolist() == [3, 4]
-    _assert_csr_rows_match(g)
-    indptr, indices = g.follower_csr()
-    assert not indptr.flags.writeable and not indices.flags.writeable
-
-
 def test_follower_csr_rows_match_followers_after_overlay():
-    g = generate_scale_free(300, 3, seed=5)
     accounts = _table(300)
-    roster = build_roster(g, accounts, company_id="acme", employees=12, managers=3,
+    roster = build_roster(accounts, company_id="acme", employees=12, managers=3,
                           manager_roles=("ceo",), rng=np.random.default_rng(1))
-    g.follower_csr()  # cached before the overlay adds coworker edges
-    overlay_company(g, accounts, roster, coworker_fraction=0.5,
-                    rng=np.random.default_rng(2))
-    _assert_csr_rows_match(g)
+    coworkers = overlay_company(accounts, roster, coworker_fraction=0.5,
+                                rng=np.random.default_rng(2))
+    _assert_csr_rows_match(_scale_free(300, 3, 5, coworkers))
 
 
 def _table(n, seed=0):
@@ -142,26 +125,33 @@ def test_real_users_shape_and_ranges():
     assert np.all(t.kind == AccountKind.REAL_USER)
 
 
-def test_append_bots_block():
-    t = _table(10)
-    ids = t.append_bots(5, creation_tick=-48)
-    assert ids == list(range(10, 15))
+def test_real_users_then_bot_blocks():
+    """Bot blocks follow the users in order, and the users' rows and the
+    generator's state are those of a table without them."""
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    t = AccountTable.real_users(10, rng, creation_min=-20000, creation_max=-2000,
+                                bots=[(5, -48), (2, -7)])
+    ref = AccountTable.real_users(10, ref_rng, creation_min=-20000, creation_max=-2000)
+    assert len(t) == 17
+    for name in AccountTable.COLUMNS:
+        np.testing.assert_array_equal(getattr(t, name)[:10], getattr(ref, name))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert np.all(t.kind[10:] == AccountKind.BOT)
-    assert np.all(t.creation_tick[10:] == -48)
+    assert t.creation_tick[10:].tolist() == [-48] * 5 + [-7] * 2
+    assert np.all(t.ocean[10:] == 0.5)
     assert np.all(np.isnan(t.pride[10:])) and np.all(t.stress[10:] == 0.0)
 
 
 def test_roster_pick_then_overlay_tags():
-    g = generate_scale_free(200, 3, seed=5)
     t = _table(200, seed=5)
     rng = np.random.default_rng(9)
-    roster = build_roster(g, t, company_id="co", employees=12, managers=3,
+    roster = build_roster(t, company_id="co", employees=12, managers=3,
                           manager_roles=("ceo", "cco", "ciso"), rng=rng)
     assert len(roster.employees) == 12 and len(roster.managers) == 3
     assert set(roster.manager_roles.values()) == {"ceo", "cco", "ciso"}
     members = roster.members
-    before = g.edge_count
-    overlay_company(g, t, roster, coworker_fraction=0.5, rng=rng)
+    before = _scale_free(200, 3, seed=5).edge_count
+    g = _scale_free(200, 3, 5, overlay_company(t, roster, coworker_fraction=0.5, rng=rng))
     assert np.all(t.kind[roster.employees] == AccountKind.EMPLOYEE)
     assert np.all(t.kind[roster.managers] == AccountKind.MANAGER)
     assert not np.any(np.isnan(t.pride[members]))
@@ -171,16 +161,16 @@ def test_roster_pick_then_overlay_tags():
     assert added > 0
     # coworker follows stay inside the roster
     member_set = set(members)
-    baseline = _edges(generate_scale_free(200, 3, seed=5))
+    baseline = _edges(_scale_free(200, 3, seed=5))
     for edge in set(_edges(g)) - set(baseline):
         assert edge[0] in member_set and edge[1] in member_set
 
 
 def test_identify_human_targets_prefers_connected_stressed():
-    g = generate_scale_free(120, 3, seed=2)
+    g = _scale_free(120, 3, seed=2)
     t = _table(120, seed=2)
     rng = np.random.default_rng(4)
-    roster = build_roster(g, t, company_id="co", employees=10, managers=3,
+    roster = build_roster(t, company_id="co", employees=10, managers=3,
                           manager_roles=("ceo", "cco", "ciso"), rng=rng)
     targets = identify_human_targets(g, t, roster, 5, (0.4, 0.4, 0.2))
     assert len(targets) == 5
@@ -193,9 +183,9 @@ def test_identify_human_targets_prefers_connected_stressed():
 
 
 def test_identify_human_targets_breaks_score_ties_by_ascending_id():
-    g = generate_scale_free(120, 3, seed=2)
+    g = _scale_free(120, 3, seed=2)
     t = _table(120, seed=2)
-    roster = build_roster(g, t, company_id="co", employees=10, managers=3,
+    roster = build_roster(t, company_id="co", employees=10, managers=3,
                           manager_roles=("ceo",), rng=np.random.default_rng(4))
     members = roster.members
     # pride alone decides: two levels, each held by members spread over the roster
@@ -217,7 +207,7 @@ def test_identify_human_targets_breaks_score_ties_by_ascending_id():
 def test_pair_count_property(n, m, seed):
     if n < m:
         return
-    g = generate_scale_free(n, m, seed)
+    g = _scale_free(n, m, seed)
     assert g.edge_count == 2 * scale_free_pair_count(n, m)
     degrees = g.in_degrees()
     assert np.all(degrees >= min(m, n - 1))
@@ -305,14 +295,14 @@ _GENERATOR_CASES = [(1, 1, 0), (2, 1, 0), (3, 3, 0), (4, 3, 2), (7, 6, 3),
 @pytest.mark.parametrize("n,m,seed", _GENERATOR_CASES)
 def test_generator_matches_the_one_draw_per_index_loop(n, m, seed):
     ref, _ = _set_scale_free(n, m, seed)
-    _assert_same_graph(generate_scale_free(n, m, seed), ref)
+    _assert_same_graph(_scale_free(n, m, seed), ref)
 
 
 def test_generator_rewinds_inside_the_first_chunk():
     n, m, seed = 300, 3, 4
     ref, redrew = _set_scale_free(n, m, seed)
     assert redrew and redrew[0] < m + 1 + socialgraph._FIRST_CHUNK
-    _assert_same_graph(generate_scale_free(n, m, seed), ref)
+    _assert_same_graph(_scale_free(n, m, seed), ref)
 
 
 def test_generator_leaves_the_stream_where_the_loop_does():
@@ -324,13 +314,13 @@ def test_generator_leaves_the_stream_where_the_loop_does():
 
 
 def test_overlay_matches_the_scalar_coin_loop():
-    g = generate_scale_free(300, 3, seed=5)
     ref, _ = _set_scale_free(300, 3, 5)
     accounts, ref_accounts = _table(300), _table(300)
-    roster = build_roster(g, accounts, company_id="acme", employees=14, managers=4,
+    roster = build_roster(accounts, company_id="acme", employees=14, managers=4,
                           manager_roles=("ceo",), rng=np.random.default_rng(1))
-    overlay_company(g, accounts, roster, coworker_fraction=0.4,
-                    rng=np.random.default_rng(2))
+    coworkers = overlay_company(accounts, roster, coworker_fraction=0.4,
+                                rng=np.random.default_rng(2))
+    g = _scale_free(300, 3, 5, coworkers)
     _set_overlay(ref, ref_accounts, roster, 0.4, np.random.default_rng(2))
     _assert_same_graph(g, ref)
     assert np.array_equal(accounts.pride, ref_accounts.pride, equal_nan=True)
@@ -351,9 +341,7 @@ def test_built_world_graph_matches_the_edge_set_build(seed):
         creation_min=cfg.run.user_creation_min, creation_max=cfg.run.user_creation_max)
     rng_roster = np.random.default_rng(ss_roster)
     r = cfg.roster
-    nodes = SocialGraph()  # build_roster reads only the node count
-    nodes.add_nodes(cfg.graph.n)
-    roster = build_roster(nodes, accounts, company_id=r.company_id, employees=r.employees,
+    roster = build_roster(accounts, company_id=r.company_id, employees=r.employees,
                           managers=r.managers, manager_roles=r.manager_roles, rng=rng_roster)
     _set_overlay(ref, accounts, roster, cfg.graph.coworker_fraction, rng_roster)
     rng_bots = np.random.default_rng(ss_bots)
@@ -372,7 +360,7 @@ def test_generator_transient_memory_stays_bounded(traced_peak, seed):
     (0.96 MB per int64 edge array) at a traced peak of 4.2-4.9 MB.  Keeping
     the sorted batch keys, the search positions and an insert beside the
     edge arrays peaked at 12.4-13.0 MB."""
-    graph, peak = traced_peak(generate_scale_free, 20_000, 3, seed)
+    graph, peak = traced_peak(_scale_free, 20_000, 3, seed)
     assert graph.edge_count == 2 * scale_free_pair_count(20_000, 3)
     assert peak < 8 * 2**20
 
@@ -383,16 +371,16 @@ _ids = st.integers(min_value=0, max_value=11)
 @given(n=st.integers(min_value=1, max_value=12),
        batches=st.lists(st.lists(st.tuples(_ids, _ids), max_size=30), max_size=5))
 @settings(max_examples=150, deadline=None)
-def test_add_edges_matches_an_edge_set(n, batches):
-    g = SocialGraph()
-    g.add_nodes(n)
+def test_graph_matches_an_edge_set(n, batches):
     ref = _SetGraph(n)
+    arrays = []
     for batch in batches:
         batch = [(u % n, v % n) for u, v in batch]
-        added = sum(ref.add_edge(u, v) for u, v in batch)
-        src, dst = np.array(batch, dtype=np.int64).reshape(-1, 2).T
-        assert g.add_edges(src, dst) == added
-        _assert_same_graph(g, ref)
+        for u, v in batch:
+            ref.add_edge(u, v)
+        arrays.append(np.array(batch, dtype=np.int64).reshape(-1, 2).T)
+    g = SocialGraph(n, arrays)
+    _assert_same_graph(g, ref)
     assert _edges(g) == sorted(ref.edges)
     for u in range(n):
         assert g.follower_array(u).tolist() == sorted(ref.followers[u])
@@ -400,11 +388,6 @@ def test_add_edges_matches_an_edge_set(n, batches):
 
 @pytest.mark.parametrize("src,dst", [([0, 3], [1, 1]), ([0, 1], [1, -1]),
                                      ([5], [0]), ([0, 1], [1])])
-def test_add_edges_rejects_unknown_nodes_and_leaves_the_graph(src, dst):
-    g = SocialGraph()
-    g.add_nodes(3)
-    g.add_edges([1, 2], [0, 0])
-    before = _edges(g)
+def test_graph_rejects_unknown_nodes(src, dst):
     with pytest.raises(GraphError):
-        g.add_edges(src, dst)
-    assert _edges(g) == before and g.n_nodes == 3
+        SocialGraph(3, [([1, 2], [0, 0]), (src, dst)])
