@@ -19,12 +19,12 @@ _EXPORTS = {name: module for module, names in (
     ("attack", "ActionKind ActionOutcome AttackPlan IMPACT_MATRIX ImpactVector PlanStage "
                "SequencingError advance_plan execute_action select_topic"),
     ("contagion", "Simulation StageTracker World regulator_visibility"),
-    ("defense", "AccountReputationDB FirestormVerdict PastFirestorm PolicyKind "
-                "PolicyMismatchError detect_artificial recurrence_boost"),
+    ("defense", "FirestormVerdict PastFirestorm PolicyKind PolicyMismatchError "
+                "detect_artificial load_reputation_db recurrence_boost"),
     ("scenario", "ConfigError PRESETS PolicySpec ScenarioConfig build_from_seed "
                  "build_simulation build_world default_config dumps_config expand_preset "
                  "load_config loads_config"),
-    ("socialgraph", "AccountKind AccountTable CompanyRoster SocialGraph generate_scale_free"),
+    ("socialgraph", "AccountKind AccountTable SocialGraph generate_scale_free"),
 ) for name in names.split()}
 
 __all__ = ["__version__", *_EXPORTS]

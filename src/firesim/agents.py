@@ -148,10 +148,8 @@ class CompanyState:
 
     security_posture: float
     reputation: float = 1.0
-    page_followers: int = 0
     downtime_remaining: int = 0
     data_exfiltrated: bool = False
-    integrity_compromised: bool = False
     ransom_paid_total: float = 0.0
 
     def __post_init__(self):

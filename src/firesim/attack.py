@@ -249,8 +249,6 @@ def execute_action(kind: ActionKind, sim: "Simulation", rng: np.random.Generator
     if impact.confidentiality or kind is ActionKind.OFFERING_HELP:
         company.data_exfiltrated = True
         outcome.exfiltrated = True
-    if impact.integrity:
-        company.integrity_compromised = True
     if impact.availability:
         downtime = cfg.downtime_ticks.get(kind.value, 0)
         company.downtime_remaining += downtime
@@ -325,7 +323,7 @@ def advance_plan(plan: AttackPlan, sim: "Simulation", cfg: "AttackConfig",
         if stage is PlanStage.SPREAD_WATCH and sim.fire_point is not None:
             events.append(plan.enter(PlanStage.TARGET_IDENTIFICATION, tick))
             plan.targets = identify_human_targets(
-                sim.graph, sim.accounts, sim.world.roster,
+                sim.graph, sim.accounts, sim.world.roster_ids, sim.world.manager_ids,
                 cfg.retarget_top_k, cfg.target_weights)
             events.append({"tick": tick, "kind": "targets_identified",
                            "targets": [int(i) for i in plan.targets]})

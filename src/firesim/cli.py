@@ -22,7 +22,7 @@ from .contagion import World
 from .pool import run_tasks
 from .scenario import (ConfigError, PRESETS, REACTIVE_PLAYBOOK, PolicySpec,
                        ScenarioConfig, build_from_seed, build_world,
-                       default_config, expand_preset, load_config)
+                       default_config, expand_preset, load_config, short_repr)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,13 +68,14 @@ def _parse_seed_range(spec: str) -> list[int]:
         else:
             lo = hi = int(spec)
     except ValueError:
-        raise ConfigError(f"--seeds must be 'A..B' or an integer, got {spec!r}") from None
+        raise ConfigError(f"--seeds must be 'A..B' or an integer, got {short_repr(spec)}") from None
     if lo < 0:
-        raise ConfigError(f"--seeds range {spec!r} has a negative seed")
+        raise ConfigError(f"--seeds range {short_repr(spec)} has a negative seed")
     if hi < lo:
-        raise ConfigError(f"--seeds range {spec!r} is empty (end before start)")
+        raise ConfigError(f"--seeds range {short_repr(spec)} is empty (end before start)")
     if hi - lo + 1 > MAX_SEEDS:
-        raise ConfigError(f"--seeds range {spec!r} names {hi - lo + 1} seeds; at most {MAX_SEEDS}")
+        raise ConfigError(f"--seeds range {short_repr(spec)} names {short_repr(hi - lo + 1)} "
+                          f"seeds; at most {MAX_SEEDS}")
     return list(range(lo, hi + 1))
 
 
@@ -281,7 +282,7 @@ def _sign_test(deltas: list[float]) -> dict:
 def compare_toggle(cfg: ScenarioConfig, toggle: str, seeds: list[int],
                    parallelism: int) -> dict:
     if toggle not in TOGGLES:
-        raise ConfigError(f"unknown toggle {toggle!r}; expected one of {sorted(TOGGLES)}")
+        raise ConfigError(f"unknown toggle {short_repr(toggle)}; expected one of {sorted(TOGGLES)}")
     on_fn, off_fn = TOGGLES[toggle]
     cfg_on, cfg_off = on_fn(cfg), off_fn(cfg)
     done, errors = _run_seeds(run_pair, (cfg_on, cfg_off), seeds, parallelism)

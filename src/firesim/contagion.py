@@ -26,7 +26,7 @@ import numpy as np
 
 from . import agents, analytics, attack, defense
 from .agents import BotMode, CompanyState, SurfaceKind, TargetTopic
-from .socialgraph import AccountKind, AccountTable, CompanyRoster, SocialGraph, read_only
+from .socialgraph import AccountKind, AccountTable, SocialGraph, read_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import ScenarioConfig
@@ -215,19 +215,19 @@ class World:
     ``key`` maps the path of each config value it was built from to the value.
     """
 
-    def __init__(self, graph: SocialGraph, accounts: AccountTable, roster: CompanyRoster,
-                 cohort_members: Sequence[tuple[str, Sequence[int]]],
+    def __init__(self, graph: SocialGraph, accounts: AccountTable, managers: Sequence[int],
+                 employees: Sequence[int], cohort_members: Sequence[tuple[str, Sequence[int]]],
                  seed_posters: Sequence[int], engine_seed: np.random.SeedSequence, key: dict):
         if graph.n_nodes != len(accounts):
             raise ValueError("graph and account table disagree on population size")
-        if not (roster.employees or roster.managers):
+        if not (len(managers) or len(employees)):
             raise ValueError("company roster has no members")
         self.graph = graph
         self.accounts = accounts.freeze()
-        self.roster = roster
+        # the company's staff in id order, then its managers and its employees
         self.roster_ids, self.manager_ids, self.employee_ids = (
             read_only(np.array(ids, dtype=np.intp))
-            for ids in (roster.members, roster.managers, roster.employees))
+            for ids in (np.sort(np.concatenate((managers, employees))), managers, employees))
         self.can_activate = read_only(np.isin(accounts.kind, ACTIVATABLE))
         # (cohort id, member ids) per bot cohort, in build order
         self.cohort_members = tuple((cohort_id, read_only(np.array(members, dtype=np.intp)))
@@ -251,8 +251,7 @@ class Simulation:
         self.graph = world.graph  # world parts that callers read off a run
         self.roster_ids = world.roster_ids
         self.accounts = world.accounts.copy()
-        self.company = CompanyState(security_posture=config.roster.security_posture,
-                                    page_followers=1000)
+        self.company = CompanyState(security_posture=config.roster.security_posture)
         atk, dfn = config.attack, config.defense
         self.cohorts = [agents.BotCohort(cohort_id, members, dfn.support_posting_rate
                                          if cohort_id in defense.DEFEND_COHORT_IDS

@@ -108,41 +108,29 @@ def detect_artificial(ids: Sequence[int], creation_ticks: Sequence[int], now: in
 _DB_HEADER = "account_id\tlast_seen_tick\tcampaign_id"
 
 
-@dataclass
-class AccountReputationDB:
-    """Shareable record of accounts seen in earlier campaigns.
-
-    Read from a tab-separated text table (``account_id``, ``last_seen_tick``,
-    ``campaign_id``, after an optional header line) that organisations
-    exchange; the run only asks whether an account is listed.
-    """
-
-    records: dict[int, tuple[int, str]] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AccountReputationDB":
-        records: dict[int, tuple[int, str]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line or (line_no == 1 and line == _DB_HEADER):
-                    continue
-                try:
-                    account_id, last_seen, campaign = line.split("\t")
-                    records[int(account_id)] = (int(last_seen), campaign)
-                except ValueError:
-                    raise ValueError(f"{path}:{line_no}: expected account_id, last_seen_tick "
-                                     f"and campaign_id separated by tabs, got {line!r}") from None
-        return cls(records)
-
-    def __contains__(self, account_id: int) -> bool:
-        return int(account_id) in self.records
-
-    def __len__(self) -> int:
-        return len(self.records)
+def load_reputation_db(path: str | Path) -> frozenset[int]:
+    """The account ids of a shared record of earlier campaigns: a
+    tab-separated table (``account_id``, ``last_seen_tick``, ``campaign_id``,
+    after an optional header line) that organisations exchange.  The run
+    only asks whether an account is listed; a malformed line is a
+    ``ValueError`` naming it."""
+    ids = set()
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or (line_no == 1 and line == _DB_HEADER):
+                continue
+            try:
+                account_id, last_seen, _ = line.split("\t")
+                int(last_seen)  # checked, not kept
+                ids.add(int(account_id))
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: expected account_id, last_seen_tick "
+                                 f"and campaign_id separated by tabs, got {line!r}") from None
+    return frozenset(ids)
 
 
-def db_lookup(db: AccountReputationDB, account_ids: Iterable[int],
+def db_lookup(db: frozenset[int], account_ids: Iterable[int],
               verdict: FirestormVerdict) -> FirestormVerdict:
     """Enrich an age-based verdict with known-campaign matches.
 
@@ -193,7 +181,7 @@ class DefenseRuntime:
 
     pending: list["PolicySpec"]
     verdict: FirestormVerdict | None = None
-    db: AccountReputationDB | None = None
+    db: frozenset[int] | None = None  # the shared database's account ids
     # armed defend cohorts; one whose mode is DORMANT has stood down
     support_active_since: dict[str, int] = field(default_factory=dict)
 
@@ -201,19 +189,16 @@ class DefenseRuntime:
 def build_runtime(cfg: "DefenseConfig", events: list[dict]) -> DefenseRuntime:
     """A new run's playbook state; an unloadable database is booked in ``events``."""
     runtime = DefenseRuntime(pending=list(cfg.playbook))
-    wants_db = any(PolicyKind(s.kind) is PolicyKind.SHARED_ACCOUNT_DATABASE
-                   for s in cfg.playbook)
-    if wants_db and cfg.db_path is not None:
+    if not any(PolicyKind(s.kind) is PolicyKind.SHARED_ACCOUNT_DATABASE for s in cfg.playbook):
+        return runtime
+    path, reason = cfg.db_path, "no db_path configured"
+    if path is not None:
         try:
-            runtime.db = AccountReputationDB.load(cfg.db_path)
+            runtime.db = load_reputation_db(path)
+            return runtime
         except (OSError, ValueError) as err:  # unreadable, not UTF-8 or malformed
-            events.append({
-                "tick": 0, "kind": "db_unavailable",
-                "path": str(cfg.db_path), "reason": str(err)})
-    elif wants_db:
-        events.append({
-            "tick": 0, "kind": "db_unavailable", "path": None,
-            "reason": "no db_path configured"})
+            path, reason = str(path), str(err)
+    events.append({"tick": 0, "kind": "db_unavailable", "path": path, "reason": reason})
     return runtime
 
 
@@ -263,7 +248,6 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
 
     elif kind is PolicyKind.DIALOGUE_ENGAGEMENT:
         gain = int(cfg.dialogue_follower_gain)
-        sim.company.page_followers += gain
         quota = int(round(cfg.dialogue_convert_fraction * gain))
         eligible = np.flatnonzero(sim.world.can_activate & ~sim.defender)
         quota = min(quota, len(eligible))

@@ -18,6 +18,8 @@ import functools
 import itertools
 import json
 import math
+import reprlib
+import sys
 import types
 import typing
 from dataclasses import dataclass, field, replace
@@ -35,6 +37,19 @@ from .socialgraph import (AccountKind, AccountTable, SocialGraph, build_roster,
 
 class ConfigError(ValueError):
     """A scenario config failed schema or domain validation."""
+
+
+# A config may hold a million-item list or a 200,000-character key where a
+# number belongs, so ``short_repr`` cuts each value or key an error quotes.
+_SHORT = reprlib.Repr()
+_SHORT.maxstring = _SHORT.maxother = 60
+short_repr = _SHORT.repr
+
+
+def _at(path: str, key) -> str:
+    """``path.key``, or ``path[<short repr>]`` for a key that is not a short name."""
+    plain = isinstance(key, str) and key.isidentifier() and len(key) <= _SHORT.maxstring
+    return f"{path}.{key}" if plain else f"{path}[{short_repr(key)}]"
 
 
 FAILURE_CLASS_NAMES = tuple(fc.value for fc in FailureClass)
@@ -116,7 +131,7 @@ def _check_fields(value, path: str, rule=None) -> None:
     field's own rule inside a config dataclass; ``None`` is skipped and
     NaN or an infinity is never a value."""
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+        raise ConfigError(f"{path}: must be a finite number, got {short_repr(value)}")
     if isinstance(value, tuple):
         for i, item in enumerate(value):
             _check_fields(item, f"{path}[{i}]", rule)
@@ -124,17 +139,18 @@ def _check_fields(value, path: str, rule=None) -> None:
         return
     elif isinstance(rule, Bound):
         if value not in rule:
-            raise ConfigError(f"{path}: {rule}, got {value!r}")
+            raise ConfigError(f"{path}: {rule}, got {short_repr(value)}")
     elif isinstance(rule, Keys):
         if rule.exact and set(value) != set(rule.names):
             raise ConfigError(f"{path}: keys must be exactly {sorted(rule.names)}")
         for key, item in value.items():
             if key not in rule.names:
-                raise ConfigError(f"{path}.{key}: unknown key; expected one of {list(rule.names)}")
-            _check_fields(item, f"{path}.{key}", rule.value)
+                raise ConfigError(f"{_at(path, key)}: unknown key; "
+                                  f"expected one of {list(rule.names)}")
+            _check_fields(item, _at(path, key), rule.value)
     elif rule is not None:
         if value not in rule:
-            raise ConfigError(f"{path}: {value!r} not in {list(rule)}")
+            raise ConfigError(f"{path}: {short_repr(value)} not in {list(rule)}")
     elif dataclasses.is_dataclass(value):
         for name, (_, _, field_rule) in _field_specs(type(value)).items():
             _check_fields(getattr(value, name), f"{path}.{name}" if path else name, field_rule)
@@ -327,15 +343,17 @@ class ScenarioConfig:
         g, r, a, c = self.graph, self.roster, self.agents, self.contagion
         atk, an, run = self.attack, self.analytics, self.run
 
-        _check(g.n >= g.m, "graph.n", f"population {g.n} must be >= graph.m ({g.m})")
         population = g.n + atk.bots + sum(getattr(self.defense, size)
                                           for _, size, _ in defense.ARMING_POLICIES.values())
-        _check(population < 2**31, "graph.n", f"population {population} (graph.n plus every bot "
-               "and defender cohort) must fit the post log's int32 account ids (< 2**31)")
+        _check(population < 2**31, "graph.n",
+               f"population {short_repr(population)} (graph.n plus every bot and defender "
+               "cohort) must fit the post log's int32 account ids (< 2**31)")
+        # from here on graph.n is short enough to quote
+        _check(g.n >= g.m, "graph.n", f"population {g.n} must be >= graph.m ({short_repr(g.m)})")
         _check(r.employees + r.managers >= 1, "roster.employees",
                "roster needs at least one member (employees + managers >= 1)")
         _check(r.employees + r.managers <= g.n, "roster.employees",
-               f"roster of {r.employees + r.managers} exceeds graph.n ({g.n})")
+               f"roster of {short_repr(r.employees + r.managers)} exceeds graph.n ({g.n})")
         _check(a.gamma_direct > a.gamma_ambient, "agents.gamma_direct",
                f"direct mention pressure (gamma_direct={a.gamma_direct!r}) must exceed "
                f"ambient pressure (gamma_ambient={a.gamma_ambient!r})")
@@ -348,7 +366,7 @@ class ScenarioConfig:
         for i, (tick, action) in enumerate(atk.action_schedule):
             _check(tick >= 0, f"attack.action_schedule[{i}].tick", "must be >= 0")
             _check(action in ACTION_NAMES, f"attack.action_schedule[{i}].action",
-                   f"{action!r} not in {list(ACTION_NAMES)}")
+                   f"{short_repr(action)} not in {list(ACTION_NAMES)}")
         for i, spec in enumerate(self.defense.playbook):
             _check(spec.trigger_tick is None or spec.trigger_stage is None,
                    f"defense.playbook[{i}]", "set trigger_tick or trigger_stage, not both")
@@ -364,7 +382,7 @@ class ScenarioConfig:
         for i, past in enumerate(self.company_history):
             _check(past.failure_class in FAILURE_CLASS_NAMES,
                    f"company_history[{i}].failure_class",
-                   f"{past.failure_class!r} not in {list(FAILURE_CLASS_NAMES)}")
+                   f"{short_repr(past.failure_class)} not in {list(FAILURE_CLASS_NAMES)}")
 
     def to_dict(self) -> dict:
         return _encode(self)
@@ -379,7 +397,7 @@ _SCALARS = {bool: ("true/false", bool), int: ("an integer", int),
 
 
 def _type_error(path: str, expected: str, value) -> ConfigError:
-    return ConfigError(f"{path}: expected {expected}, got {value!r}")
+    return ConfigError(f"{path}: expected {expected}, got {short_repr(value)}")
 
 
 @functools.cache
@@ -404,7 +422,7 @@ def _decode_section(cls, data, path: str, base=None):
     unknown = sorted(set(data) - set(specs))
     if unknown:
         raise ConfigError(
-            f"{where}: unknown key '{unknown[0]}'; expected one of {sorted(specs)}")
+            f"{where}: unknown key {short_repr(unknown[0])}; expected one of {sorted(specs)}")
     for name, (_, default, _) in specs.items():
         if default is dataclasses.MISSING and name not in data and base is None:
             raise ConfigError(f"{where}: missing key '{name}'")
@@ -436,10 +454,9 @@ def _decode(tp, value, default, path: str):
         if not isinstance(value, dict):
             raise _type_error(path, "a mapping", value)
         merged = dict(default)
-        for key, item in value.items():
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise _type_error(f"{path}.{key}", "a number", item)
-            merged[key] = item if args[1] is int and isinstance(item, int) else float(item)
+        for key, item in value.items():  # an int-valued mapping also takes floats, as floats
+            merged[key] = _decode(args[1] if type(item) is int else float, item, None,
+                                  _at(path, key))
         return merged
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
@@ -453,11 +470,13 @@ def _decode(tp, value, default, path: str):
     if issubclass(tp, enum.Enum):
         names = [member.value for member in tp]
         if value not in names:
-            raise ConfigError(f"{path}: {value!r} not in {names}")
+            raise ConfigError(f"{path}: {short_repr(value)} not in {names}")
         return tp(value)
     expected, accepted = _SCALARS[tp]
     if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
         raise _type_error(path, expected, value)
+    if tp is float and not abs(value) <= sys.float_info.max:  # NaN, inf, or an int past them
+        raise ConfigError(f"{path}: must be a finite number, got {short_repr(value)}")
     return float(value) if tp is float else value
 
 
@@ -486,7 +505,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ConfigError(f"config: repeated key '{key}'")
+            raise ConfigError(f"config: repeated key {short_repr(key)}")
         data[key] = value
     return data
 
@@ -497,8 +516,13 @@ def loads_config(text: str) -> ScenarioConfig:
         return config_from_dict({})
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigError:
+        raise  # a repeated key, named by ``_unique_keys``
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except ValueError:  # the only other one: int() refuses a literal this long
+        raise ConfigError(f"config holds an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ConfigError("config is nested too deeply to parse") from None
     return config_from_dict(data)
@@ -546,7 +570,7 @@ PRESETS = {
 
 def expand_preset(name: str) -> ScenarioConfig:
     if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
+        raise ConfigError(f"unknown preset {short_repr(name)}; expected one of {sorted(PRESETS)}")
     return config_from_dict(PRESETS[name])
 
 
@@ -556,9 +580,8 @@ def expand_preset(name: str) -> ScenarioConfig:
 # names; ``defense.enabled`` is not read, so both arms of a toggle share a world.
 _WORLD_FIELDS = ("run.seed", "run.user_creation_min", "run.user_creation_max",
                  "run.initial_organic_posters", "graph.n", "graph.m", "graph.coworker_fraction",
-                 "graph.bot_follower_fraction", "roster.company_id", "roster.employees",
-                 "roster.managers", "roster.manager_roles", "attack.enabled", "attack.bots",
-                 "attack.bot_creation_age",
+                 "graph.bot_follower_fraction", "roster.employees", "roster.managers",
+                 "attack.enabled", "attack.bots", "attack.bot_creation_age",
                  *(f"defense.{size}" for _, size, _ in defense.ARMING_POLICIES.values()),
                  "defense.support_creation_age")
 
@@ -605,11 +628,9 @@ def build_world(config: ScenarioConfig) -> World:
         creation_max=config.run.user_creation_max,
         bots=[(count, created) for _, count, created in specs])
     rng_roster = np.random.default_rng(ss_roster)
-    roster = build_roster(
-        accounts, company_id=config.roster.company_id,
-        employees=config.roster.employees, managers=config.roster.managers,
-        manager_roles=config.roster.manager_roles, rng=rng_roster)
-    edges.append(overlay_company(accounts, roster,
+    managers, employees = build_roster(accounts, employees=config.roster.employees,
+                                       managers=config.roster.managers, rng=rng_roster)
+    edges.append(overlay_company(accounts, managers, employees,
                                  coworker_fraction=config.graph.coworker_fraction,
                                  rng=rng_roster))
 
@@ -633,7 +654,7 @@ def build_world(config: ScenarioConfig) -> World:
         picked = rng_posters.choice(pool, size=min(config.run.initial_organic_posters,
                                                    len(pool)), replace=False)
         seed_posters = sorted(int(i) for i in picked)
-    return World(graph, accounts, roster, cohorts, seed_posters, ss_engine, key)
+    return World(graph, accounts, managers, employees, cohorts, seed_posters, ss_engine, key)
 
 
 def build_simulation(config: ScenarioConfig, world: World | None = None) -> Simulation:
@@ -643,7 +664,8 @@ def build_simulation(config: ScenarioConfig, world: World | None = None) -> Simu
     key = _world_key(config)
     if world.key != key:
         path = next(path for path in key if world.key[path] != key[path])
-        raise ConfigError(f"{path}: the world was built for {world.key[path]!r}, not {key[path]!r}")
+        raise ConfigError(f"{path}: the world was built for {short_repr(world.key[path])}, "
+                          f"not {short_repr(key[path])}")
     sim = Simulation(config, world)
     if sim.plan is None:
         sim.choose_topic(0)

@@ -8,13 +8,13 @@ has: self-loops and repeats dropped, and never changed after.  The
 substrate is a scale-free preferential-attachment graph seeded with a
 complete clique, drawn in chunks of nodes with one bounded draw per chunk;
 a chunk that hits a repeated target rewinds the generator, so the graph
-and the stream are those of one draw per attachment.  A company roster
-(employees, managers, their coworker follow edges) is overlaid on it.
+and the stream are those of one draw per attachment.  The attacked
+company's staff, two sorted id arrays (managers, employees), are picked
+among its users, and their coworker follow edges are overlaid on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -89,25 +89,6 @@ class AccountTable:
 
     def __deepcopy__(self, memo) -> "AccountTable":
         return self.copy()
-
-
-@dataclass
-class CompanyRoster:
-    """Identities of the attacked company's staff accounts."""
-
-    company_id: str
-    employees: list[AccountId] = field(default_factory=list)
-    managers: list[AccountId] = field(default_factory=list)
-    manager_roles: dict[AccountId, str] = field(default_factory=dict)
-
-    @property
-    def members(self) -> list[AccountId]:
-        return sorted(self.employees + self.managers)
-
-    def __post_init__(self):
-        dup = set(self.employees) & set(self.managers)
-        if dup:
-            raise GraphError(f"accounts cannot be both employee and manager: {sorted(dup)}")
 
 
 class SocialGraph:
@@ -309,44 +290,36 @@ def _resolve_chunk(idx: np.ndarray, a: int, m0: int, clique_pool: np.ndarray,
     return vals
 
 
-def build_roster(accounts: AccountTable, *, company_id: str, employees: int, managers: int,
-                 manager_roles: tuple[str, ...], rng: np.random.Generator) -> CompanyRoster:
-    """Pick roster members among existing untagged real users."""
+def build_roster(accounts: AccountTable, *, employees: int, managers: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted ids ``(managers, employees)`` of the company's staff, drawn
+    at once among untagged real users; the lowest ids are the managers."""
     total = employees + managers
     pool = np.flatnonzero(accounts.kind == AccountKind.REAL_USER)
     if total > len(pool):
         raise GraphError(f"roster of {total} exceeds untagged population {len(pool)}")
     picked = np.sort(rng.choice(pool, size=total, replace=False))
-    manager_ids = [int(i) for i in picked[:managers]]
-    employee_ids = [int(i) for i in picked[managers:]]
-    roles = {mid: manager_roles[k] if k < len(manager_roles) else f"manager_{k}"
-             for k, mid in enumerate(manager_ids)}
-    return CompanyRoster(
-        company_id=company_id,
-        employees=employee_ids,
-        managers=manager_ids,
-        manager_roles=roles,
-    )
+    return picked[:managers], picked[managers:]
 
 
-def overlay_company(accounts: AccountTable, roster: CompanyRoster, *,
+def overlay_company(accounts: AccountTable, managers: np.ndarray, employees: np.ndarray, *,
                     coworker_fraction: float, rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Tag roster accounts in place and return their coworker follow edges
-    ``(src, dst)``.
+    """Tag the staff accounts in place and return their coworker follow
+    edges ``(src, dst)``.
 
     Each ordered coworker pair gets a follow edge with probability
-    ``coworker_fraction``.  Pride is sampled uniformly for every roster
-    member.
+    ``coworker_fraction``.  Pride is sampled uniformly for every member, in
+    ascending id order.
     """
     if not 0.0 <= coworker_fraction <= 1.0:
         raise GraphError("coworker_fraction must lie in [0, 1]")
-    ids = np.array(roster.members, dtype=np.int64)
+    ids = np.sort(np.concatenate((managers, employees)))
     absent = ids[(ids < 0) | (ids >= len(accounts))]
     if len(absent):
         raise GraphError(f"roster account {absent[0]} not present in the account table")
-    accounts.kind[roster.employees] = AccountKind.EMPLOYEE
-    accounts.kind[roster.managers] = AccountKind.MANAGER
+    accounts.kind[employees] = AccountKind.EMPLOYEE
+    accounts.kind[managers] = AccountKind.MANAGER
     # one draw per member, then one coin per ordered pair a != b, a-major:
     # the same doubles as a scalar draw each
     accounts.pride[ids] = rng.random(len(ids))
@@ -358,9 +331,9 @@ def overlay_company(accounts: AccountTable, roster: CompanyRoster, *,
 
 
 def identify_human_targets(graph: SocialGraph, accounts: AccountTable,
-                           roster: CompanyRoster, k: int,
+                           roster_ids: np.ndarray, manager_ids: np.ndarray, k: int,
                            weights: tuple[float, float, float]) -> list[AccountId]:
-    """Roster members ranked for worker-focused pressure.
+    """Staff ``roster_ids`` ranked for worker-focused pressure.
 
     Score blends follower reach (in-degree relative to the best-followed
     account in the graph), pride, and a manager flag.  Ties rank by
@@ -369,11 +342,11 @@ def identify_human_targets(graph: SocialGraph, accounts: AccountTable,
     if k <= 0:
         return []
     w_deg, w_pride, w_mgr = weights
-    ids = np.array(roster.members, dtype=np.intp)
+    ids = np.asarray(roster_ids, dtype=np.intp)
     degrees = graph.in_degrees()
     max_deg = int(degrees.max()) if graph.n_nodes else 0
     reach = degrees[ids] / max_deg if max_deg else np.zeros(len(ids))
     pride = accounts.pride[ids]
     pride = np.where(np.isnan(pride), 0.0, pride)
-    scores = w_deg * reach + w_pride * pride + w_mgr * np.isin(ids, roster.managers)
+    scores = w_deg * reach + w_pride * pride + w_mgr * np.isin(ids, manager_ids)
     return ids[np.lexsort((ids, -scores))][:k].tolist()

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import stat
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from firesim import cli, pool, scenario
 from firesim.analytics import load_sentiment_summaries
@@ -81,6 +85,16 @@ def test_non_utf8_config_is_exit_2(tmp_path, capsys):
     ('{"agents": {"gamma_direct": Infinity}}', "agents.gamma_direct: must be a finite number, got inf"),
     # json.loads once ended this in a RecursionError traceback with exit 1
     ("[" * 100_000, "config is nested too deeply to parse"),
+    # json.loads once ended this in a ValueError traceback with exit 1
+    pytest.param('{"graph": {"n": %s}}' % ("1" * 5000),
+                 "config holds an integer of more than 4300 digits", id="5000-digits"),
+    # float() once ended these in an OverflowError traceback with exit 1
+    pytest.param('{"agents": {"beta": %s}}' % ("1" * 400),
+                 "agents.beta: must be a finite number, got 111111111111111111...1",
+                 id="past-float"),
+    pytest.param('{"agents": {"class_multipliers": {"social": 1%s}}}' % ("0" * 400),
+                 "agents.class_multipliers.social: must be a finite number",
+                 id="past-float-in-a-mapping"),
 ])
 def test_invalid_config_is_exit_2_and_writes_nothing(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.json"
@@ -581,3 +595,72 @@ def test_analyze_header_only_archive_is_ok(tmp_path, capsys):
     payload = json.loads((out / "analysis.json").read_text())
     assert payload["posts"] == 0 and payload["windows"] == []
     assert payload["verdict"] is None and payload["forecast"] is None
+
+
+# -- the config front door ----------------------------------------------------------
+
+_PRESET_TEXTS = [dumps_config(scenario.expand_preset(name)).encode()
+                 for name in sorted(scenario.PRESETS)]
+_FIELDS = [(section, name) for section, fields in json.loads(_PRESET_TEXTS[0]).items()
+           if isinstance(fields, dict) for name in fields]
+_LONG_INTEGER = b"1" * 5000
+_LONG_KEY = b'"' + b"k" * 200_000 + b'"'
+# bytes a broken or hostile config file may hold; each is spliced into a
+# preset's text or stands as a field's value
+_JUNK = st.sampled_from([
+    _LONG_INTEGER, b"1" * 400, b"1" + b"0" * 400 + b".0", b"-" + b"9" * 4000,
+    _LONG_KEY, b'"' + b"s" * 200_000 + b'"', b"[" + b"1," * 100_000 + b"1]",
+    b"\xef\xbb\xbf", b"\x00", b"\xff\xfe", b"\xc3", b"\xed\xa0\x80", b'"\\ud800"',
+    b"NaN", b"-Infinity", b"1e999", b"null", b"true", b"{}", b"[]", b'{"a": 1, "a": 2}',
+    b"{" + _LONG_KEY + b": 1}", b'"kind"', b"}", b"]", b",", b":"])
+_DEEP = st.integers(1, 100_000).flatmap(lambda depth: st.sampled_from([
+    b"[" * depth + b"1" + b"]" * depth, b'{"a": ' * depth + b"1" + b"}" * depth, b"[" * depth]))
+
+
+@st.composite
+def _config_bytes(draw):
+    """Config file bytes: a preset's text cut, spliced with another, or with
+    junk put in; or junk as one field's value, key or the whole file."""
+    text, other = draw(st.sampled_from(_PRESET_TEXTS)), draw(st.sampled_from(_PRESET_TEXTS))
+    junk = draw(_JUNK | _DEEP)
+    at = draw(st.integers(0, len(text)))
+    section, name = draw(st.sampled_from(_FIELDS))
+    return draw(st.sampled_from([
+        text[:at],
+        text[:at] + other[draw(st.integers(0, len(other))):],
+        text[:at] + junk + text[at:],
+        b'{"%s": {"%s": %s}}' % (section.encode(), name.encode(), junk),
+        b'{"%s": {%s: 1}}' % (section.encode(), junk),
+        b'{"%s": {"%s": {%s: 1}}}' % (section.encode(), name.encode(), junk),
+        b"\xef\xbb\xbf" + text,
+        text[:-1] + b', "%s": {}}' % section.encode(),
+        junk,
+    ]))
+
+
+@given(data=_config_bytes())
+@example(data=b'{"graph": {"n": %s}}' % _LONG_INTEGER)
+@example(data=b'{"graph": {%s: 1}}' % _LONG_KEY)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_any_config_file_ends_in_a_report_or_a_short_config_error(data):
+    """``analyze`` resolves ``--config`` as ``run`` does but builds no
+    world: whatever the file holds, it writes the whole report (exit 0) or
+    names the fault in a few hundred bytes (exit 2) and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive, config, out = tmp / "archive.csv", tmp / "config.json", tmp / "out"
+        archive.write_text("timestamp,author_id,author_created_at,surface,valence\n"
+                           "0,1,-9000,general_stream,0.5\n1,2,-9000,company_page,-0.5\n"
+                           "2,3,-1,general_stream,0.1\n")
+        config.write_bytes(data)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["analyze", str(archive), "--config", str(config),
+                             "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 2) and "Traceback" not in err
+        assert len(err.encode("utf-8", "backslashreplace")) <= 1000, err[:300]
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert written == (["analysis.json", "sentiment_windows.csv", "volume.csv"]
+                           if code == 0 else [])

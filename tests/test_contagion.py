@@ -259,7 +259,7 @@ def test_fork_copies_every_attribute_except_the_overrides(default_cfg):
     sim = build_from_seed(default_cfg, 0)
     sim.run(60)
     assert any(c.retarget_start is not None for c in sim.cohorts)
-    sim.company.integrity_compromised = True
+    sim.company.data_exfiltrated = True
     sim.extra_state = np.arange(5)  # stands in for state a later change adds
     fork = sim.fork_bots_dormant()
 
@@ -277,7 +277,7 @@ def test_fork_copies_every_attribute_except_the_overrides(default_cfg):
         assert _same(getattr(fork, name), value), name
         if not isinstance(value, _IMMUTABLE):
             assert getattr(fork, name) is not value, name
-    assert fork.company.integrity_compromised
+    assert fork.company.data_exfiltrated
 
     ours, theirs = _arrays(vars(sim), {}), _arrays(vars(fork), {})
     shared = ours.keys() & theirs.keys()

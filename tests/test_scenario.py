@@ -21,7 +21,7 @@ from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
                               load_config, loads_config)
 from firesim.contagion import World
 from firesim.defense import ARMING_POLICIES
-from firesim.socialgraph import AccountTable, CompanyRoster
+from firesim.socialgraph import AccountTable
 
 
 def test_empty_text_means_defaults():
@@ -66,6 +66,23 @@ def test_unknown_keys_name_their_path():
         config_from_dict({"grph": {}})
     with pytest.raises(ConfigError, match="graph: unknown key 'nnn'"):
         config_from_dict({"graph": {"nnn": 5}})
+
+
+@pytest.mark.parametrize("data, start", [
+    # once a message of 3,000,034 characters
+    ({"graph": {"n": [1] * 1_000_000}}, "graph.n: expected an integer, got [1, 1, "),
+    # once echoed whole: 200,110 bytes of stderr
+    ({"graph": {"k" * 200_000: 1}}, "graph: unknown key 'kkk"),
+    ({"agents": {"class_multipliers": {"k" * 200_000: "x"}}},
+     "agents.class_multipliers['kkk"),
+    ({"attack": {"final_action": "x" * 200_000}}, "attack.final_action: 'xxx"),
+    ({"graph": {"n": int("1" * 4000)}}, "graph.n: population 111"),
+], ids=["long-list", "long-key", "long-key-in-a-mapping", "long-name", "long-integer"])
+def test_config_errors_quote_values_and_keys_shortened(data, start):
+    with pytest.raises(ConfigError) as info:
+        loads_config(json.dumps(data))
+    message = str(info.value)
+    assert message.startswith(start) and "..." in message and len(message) < 300
 
 
 def test_partial_override_keeps_other_defaults():
@@ -206,7 +223,8 @@ def test_same_seed_world_is_invariant_to_bot_count():
     np.testing.assert_array_equal(small.accounts.ocean[:n], big.accounts.ocean[:n])
     np.testing.assert_array_equal(small.accounts.creation_tick[:n],
                                   big.accounts.creation_tick[:n])
-    assert small.world.roster == big.world.roster
+    np.testing.assert_array_equal(small.world.manager_ids, big.world.manager_ids)
+    np.testing.assert_array_equal(small.world.employee_ids, big.world.employee_ids)
     assert small.world.seed_posters == big.world.seed_posters
 
     def organic_edges(graph):
@@ -262,7 +280,7 @@ def test_population_must_fit_int32_account_ids(overrides, extra):
 
 
 def _assert_same_world(a, b):
-    assert set(vars(a)) == {"graph", "accounts", "roster", "roster_ids", "manager_ids",
+    assert set(vars(a)) == {"graph", "accounts", "roster_ids", "manager_ids",
                             "employee_ids", "can_activate", "cohort_members",
                             "seed_posters", "engine_seed", "key"}
     assert a.key == b.key
@@ -270,7 +288,6 @@ def _assert_same_world(a, b):
         np.testing.assert_array_equal(ours, theirs)
     for name in AccountTable.COLUMNS:
         np.testing.assert_array_equal(getattr(a.accounts, name), getattr(b.accounts, name))
-    assert a.roster == b.roster
     for name in ("roster_ids", "manager_ids", "employee_ids", "can_activate"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert ([(cid, m.tolist()) for cid, m in a.cohort_members]
@@ -374,7 +391,7 @@ def test_world_columns_are_read_only():
 def test_world_rejects_an_empty_roster():
     world = build_world(default_config())
     with pytest.raises(ValueError, match="roster has no members"):
-        World(world.graph, world.accounts, CompanyRoster("acme"), world.cohort_members,
+        World(world.graph, world.accounts, [], [], world.cohort_members,
               world.seed_posters, world.engine_seed, world.key)
 
 

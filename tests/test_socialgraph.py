@@ -103,9 +103,9 @@ def _assert_csr_rows_match(g):
 
 def test_follower_csr_rows_match_followers_after_overlay():
     accounts = _table(300)
-    roster = build_roster(accounts, company_id="acme", employees=12, managers=3,
-                          manager_roles=("ceo",), rng=np.random.default_rng(1))
-    coworkers = overlay_company(accounts, roster, coworker_fraction=0.5,
+    managers, employees = build_roster(accounts, employees=12, managers=3,
+                                       rng=np.random.default_rng(1))
+    coworkers = overlay_company(accounts, managers, employees, coworker_fraction=0.5,
                                 rng=np.random.default_rng(2))
     _assert_csr_rows_match(_scale_free(300, 3, 5, coworkers))
 
@@ -145,22 +145,23 @@ def test_real_users_then_bot_blocks():
 def test_roster_pick_then_overlay_tags():
     t = _table(200, seed=5)
     rng = np.random.default_rng(9)
-    roster = build_roster(t, company_id="co", employees=12, managers=3,
-                          manager_roles=("ceo", "cco", "ciso"), rng=rng)
-    assert len(roster.employees) == 12 and len(roster.managers) == 3
-    assert set(roster.manager_roles.values()) == {"ceo", "cco", "ciso"}
-    members = roster.members
+    managers, employees = build_roster(t, employees=12, managers=3, rng=rng)
+    assert len(employees) == 12 and len(managers) == 3
+    members = np.union1d(managers, employees)
+    # one sorted draw: the lowest ids are the managers
+    assert len(members) == 15 and np.array_equal(members, np.concatenate([managers, employees]))
     before = _scale_free(200, 3, seed=5).edge_count
-    g = _scale_free(200, 3, 5, overlay_company(t, roster, coworker_fraction=0.5, rng=rng))
-    assert np.all(t.kind[roster.employees] == AccountKind.EMPLOYEE)
-    assert np.all(t.kind[roster.managers] == AccountKind.MANAGER)
+    g = _scale_free(200, 3, 5, overlay_company(t, managers, employees, coworker_fraction=0.5,
+                                               rng=rng))
+    assert np.all(t.kind[employees] == AccountKind.EMPLOYEE)
+    assert np.all(t.kind[managers] == AccountKind.MANAGER)
     assert not np.any(np.isnan(t.pride[members]))
     outside = np.setdiff1d(np.arange(200), members)
     assert np.all(np.isnan(t.pride[outside]))
     added = g.edge_count - before
     assert added > 0
     # coworker follows stay inside the roster
-    member_set = set(members)
+    member_set = set(members.tolist())
     baseline = _edges(_scale_free(200, 3, seed=5))
     for edge in set(_edges(g)) - set(baseline):
         assert edge[0] in member_set and edge[1] in member_set
@@ -170,35 +171,35 @@ def test_identify_human_targets_prefers_connected_stressed():
     g = _scale_free(120, 3, seed=2)
     t = _table(120, seed=2)
     rng = np.random.default_rng(4)
-    roster = build_roster(t, company_id="co", employees=10, managers=3,
-                          manager_roles=("ceo", "cco", "ciso"), rng=rng)
-    targets = identify_human_targets(g, t, roster, 5, (0.4, 0.4, 0.2))
+    managers, employees = build_roster(t, employees=10, managers=3, rng=rng)
+    members = np.union1d(managers, employees).tolist()
+    targets = identify_human_targets(g, t, members, managers, 5, (0.4, 0.4, 0.2))
     assert len(targets) == 5
-    assert set(targets) <= set(roster.members)
+    assert set(targets) <= set(members)
     # managers outrank rank-and-file employees under the default weights
     degrees = g.in_degrees()
-    scores = {i: (t.kind[i] == AccountKind.MANAGER, degrees[i]) for i in roster.members}
-    top = max(roster.members, key=lambda i: scores[i])
+    scores = {i: (t.kind[i] == AccountKind.MANAGER, degrees[i]) for i in members}
+    top = max(members, key=lambda i: scores[i])
     assert top in targets or degrees[targets[0]] >= degrees[top]
 
 
 def test_identify_human_targets_breaks_score_ties_by_ascending_id():
     g = _scale_free(120, 3, seed=2)
     t = _table(120, seed=2)
-    roster = build_roster(t, company_id="co", employees=10, managers=3,
-                          manager_roles=("ceo",), rng=np.random.default_rng(4))
-    members = roster.members
+    managers, employees = build_roster(t, employees=10, managers=3,
+                                       rng=np.random.default_rng(4))
+    members = np.union1d(managers, employees).tolist()
     # pride alone decides: two levels, each held by members spread over the roster
     t.pride[members] = [0.5 if k % 3 else 0.75 for k in range(len(members))]
-    targets = identify_human_targets(g, t, roster, 8, (0.0, 1.0, 0.0))
+    targets = identify_human_targets(g, t, members, managers, 8, (0.0, 1.0, 0.0))
     high = [i for k, i in enumerate(members) if k % 3 == 0]
     low = [i for k, i in enumerate(members) if k % 3]
     assert targets == (high + low)[:8]
     assert all(type(i) is int for i in targets)
     # with every score tied the ranking is the roster in id order
-    assert identify_human_targets(g, t, roster, 99, (0.0, 0.0, 1.0)) == roster.managers + \
-        [i for i in members if i not in roster.managers]
-    assert identify_human_targets(g, t, roster, 99, (0.0, 0.0, 0.0)) == members
+    assert identify_human_targets(g, t, members, managers, 99, (0.0, 0.0, 1.0)) == \
+        managers.tolist() + employees.tolist()
+    assert identify_human_targets(g, t, members, managers, 99, (0.0, 0.0, 0.0)) == members
 
 
 @given(n=st.integers(min_value=2, max_value=60), m=st.integers(min_value=1, max_value=6),
@@ -267,8 +268,7 @@ def _set_scale_free(n, m, seed):
     return g, redrew
 
 
-def _set_overlay(g, accounts, roster, coworker_fraction, rng):
-    members = roster.members
+def _set_overlay(g, accounts, members, coworker_fraction, rng):
     for i in members:
         accounts.pride[i] = rng.random()
     for a in members:
@@ -316,12 +316,13 @@ def test_generator_leaves_the_stream_where_the_loop_does():
 def test_overlay_matches_the_scalar_coin_loop():
     ref, _ = _set_scale_free(300, 3, 5)
     accounts, ref_accounts = _table(300), _table(300)
-    roster = build_roster(accounts, company_id="acme", employees=14, managers=4,
-                          manager_roles=("ceo",), rng=np.random.default_rng(1))
-    coworkers = overlay_company(accounts, roster, coworker_fraction=0.4,
+    managers, employees = build_roster(accounts, employees=14, managers=4,
+                                       rng=np.random.default_rng(1))
+    coworkers = overlay_company(accounts, managers, employees, coworker_fraction=0.4,
                                 rng=np.random.default_rng(2))
     g = _scale_free(300, 3, 5, coworkers)
-    _set_overlay(ref, ref_accounts, roster, 0.4, np.random.default_rng(2))
+    members = sorted(managers.tolist() + employees.tolist())
+    _set_overlay(ref, ref_accounts, members, 0.4, np.random.default_rng(2))
     _assert_same_graph(g, ref)
     assert np.array_equal(accounts.pride, ref_accounts.pride, equal_nan=True)
 
@@ -341,16 +342,19 @@ def test_built_world_graph_matches_the_edge_set_build(seed):
         creation_min=cfg.run.user_creation_min, creation_max=cfg.run.user_creation_max)
     rng_roster = np.random.default_rng(ss_roster)
     r = cfg.roster
-    roster = build_roster(accounts, company_id=r.company_id, employees=r.employees,
-                          managers=r.managers, manager_roles=r.manager_roles, rng=rng_roster)
-    _set_overlay(ref, accounts, roster, cfg.graph.coworker_fraction, rng_roster)
+    managers, employees = build_roster(accounts, employees=r.employees, managers=r.managers,
+                                       rng=rng_roster)
+    members = sorted(managers.tolist() + employees.tolist())
+    _set_overlay(ref, accounts, members, cfg.graph.coworker_fraction, rng_roster)
     rng_bots = np.random.default_rng(ss_bots)
     ref.add_nodes(cfg.attack.bots)
     for bot in range(cfg.graph.n, cfg.graph.n + cfg.attack.bots):
         mask = rng_bots.random(cfg.graph.n) < cfg.graph.bot_follower_fraction
         for user in np.flatnonzero(mask):
             ref.add_edge(int(user), bot)
-    assert roster.members == sim.world.roster.members
+    assert sim.world.roster_ids.tolist() == members
+    assert sim.world.manager_ids.tolist() == managers.tolist()
+    assert sim.world.employee_ids.tolist() == employees.tolist()
     _assert_same_graph(sim.graph, ref)
 
 
