@@ -199,10 +199,58 @@ def _parse_timestamp(raw: str) -> int:
     return int(stamp.timestamp() // 3600)
 
 
-_ISO_WIDTH = 25  # YYYY-MM-DDTHH:MM:SS+HH:MM
-_ISO_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
-_ISO_PUNCTUATION = ((4, "-"), (7, "-"), (13, ":"), (16, ":"))
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# Rows a range that holds a ``"`` parses at a time with ``csv.reader``.
+_CHUNK_ROWS = 8192
+# Bytes of a quote-free range parsed at a time, cut just after a line end.
+# On the 220k-row benchmark archive, from 128 KiB to 2 MiB the parse time
+# stays within noise, while the peak memory grows with the block: a range
+# of half the archive peaks at 6.8 MB traced at 256 KiB (15.5 MB at 1 MiB;
+# 10.7 MB in the 8,192-row ``csv.reader`` chunks), and one pass over the
+# whole archive at 45 MB resident (49 MB at 1 MiB; 53 MB by ``csv.reader``).
+_BLOCK_BYTES = 1 << 18
+
+
+_PAD = 32  # zero bytes around a parsed buffer, so a read of up to _PAD bytes stays in it
+_WORD = np.dtype("<u8")
+
+
+def _word(text: bytes) -> np.uint64:
+    return np.frombuffer(text.ljust(8, b"\0"), dtype=_WORD)[0]
+
+
+_ASCII_ZEROS, _NIBBLE_HIGH = _word(b"0" * 8), _word(b"\xf0" * 8)
+_SIXES, _POINTS = _word(b"\x06" * 8), _word(b"." * 8)
+_LOW7 = _word(b"\x7f" * 8)
+_PAIRS, _QUADS = _word(b"\xff\0" * 4), _word(b"\xff\xff\0\0" * 2)
+_ONES, _BYTE_INDEX = _word(b"\x01" * 8), _word(bytes(range(7, -1, -1)))  # byte p: 7 - p
+# _BEFORE[c]: the bytes of a word before its last c bytes
+_BEFORE = np.array([(1 << 8 * (8 - c)) - 1 for c in range(9)], dtype=np.uint64)
+_COMPANY, _PAGE = _word(b"company_"), _word(b"page")
+_GENERAL, _STREAM = _word(b"general_"), _word(b"stream")
+_EMPLOYEE, _PROFILE = _word(b"employee"), _word(b"_profile")
+_POW10 = 10.0 ** np.arange(19)  # exact doubles
+
+
+def _padded(data: bytes) -> np.ndarray:
+    """``data`` as uint8 with ``_PAD`` zero bytes on each side."""
+    buf = np.zeros(len(data) + 2 * _PAD, dtype=np.uint8)
+    buf[_PAD:_PAD + len(data)] = np.frombuffer(data, dtype=np.uint8)
+    return buf
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """Entry i holds bytes i to i + 7 of ``buf`` as a little-endian uint64."""
+    return np.ndarray((len(buf) - 7,), dtype=_WORD, buffer=buf, strides=(1,))
+
+
+def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """Row i holds the ``width`` bytes of ``buf`` from ``at[i]``."""
+    rows = np.ndarray((len(buf) - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
+    return rows[at].view(np.uint8).reshape(len(at), width)
+
+
+def _texts(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    return [buf[s:e].tobytes().decode() for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def _int64_column(values: list[int], rejected: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -231,75 +279,154 @@ def _mapped(convert, cells: Sequence[str], fill=0) -> tuple[list, list[int]]:
             out.append(fill)
 
 
-def _parse_timestamps(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Ticks of a column of timestamp cells and the mask of cells that parse.
+def _integer_cells(convert, buf, starts, ends, values, ok) -> None:
+    """Set ``values`` and ``ok`` of each cell ``ok`` leaves out by ``convert``,
+    an integer converter, and the int64 range."""
+    at = np.flatnonzero(~ok)
+    if len(at):
+        values[at], ok[at] = _int64_column(*_mapped(convert, _texts(buf, starts[at], ends[at])))
 
-    ``YYYY-MM-DD[T ]HH:MM:SS`` with an optional ``Z`` or ``+-HH:MM`` is read
-    with array arithmetic (days from the civil date, with every field's
-    range checked); other cells go through ``int`` (which strips as
-    ``str.strip`` does), and those it rejects through ``_parse_timestamp``.
-    So a cell parses, and to the same tick, exactly when ``_parse_timestamp``
-    accepts it and its tick fits in int64.
-    """
-    n = len(cells)
-    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=n)
-    # code points, zero past each cell's end; longer cells are cut (and fall back)
-    codes = np.array(cells, dtype=f"U{_ISO_WIDTH}").view(np.uint32).reshape(n, _ISO_WIDTH)
-    d = codes - np.uint32(ord("0"))  # wraps below "0"; read only where ``digit``
-    digit = d <= 9
 
-    def number(*columns: int) -> np.ndarray:
-        value = np.zeros(n, dtype=np.int64)
-        for c in columns:
-            value = value * 10 + d[:, c]
+# Each kernel below reads the cells ``buf[starts[i]:ends[i]]`` and returns
+# their values with the mask of cells it accepts; the caller sends the rest
+# through the scalar converter, so a cell reads the same either way.  Digits
+# are read eight at a time from the uint64 that ends at a cell's end.
+
+def _eight_digits(words: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last ``count`` (0 to 8) bytes of each word read as a decimal
+    number, and the mask of words whose last ``count`` bytes are all digits."""
+    before = _BEFORE[count]
+    words = (words & ~before) | (_ASCII_ZEROS & before)  # the bytes before read as "0"
+    ok = ((words & _NIBBLE_HIGH) == _ASCII_ZEROS) & (((words + _SIXES) & _NIBBLE_HIGH) == _ASCII_ZEROS)
+    v = words - _ASCII_ZEROS  # byte p: the digit at p, most significant first
+    v = (v * np.uint64(10) + (v >> np.uint64(8))) & _PAIRS
+    v = (v * np.uint64(100) + (v >> np.uint64(16))) & _QUADS
+    return (v * np.uint64(10000) + (v >> np.uint64(32))) & np.uint64(0xFFFFFFFF), ok
+
+
+def _signed_digits(buf, starts, ends) -> tuple:
+    """Cells of an optional ``-`` then at most 18 digits and points, read as
+    one integer with a point as a ``0``; with the mask of those that hold at
+    most one point with a digit on each side, the ``-`` mask, and the number
+    of digits after the point (0 without one)."""
+    lengths = ends - starts
+    negative = (lengths >= 2) & (buf[starts] == ord("-"))
+    count = lengths - negative
+    ok = (count >= 1) & (count <= 18)
+    words = _words(buf)
+    value = np.zeros(len(starts), dtype=np.uint64)
+    points = np.zeros(len(starts), dtype=np.uint64)
+    decimals = np.zeros(len(starts), dtype=np.int64)
+    for j in range(-(-int(np.clip(count, 0, 18).max(initial=0)) // 8)):
+        word = words[ends - 8 * (j + 1)]
+        inside = np.clip(count - 8 * j, 0, 8)
+        # 0x80 in each byte of the cell that is ".", which then reads as "0"
+        match = word ^ _POINTS
+        flags = ~(((match & _LOW7) + _LOW7) | match | _LOW7) & ~_BEFORE[inside]
+        word = word + (flags >> np.uint64(6))
+        points += ((flags >> np.uint64(7)) * _ONES) >> np.uint64(56)
+        index = ((flags >> np.uint64(7)) * _BYTE_INDEX) >> np.uint64(56)
+        decimals = np.where(flags != 0, 8 * j + 7 - index.astype(np.int64), decimals)
+        digits, good = _eight_digits(word, inside)
+        value += digits * np.uint64(10 ** (8 * j))
+        ok &= good
+    ok &= (points == 0) | ((points == 1) & (decimals >= 1) & (decimals <= count - 2))
+    return value.astype(np.int64), ok, negative, np.where(ok, decimals, 0)
+
+
+def _integers(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """``-?[0-9]{1,18}``: such a cell is an int64 and ``int`` reads it so."""
+    value, ok, negative, decimals = _signed_digits(buf, starts, ends)
+    return np.where(negative, -value, value), ok & (decimals == 0)
+
+
+def _decimals(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """``-?[0-9]+(\\.[0-9]+)?`` whose digits, read as one integer m, are
+    below 2**53: the value is m / 10**k for k decimals.  Both are exact
+    doubles and the division rounds correctly, so it equals ``float`` of the
+    cell (Clinger's fast path)."""
+    read, ok, negative, k = _signed_digits(buf, starts, ends)
+    # the point read as a zero digit: read is 10 * whole * 10**k + fraction
+    fraction = read % 10 ** k
+    mantissa = np.where(k > 0, (read - fraction) // 10 + fraction, read)
+    ok &= mantissa < 2 ** 53
+    value = mantissa / _POW10[k]
+    return np.where(negative, -value, value), ok
+
+
+_ISO_WIDTH = 32  # bytes read per stamp: YYYY-MM-DDTHH:MM:SS+HH:MM is 25
+# The first 19 bytes of a stamp with each digit read as "0", as words.
+_ISO_HEAD = [_word(b"0000-00-"), _word(b"00T00:00"), _word(b":00")]
+# First byte and width of year, month, day, hour, minute, second and the
+# offset's hours and minutes in a stamp.
+_ISO_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2), (20, 2), (23, 2))
+_MONTH_DAYS = np.array([31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+
+
+def _iso_ticks(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """``YYYY-MM-DD[T ]HH:MM:SS`` then nothing, ``Z`` or ``+HH:MM``/``-HH:MM``,
+    with every field's range checked: such a cell is an hour tick and
+    ``_parse_timestamp`` reads it so."""
+    lengths = ends - starts
+    window = _windows(buf, starts, _ISO_WIDTH)
+    digits = window - np.uint8(ord("0"))
+    digit = digits <= 9
+    # each digit read as "0", and " " after the date as "T"
+    head = window - digits * digit
+    head[:, 10] ^= (head[:, 10] == ord(" ")) * np.uint8(ord("T") ^ ord(" "))
+    head = head.view(_WORD)
+    iso = ((head[:, 0] == _ISO_HEAD[0]) & (head[:, 1] == _ISO_HEAD[1])
+           & (head[:, 2] & _BEFORE[5] == _ISO_HEAD[2]))
+    suffix = window[:, 19]
+    signed = lengths == 25
+    iso &= ((lengths == 19) | ((lengths == 20) & (suffix == ord("Z")))
+            | (signed & ((suffix == ord("+")) | (suffix == ord("-")))
+               & digit[:, 20] & digit[:, 21] & digit[:, 23] & digit[:, 24]
+               & (window[:, 22] == ord(":"))))
+
+    def number(first: int, width: int) -> np.ndarray:
+        value = digits[:, first].astype(np.int32)
+        for c in range(first + 1, first + width):
+            value = value * 10 + digits[:, c]
         return value
 
-    # ISO stamps: 19 characters, then nothing, "Z" or "+HH:MM"/"-HH:MM"
-    iso = np.isin(lengths, (19, 20, 25)) & digit[:, _ISO_DIGITS].all(axis=1)
-    for c, char in _ISO_PUNCTUATION:
-        iso &= codes[:, c] == ord(char)
-    iso &= (codes[:, 10] == ord("T")) | (codes[:, 10] == ord(" "))
-    iso &= (lengths != 20) | (codes[:, 19] == ord("Z"))
-    signed = lengths == 25
-    sign = np.where(codes[:, 19] == ord("-"), -1, 1)
-    iso &= ~signed | (((codes[:, 19] == ord("+")) | (codes[:, 19] == ord("-")))
-                      & digit[:, [20, 21, 23, 24]].all(axis=1) & (codes[:, 22] == ord(":")))
-    year, month, day = number(0, 1, 2, 3), number(5, 6), number(8, 9)
-    hour, minute, second = number(11, 12), number(14, 15), number(17, 18)
-    off_hour, off_minute = number(20, 21), number(23, 24)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
-    iso &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    year, month, day, hour, minute, second, off_hour, off_minute = itertools.starmap(
+        number, _ISO_FIELDS)
+    iso &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+            & (day <= _MONTH_DAYS[np.clip(month, 1, 12) - 1])
             & (hour <= 23) & (minute <= 59) & (second <= 59)
             & (~signed | ((off_hour <= 23) & (off_minute <= 59))))
+    leap_day = np.flatnonzero((month == 2) & (day == 29))
+    y = year[leap_day]
+    iso[leap_day] &= (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
     # days from civil (proleptic Gregorian), years counted from March
     y = year - (month <= 2)
     era = y // 400
     yoe = y - era * 400
     doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    offset = np.where(signed, sign * (off_hour * 3600 + off_minute * 60), 0)
-    seconds = days * 86400 + hour * 3600 + minute * 60 + second - offset
-    ticks = seconds // 3600
+    offset = (off_hour * 3600 + off_minute * 60) * signed
+    offset = np.where(suffix == ord("-"), -offset, offset)
+    # seconds // 3600, with the whole hours of days and hour taken out first
+    return days * np.int64(24) + hour + (minute * 60 + second - offset) // 3600, iso
 
-    ok = iso
-    rest = np.flatnonzero(~ok).tolist()
-    if rest:
-        values, rejected = _mapped(int, [cells[i] for i in rest])
-        slow, failed = _mapped(_parse_timestamp, [cells[rest[i]] for i in rejected])
-        for i, value in zip(rejected, slow):
-            values[i] = value
-        ticks[rest], ok[rest] = _int64_column(values, [rejected[i] for i in failed])
+
+def _parse_timestamps(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Ticks of a column of timestamp cells and the mask of cells that parse:
+    ISO stamps and integers by their kernels, the rest by
+    ``_parse_timestamp``.  So a cell parses, and to the same tick, exactly
+    when ``_parse_timestamp`` accepts it and its tick fits in int64."""
+    lengths = ends - starts
+    ticks, ok = np.zeros(len(starts), dtype=np.int64), np.zeros(len(starts), dtype=bool)
+    for kernel, shaped in ((_iso_ticks, (lengths == 19) | (lengths == 20) | (lengths == 25)),
+                           (_integers, lengths <= 19)):
+        at = np.flatnonzero(shaped & ~ok)
+        ticks[at], ok[at] = kernel(buf, starts[at], ends[at])
+    _integer_cells(_parse_timestamp, buf, starts, ends, ticks, ok)
     return ticks, ok
 
 
-# Rows parsed per chunk.  From 4,096 to 32,768 rows the ingest time of a
-# 220k-row archive stays within noise, while the peak memory grows with the
-# chunk (58 MB at 8,192 rows, 88 MB at 32,768).
-_CHUNK_ROWS = 8192
-
-
-@functools.lru_cache(maxsize=_CHUNK_ROWS)  # bounded, as the chunk bounds the rows
+@functools.lru_cache(maxsize=4096)  # bounded; archives repeat their odd surfaces
 def _surface_ok(cell: str) -> bool:
     text = cell.strip()
     if not text:
@@ -311,18 +438,66 @@ def _surface_ok(cell: str) -> bool:
     return True
 
 
-def _parse_rows(rows: list[list[str]]) -> tuple[np.ndarray, ...]:
+def _surfaces_ok(buf, starts, ends) -> np.ndarray:
+    """Mask of valid surface cells: a blank cell, ``company_page``,
+    ``general_stream`` or ``employee_profile:`` and an integer kernel cell
+    by bytes, any other cell by ``_surface_ok``."""
+    lengths = ends - starts
+    words = _words(buf)
+    head, tail = words[starts], words[starts + 8]
+    ok = ((lengths == 0) | ((lengths == 12) & (head == _COMPANY) & (tail & _BEFORE[4] == _PAGE))
+          | ((lengths == 14) & (head == _GENERAL) & (tail & _BEFORE[2] == _STREAM)))
+    at = np.flatnonzero((lengths >= 18) & (head == _EMPLOYEE) & (tail == _PROFILE)
+                        & (buf[starts + 16] == ord(":")))
+    ok[at] = _integers(buf, starts[at] + 17, ends[at])[1]
+    at = np.flatnonzero(~ok)
+    ok[at] = [_surface_ok(text) for text in _texts(buf, starts[at], ends[at])]
+    return ok
+
+
+def _parse_rows(buf, starts, ends) -> tuple[np.ndarray, ...]:
     """Columns of five-cell rows (ticks, authors, creation ticks, valences) and
-    the mask of valid rows."""
-    stamps, author_cells, created_cells, surfaces, valence_cells = zip(*rows)
-    ticks, ok = _parse_timestamps(stamps)
-    authors, authors_ok = _int64_column(*_mapped(int, author_cells))
-    created, created_ok = _parse_timestamps(created_cells)
+    the mask of valid rows; cell k of row i is ``buf[starts[k, i]:ends[k, i]]``."""
+    (ticks, created), (ok, created_ok) = (
+        column.reshape(2, -1) for column in _parse_timestamps(buf, starts[[0, 2]].ravel(),
+                                                              ends[[0, 2]].ravel()))
+    authors, authors_ok = _integers(buf, starts[1], ends[1])
+    _integer_cells(int, buf, starts[1], ends[1], authors, authors_ok)
+    valences, valences_ok = _decimals(buf, starts[4], ends[4])
+    at = np.flatnonzero(~valences_ok)
     # a rejected valence is NaN: out of range below
-    valences = np.array(_mapped(float, valence_cells, math.nan)[0], dtype=np.float64)
+    valences[at] = _mapped(float, _texts(buf, starts[4][at], ends[4][at]), math.nan)[0]
     ok &= authors_ok & created_ok & (valences >= -1.0) & (valences <= 1.0)
-    ok &= np.fromiter(map(_surface_ok, surfaces), dtype=bool, count=len(rows))
+    ok &= _surfaces_ok(buf, starts[3], ends[3])
     return ticks, authors, created, valences, ok
+
+
+def _cell_bytes(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cells`` as the kernels read them: their UTF-8 bytes one after
+    another, with each cell's start and end offset."""
+    text = "".join(cells)
+    if text.isascii():  # each character is one byte
+        data, lengths = text.encode(), map(len, cells)
+    else:
+        encoded = [cell.encode() for cell in cells]
+        data, lengths = b"".join(encoded), map(len, encoded)
+    lengths = np.fromiter(lengths, dtype=np.int64, count=len(cells))
+    ends = np.cumsum(lengths) + _PAD
+    return _padded(data), ends - lengths, ends
+
+
+def _parse_wide(rows: list[list[str]]) -> tuple[np.ndarray, ...]:
+    """``_parse_rows`` of five-cell rows of strings."""
+    buf, starts, ends = _cell_bytes(list(itertools.chain.from_iterable(rows)))
+    return _parse_rows(buf, starts.reshape(-1, 5).T, ends.reshape(-1, 5).T)
+
+
+def _wide_rows(rows: list[list[str]]) -> tuple[list[int], int]:
+    """Indices of the five-cell rows among ``csv.reader`` rows, and the number
+    of rows that are not blank (the ones counted)."""
+    # text in the first cell settles it at once
+    counted = [i for i, row in enumerate(rows) if row and (row[0].strip() or "".join(row).strip())]
+    return [i for i in counted if len(rows[i]) == 5], len(counted)
 
 
 def _dedup_keys(authors: np.ndarray, ticks: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -417,18 +592,145 @@ def _byte_ranges(path: str | Path) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:] + [size]))
 
 
+def _check_header(path, header: list[str] | None) -> None:
+    if header is None:
+        raise CorruptArchiveError(f"{path}: empty file, expected header")
+    header = tuple(h.strip() for h in header)
+    if (len(header) != 5 or header[:4] != ARCHIVE_HEADER[:4]
+            or header[4] not in _VALENCE_COLUMN_NAMES):
+        raise CorruptArchiveError(f"{path}: expected header {','.join(ARCHIVE_HEADER)} "
+                                  f"(last column may be text_score)")
+
+
+def _blocks(fh, size: int):
+    """The next ``size`` bytes of ``fh`` in blocks of about ``_BLOCK_BYTES``,
+    each cut just after a ``\\n`` or ``\\r`` (between the two of a ``\\r\\n``
+    a cut adds only an empty line); the last block holds the rest."""
+    rest = []  # read but not yet in a block
+    while size > 0 and (chunk := fh.read(min(_BLOCK_BYTES, size))):
+        size -= len(chunk)
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1 if size > 0 else len(chunk)
+        if cut:
+            yield b"".join(rest + [chunk[:cut]])
+            rest = []
+        rest.append(chunk[cut:])
+    if any(rest):
+        yield b"".join(rest)
+
+
+def _parse_block(data: bytes) -> tuple:
+    """Kept-row columns of quote-free UTF-8 archive lines, with their (total,
+    malformed) counts.
+
+    Lines end at each ``\\r`` and ``\\n`` (so ``\\r\\n`` adds an empty line,
+    which like every blank line is skipped) and fields at each ``,``, as
+    ``csv.reader`` splits text without a quote.  A plain row (five fields of
+    bytes 0x20-0x7E, the first neither empty nor led by a space, so not
+    blank) goes to ``_parse_rows`` by its cells' offsets; any other line
+    goes through ``csv.reader`` and ``_wide_rows``, and its rows merge back
+    in line order.
+    """
+    buf = _padded(data)
+    text = buf[_PAD:_PAD + len(data)]
+    # separators, and past a last line with no line end, the zero after the block
+    seps = np.flatnonzero((text == ord(",")) | (text == ord("\n")) | (text == ord("\r")))
+    if not data.endswith((b"\n", b"\r")):
+        seps = np.append(seps, len(data))
+    seps += _PAD
+    widths = np.diff(seps, prepend=_PAD - 1) - 1
+    limit = csv.field_size_limit()
+    for at in np.flatnonzero(widths > limit).tolist():  # bytes: an upper bound on characters
+        if len(data[seps[at] - widths[at] - _PAD:seps[at] - _PAD].decode()) > limit:
+            raise csv.Error(f"field larger than field limit ({limit})")
+    line_ends = np.flatnonzero(buf[seps] != ord(","))  # indices into seps
+    stops = seps[line_ends]
+    firsts = np.append(_PAD, stops[:-1] + 1)
+    fields = np.diff(line_ends, prepend=-1)
+    plain = np.ones(len(stops), dtype=bool)
+    # a byte outside 0x20-0x7E other than a line end makes its line not plain
+    if not data.isascii() or np.count_nonzero(text < 0x20) > np.count_nonzero(buf[stops]):
+        odd = np.flatnonzero(((text < 0x20) | (text > 0x7E)) & (text != ord("\n"))
+                             & (text != ord("\r")))
+        plain[np.searchsorted(stops, odd + _PAD)] = False
+    lead = buf[firsts]
+    kernel = plain & (fields == 5) & (lead != ord(",")) & (lead != ord(" "))
+    rows = np.flatnonzero(kernel)
+    ends = seps[line_ends[rows] + np.arange(-4, 1)[:, None]]
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = firsts[rows], ends[:-1] + 1
+    *columns, ok = _parse_rows(buf, starts, ends)
+    total, malformed = len(rows), 0
+    others = np.flatnonzero(~kernel & (stops > firsts))
+    if len(others):
+        lines = [data[a:b].decode() for a, b in zip((firsts[others] - _PAD).tolist(),
+                                                     (stops[others] - _PAD).tolist())]
+        split = list(csv.reader(lines))
+        wide, counted = _wide_rows(split)
+        total += counted
+        malformed += counted - len(wide)
+        if wide:
+            more = _parse_wide([split[i] for i in wide])
+            at = np.searchsorted(rows, others[wide])
+            *columns, ok = (np.insert(column, at, extra) for column, extra in zip((*columns, ok), more))
+    malformed += len(ok) - int(np.count_nonzero(ok))
+    return tuple(column[ok] for column in columns), total, malformed
+
+
+def _quoted_parts(path, start: int, end: int, header: bool):
+    """``_parse_block``'s results for the rows ``csv.reader`` reads from
+    ``start`` (a line start) to ``end``, ``_CHUNK_ROWS`` rows at a time."""
+    raw = open(path, "rb", buffering=0)
+    raw.seek(start)
+    with io.TextIOWrapper(io.BufferedReader(_Slice(raw, end - start)),
+                          encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if header:
+            _check_header(path, next(reader, None))
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            wide, counted = _wide_rows(chunk)
+            *columns, ok = _parse_wide([chunk[i] for i in wide])
+            yield (tuple(column[ok] for column in columns), counted,
+                   counted - int(np.count_nonzero(ok)))
+
+
+def _range_parts(path, start: int, end: int):
+    """``_parse_block``'s results for each block of the range; from the first
+    block that holds a ``"``, those of ``_quoted_parts``."""
+    header = start == 0
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        for data in _blocks(fh, end - start):
+            if b'"' in data:
+                yield from _quoted_parts(path, start, end, header)
+                return
+            data.decode()  # raises on bytes that are not UTF-8
+            start += len(data)
+            if header:
+                header = False
+                cut = min((at for at in (data.find(b"\n"), data.find(b"\r")) if at >= 0),
+                          default=len(data))
+                _check_header(path, next(csv.reader([data[:cut].decode()])))
+                data = data[cut + 1:]
+            yield _parse_block(data)
+    if header:
+        _check_header(path, None)
+
+
 def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
     """Kept-row columns of one byte range with its (total, malformed) counts.
 
-    The range starting at byte 0 reads and checks the header.  Rows are
-    parsed ``_CHUNK_ROWS`` at a time into typed columns, which bounds the
-    Python objects alive at once.  Bytes that are not UTF-8 and CSV the
-    reader rejects (such as a field over its size limit) raise
-    CorruptArchiveError.
+    The range starting at byte 0 reads and checks the header.  The range is
+    read in blocks of about ``_BLOCK_BYTES``, each cut just after a line end
+    and decoded whole, so a byte that is not UTF-8 anywhere in a block is
+    reported before any other fault in it.  A block without a ``"`` is
+    parsed from its bytes by ``_parse_block``; from the first block with one
+    (where a line end need not end a record), the rest of the range is read
+    by ``csv.reader``.  Bytes that are not UTF-8 and CSV the reader rejects
+    (such as a field over its size limit) raise CorruptArchiveError.
 
-    The cyclic collector is off while the range parses: its rows, lists of
-    strings, hold no cycles, and their allocations would start collections
-    that walk the whole heap.  The caller's setting is restored on return.
+    The cyclic collector is off while the range parses: its few Python
+    objects, strings and lists of them, hold no cycles.  The caller's
+    setting is restored on return.
     """
     path, start, end = task
     parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
@@ -436,31 +738,10 @@ def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        raw = open(path, "rb", buffering=0)
-        raw.seek(start)
-        with io.TextIOWrapper(io.BufferedReader(_Slice(raw, end - start)),
-                              encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if start == 0:
-                header = next(reader, None)
-                if header is None:
-                    raise CorruptArchiveError(f"{path}: empty file, expected header")
-                header = tuple(h.strip() for h in header)
-                if (len(header) != 5 or header[:4] != ARCHIVE_HEADER[:4]
-                        or header[4] not in _VALENCE_COLUMN_NAMES):
-                    raise CorruptArchiveError(
-                        f"{path}: expected header {','.join(ARCHIVE_HEADER)} "
-                        f"(last column may be text_score)")
-            while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-                # skip blank rows (text in the first cell settles it at once)
-                rows = [row for row in chunk if row and (row[0].strip() or "".join(row).strip())]
-                wide = [row for row in rows if len(row) == 5]
-                total += len(rows)
-                malformed += len(rows) - len(wide)
-                if wide:
-                    *columns, ok = _parse_rows(wide)
-                    malformed += int(np.count_nonzero(~ok))
-                    parts.append(tuple(column[ok] for column in columns))
+        for columns, rows, bad in _range_parts(path, start, end):
+            parts.append(columns)
+            total += rows
+            malformed += bad
     except UnicodeDecodeError as err:
         raise CorruptArchiveError(f"{path}: not UTF-8 text ({err.reason})") from None
     except csv.Error as err:
@@ -476,13 +757,17 @@ def ingest_archive(path: str | Path) -> IngestResult:
 
     A large quote-free archive is parsed as byte ranges (``_byte_ranges``),
     one per CPU, in a process pool; any other archive is read in one pass in
-    this process.  Ranges merge in file order, so the result is the same
-    either way.  Exact duplicate rows (same author, timestamp, and valence)
-    collapse to the first one in file order.  Malformed rows are counted,
-    not fatal, unless they are the majority of the file.  An archive with
-    no header, bytes that are not UTF-8 or CSV the reader rejects raises
-    CorruptArchiveError; when a range fails, the file is read again in one
-    pass, so the error is the one a single pass meets first.
+    this process.  Either way each range is read in blocks by array kernels
+    (``_ingest_range``), and every row parses to the values a row-by-row
+    ``csv.reader`` loop with the scalar converters gives it.  Ranges merge
+    in file order, so the result is the same either way.  Exact duplicate
+    rows (same author, timestamp, and valence) collapse to the first one in
+    file order.  Malformed rows are counted, not fatal, unless they are the
+    majority of the file.  An archive with no header, bytes that are not
+    UTF-8 or CSV the reader rejects raises CorruptArchiveError; when a range
+    fails, the file is read again in one pass, so the error is the one a
+    single pass meets first (a block's bytes are decoded before its lines
+    are read).
     """
     ranges = _byte_ranges(path)
     try:

@@ -103,14 +103,18 @@ def cmd_run(cfg: ScenarioConfig, out_dir: Path) -> int:
 
 # -- batch ---------------------------------------------------------------------
 
-def _seed_worker(task: tuple) -> tuple[int, object, str | None]:
+def _seed_worker(task: tuple) -> tuple[int, object, dict | None]:
     """``(job, *args, seed)`` -> ``(seed, job(*args, seed), None)``, or
-    ``(seed, None, error)`` when the job raised."""
+    ``(seed, None, error)`` when the job raised: ``error`` holds the
+    ``Type: message`` line and the formatted traceback."""
     job, *args, seed = task
     try:
         return seed, job(*args, seed), None
     except Exception as err:  # noqa: BLE001 - per-seed failures must not kill the run
-        return seed, None, f"{type(err).__name__}: {err}"
+        import traceback  # here, so that a cold start does not pay for it
+
+        return seed, None, {"error": f"{type(err).__name__}: {err}",
+                            "traceback": traceback.format_exc()}
 
 
 def _run_seeds(job, args: tuple, seeds: list[int],
@@ -119,7 +123,7 @@ def _run_seeds(job, args: tuple, seeds: list[int],
     results = run_tasks([(job, *args, seed) for seed in seeds], _seed_worker, parallelism)
     results.sort(key=lambda item: item[0])
     done = [(seed, result) for seed, result, err in results if err is None]
-    errors = [{"seed": seed, "error": err} for seed, _, err in results if err is not None]
+    errors = [{"seed": seed, **err} for seed, _, err in results if err is not None]
     return done, errors
 
 

@@ -77,6 +77,18 @@ MAX_FORECAST_HORIZON = 8_760
 # population, so a run's time grows with this bound.
 MAX_TICKS = 8_760
 
+# Posts one account may make in a run: as many as posting at the highest
+# rate for the longest run.  The engine keeps what is left in int64.
+MAX_POSTS_PER_USER = int(MAX_POSTING_RATE) * MAX_TICKS
+
+# Trending posts a fresh user is drawn against per tick (numpy's binomial
+# count): a million is past any storm, and the count fits a C long.
+MAX_TREND_SAMPLES = 1_000_000
+
+# Hours an account may predate the run (over a century): creation ticks are
+# int64 and the ages made from them stay far inside it.
+MAX_ACCOUNT_AGE = 1_000_000
+
 
 # -- single-field rules -------------------------------------------------------
 # A field's rule sits in its metadata; ``_check_fields`` applies them all.
@@ -179,7 +191,7 @@ class AgentConfig:
     beta: float = _rule(POSITIVE, 10.0)
     theta: float = _rule(UNIT, 0.7)
     posting_rate: float = _rule(Bound(0, MAX_POSTING_RATE, lo_open=True), 0.35)
-    max_posts_per_user: int = _rule(AT_LEAST_1, 6)
+    max_posts_per_user: int = _rule(Bound(1, MAX_POSTS_PER_USER), 6)
     organic_company_page_fraction: float = _rule(UNIT, 0.3)
     base_negative_weight: float = _rule(UNIT, 0.7)
     class_multipliers: dict[str, float] = _rule(
@@ -196,7 +208,7 @@ class AgentConfig:
 
 @dataclass(frozen=True)
 class ContagionConfig:
-    trend_samples: int = _rule(NON_NEGATIVE, 4)
+    trend_samples: int = _rule(Bound(0, MAX_TREND_SAMPLES), 4)
     trend_saturation: float = _rule(POSITIVE, 1200.0)
     fire_threshold: float = 15.0
     fire_window: int = _rule(Bound(1, MAX_FIRE_WINDOW), 12)
@@ -221,7 +233,7 @@ class AttackConfig:
     enabled: bool = True
     bots: int = _rule(NON_NEGATIVE, 200)
     bot_posting_rate: float = _rule(Bound(0, MAX_POSTING_RATE), 1.0)
-    bot_creation_age: int = _rule(NON_NEGATIVE, 48)
+    bot_creation_age: int = _rule(Bound(0, MAX_ACCOUNT_AGE), 48)
     valence_noise: float = _rule(UNIT, 0.2)
     class_weights: dict[str, float] = _rule(
         Keys(FAILURE_CLASS_NAMES, Bound(), exact=True), default_factory=lambda: {
@@ -270,7 +282,7 @@ class DefenseConfig:
     prepared_bots: int = _rule(NON_NEGATIVE, 25)
     partner_defenders: int = _rule(NON_NEGATIVE, 8)
     support_posting_rate: float = _rule(Bound(0, MAX_POSTING_RATE), 0.8)
-    support_creation_age: int = _rule(NON_NEGATIVE, 8760)
+    support_creation_age: int = _rule(Bound(0, MAX_ACCOUNT_AGE), 8760)
     training_posture_boost: float = _rule(UNIT, 0.05)
     scapegoat_transfer: float = _rule(UNIT, 0.5)
     scapegoat_backfire_probability: float = _rule(UNIT, 0.2)
@@ -309,7 +321,7 @@ class RunConfig:
     seed: int = _rule(NON_NEGATIVE, 0)
     ticks: int = _rule(Bound(1, MAX_TICKS), 168)
     initial_organic_posters: int = _rule(NON_NEGATIVE, 0)
-    user_creation_min: int = -20000
+    user_creation_min: int = _rule(Bound(-MAX_ACCOUNT_AGE), -20000)
     user_creation_max: int = _rule(Bound(hi=0), -2000)  # organic accounts predate the run
 
 

@@ -1,9 +1,13 @@
 import concurrent.futures
+import contextlib
 import csv
 import gc
+import io
 import json
 import math
 import multiprocessing
+import re
+import tempfile
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from firesim import analytics
+from firesim import analytics, cli
 from firesim.agents import GENERAL_STREAM, Post, Surface
 from firesim.analytics import (CascadeClass, CorruptArchiveError,
                                FinancialProxy, REPORT_FILES,
@@ -510,7 +514,7 @@ def test_chunk_timestamp_parser_matches_scalar(cells):
             return None
         return tick if -2 ** 63 <= tick < 2 ** 63 else None
 
-    ticks, ok = _parse_timestamps(cells)
+    ticks, ok = _parse_timestamps(*analytics._cell_bytes(cells))
     assert [t if good else None for t, good in zip(ticks.tolist(), ok.tolist())] == \
         [scalar(cell) for cell in cells]
 
@@ -527,12 +531,15 @@ _ARCHIVE_ROWS = st.lists(st.one_of(
     st.tuples(_cells(["100", "2024-01-01T00:00:00Z", "101"],
                      [" 100 ", "+101", "2024-01-01T00:30:00+00:00", "2024-01-01 01:00:00",
                       "1_00", "2023-02-29T00:00:00Z", "soon", "", "9" * 20]),
-              _cells(["7", "8"], ["+7", "07", "x", str(2 ** 63), " 8"]),
+              _cells(["7", "8"], ["+7", "07", "x", str(2 ** 63), " 8", "-3", "0_7", "\u0663",
+                                  str(-2 ** 63), str(-2 ** 63 - 1), "9" * 18, "9" * 19]),
               _cells(["50", "2020-01-01T00:00:00-05:30", "-9"], ["later", str(-2 ** 63 - 1)]),
               _cells(["", "company_page", "employee_profile:4"],
                      ["employee_profile:x", "intranet", " general_stream "]),
               _cells(["-0.0", "0.0", "0", "-0.5"],
-                     ["0.5", "1.5", "nan", "n/a", " 1 ", "-1.0"])).map(",".join),
+                     ["0.5", "1.5", "nan", "n/a", " 1 ", "-1.0", "1.", ".5", "+0.5", "1e-3",
+                      "1_0", "-0", "00.50", " -0.5", "0.1234567890123456", "0.9007199254740993",
+                      "-0.50000000000000000001"])).map(",".join),
     st.sampled_from(["", " , , , , ", "100,7,50,company_page", "1,2,3,4,5,6"])),
     max_size=60)
 
@@ -559,6 +566,21 @@ def test_chunked_ingest_matches_row_loop(tmp_path_factory, rows, chunk_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analytics, "_CHUNK_ROWS", chunk_rows)
         _assert_ingest_matches_row_loop(path)
+
+
+@given(_ARCHIVE_ROWS, st.integers(1, 64), st.booleans(), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_block_ingest_matches_row_loop(tmp_path_factory, rows, block_bytes, quoted, cpus):
+    """Blocks of a few bytes, cut just after a line end, hold a line or a few;
+    from a block with a ``"`` the range is read by ``csv.reader``."""
+    if quoted:
+        rows = rows[:len(rows) // 2] + ['"100",7,"50",company_page,"-0.5"'] + rows[len(rows) // 2:]
+    path = _write_archive(tmp_path_factory.mktemp("archive"), rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytics, "_BLOCK_BYTES", block_bytes)
+        _force_split(mp, cpus)
+        _assert_ingest_matches_row_loop(path)
+    assert multiprocessing.active_children() == []
 
 
 def test_chunked_ingest_dedups_across_chunks(tmp_path, monkeypatch):
@@ -741,6 +763,100 @@ def test_split_empty_file_is_fatal(tmp_path):
     assert split == one == f"{path}: empty file, expected header"
 
 
+def _varied_rows(count: int) -> list[str]:
+    """Rows in every stamp, surface and valence form the kernels read, with a
+    refused or malformed cell in some and an earlier row repeated in others."""
+    epoch = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    rows = []
+    for k in range(count):
+        moment = epoch + timedelta(minutes=97 * k)
+        stamp = (str(473352 + k // 3), moment.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                 moment.replace(tzinfo=None).isoformat(sep=" "),
+                 moment.astimezone(timezone(timedelta(minutes=30 * (k % 37 - 18)))).isoformat(),
+                 f" {473352 + k}", "yesterday")[k % 6 if k % 11 else 5]
+        surface = ("company_page", "general_stream", "", f"employee_profile:{k % 1000}",
+                   "Company_Page", "intranet")[k % 6 if k % 13 else 5]
+        valence = (repr(round((k * 7919 % 2001 - 1000) / 1000, 6)), "0", "-0.0", "1e-05",
+                   " 0.5", "1.5")[k % 6 if k % 7 == 0 else 0]
+        rows.append(rows[k // 2] if k % 17 == 16 else
+                    f"{stamp},{k % 997 if k % 19 else 'user-9'},{473000 - k},{surface},{valence}")
+    return rows
+
+
+def test_multi_block_archive_matches_row_loop_in_one_pass_and_split(tmp_path, monkeypatch):
+    """A quote-free archive of some 150 KB, parsed in 4 KB blocks: the block
+    loop meets many cuts in one pass and in each of two ranges."""
+    rows = _varied_rows(3000)
+    path = _write_archive(tmp_path, rows)
+    monkeypatch.setattr(analytics, "_BLOCK_BYTES", 4096)
+    blocks, parse_block = [], analytics._parse_block
+    monkeypatch.setattr(analytics, "_parse_block", lambda data: blocks.append(len(data))
+                        or parse_block(data))
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            _force_split(mp, cpus, 1 << 16)
+            assert len(analytics._byte_ranges(path)) == cpus
+            _assert_ingest_matches_row_loop(path)
+    # the one pass ran in this process; forked ranges record into their own copy.
+    # A block is what a read left after its last line end, then the next read.
+    assert len(blocks) >= path.stat().st_size // 4096
+    assert max(blocks) <= 4096 + max(map(len, rows))
+    one, split, ranges = _one_and_split(path, 2, 1 << 16)
+    assert len(ranges) == 2 and one == split
+    assert split[-3:] == _ingest_rows_oracle(path)[1:]
+
+
+def _line(column: int, cell: str) -> str:
+    """``100,7,50,company_page,-0.5`` with ``cell`` in ``column``."""
+    row = ["100", "7", "50", "company_page", "-0.5"]
+    row[column] = cell
+    return ",".join(row)
+
+
+_BOUNDARY_LINES = [
+    # valences: digits on each side of 2**53 and of the double's 17 digits
+    *(_line(4, cell) for cell in (
+        "0." + "1" * 14, "0." + "1" * 15, "0." + "1" * 16, "-0." + "9" * 16,
+        "0.9007199254740991", "0.9007199254740992", "0.9007199254740993",
+        "-0.9007199254740993", "0.0000000000000001", "0.000000000000000001",
+        "-0.5" + "0" * 17 + "1", "0." + "0" * 22 + "1",
+        "1.", ".5", "+0.5", "1e-3", "1_0", "-0", "-0.0", "00.50", " 0.5", "0.5 ", " -0.5 ",
+        "-", "-.5", "0..5", "0.5.", "1", "-1", "1.0", "-1.0000000000000001", "1.0000000000000001")),
+    # integers: author, tick and creation tick
+    *(_line(column, cell) for column in (0, 1, 2) for cell in (
+        "1" * 18, "-" + "1" * 18, "1" * 19, str(2 ** 63 - 1), str(-2 ** 63), str(2 ** 63),
+        str(-2 ** 63 - 1), "+7", "0_7", "\u0663", "-0", "007", "--7", "7-")),
+    # surfaces
+    *(_line(3, cell) for cell in (
+        "Company_Page", "COMPANY_PAGE", "company_pagex", "general_strea", " general_stream",
+        "employee_profile:-3", "employee_profile:", "employee_profile:1:2",
+        "employee_profile:+7", "employee_profile: 7", "employee_profile:" + "9" * 18,
+        "employee_profile:" + "9" * 30, "employee_profile", "EMPLOYEE_PROFILE:4")),
+    # lines the kernels do not read
+    _line(1, "7\x00"), _line(3, "company_page\x00"), _line(2, "50\r"), _line(4, "-0.5\r\r"),
+    _line(1, "\t7"), _line(3, "general_\u017ftream"), _line(0, " 100"), "," * 4, " , , , , ",
+    "\t,\t,\t,\t,\t", "\u00a0,,,,", "\x1c,,,,",  # blank to ``str.strip``, so skipped
+    _line(3, "x" * 131_072), _line(3, "x" * 131_073), _line(3, "\u00e9" * 65_537),
+]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["bytes", "csv-reader"])
+@pytest.mark.parametrize("line", _BOUNDARY_LINES,
+                         ids=lambda line: repr(line if len(line) < 60 else f"{len(line)} chars"))
+def test_cells_beside_each_kernel_rule_ingest_as_the_row_loop(tmp_path, line, quoted):
+    """One row under test, then a good row (quoted to send the file through
+    ``csv.reader``), so that a malformed row is counted and not fatal."""
+    good = '"101",8,60,general_stream,0.25' if quoted else "101,8,60,general_stream,0.25"
+    path = _write_archive(tmp_path, [line, good])
+    try:
+        _ingest_rows_oracle(path)
+    except csv.Error as err:  # a field over the reader's limit
+        with pytest.raises(CorruptArchiveError, match=re.escape(f"unreadable CSV ({err})")):
+            ingest_archive(path)
+        return
+    _assert_ingest_matches_row_loop(path)
+
+
 # -- converting each cell once ------------------------------------------------------
 
 def _mapped_by_cell(convert, cells, fill):
@@ -786,8 +902,8 @@ def test_mapped_converts_each_cell_once_like_a_cell_loop(converter, cells):
                                   " +1_000 ", "-0"])
 def test_integer_stamps_read_as_the_scalar_parser_reads_them(cell):
     # "2024-01-01T06:30" is off the array path, and ``int`` rejects it
-    ticks, ok = _parse_timestamps([cell, "2024-01-01T00:00:00Z", "soon", cell, "7_",
-                                   "2024-01-01T06:30"])
+    ticks, ok = _parse_timestamps(*analytics._cell_bytes([cell, "2024-01-01T00:00:00Z", "soon",
+                                                          cell, "7_", "2024-01-01T06:30"]))
     assert ok.tolist() == [True, True, False, True, False, True]
     assert ticks[0] == ticks[3] == _parse_timestamp(cell)
     assert ticks[5] == _parse_timestamp("2024-01-01T06:30")
@@ -926,6 +1042,23 @@ def test_arbitrary_bytes_give_a_result_or_corrupt_archive_error(tmp_path_factory
     one, split, ranges = _one_and_split(path, cpus, min_range_bytes)  # raise nothing else
     event(f"{min(len(ranges), 2)} ranges, {'error' if isinstance(one, str) else 'result'}")
     assert split == one
+
+
+@given(st.booleans(),
+       st.one_of(st.lists(_ROWS | _ROWS | _TEXT_PIECES, max_size=40),
+                 st.lists(_ROWS | _ROWS | _BYTE_PIECES, max_size=40)).map(b"".join))
+@settings(max_examples=60, deadline=None)
+def test_analyze_of_any_archive_bytes_ends_in_a_whole_report_or_a_clean_error(header, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        archive, out = Path(tmp) / "archive.csv", Path(tmp) / "out"
+        archive.write_bytes((ARCHIVE_HEADER_LINE.encode() + b"\n" if header else b"") + body)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["analyze", str(archive), "--out", str(out)])
+        assert code in (0, 2, 3, 4) and "Traceback" not in stderr.getvalue()
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert written == (["analysis.json", "sentiment_windows.csv", "volume.csv"]
+                           if code == 0 else [])
 
 
 # -- financial proxy ---------------------------------------------------------------

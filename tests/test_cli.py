@@ -373,16 +373,38 @@ def test_seed_override_changes_the_world(tmp_path, capsys):
     assert _read_tree(out_a)["history.csv"] != _read_tree(out_b)["history.csv"]
 
 
-def test_batch_parallelism_does_not_change_bytes(tmp_path, capsys):
+_RUN_OUTCOME = cli._run_outcome
+
+
+def _outcome_failing_on_seed_2(cfg, seed):
+    """``cli._run_outcome`` that raises on seed 2 (at module level, so that a
+    pool can pickle it)."""
+    if seed == 2:
+        raise RuntimeError("seed 2 fails")
+    return _RUN_OUTCOME(cfg, seed)
+
+
+def test_batch_parallelism_does_not_change_bytes(tmp_path, capsys, monkeypatch):
     cfg_path = _small_config(tmp_path)
-    out_a, out_b = tmp_path / "serial", tmp_path / "parallel"
-    assert cli.main(["batch", "--config", str(cfg_path), "--seeds", "0..3",
-                     "--out", str(out_a)]) == 0
-    assert cli.main(["batch", "--config", str(cfg_path), "--seeds", "0..3",
-                     "--parallelism", "2", "--out", str(out_b)]) == 0
-    capsys.readouterr()
-    assert (out_a / "batch_summary.json").read_bytes() == \
-        (out_b / "batch_summary.json").read_bytes()
+    for failing in (False, True):
+        if failing:  # a failed seed's error row, traceback and all, is the same too
+            monkeypatch.setattr(cli, "_run_outcome", _outcome_failing_on_seed_2)
+        out_a, out_b = tmp_path / f"serial-{failing}", tmp_path / f"parallel-{failing}"
+        code = 4 if failing else 0
+        assert cli.main(["batch", "--config", str(cfg_path), "--seeds", "0..3",
+                         "--out", str(out_a)]) == code
+        assert cli.main(["batch", "--config", str(cfg_path), "--seeds", "0..3",
+                         "--parallelism", "2", "--out", str(out_b)]) == code
+        capsys.readouterr()
+        assert (out_a / "batch_summary.json").read_bytes() == \
+            (out_b / "batch_summary.json").read_bytes()
+    summary = json.loads((out_b / "batch_summary.json").read_text())
+    [error] = summary["errors"]
+    assert [o["seed"] for o in summary["outcomes"]] == [0, 1, 3]
+    assert (error["seed"], error["error"]) == (2, "RuntimeError: seed 2 fails")
+    assert error["traceback"].startswith("Traceback (most recent call last):")
+    assert error["traceback"].rstrip().endswith("RuntimeError: seed 2 fails")
+    assert "_outcome_failing_on_seed_2" in error["traceback"]
 
 
 @pytest.mark.parametrize("cpus,parallelism,tasks,expected", [
@@ -664,3 +686,31 @@ def test_any_config_file_ends_in_a_report_or_a_short_config_error(data):
         written = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert written == (["analysis.json", "sentiment_windows.csv", "volume.csv"]
                            if code == 0 else [])
+
+
+# -- integers the engine keeps in int64 or draws with -----------------------------------
+
+_PAST_INT64 = 10 ** 30 - 1
+
+
+@pytest.mark.parametrize("section,name,value", [
+    ("agents", "max_posts_per_user", _PAST_INT64),
+    ("contagion", "trend_samples", _PAST_INT64),
+    ("attack", "bot_creation_age", _PAST_INT64),
+    ("defense", "support_creation_age", _PAST_INT64),
+    ("run", "user_creation_min", -_PAST_INT64),
+], ids=lambda v: v if isinstance(v, str) else "past-int64")
+def test_integer_past_int64_is_a_config_error(tmp_path, capsys, section, name, value):
+    """Each of these once reached an int64 array or a numpy draw, and ``run``
+    ended in an OverflowError or ValueError traceback with exit 1."""
+    data = {"graph": {"n": 200}, "attack": {"bots": 20}, "run": {"ticks": 30},
+            # the supporting-bots cohort is the one made support_creation_age old
+            "defense": {"enabled": True,
+                        "playbook": [{"kind": "supporting_bots", "trigger_tick": 1}]}}
+    data.setdefault(section, {})[name] = value
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{name}: must " in err and "Traceback" not in err
+    assert not out.exists()
