@@ -2,10 +2,10 @@
 
 Runs every case the test module lists (the `run` presets and seeds, the
 `run --config` configs and seeds, the `batch` seed range, the `compare`
-toggles, the two `analyze` archives and the follower CSR of the world
+toggles, the `analyze` archives and the follower CSR of the world
 configs) and prints RUN_DIGESTS, CONFIG_RUN_DIGESTS, WORLD_CSR_DIGESTS,
-BATCH_DIGEST, COMPARE_DIGESTS, ANALYZE_DIGESTS and ANALYZE_EDGE_DIGESTS
-as Python literals.  Run it on the commit
+BATCH_DIGEST, COMPARE_DIGESTS and the tables of ANALYZE_TABLES as Python
+literals.  Run it on the commit
 before a change to record the digests the change must keep.
 
 Usage: PYTHONPATH=src python3 scripts/golden_digests.py
@@ -18,6 +18,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import test_golden  # noqa: E402
+
+# (table, the test_golden function that writes its archive)
+ANALYZE_TABLES = (("ANALYZE_DIGESTS", "write_analyze_inputs"),
+                  ("ANALYZE_EDGE_DIGESTS", "write_analyze_edge_inputs"),
+                  ("ANALYZE_QUOTED_DIGESTS", "write_analyze_quoted_inputs"),
+                  ("ANALYZE_QUIRKS_DIGESTS", "write_analyze_quirks_inputs"))
 
 
 def _digest_lines(digests: dict, indent: str) -> None:
@@ -39,11 +45,11 @@ def main() -> None:
         compares = {(preset, toggle, seeds): test_golden.compare_digest(
                         preset, toggle, seeds, work / f"compare-{preset}-{toggle}")
                     for preset, toggle, seeds in sorted(test_golden.COMPARE_DIGESTS)}
-        (work / "analyze").mkdir()
-        analyze = test_golden.analyze_digests(work / "analyze")
-        (work / "analyze-edge").mkdir()
-        analyze_edge = test_golden.analyze_digests(work / "analyze-edge",
-                                                   test_golden.write_analyze_edge_inputs)
+        analyze = {}
+        for table, writer in ANALYZE_TABLES:
+            (work / table).mkdir()
+            analyze[table] = test_golden.analyze_digests(work / table,
+                                                         getattr(test_golden, writer))
 
     print("RUN_DIGESTS = {")
     for (preset, seed), digests in runs.items():
@@ -72,16 +78,12 @@ def main() -> None:
         print(f'    ("{preset}", "{toggle}", "{seeds}"):')
         print(f'        "{digest}",')
     print("}")
-    print()
-    print("# `analyze` of the archive ``write_analyze_inputs`` writes")
-    print("ANALYZE_DIGESTS = {")
-    _digest_lines(analyze, " " * 4)
-    print("}")
-    print()
-    print("# `analyze` of the archive ``write_analyze_edge_inputs`` writes")
-    print("ANALYZE_EDGE_DIGESTS = {")
-    _digest_lines(analyze_edge, " " * 4)
-    print("}")
+    for table, writer in ANALYZE_TABLES:
+        print()
+        print(f"# `analyze` of the archive ``{writer}`` writes")
+        print(f"{table} = {{")
+        _digest_lines(analyze[table], " " * 4)
+        print("}")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import TYPE_CHECKING
@@ -19,6 +20,13 @@ from .socialgraph import AccountId, read_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import AgentConfig
+
+# A config may hold a million-item list or a 200,000-character key where a
+# number belongs, and a reputation DB a line of millions of characters, so
+# ``short_repr`` cuts each value, key or line an error quotes.
+_SHORT = reprlib.Repr()
+_SHORT.maxstring = _SHORT.maxother = 60
+short_repr = _SHORT.repr
 
 
 class FailureClass(Enum):

@@ -199,14 +199,11 @@ def _parse_timestamp(raw: str) -> int:
     return int(stamp.timestamp() // 3600)
 
 
-# Rows a range that holds a ``"`` parses at a time with ``csv.reader``.
-_CHUNK_ROWS = 8192
-# Bytes of a quote-free range parsed at a time, cut just after a line end.
-# On the 220k-row benchmark archive, from 128 KiB to 2 MiB the parse time
-# stays within noise, while the peak memory grows with the block: a range
-# of half the archive peaks at 6.8 MB traced at 256 KiB (15.5 MB at 1 MiB;
-# 10.7 MB in the 8,192-row ``csv.reader`` chunks), and one pass over the
-# whole archive at 45 MB resident (49 MB at 1 MiB; 53 MB by ``csv.reader``).
+# Bytes of a range read at a time and parsed up to the last line end.  On the
+# 220k-row benchmark archive, from 128 KiB to 2 MiB the parse time stays
+# within noise, while the peak memory grows with the block: a range of half
+# the archive peaks at 6.8 MB traced at 256 KiB (15.5 MB at 1 MiB), and one
+# pass over the whole archive at 45 MB resident (49 MB at 1 MiB).
 _BLOCK_BYTES = 1 << 18
 
 
@@ -536,25 +533,6 @@ _MIN_RANGE_BYTES = 1 << 20
 _SCAN_BYTES = 1 << 16
 
 
-class _Slice(io.RawIOBase):
-    """``length`` bytes of a binary file from its current offset, as a raw stream."""
-
-    def __init__(self, raw, length: int):
-        self._raw, self._left = raw, length
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        count = self._raw.readinto(memoryview(buffer)[:self._left])
-        self._left -= count
-        return count
-
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
-
-
 def _next_line_start(fh, offset: int) -> int | None:
     """The offset just past the first ``\n`` at or after ``offset``, if any."""
     fh.seek(offset)
@@ -602,62 +580,84 @@ def _check_header(path, header: list[str] | None) -> None:
                                   f"(last column may be text_score)")
 
 
-def _blocks(fh, size: int):
-    """The next ``size`` bytes of ``fh`` in blocks of about ``_BLOCK_BYTES``,
-    each cut just after a ``\\n`` or ``\\r`` (between the two of a ``\\r\\n``
-    a cut adds only an empty line); the last block holds the rest."""
-    rest = []  # read but not yet in a block
-    while size > 0 and (chunk := fh.read(min(_BLOCK_BYTES, size))):
-        size -= len(chunk)
-        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1 if size > 0 else len(chunk)
-        if cut:
-            yield b"".join(rest + [chunk[:cut]])
-            rest = []
-        rest.append(chunk[cut:])
-    if any(rest):
-        yield b"".join(rest)
+def _toggles(data: bytes, quotes: np.ndarray) -> np.ndarray:
+    """Mask of the ``quotes`` (the offsets of every ``"`` in ``data``, which
+    starts a record) at which ``csv.reader`` enters or leaves a quoted
+    field: a quote at a field start opens one and the next quote not
+    doubled closes it; any other quote is a literal character."""
+    toggles, inside, doubled = np.zeros(len(quotes), dtype=bool), False, -1
+    for i, at in enumerate(quotes.tolist()):
+        if at == doubled:
+            continue
+        if inside and data[at + 1:at + 2] == b'"':
+            doubled = at + 1
+        elif inside or data[at - 1:at] in b",\n\r":  # at offset 0, b"" is in any bytes
+            toggles[i], inside = True, not inside
+    return toggles
 
 
-def _parse_block(data: bytes) -> tuple:
-    """Kept-row columns of quote-free UTF-8 archive lines, with their (total,
-    malformed) counts.
+def _parse_block(data: bytes, header=None, final: bool = False) -> tuple:
+    """Kept-row columns of the records of UTF-8 archive text that starts a
+    record, their (total, malformed) counts and the bytes read: through the
+    last record end, or all when ``final`` (the end then ends a record).
+    With ``header`` (the archive's path) the first record is the header,
+    checked and not counted.
 
-    Lines end at each ``\\r`` and ``\\n`` (so ``\\r\\n`` adds an empty line,
-    which like every blank line is skipped) and fields at each ``,``, as
-    ``csv.reader`` splits text without a quote.  A plain row (five fields of
-    bytes 0x20-0x7E, the first neither empty nor led by a space, so not
-    blank) goes to ``_parse_rows`` by its cells' offsets; any other line
-    goes through ``csv.reader`` and ``_wide_rows``, and its rows merge back
-    in line order.
+    Records end at each ``\\r`` and ``\\n`` (so ``\\r\\n`` adds an empty
+    record, which like every blank one is skipped) and fields at each ``,``
+    outside a quoted field, as ``csv.reader`` splits text.  Every other
+    quote opens a quoted field and the next one closes it while each quote
+    after an even count of them starts a field or doubles a quote; else
+    ``_toggles`` walks the quotes.  A plain row (five fields of bytes
+    0x20-0x7E, none past the field limit, each quote the first or last byte
+    of a cell with no other quote or separator in it; the first cell, within
+    its quotes, neither empty nor led by a space, so not blank) goes to
+    ``_parse_rows`` by its cells' offsets within their quotes.  Any other
+    record goes through ``csv.reader`` and ``_wide_rows`` as one string, and
+    its rows merge back in record order.
     """
     buf = _padded(data)
+    buf[_PAD - 1] = ord("\n")  # the data starts a record
     text = buf[_PAD:_PAD + len(data)]
-    # separators, and past a last line with no line end, the zero after the block
     seps = np.flatnonzero((text == ord(",")) | (text == ord("\n")) | (text == ord("\r")))
-    if not data.endswith((b"\n", b"\r")):
+    spoilt = []  # offsets that send their record to csv.reader
+    if b'"' in data:
+        quotes = np.flatnonzero(text == ord('"'))
+        toggle = (np.ones(len(quotes), dtype=bool) if np.isin(
+            buf[quotes[::2] + _PAD - 1], list(b',\n\r"')).all() else _toggles(data, quotes))
+        toggles = quotes[toggle]
+        inside = np.searchsorted(toggles, seps) % 2 == 1
+        closes = toggles[1::2]
+        # literal and doubled quotes, text after a closing quote, a quote
+        # never closed and separators inside quotes
+        spoilt += [quotes[~toggle], closes[~np.isin(buf[closes + _PAD + 1], list(b",\n\r\0"))],
+                   toggles[2 * len(closes):], seps[inside]]
+        seps = seps[~inside]
+    if final:
         seps = np.append(seps, len(data))
+    spoilt.append(seps[np.diff(seps, prepend=-1) - 1 > csv.field_size_limit()])
     seps += _PAD
-    widths = np.diff(seps, prepend=_PAD - 1) - 1
-    limit = csv.field_size_limit()
-    for at in np.flatnonzero(widths > limit).tolist():  # bytes: an upper bound on characters
-        if len(data[seps[at] - widths[at] - _PAD:seps[at] - _PAD].decode()) > limit:
-            raise csv.Error(f"field larger than field limit ({limit})")
     line_ends = np.flatnonzero(buf[seps] != ord(","))  # indices into seps
     stops = seps[line_ends]
     firsts = np.append(_PAD, stops[:-1] + 1)
     fields = np.diff(line_ends, prepend=-1)
-    plain = np.ones(len(stops), dtype=bool)
-    # a byte outside 0x20-0x7E other than a line end makes its line not plain
+    plain = np.ones(len(stops) + 1, dtype=bool)  # the last slot: bytes after the last record
+    if header is not None and len(stops):
+        _check_header(header, next(csv.reader([data[:stops[0] - _PAD].decode()])))
+        firsts[0], plain[0] = stops[0], False
+    # a byte outside 0x20-0x7E other than a line end makes its record not plain
     if not data.isascii() or np.count_nonzero(text < 0x20) > np.count_nonzero(buf[stops]):
-        odd = np.flatnonzero(((text < 0x20) | (text > 0x7E)) & (text != ord("\n"))
-                             & (text != ord("\r")))
-        plain[np.searchsorted(stops, odd + _PAD)] = False
-    lead = buf[firsts]
-    kernel = plain & (fields == 5) & (lead != ord(",")) & (lead != ord(" "))
+        spoilt.append(np.flatnonzero(((text < 0x20) | (text > 0x7E)) & (text != ord("\n"))
+                                     & (text != ord("\r"))))
+    plain[np.searchsorted(stops - _PAD, np.concatenate(spoilt))] = False
+    lead = buf[firsts + (buf[firsts] == ord('"'))]  # a quoted cell's first byte within its quotes
+    kernel = plain[:-1] & (fields == 5) & ~np.isin(lead, list(b', "'))
     rows = np.flatnonzero(kernel)
     ends = seps[line_ends[rows] + np.arange(-4, 1)[:, None]]
     starts = np.empty_like(ends)
     starts[0], starts[1:] = firsts[rows], ends[:-1] + 1
+    quoted = buf[starts] == ord('"')
+    starts, ends = starts + quoted, ends - quoted
     *columns, ok = _parse_rows(buf, starts, ends)
     total, malformed = len(rows), 0
     others = np.flatnonzero(~kernel & (stops > firsts))
@@ -673,60 +673,51 @@ def _parse_block(data: bytes) -> tuple:
             at = np.searchsorted(rows, others[wide])
             *columns, ok = (np.insert(column, at, extra) for column, extra in zip((*columns, ok), more))
     malformed += len(ok) - int(np.count_nonzero(ok))
-    return tuple(column[ok] for column in columns), total, malformed
-
-
-def _quoted_parts(path, start: int, end: int, header: bool):
-    """``_parse_block``'s results for the rows ``csv.reader`` reads from
-    ``start`` (a line start) to ``end``, ``_CHUNK_ROWS`` rows at a time."""
-    raw = open(path, "rb", buffering=0)
-    raw.seek(start)
-    with io.TextIOWrapper(io.BufferedReader(_Slice(raw, end - start)),
-                          encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if header:
-            _check_header(path, next(reader, None))
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            wide, counted = _wide_rows(chunk)
-            *columns, ok = _parse_wide([chunk[i] for i in wide])
-            yield (tuple(column[ok] for column in columns), counted,
-                   counted - int(np.count_nonzero(ok)))
+    used = int(stops[-1]) + 1 - _PAD if len(stops) else 0
+    return tuple(column[ok] for column in columns), total, malformed, used
 
 
 def _range_parts(path, start: int, end: int):
-    """``_parse_block``'s results for each block of the range; from the first
-    block that holds a ``"``, those of ``_quoted_parts``."""
-    header = start == 0
+    """``_parse_block``'s results for each block of the range, and last for
+    the bytes left at its end, read as ``csv.reader`` reads to the end of
+    its data.  A block is what a read holds up to its last line end (between
+    the two of a ``\\r\\n`` a cut adds only an empty record), after what the
+    block before left: a record still open and the bytes past its cut.  A
+    record open over a whole read makes the next read as long as it, so it
+    is parsed again only as often as its length doubles."""
+    header, rest, size = path if start == 0 else None, b"", end - start
     with open(path, "rb") as fh:
         fh.seek(start)
-        for data in _blocks(fh, end - start):
-            if b'"' in data:
-                yield from _quoted_parts(path, start, end, header)
-                return
+        while size > 0 and (chunk := fh.read(min(max(_BLOCK_BYTES, len(rest)), size))):
+            size -= len(chunk)
+            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1 if size > 0 else len(chunk)
+            if not cut:  # no line end: read on
+                rest += chunk
+                continue
+            data = rest + chunk[:cut]
             data.decode()  # raises on bytes that are not UTF-8
-            start += len(data)
-            if header:
-                header = False
-                cut = min((at for at in (data.find(b"\n"), data.find(b"\r")) if at >= 0),
-                          default=len(data))
-                _check_header(path, next(csv.reader([data[:cut].decode()])))
-                data = data[cut + 1:]
-            yield _parse_block(data)
-    if header:
+            *part, used = _parse_block(data, header)
+            header, rest = header if used == 0 else None, data[used:]
+            if len(rest) > csv.field_size_limit():  # raises on a field past the limit
+                next(csv.reader([rest.decode()]))
+            rest += chunk[cut:]
+            yield part
+    if rest:
+        yield _parse_block(rest, header, final=True)[:3]
+    elif header is not None:
         _check_header(path, None)
 
 
 def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
     """Kept-row columns of one byte range with its (total, malformed) counts.
 
-    The range starting at byte 0 reads and checks the header.  The range is
-    read in blocks of about ``_BLOCK_BYTES``, each cut just after a line end
-    and decoded whole, so a byte that is not UTF-8 anywhere in a block is
-    reported before any other fault in it.  A block without a ``"`` is
-    parsed from its bytes by ``_parse_block``; from the first block with one
-    (where a line end need not end a record), the rest of the range is read
-    by ``csv.reader``.  Bytes that are not UTF-8 and CSV the reader rejects
-    (such as a field over its size limit) raise CorruptArchiveError.
+    The range starting at byte 0 reads and checks the header.  Blocks of
+    about ``_BLOCK_BYTES``, cut just after a line end, are each decoded
+    whole (with any record the block before left open) and then parsed by
+    ``_parse_block``, so a byte that is not UTF-8 anywhere in a block is
+    reported before any other fault in it.  Bytes that are not UTF-8 and CSV
+    the reader rejects (a field over its size limit) raise
+    CorruptArchiveError.
 
     The cyclic collector is off while the range parses: its few Python
     objects, strings and lists of them, hold no cycles.  The caller's
@@ -766,7 +757,7 @@ def ingest_archive(path: str | Path) -> IngestResult:
     majority of the file.  An archive with no header, bytes that are not
     UTF-8 or CSV the reader rejects raises CorruptArchiveError; when a range
     fails, the file is read again in one pass, so the error is the one a
-    single pass meets first (a block's bytes are decoded before its lines
+    single pass meets first (a block's bytes are decoded before its records
     are read).
     """
     ranges = _byte_ranges(path)

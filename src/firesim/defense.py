@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .agents import BotMode, TargetTopic, clip_unit
+from .agents import BotMode, TargetTopic, clip_unit, short_repr
 
 if TYPE_CHECKING:  # pragma: no cover
     from .contagion import Simulation
@@ -112,21 +112,24 @@ def load_reputation_db(path: str | Path) -> frozenset[int]:
     """The account ids of a shared record of earlier campaigns: a
     tab-separated table (``account_id``, ``last_seen_tick``, ``campaign_id``,
     after an optional header line) that organisations exchange.  The run
-    only asks whether an account is listed; a malformed line is a
-    ``ValueError`` naming it."""
+    only asks whether an account is listed; a malformed line, or one that
+    is not UTF-8, is a ``ValueError`` naming it."""
     ids = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or (line_no == 1 and line == _DB_HEADER):
                 continue
             try:
+                line.encode()  # a byte that is not UTF-8 was read as a lone surrogate
                 account_id, last_seen, _ = line.split("\t")
                 int(last_seen)  # checked, not kept
                 ids.add(int(account_id))
+            except UnicodeEncodeError:
+                raise ValueError(f"{path}:{line_no}: not UTF-8 text") from None
             except ValueError:
-                raise ValueError(f"{path}:{line_no}: expected account_id, last_seen_tick "
-                                 f"and campaign_id separated by tabs, got {line!r}") from None
+                raise ValueError(f"{path}:{line_no}: expected account_id, last_seen_tick and "
+                                 f"campaign_id separated by tabs, got {short_repr(line)}") from None
     return frozenset(ids)
 
 

@@ -18,7 +18,6 @@ import functools
 import itertools
 import json
 import math
-import reprlib
 import sys
 import types
 import typing
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, attack, defense
-from .agents import FailureClass, TargetTopic
+from .agents import _SHORT, FailureClass, TargetTopic, short_repr
 from .contagion import FirestormStage, Simulation, World
 from .defense import PastFirestorm, PolicyKind
 from .socialgraph import (AccountKind, AccountTable, SocialGraph, build_roster,
@@ -37,13 +36,6 @@ from .socialgraph import (AccountKind, AccountTable, SocialGraph, build_roster,
 
 class ConfigError(ValueError):
     """A scenario config failed schema or domain validation."""
-
-
-# A config may hold a million-item list or a 200,000-character key where a
-# number belongs, so ``short_repr`` cuts each value or key an error quotes.
-_SHORT = reprlib.Repr()
-_SHORT.maxstring = _SHORT.maxother = 60
-short_repr = _SHORT.repr
 
 
 def _at(path: str, key) -> str:

@@ -525,10 +525,20 @@ def _cells(common, rare):
                      st.sampled_from(common), st.sampled_from(rare))
 
 
-# Rows that repeat (author, tick, valence) under other spellings, creation
-# stamps and surfaces, so keeping the wrong copy of a duplicate shows.
-_ARCHIVE_ROWS = st.lists(st.one_of(
-    st.tuples(_cells(["100", "2024-01-01T00:00:00Z", "101"],
+# How a cell is written: as is, or in each form ``csv.reader`` reads a quote
+# in: quoted whole; quoted with ``""`` and a comma, a comma, ``\n`` or
+# ``\r\n`` inside; with text after its closing quote; with a quote
+# mid-field (a literal character, or at the start of an empty cell a quote
+# that opens).
+_SPELLINGS = st.sampled_from([
+    str, str, lambda c: f'"{c}"', lambda c: f'"""{c}"","', lambda c: f'"{c},"',
+    lambda c: f'"{c}\n"', lambda c: f'"\r\n{c}"', lambda c: f'"{c[:1]}"{c[1:]}',
+    lambda c: f'{c[:1]}"{c[1:]}'])
+
+# The five columns' cells: rows drawn from them repeat (author, tick,
+# valence) under other spellings, creation stamps and surfaces, so keeping
+# the wrong copy of a duplicate shows.
+_ROW_CELLS = (_cells(["100", "2024-01-01T00:00:00Z", "101"],
                      [" 100 ", "+101", "2024-01-01T00:30:00+00:00", "2024-01-01 01:00:00",
                       "1_00", "2023-02-29T00:00:00Z", "soon", "", "9" * 20]),
               _cells(["7", "8"], ["+7", "07", "x", str(2 ** 63), " 8", "-3", "0_7", "\u0663",
@@ -539,9 +549,24 @@ _ARCHIVE_ROWS = st.lists(st.one_of(
               _cells(["-0.0", "0.0", "0", "-0.5"],
                      ["0.5", "1.5", "nan", "n/a", " 1 ", "-1.0", "1.", ".5", "+0.5", "1e-3",
                       "1_0", "-0", "00.50", " -0.5", "0.1234567890123456", "0.9007199254740993",
-                      "-0.50000000000000000001"])).map(",".join),
-    st.sampled_from(["", " , , , , ", "100,7,50,company_page", "1,2,3,4,5,6"])),
+                      "-0.50000000000000000001"]))
+_ARCHIVE_ROWS = st.lists(st.one_of(
+    st.tuples(*_ROW_CELLS).map(",".join), st.tuples(*_ROW_CELLS).map(",".join),
+    st.tuples(*(st.tuples(cells, _SPELLINGS) for cells in _ROW_CELLS)).map(
+        lambda row: ",".join(spell(cell) for cell, spell in row)),
+    # the last, an unterminated quote: at the end of the file, or open over later rows
+    st.sampled_from(["", " , , , , ", "100,7,50,company_page", "1,2,3,4,5,6",
+                     '100,7,50,company_page,"-0.5'])),
     max_size=60)
+
+
+def _oracle_outcome(path):
+    """``_outcome`` as the row loop gives it."""
+    columns, total, duplicates, malformed = _ingest_rows_oracle(path)
+    if total and malformed / total > 0.5:
+        return f"{path}: {malformed} of {total} rows malformed; archive looks corrupt"
+    return (*columns, np.array(columns[3], dtype=np.float64).tobytes(), total, duplicates,
+            malformed)
 
 
 def _assert_ingest_matches_row_loop(path):
@@ -559,12 +584,23 @@ def _assert_ingest_matches_row_loop(path):
         [math.copysign(1, v) for v in columns[3]]
 
 
-@given(_ARCHIVE_ROWS, st.integers(1, 9))
+# header spellings that read as the header
+_HEADERS = st.sampled_from([
+    ARCHIVE_HEADER_LINE, '"timestamp","author_id",author_created_at,"surface","valence"',
+    '"timestamp\r\n",author_id," author_created_at",surface,"valence"'])
+
+
+@given(_ARCHIVE_ROWS, st.integers(1, 64), _HEADERS)
+# a read that holds no line end cuts a character of two bytes in two
+@example(["100,7,50," + "\u00e9" * 7 + ",0.1", "100,7,50,company_page,0.1"], 1,
+         ARCHIVE_HEADER_LINE)
 @settings(max_examples=150, deadline=None)
-def test_chunked_ingest_matches_row_loop(tmp_path_factory, rows, chunk_rows):
-    path = _write_archive(tmp_path_factory.mktemp("archive"), rows)
+def test_chunked_ingest_matches_row_loop(tmp_path_factory, rows, block_bytes, header):
+    """Blocks of a few bytes, so that records and quoted fields straddle
+    the cuts between blocks."""
+    path = _write_archive(tmp_path_factory.mktemp("archive"), rows, header)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analytics, "_CHUNK_ROWS", chunk_rows)
+        mp.setattr(analytics, "_BLOCK_BYTES", block_bytes)
         _assert_ingest_matches_row_loop(path)
 
 
@@ -572,7 +608,7 @@ def test_chunked_ingest_matches_row_loop(tmp_path_factory, rows, chunk_rows):
 @settings(max_examples=100, deadline=None)
 def test_block_ingest_matches_row_loop(tmp_path_factory, rows, block_bytes, quoted, cpus):
     """Blocks of a few bytes, cut just after a line end, hold a line or a few;
-    from a block with a ``"`` the range is read by ``csv.reader``."""
+    a quoted row makes the archive one range."""
     if quoted:
         rows = rows[:len(rows) // 2] + ['"100",7,"50",company_page,"-0.5"'] + rows[len(rows) // 2:]
     path = _write_archive(tmp_path_factory.mktemp("archive"), rows)
@@ -586,8 +622,9 @@ def test_block_ingest_matches_row_loop(tmp_path_factory, rows, block_bytes, quot
 def test_chunked_ingest_dedups_across_chunks(tmp_path, monkeypatch):
     rows = [f"{100 + k % 4},7,{50 + k},general_stream,{('-0.0', '0.0')[k % 3 == 0]}"
             for k in range(12)]
-    for chunk_rows in (1, 3, 5, 12, 100):
-        monkeypatch.setattr(analytics, "_CHUNK_ROWS", chunk_rows)
+    rows[5] = '"' + rows[5].replace(",", '","') + '"'  # a quoted copy
+    for block_bytes in (1, 40, 100, 400, 1 << 18):
+        monkeypatch.setattr(analytics, "_BLOCK_BYTES", block_bytes)
         result = ingest_archive(_write_archive(tmp_path, rows))
         assert result.ticks.tolist() == [100, 101, 102, 103]
         assert result.created_ticks.tolist() == [50, 51, 52, 53]
@@ -602,13 +639,13 @@ def _force_split(mp, cpus, min_range_bytes=1):
     mp.setattr(analytics, "_MIN_RANGE_BYTES", min_range_bytes)
 
 
-@given(_ARCHIVE_ROWS, st.integers(1, 9), st.integers(2, 4), st.integers(1, 64))
+@given(_ARCHIVE_ROWS, st.integers(1, 64), st.integers(2, 4), st.integers(1, 64))
 @settings(max_examples=40, deadline=None)
-def test_split_ingest_matches_row_loop(tmp_path_factory, rows, chunk_rows, cpus,
+def test_split_ingest_matches_row_loop(tmp_path_factory, rows, block_bytes, cpus,
                                        min_range_bytes):
     path = _write_archive(tmp_path_factory.mktemp("archive"), rows)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analytics, "_CHUNK_ROWS", chunk_rows)
+        mp.setattr(analytics, "_BLOCK_BYTES", block_bytes)
         _force_split(mp, cpus, min_range_bytes)
         _assert_ingest_matches_row_loop(path)
     assert multiprocessing.active_children() == []
@@ -790,8 +827,8 @@ def test_multi_block_archive_matches_row_loop_in_one_pass_and_split(tmp_path, mo
     path = _write_archive(tmp_path, rows)
     monkeypatch.setattr(analytics, "_BLOCK_BYTES", 4096)
     blocks, parse_block = [], analytics._parse_block
-    monkeypatch.setattr(analytics, "_parse_block", lambda data: blocks.append(len(data))
-                        or parse_block(data))
+    monkeypatch.setattr(analytics, "_parse_block", lambda data, *args: blocks.append(len(data))
+                        or parse_block(data, *args))
     for cpus in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
             _force_split(mp, cpus, 1 << 16)
@@ -804,6 +841,23 @@ def test_multi_block_archive_matches_row_loop_in_one_pass_and_split(tmp_path, mo
     one, split, ranges = _one_and_split(path, 2, 1 << 16)
     assert len(ranges) == 2 and one == split
     assert split[-3:] == _ingest_rows_oracle(path)[1:]
+
+
+def test_a_quote_never_closed_is_refused_once_its_field_passes_the_limit(tmp_path,
+                                                                        monkeypatch):
+    """A record open at a block's end is read again with the next block, so
+    a quote never closed would carry the rest of the file, 1.2 MB here: the
+    carry is refused once its field is past the reader's limit."""
+    rows = ['100,7,50,company_page,"-0.5'] + ["101,8,60,general_stream,0.25"] * 40_000
+    path = _write_archive(tmp_path, rows)
+    monkeypatch.setattr(analytics, "_BLOCK_BYTES", 1 << 14)
+    blocks, parse_block = [], analytics._parse_block
+    monkeypatch.setattr(analytics, "_parse_block", lambda data, *args: blocks.append(len(data))
+                        or parse_block(data, *args))
+    with pytest.raises(CorruptArchiveError, match=re.escape("unreadable CSV (field larger")):
+        ingest_archive(path)
+    # each read as long as the carry: 16, 32, 64, 128 and 256 KiB
+    assert len(blocks) == 5 and max(blocks) <= 2 * csv.field_size_limit()
 
 
 def _line(column: int, cell: str) -> str:
@@ -836,16 +890,19 @@ _BOUNDARY_LINES = [
     _line(1, "7\x00"), _line(3, "company_page\x00"), _line(2, "50\r"), _line(4, "-0.5\r\r"),
     _line(1, "\t7"), _line(3, "general_\u017ftream"), _line(0, " 100"), "," * 4, " , , , , ",
     "\t,\t,\t,\t,\t", "\u00a0,,,,", "\x1c,,,,",  # blank to ``str.strip``, so skipped
+    '"\r\n",,,,', '" \n","",,,', '"", ,,,',  # blank within quotes, so skipped
+    # a literal quote sends the block to ``_toggles``: a doubled quote keeps the line end quoted
+    '1"00,7,50,"company""\n_page",-0.5',
     _line(3, "x" * 131_072), _line(3, "x" * 131_073), _line(3, "\u00e9" * 65_537),
 ]
 
 
-@pytest.mark.parametrize("quoted", [False, True], ids=["bytes", "csv-reader"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["bytes", "quoted"])
 @pytest.mark.parametrize("line", _BOUNDARY_LINES,
                          ids=lambda line: repr(line if len(line) < 60 else f"{len(line)} chars"))
 def test_cells_beside_each_kernel_rule_ingest_as_the_row_loop(tmp_path, line, quoted):
-    """One row under test, then a good row (quoted to send the file through
-    ``csv.reader``), so that a malformed row is counted and not fatal."""
+    """One row under test, then a good row (quoted, so that the block holds a
+    quote), so that a malformed row is counted and not fatal."""
     good = '"101",8,60,general_stream,0.25' if quoted else "101,8,60,general_stream,0.25"
     path = _write_archive(tmp_path, [line, good])
     try:
@@ -920,8 +977,9 @@ def test_a_cell_outside_int64_spoils_only_its_own_row(tmp_path):
     rows[5] = "yesterday,5,50,general_stream,-0.5"      # no tick at all
     rows[6] = f"106,6,{big},general_stream,-0.5"         # creation past int64
     rows[11] = f"111,{-2 ** 63 - 1},50,general_stream,-0.5"
-    assert len(rows) < analytics._CHUNK_ROWS
-    result = ingest_archive(_write_archive(tmp_path, rows))
+    path = _write_archive(tmp_path, rows)
+    assert path.stat().st_size < analytics._BLOCK_BYTES
+    result = ingest_archive(path)
     assert result.malformed_count == 5
     assert result.authors.tolist() == [1, 2, 3, 7, 8, 9, 10]
     assert result.ticks.tolist() == [101, 102, 103, 107, 108, 109, 110]
@@ -1042,6 +1100,14 @@ def test_arbitrary_bytes_give_a_result_or_corrupt_archive_error(tmp_path_factory
     one, split, ranges = _one_and_split(path, cpus, min_range_bytes)  # raise nothing else
     event(f"{min(len(ranges), 2)} ranges, {'error' if isinstance(one, str) else 'result'}")
     assert split == one
+    try:
+        path.read_bytes().decode()
+    except UnicodeDecodeError:
+        return
+    if isinstance(one, str) and "expected header" in one:
+        assert not header
+    else:
+        assert one == _oracle_outcome(path)
 
 
 @given(st.booleans(),

@@ -714,3 +714,53 @@ def test_integer_past_int64_is_a_config_error(tmp_path, capsys, section, name, v
     err = capsys.readouterr().err
     assert f"{section}.{name}: must " in err and "Traceback" not in err
     assert not out.exists()
+
+
+# -- the reputation DB front door ---------------------------------------------------------
+
+_RUN_FILES = ["financial.csv", "history.csv", "run_metadata.json", "sentiment_windows.csv"]
+# run_metadata.json of the small DB run below is about 7.3 KB
+_METADATA_BYTES = 16_384
+
+
+def _run_with_db(directory: Path, db_bytes: bytes) -> list[dict]:
+    """``run`` of a 300-user, 30-tick world whose shared account database
+    policy arms at tick 1 and reads ``db_bytes``: the db_unavailable events
+    of the whole report it writes."""
+    db, config, out = directory / "accounts.tsv", directory / "config.json", directory / "out"
+    db.write_bytes(db_bytes)
+    config.write_text(json.dumps({
+        "graph": {"n": 300}, "attack": {"bots": 20}, "run": {"ticks": 30},
+        "defense": {"enabled": True, "db_path": str(db), "playbook": [
+            {"kind": "shared_account_database", "trigger_tick": 1}]}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == _RUN_FILES
+    metadata = out / "run_metadata.json"
+    assert metadata.stat().st_size <= _METADATA_BYTES
+    return [event for event in json.loads(metadata.read_text(encoding="utf-8"))["events"]
+            if event["kind"] == "db_unavailable"]
+
+
+@pytest.mark.parametrize("db_bytes,reason", [
+    # once quoted whole: run_metadata.json grew to 2,007,407 bytes
+    (b"x" * 2_000_000 + b"\n", ":1: expected account_id, last_seen_tick and campaign_id "
+                               "separated by tabs, got 'xxx"),
+    # once "'utf-8' codec can't decode byte 0xff in position 42", naming neither
+    (b"account_id\tlast_seen_tick\tcampaign_id\n7\t100\tspring\n42\t50\tspr\xffing\n",
+     ":3: not UTF-8 text"),
+], ids=["long-line", "not-utf8"])
+def test_a_bad_reputation_db_is_named_briefly_in_a_whole_report(tmp_path, db_bytes, reason):
+    [event] = _run_with_db(tmp_path, db_bytes)
+    assert event["reason"].startswith(str(tmp_path / "accounts.tsv") + reason)
+    assert len(event["reason"]) <= len(str(tmp_path)) + 200
+
+
+@given(st.lists(st.sampled_from([b"7\t100\tspring\n", b"\t", b"\n", b"\r\n", b"42", b"x" * 5000,
+                                 b"\xff", b"\xc3\xa9", b"account_id\tlast_seen_tick\tcampaign_id\n"]),
+                max_size=12).map(b"".join))
+@settings(max_examples=15, deadline=None)
+def test_any_reputation_db_bytes_end_in_a_whole_report(db_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        for event in _run_with_db(Path(tmp), db_bytes):
+            assert len(event["reason"]) <= len(tmp) + 200

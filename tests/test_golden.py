@@ -20,7 +20,10 @@ cut to one record each.  The storm-scale digests (``n50000`` and the
 ``WORLD_CSR_DIGESTS`` of the 50k follower graph, with and without bot
 followers) were recorded before ``SocialGraph.add_edges`` built the CSR
 from one sorted key array and the sentiment windows were counted by
-slice.  Any refactor of the engine, the fork or the
+slice.  The quoted `analyze` digests (every cell quoted, and each quoting
+form ``csv.reader`` reads) were recorded while a quoted range was still
+read by ``csv.reader``, before quoted records moved onto the byte
+kernels.  Any refactor of the engine, the fork or the
 report writers must leave these bytes unchanged; a change that moves them
 on purpose has to re-record the tables and say why.
 ``scripts/golden_digests.py`` recomputes every table below.
@@ -32,6 +35,7 @@ another release may be that release's doing, not a regression.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -189,6 +193,20 @@ ANALYZE_EDGE_DIGESTS = {
     "volume.csv": "557a05ddd1cb58c8eabf9a93d2e4d9783ed49d2ffca5a146c1edf3ba98c69e62",
 }
 
+# `analyze` of the archive ``write_analyze_quoted_inputs`` writes
+ANALYZE_QUOTED_DIGESTS = {
+    "analysis.json": "51e970f64b3c3708e706e128a0e3afb685f6a653a7a0e72db1539c5a1091329c",
+    "sentiment_windows.csv": "a64d838df9c8f735a2bf1f3d2d7400639d03cb9b404319b2b4789b4379090f39",
+    "volume.csv": "4dbd47968042953ccdd4b5301bd3539c218bc87da7acaf2367c500797f1e6c32",
+}
+
+# `analyze` of the archive ``write_analyze_quirks_inputs`` writes
+ANALYZE_QUIRKS_DIGESTS = {
+    "analysis.json": "047e1bc10f79421235c31923ede2819e81093bb382f2ac66c39efa474a8e37e5",
+    "sentiment_windows.csv": "15bb4b3d6a12abee83396f7cebabcc1744bc220feedfef68f38974be7eb2bcee",
+    "volume.csv": "5aa0eff16ac0bd27a51a0469eb2dfc38785799f85c25c3486153e8adea16d199",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -335,6 +353,52 @@ def write_analyze_edge_inputs(directory):
     return archive, config
 
 
+def write_analyze_quoted_inputs(directory):
+    """The archive of ``write_analyze_inputs`` with every cell quoted
+    (``csv.QUOTE_ALL``), plus its config."""
+    archive, config = write_analyze_inputs(directory)
+    rows = list(csv.reader(archive.read_text(encoding="utf-8").splitlines()))
+    with open(archive, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+    return archive, config
+
+
+def write_analyze_quirks_inputs(directory):
+    """The archive of ``write_analyze_inputs`` with a quoted header and rows
+    in each quoting form ``csv.reader`` reads, plus its config.
+
+    Cells hold ``""``, a quoted ``,``, a quoted ``\\n`` and ``\\r\\n``, a
+    quote mid-field (``a"b``, a literal character), text after a closing
+    quote (``"a"b``) and doubled quotes; some records end in CRLF, one row
+    repeats an earlier one fully quoted, and the last record's quote is
+    never closed.
+    """
+    archive, config = write_analyze_inputs(directory)
+    _, *lines = archive.read_text(encoding="utf-8").splitlines()
+    base = 480_000
+    quirks = [
+        f'"{base + 1}","101","{base - 50}","company_page","-0.5"',
+        f'{base + 2},"","{base}",general_stream,0.2',  # an empty author: malformed
+        f'{base + 3},102,{base},"",0.45',  # an empty surface: the general stream
+        f'{base + 4},103,{base},"company_page,inc",-0.3',
+        f'"{base + 5}\n",104,{base},general_stream,"0.25\n"',
+        f'{base + 6},"\r\n105",{base},company_page,-0.75',
+        f'{base + 7},106,{base},company"page,-0.2',
+        f'{base + 8},1"07,{base},general_stream,0.3',
+        f'{base + 9},108,{base},general_stream,"-0".5',  # reads -0.5
+        f'"4800"11,109,{base},"company"_page,0.15',  # reads 480011 and company_page
+        f'{base + 12},110,{base},"employee_profile:""4""",-0.6',
+        f'{base + 13},111,{base},"""",0.6',
+        '"' + lines[5].replace(",", '","') + '"',  # a duplicate
+    ]
+    records = lines[:10] + quirks[:7] + lines[10:25] + quirks[7:] + lines[25:]
+    text = '"timestamp","author_id",author_created_at,"surface","valence"\n'
+    text += "".join(record + ("\r\n" if k % 4 == 1 else "\n") for k, record in enumerate(records))
+    text += f'{base + 14},112,{base},company_page,"0.35'
+    archive.write_bytes(text.encode("utf-8"))
+    return archive, config
+
+
 def analyze_digests(work_dir, write_inputs=write_analyze_inputs) -> dict[str, str]:
     """Digests of `analyze` run from ``work_dir``, so that the archive path
     recorded in analysis.json is the same relative name every time."""
@@ -383,9 +447,22 @@ def test_analyze_edge_digests(tmp_path):
         _RECORDED_ON
 
 
+def test_analyze_quoted_digests(tmp_path):
+    assert analyze_digests(tmp_path, write_analyze_quoted_inputs) == ANALYZE_QUOTED_DIGESTS, \
+        _RECORDED_ON
+
+
+def test_analyze_quirks_digests(tmp_path):
+    assert analyze_digests(tmp_path, write_analyze_quirks_inputs) == ANALYZE_QUIRKS_DIGESTS, \
+        _RECORDED_ON
+
+
+# an archive that holds a quote is one range
 @pytest.mark.parametrize("write_inputs,digests,ranges", [
     (write_analyze_inputs, ANALYZE_DIGESTS, 3),
-    (write_analyze_edge_inputs, ANALYZE_EDGE_DIGESTS, 1),  # a quoted field: one range
+    (write_analyze_edge_inputs, ANALYZE_EDGE_DIGESTS, 1),
+    (write_analyze_quoted_inputs, ANALYZE_QUOTED_DIGESTS, 1),
+    (write_analyze_quirks_inputs, ANALYZE_QUIRKS_DIGESTS, 1),
 ])
 def test_analyze_digests_with_the_split_forced(tmp_path, monkeypatch, write_inputs, digests,
                                                ranges):
