@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import gc
 import io
 import itertools
 import json
@@ -246,47 +245,24 @@ def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
     return rows[at].view(np.uint8).reshape(len(at), width)
 
 
-def _texts(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-    return [buf[s:e].tobytes().decode() for s, e in zip(starts.tolist(), ends.tolist())]
-
-
-def _int64_column(values: list[int], rejected: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` as int64 and the mask of entries that are within int64 and
-    not ``rejected``; entries out of range are 0 in the array."""
-    try:
-        column, ok = np.array(values, dtype=np.int64), np.ones(len(values), dtype=bool)
-    except OverflowError:
-        ok = np.array([_INT64_MIN <= v <= _INT64_MAX for v in values], dtype=bool)
-        column = np.array([v if good else 0 for v, good in zip(values, ok)], dtype=np.int64)
-    ok[rejected] = False
-    return column, ok
-
-
-def _mapped(convert, cells: Sequence[str], fill=0) -> tuple[list, list[int]]:
-    """``convert`` over a column, with ``fill`` for each cell it rejects, and
-    the indices of those cells.  ``list.extend`` keeps what it appended
-    before ``convert`` raised, so each cell is converted once."""
-    out, rejected, cells = [], [], iter(cells)
-    while True:
-        try:
-            out.extend(map(convert, cells))
-            return out, rejected
-        except (ValueError, OverflowError):
-            rejected.append(len(out))
-            out.append(fill)
-
-
-def _integer_cells(convert, buf, starts, ends, values, ok) -> None:
-    """Set ``values`` and ``ok`` of each cell ``ok`` leaves out by ``convert``,
-    an integer converter, and the int64 range."""
+def _scalar_cells(convert, buf, starts, ends, values, ok, low, high) -> None:
+    """Set ``values`` and ``ok`` of each cell ``ok`` leaves out that
+    ``convert`` accepts with a value in ``[low, high]``.  Each such cell is
+    decoded and converted once, in order."""
     at = np.flatnonzero(~ok)
-    if len(at):
-        values[at], ok[at] = _int64_column(*_mapped(convert, _texts(buf, starts[at], ends[at])))
+    for i, start, end in zip(at.tolist(), starts[at].tolist(), ends[at].tolist()):
+        try:
+            value = convert(buf[start:end].tobytes().decode())
+        except (ValueError, OverflowError):
+            continue
+        if low <= value <= high:
+            values[i], ok[i] = value, True
 
 
 # Each kernel below reads the cells ``buf[starts[i]:ends[i]]`` and returns
 # their values with the mask of cells it accepts; the caller sends the rest
-# through the scalar converter, so a cell reads the same either way.  Digits
+# through ``_scalar_cells`` and the scalar converter, so a cell reads the same
+# either way.  Digits
 # are read eight at a time from the uint64 that ends at a cell's end.
 
 def _eight_digits(words: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +395,7 @@ def _parse_timestamps(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
                            (_integers, lengths <= 19)):
         at = np.flatnonzero(shaped & ~ok)
         ticks[at], ok[at] = kernel(buf, starts[at], ends[at])
-    _integer_cells(_parse_timestamp, buf, starts, ends, ticks, ok)
+    _scalar_cells(_parse_timestamp, buf, starts, ends, ticks, ok, _INT64_MIN, _INT64_MAX)
     return ticks, ok
 
 
@@ -448,7 +424,8 @@ def _surfaces_ok(buf, starts, ends) -> np.ndarray:
                         & (buf[starts + 16] == ord(":")))
     ok[at] = _integers(buf, starts[at] + 17, ends[at])[1]
     at = np.flatnonzero(~ok)
-    ok[at] = [_surface_ok(text) for text in _texts(buf, starts[at], ends[at])]
+    ok[at] = [_surface_ok(buf[s:e].tobytes().decode())
+              for s, e in zip(starts[at].tolist(), ends[at].tolist())]
     return ok
 
 
@@ -459,12 +436,11 @@ def _parse_rows(buf, starts, ends) -> tuple[np.ndarray, ...]:
         column.reshape(2, -1) for column in _parse_timestamps(buf, starts[[0, 2]].ravel(),
                                                               ends[[0, 2]].ravel()))
     authors, authors_ok = _integers(buf, starts[1], ends[1])
-    _integer_cells(int, buf, starts[1], ends[1], authors, authors_ok)
+    _scalar_cells(int, buf, starts[1], ends[1], authors, authors_ok, _INT64_MIN, _INT64_MAX)
     valences, valences_ok = _decimals(buf, starts[4], ends[4])
-    at = np.flatnonzero(~valences_ok)
-    # a rejected valence is NaN: out of range below
-    valences[at] = _mapped(float, _texts(buf, starts[4][at], ends[4][at]), math.nan)[0]
-    ok &= authors_ok & created_ok & (valences >= -1.0) & (valences <= 1.0)
+    valences_ok &= np.abs(valences) <= 1.0  # a kernel value out of range is refused
+    _scalar_cells(float, buf, starts[4], ends[4], valences, valences_ok, -1.0, 1.0)
+    ok &= authors_ok & created_ok & valences_ok
     ok &= _surfaces_ok(buf, starts[3], ends[3])
     return ticks, authors, created, valences, ok
 
@@ -481,12 +457,6 @@ def _cell_bytes(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     lengths = np.fromiter(lengths, dtype=np.int64, count=len(cells))
     ends = np.cumsum(lengths) + _PAD
     return _padded(data), ends - lengths, ends
-
-
-def _parse_wide(rows: list[list[str]]) -> tuple[np.ndarray, ...]:
-    """``_parse_rows`` of five-cell rows of strings."""
-    buf, starts, ends = _cell_bytes(list(itertools.chain.from_iterable(rows)))
-    return _parse_rows(buf, starts.reshape(-1, 5).T, ends.reshape(-1, 5).T)
 
 
 def _wide_rows(rows: list[list[str]]) -> tuple[list[int], int]:
@@ -669,7 +639,9 @@ def _parse_block(data: bytes, header=None, final: bool = False) -> tuple:
         total += counted
         malformed += counted - len(wide)
         if wide:
-            more = _parse_wide([split[i] for i in wide])
+            wide_buf, wide_starts, wide_ends = _cell_bytes(
+                [cell for i in wide for cell in split[i]])
+            more = _parse_rows(wide_buf, wide_starts.reshape(-1, 5).T, wide_ends.reshape(-1, 5).T)
             at = np.searchsorted(rows, others[wide])
             *columns, ok = (np.insert(column, at, extra) for column, extra in zip((*columns, ok), more))
     malformed += len(ok) - int(np.count_nonzero(ok))
@@ -715,19 +687,15 @@ def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
     about ``_BLOCK_BYTES``, cut just after a line end, are each decoded
     whole (with any record the block before left open) and then parsed by
     ``_parse_block``, so a byte that is not UTF-8 anywhere in a block is
-    reported before any other fault in it.  Bytes that are not UTF-8 and CSV
-    the reader rejects (a field over its size limit) raise
+    reported before any other fault in it.  Within a block the array kernels
+    read each column, and ``_scalar_cells`` reads each timestamp, author and
+    valence cell they refuse with its scalar converter.  Bytes that are not
+    UTF-8 and CSV the reader rejects (a field over its size limit) raise
     CorruptArchiveError.
-
-    The cyclic collector is off while the range parses: its few Python
-    objects, strings and lists of them, hold no cycles.  The caller's
-    setting is restored on return.
     """
     path, start, end = task
     parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
     total = malformed = 0
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         for columns, rows, bad in _range_parts(path, start, end):
             parts.append(columns)
@@ -737,9 +705,6 @@ def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
         raise CorruptArchiveError(f"{path}: not UTF-8 text ({err.reason})") from None
     except csv.Error as err:
         raise CorruptArchiveError(f"{path}: unreadable CSV ({err})") from None
-    finally:
-        if collecting:
-            gc.enable()
     return *(np.concatenate(column) for column in zip(*parts)), total, malformed
 
 

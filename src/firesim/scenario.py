@@ -132,8 +132,8 @@ def _check(condition: bool, path: str, message: str) -> None:
 
 def _check_fields(value, path: str, rule=None) -> None:
     """Apply ``rule`` to ``value``, or to each item of a tuple, and each
-    field's own rule inside a config dataclass; ``None`` is skipped and
-    NaN or an infinity is never a value."""
+    field's type and own rule inside a config dataclass; ``None`` is skipped
+    and NaN or an infinity is never a value."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{path}: must be a finite number, got {short_repr(value)}")
     if isinstance(value, tuple):
@@ -156,8 +156,13 @@ def _check_fields(value, path: str, rule=None) -> None:
         if value not in rule:
             raise ConfigError(f"{path}: {short_repr(value)} not in {list(rule)}")
     elif dataclasses.is_dataclass(value):
-        for name, (_, _, field_rule) in _field_specs(type(value)).items():
-            _check_fields(getattr(value, name), f"{path}.{name}" if path else name, field_rule)
+        for name, (tp, _, field_rule) in _field_specs(type(value)).items():
+            item, where = getattr(value, name), f"{path}.{name}" if path else name
+            if isinstance(tp, types.UnionType) and item is not None:  # X | None
+                (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+            if tp in _SCALARS:
+                _check_scalar(tp, item, where)
+            _check_fields(item, where, field_rule)
 
 
 @dataclass(frozen=True)
@@ -404,6 +409,14 @@ def _type_error(path: str, expected: str, value) -> ConfigError:
     return ConfigError(f"{path}: expected {expected}, got {short_repr(value)}")
 
 
+def _check_scalar(tp, value, path: str) -> None:
+    """``value`` is of the scalar type ``tp``; a float also takes an int, and
+    only a bool takes a bool."""
+    expected, accepted = _SCALARS[tp]
+    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
+        raise _type_error(path, expected, value)
+
+
 @functools.cache
 def _field_specs(cls) -> dict:
     """name -> (annotation, default or MISSING, rule or None) for a config dataclass."""
@@ -476,9 +489,7 @@ def _decode(tp, value, default, path: str):
         if value not in names:
             raise ConfigError(f"{path}: {short_repr(value)} not in {names}")
         return tp(value)
-    expected, accepted = _SCALARS[tp]
-    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
-        raise _type_error(path, expected, value)
+    _check_scalar(tp, value, path)
     if tp is float and not abs(value) <= sys.float_info.max:  # NaN, inf, or an int past them
         raise ConfigError(f"{path}: must be a finite number, got {short_repr(value)}")
     return float(value) if tp is float else value

@@ -916,43 +916,55 @@ def test_cells_beside_each_kernel_rule_ingest_as_the_row_loop(tmp_path, line, qu
 
 # -- converting each cell once ------------------------------------------------------
 
-def _mapped_by_cell(convert, cells, fill):
-    """``analytics._mapped`` as a loop over cells: the oracle."""
-    out, rejected = [], []
+def _scalar_cells_by_cell(convert, cells, values, ok, low, high):
+    """``analytics._scalar_cells`` as a loop over cells: the oracle."""
+    values, ok = list(values), list(ok)
     for i, cell in enumerate(cells):
+        if ok[i]:
+            continue
         try:
-            out.append(convert(cell))
+            value = convert(cell)
         except (ValueError, OverflowError):
-            out.append(fill)
-            rejected.append(i)
-    return out, rejected
+            continue
+        if low <= value <= high:
+            values[i], ok[i] = value, True
+    return values, ok
 
 
-_CONVERTERS = {"int": (int, 0), "float": (float, math.nan), "timestamp": (_parse_timestamp, 0)}
+_INT64_RANGE = (analytics._INT64_MIN, analytics._INT64_MAX)
+_CONVERTERS = {"int": (int, np.int64, _INT64_RANGE), "float": (float, np.float64, (-1.0, 1.0)),
+               "timestamp": (_parse_timestamp, np.int64, _INT64_RANGE)}
 
 
 @given(st.sampled_from(sorted(_CONVERTERS)),
-       st.lists(st.sampled_from(["7", " -8 ", "+9", "1_0", "0.5", "nan", "x", "", "1e999",
-                                 "2024-01-01T00:00:00Z", "9" * 25]), max_size=30))
+       st.lists(st.tuples(st.sampled_from(["7", " -8 ", "+9", "1_0", "0.5", "-0.0", "2", "nan",
+                                           "x", "", "1e999", "-1e-400", "\u0663", "\u00e9",
+                                           "2024-01-01T00:00:00Z", "9" * 25, "-" + "9" * 19]),
+                          st.booleans()), max_size=30))
 @example("int", [])
-@example("int", ["x"])
-@example("int", ["x", "7", "8"])  # rejected first
-@example("int", ["7", "8", "x"])  # last
-@example("int", ["7", "x", "y", "z", "8"])  # several in a row
-@example("int", ["x", "y", "z"])  # every cell
-@example("float", ["x", "7", "y", "8", "z"])
+@example("int", [("x", False)])
+@example("int", [("x", False), ("7", False), ("8", True)])  # refused first
+@example("int", [("7", True), ("8", False), ("x", False)])  # last
+@example("int", [("7", False), ("x", False), ("y", False), ("z", False), ("8", False)])
+@example("float", [("x", False), ("0.5", True), ("y", False), ("2", False), ("-0.0", False)])
 @settings(max_examples=200, deadline=None)
-def test_mapped_converts_each_cell_once_like_a_cell_loop(converter, cells):
-    convert, fill = _CONVERTERS[converter]
+def test_scalar_cells_convert_each_refused_cell_once_like_a_cell_loop(converter, rows):
+    """A cell that ``ok`` accepts keeps its kernel value (3) and is not
+    converted; each other cell is converted once, in order."""
+    convert, dtype, (low, high) = _CONVERTERS[converter]
+    cells = [cell for cell, _ in rows]
+    values = np.full(len(cells), 3, dtype=dtype)
+    ok = np.array([accepted for _, accepted in rows], dtype=bool)
+    expected = _scalar_cells_by_cell(convert, cells, values.tolist(), ok.tolist(), low, high)
     seen = []
 
     def counting(cell):
         seen.append(cell)
         return convert(cell)
 
-    out, rejected = analytics._mapped(counting, cells, fill)
-    assert seen == cells
-    assert repr((out, rejected)) == repr(_mapped_by_cell(convert, cells, fill))
+    analytics._scalar_cells(counting, *analytics._cell_bytes(cells), values, ok, low, high)
+    assert seen == [cell for cell, accepted in rows if not accepted]
+    assert repr((values.tolist(), ok.tolist())) == repr(expected)
 
 
 @pytest.mark.parametrize("cell", [" 7 ", "\t7\n", "+7", "7_0", " -7", "\u20037\u2003", "\u0663",
@@ -1051,13 +1063,6 @@ def test_ingest_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, cpus,
     bad.write_bytes(good.read_bytes() + b"101,7,50,\xff\n")
     _force_split(monkeypatch, cpus)
     assert len(analytics._byte_ranges(good)) == cpus
-    parse_rows, parsing = analytics._parse_rows, []
-
-    def spy(*args):
-        parsing.append(gc.isenabled())
-        return parse_rows(*args)
-
-    monkeypatch.setattr(analytics, "_parse_rows", spy)
     was = gc.isenabled()
     try:
         (gc.enable if collecting else gc.disable)()
@@ -1069,8 +1074,6 @@ def test_ingest_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, cpus,
     finally:
         (gc.enable if was else gc.disable)()
     assert multiprocessing.active_children() == []
-    if cpus == 1:  # forked workers record into their own copy of ``parsing``
-        assert parsing and not any(parsing)
 
 
 # Pieces of archive text: CSV syntax, line ends, quotes, NULs, valid cells

@@ -106,6 +106,34 @@ def test_invalid_config_is_exit_2_and_writes_nothing(tmp_path, capsys, text, mes
     assert not out.exists() or not any(out.iterdir())
 
 
+_TOPIC = {"topic_id": "t", "failure_class": "social", "severity": 0.5, "appeal": [0.5] * 5}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"agents": {"class_multipliers": 5}}, "agents.class_multipliers: expected a mapping, got 5"),
+    ({"attack": {"action_probabilities": {"bogus": 0.1}}},
+     "attack.action_probabilities.bogus: unknown key; expected one of ['dos', "),
+    ({"topics": [{**_TOPIC, "failure_class": "bogus"}]},
+     "topics[0].failure_class: 'bogus' not in ['social', "),
+    ({"topics": [{**_TOPIC, "severity": 2}]}, "topics[0]: severity must lie in [0, 1]"),
+], ids=["mapping", "unknown-action", "failure-class", "severity"])
+def test_config_errors_in_nested_sections_are_exit_2(tmp_path, capsys, config, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_batch_parallelism_below_one_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["batch", "--parallelism", "0", "--seeds", "0..1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --parallelism must be >= 1\n"
+    assert not out.exists()
+
+
 def test_missing_config_file_is_exit_3(tmp_path, capsys):
     code = cli.main(["run", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")])

@@ -103,9 +103,31 @@ RUN_CONFIGS = {
                                                    [12, "extortion"]],
                                "ransom": {"force_outcome": "pay"},
                                "service": {"force_outcome": "pay"}}},
+    # managers pass stress on to employees, and a short smoothing window with
+    # a high low-water mark drops the storm from peak straight to minor
+    "manager-transfer-minor": {"graph": {"n": 500}, "agents": {"manager_transfer": 0.2},
+                               "contagion": {"smoothing_window": 2, "stage_low": 20}},
 }
 
 CONFIG_RUN_DIGESTS = {
+    ("manager-transfer-minor", 0): {
+        "financial.csv": "883318b66eba729edd80f0f3bdf47e221cd51fd7f0e43fbe777daa1e21db5db8",
+        "history.csv": "68d7738aaaf1874dc5b29465d7190a3d31805d29280be1f7503f435f98815d82",
+        "run_metadata.json": "53ede698ce7804acddc0fa20f953fc58b4a651aafc54f700ed5b0c51fa6facc2",
+        "sentiment_windows.csv": "6c5628f7ea3221af2df30261957b90bf42c092fdd44f251b996e3b3b57f92183",
+    },
+    ("manager-transfer-minor", 1): {
+        "financial.csv": "a045784fcd0f558aabce43feecd5e40a2b1b15819c58e8d388413d5ae694cbd2",
+        "history.csv": "0531301b1d19d1120dbdc457838baa97f5b5b733f248c81b7ee47cdcb566aac4",
+        "run_metadata.json": "c8563e5d41aff13f3959e579ece453166d136c088b306f311a9c8df006cf11c4",
+        "sentiment_windows.csv": "98705029913589ee6ce9a44a2eb32f4c0b0e902f1e8137f8b24fc5c54185c638",
+    },
+    ("manager-transfer-minor", 2): {
+        "financial.csv": "e89514885443ddb33e0d57d9a197a5263ebae6beeac0d9c117e718db66a42617",
+        "history.csv": "1dd47cb7ed4250b3d7de53cfe110dfffa3a048f4b3c1ca2e51190acbda1a5af5",
+        "run_metadata.json": "4282ace54fb7a1c3442786fd82d06c25a5ac866f447705833b30e2e9e1e75f00",
+        "sentiment_windows.csv": "60720c7b66ed02f557672d674af2dc9148c3a4edf000b8387a5bf2438846ab62",
+    },
     ("mismatched-playbook", 0): {
         "financial.csv": "448ba97f8b7d9fb8f973ae7199c609c666f3fe57a9ea8e300669925e9866a3bd",
         "history.csv": "a42cac0c4d956ee6ef6c85689026b7f84cfba7ce6f5db767be69eb14f788d9e8",

@@ -40,9 +40,11 @@ def test_an_unknown_name_raises_attribute_error():
         firesim.no_such_name  # noqa: B018
 
 
-# The benchmark's traced mode patches firesim functions by module and name,
-# so a name that moved, or a module the commands no longer load, fails it.
-_TRACED_COMMANDS = """\
+# The benchmark's traced mode patches firesim functions by module and name
+# after one workload's warm-up, so a name that moved, or a module that one
+# command alone no longer loads, fails it.  Each command runs in a fresh
+# interpreter, then the tracer installs.
+_TRACED_COMMAND = """\
 import contextlib, io, json, sys, tempfile
 from pathlib import Path
 import firesim.cli as cli
@@ -54,25 +56,27 @@ with tempfile.TemporaryDirectory() as tmp:
                                   "run": {"ticks": 30}}))
     archive.write_text("timestamp,author_id,author_created_at,surface,valence\\n"
                        "0,1,-9000,general_stream,0.5\\n1,2,-9000,company_page,-0.5\\n")
+    argv = {"run": ["run", "--config", str(config)],
+            "compare": ["compare", "--config", str(config), "--toggle", "defense_playbook",
+                        "--seeds", "0..1"],
+            "analyze": ["analyze", str(archive)]}[sys.argv[1]]
     with contextlib.redirect_stdout(io.StringIO()):
-        codes = [cli.main(["run", "--config", str(config), "--out", str(tmp / "run")]),
-                 cli.main(["compare", "--config", str(config), "--toggle", "defense_playbook",
-                           "--seeds", "0..1", "--out", str(tmp / "compare")]),
-                 cli.main(["analyze", str(archive), "--out", str(tmp / "analyze")])]
+        code = cli.main(argv + ["--out", str(tmp / "out")])
 main = cli.main
 tracer = Tracer()
 tracer.install()
 assert cli.main is not main
 tracer.uninstall()
 assert cli.main is main
-print(codes)
+print(code)
 """
 
 
-def test_the_benchmark_tracer_installs_after_each_command():
+@pytest.mark.parametrize("command", ["run", "compare", "analyze"])
+def test_the_benchmark_tracer_installs_after_each_command(command):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent / "perfbench"), str(SRC), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _TRACED_COMMANDS], capture_output=True,
+    done = subprocess.run([sys.executable, "-c", _TRACED_COMMAND, command], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.split() == ["[0,", "0,", "0]"]
+    assert done.stdout.split() == ["0"]

@@ -188,6 +188,32 @@ def test_a_config_checks_itself_when_made():
         replace(cfg, agents=replace(cfg.agents, gamma_direct=math.inf))
 
 
+@pytest.mark.parametrize("section, change, message", [
+    # once run for 11 ticks, with 10.5 echoed in the report
+    ("run", {"ticks": 10.5}, "run.ticks: expected an integer, got 10.5"),
+    ("attack", {"enabled": "yes"}, "attack.enabled: expected true/false, got 'yes'"),
+    ("defense", {"detect_first_k": None}, "defense.detect_first_k: expected an integer, got None"),
+    # once a TypeError from the bound's comparison
+    ("graph", {"n": "x"}, "graph.n: expected an integer, got 'x'"),
+])
+def test_a_replaced_field_of_the_wrong_type_is_a_config_error(section, change, message):
+    """The type rule that decoding applies holds for ``replace()`` too."""
+    cfg = default_config()
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        replace(cfg, **{section: replace(getattr(cfg, section), **change)})
+
+
+def test_a_replaced_field_takes_what_decoding_takes():
+    """A float field takes an int, and an optional field ``None``."""
+    cfg = default_config()
+    ransom = replace(cfg.attack.ransom, force_outcome=None)
+    made = replace(cfg, agents=replace(cfg.agents, beta=10),
+                   attack=replace(cfg.attack, ransom=ransom),
+                   defense=replace(cfg.defense, db_path=None, playbook=(
+                       PolicySpec(kind="internal_training", trigger_tick=None),)))
+    assert made.agents.beta == 10 and made.defense.playbook[0].trigger_stage is None
+
+
 @pytest.mark.parametrize("text, path, shown", [
     ('{"agents": {"gamma_direct": Infinity}}', "agents.gamma_direct", "inf"),
     ('{"agents": {"beta": 1e999}}', "agents.beta", "inf"),
