@@ -4,9 +4,12 @@ Runs every case the test module lists (the `run` presets and seeds, the
 `run --config` configs and seeds, the `batch` seed range, the `compare`
 toggles, the `analyze` archives and the follower CSR of the world
 configs) and prints RUN_DIGESTS, CONFIG_RUN_DIGESTS, WORLD_CSR_DIGESTS,
-BATCH_DIGEST, COMPARE_DIGESTS and the tables of ANALYZE_TABLES as Python
-literals.  Run it on the commit
-before a change to record the digests the change must keep.
+BATCH_DIGEST, COMPARE_DIGESTS, RNG_CALL_DIGESTS (the engine generators'
+call log of each `run`, `run --config`, `batch` and `compare` case) and
+the tables of ANALYZE_TABLES as Python literals.  Run it on the commit
+before a change to record the digests the change must keep.  A new case
+is a key added to its table (with an empty value, for the `run` tables);
+its call-log digest follows from the key.
 
 Usage: PYTHONPATH=src python3 scripts/golden_digests.py
 """
@@ -45,6 +48,8 @@ def main() -> None:
         compares = {(preset, toggle, seeds): test_golden.compare_digest(
                         preset, toggle, seeds, work / f"compare-{preset}-{toggle}")
                     for preset, toggle, seeds in sorted(test_golden.COMPARE_DIGESTS)}
+        rng_calls = {case: test_golden.rng_call_digest(case, work / f"rng-calls-{k}")
+                     for k, case in enumerate(test_golden.rng_call_cases())}
         analyze = {}
         for table, writer in ANALYZE_TABLES:
             (work / table).mkdir()
@@ -76,6 +81,14 @@ def main() -> None:
     print("COMPARE_DIGESTS = {")
     for (preset, toggle, seeds), digest in compares.items():
         print(f'    ("{preset}", "{toggle}", "{seeds}"):')
+        print(f'        "{digest}",')
+    print("}")
+    print()
+    print("# `rng_call_digest` of each case in ``rng_call_cases()``")
+    print("RNG_CALL_DIGESTS = {")
+    for case, digest in rng_calls.items():
+        key = ", ".join(f'"{part}"' if isinstance(part, str) else str(part) for part in case)
+        print(f"    ({key}):")
         print(f'        "{digest}",')
     print("}")
     for table, writer in ANALYZE_TABLES:

@@ -266,6 +266,9 @@ class Simulation:
         self.tick = 0
         self.topic: TargetTopic | None = None
         self.logistic_term: np.ndarray | None = None
+        # ``susceptibilities()`` of everyone, kept: elementwise, so a gather
+        # of it equals ``susceptibilities(users)``
+        self.susceptibility: np.ndarray | None = None
         self.class_multiplier = 1.0
         self.severity = 0.0
         self.activation_multiplier = 1.0
@@ -273,6 +276,9 @@ class Simulation:
 
         self.active = np.zeros(n, dtype=bool)
         self.activated_ever = np.zeros(n, dtype=bool)
+        # the activatable users never activated, in id order; only
+        # ``_activate`` shrinks it
+        self.never_activated = world.can_activate.nonzero()[0]
         self.defender = np.zeros(n, dtype=bool)
         self.remaining = np.full(n, config.agents.max_posts_per_user, dtype=np.int64)
 
@@ -303,19 +309,32 @@ class Simulation:
         self.severity = topic.severity
         self.class_multiplier = cfg.agents.class_multipliers[topic.failure_class.value]
         self.logistic_term = agents.susceptibility_terms(self.accounts.ocean, topic, cfg.agents)
+        self.susceptibility = self.susceptibilities()
         self.recurrence_multiplier = defense.recurrence_boost(cfg.company_history, topic, tick,
                                                               cfg.defense)
         # freshly selected topics reset the organic pool only in that users
         # who burned out on a previous topic stay out
         if self.world.seed_posters:
-            idx = np.array(self.world.seed_posters, dtype=np.intp)
-            self.active[idx] = True
-            self.activated_ever[idx] = True
+            self._activate(np.array(self.world.seed_posters, dtype=np.intp))
         return topic
 
     def susceptibilities(self, users=slice(None)) -> np.ndarray:
         """Per-post flip probability in [0, 1] of ``users`` (default: everyone)."""
         return (self.logistic_term[users] * self.severity * self.class_multiplier).clip(0.0, 1.0)
+
+    def scale_severity(self, factor: float) -> None:
+        """Scale the topic's severity, and the susceptibilities kept from it."""
+        self.severity *= factor
+        self.susceptibility = self.susceptibilities()
+
+    def _activate(self, ids: np.ndarray) -> None:
+        """Make activatable ``ids`` active: the one path that sets
+        ``activated_ever``, so ``never_activated`` keeps exactly the
+        activatable users it leaves unset."""
+        self.active[ids] = True
+        self.activated_ever[ids] = True
+        fresh = self.never_activated
+        self.never_activated = fresh[~self.activated_ever[fresh]]
 
     # -- tick loop -----------------------------------------------------------
 
@@ -336,12 +355,16 @@ class Simulation:
         is thrown away: a retarget pick is drawn for every bot post, flipped
         or not, and kept only for posts sent to a profile.
 
-        State invariant: ``active`` implies ``activated_ever`` (every path
-        that activates a user sets both), ``remaining`` never goes below 0,
-        and a never-activated user keeps all ``max_posts_per_user`` (>= 1).
-        Phase 2 relies on the first: the users it may activate are the
-        never-activated ones, with no test for ``active``; phase 3 relies
-        on the last, with no test for a spent budget.
+        State invariant: every activation goes through ``_activate``, so
+        ``active`` implies ``activated_ever``, and ``never_activated`` holds,
+        in id order, exactly the activatable users whose ``activated_ever``
+        is unset.  ``remaining`` never goes below 0, and a never-activated
+        user keeps all ``max_posts_per_user`` (>= 1).  Phase 2 relies on the
+        first two: the users it may activate are ``never_activated``, with
+        no test for ``active``; phase 3 relies on the last, with no test for
+        a spent budget.  ``susceptibility`` equals ``susceptibilities()``:
+        it is computed again whenever a term of it changes, when a topic is
+        chosen and when ``scale_severity`` runs, and is only gathered here.
         """
         t = self.tick
         cfg = self.cfg
@@ -361,27 +384,22 @@ class Simulation:
 
         # 2) exposure to last tick's posts
         fresh_exposure = None
-        prev_total = len(self.prev_authors)
-        if topic is not None and prev_total > 0:
-            # each of last tick's authors pushes its post count along its
-            # follower row; the counts are integers, so the float sums are
-            # exact in any order
+        prev = self.prev_authors
+        # never activated: by the invariant this also rules out the active
+        # users, and phase 3's deactivations cannot change it
+        fresh = self.never_activated
+        if topic is not None and len(prev) and len(fresh):
+            # each of last tick's posts pushes one unit along its author's
+            # follower row, so the exposures are integer counts
             indptr, indices = world.graph.follower_csr()
-            prev = np.bincount(self.prev_authors, minlength=n)
-            pushers = (prev != 0).nonzero()[0]  # a bool array takes nonzero's fast path
-            starts = indptr[pushers]
-            lens = indptr[pushers + 1] - starts
+            starts = indptr[prev]
+            lens = indptr[prev + 1] - starts
             ends = lens.cumsum()
             positions = (starts - (ends - lens)).repeat(lens) + np.arange(ends[-1])
-            exposure = np.bincount(indices[positions], weights=prev[pushers].repeat(lens),
-                                   minlength=n)
-            # never activated: by the invariant this also rules out the
-            # active users, and phase 3's deactivations cannot change it
-            fresh = (world.can_activate & ~self.activated_ever).nonzero()[0]
-            if len(fresh):
-                p_trend = min(1.0, prev_total / cfg.contagion.trend_saturation)
-                fresh_exposure = exposure[fresh] + self.rng.binomial(
-                    cfg.contagion.trend_samples, p_trend, size=len(fresh))
+            exposure = np.bincount(indices[positions], minlength=n)
+            p_trend = min(1.0, len(prev) / cfg.contagion.trend_saturation)
+            fresh_exposure = exposure[fresh] + self.rng.binomial(
+                cfg.contagion.trend_samples, p_trend, size=len(fresh))
 
         # 3) organic posting: ongoing actives, then fresh activations
         organic_n = 0
@@ -402,7 +420,7 @@ class Simulation:
                 keep = fresh_exposure > 0
                 cand = fresh[keep]
                 if len(cand):
-                    p = agents.activation_probability(self.susceptibilities(cand),
+                    p = agents.activation_probability(self.susceptibility[cand],
                                                       fresh_exposure[keep])
                     # x * 1.0 is x, so a neutral multiplier is skipped
                     if self.recurrence_multiplier != 1.0:
@@ -412,7 +430,7 @@ class Simulation:
                     # u < clip(p, 0, 1) is u < p for any u in [0, 1)
                     new_idx = cand[self.rng.random(len(cand)) < p]
                     if len(new_idx):
-                        self.activated_ever[new_idx] = True
+                        self._activate(new_idx)
                         left = self.remaining[new_idx] - 1
                         self.remaining[new_idx] = left
                         self.active[new_idx] = left > 0
@@ -459,8 +477,8 @@ class Simulation:
         # 4) worker stress from targeted mentions and ambient page negativity
         roster = world.roster_ids
         ag = cfg.agents
-        if profile_n:  # one target per profile post
-            mentions = np.bincount(targets, minlength=n)[roster]
+        if profile_n:  # one target per profile post, each a roster member
+            mentions = np.bincount(roster.searchsorted(targets), minlength=len(roster))
         else:
             mentions = 0.0
         ambient = (float(np.count_nonzero(negative & (skinds == _PAGE_KIND)))

@@ -225,7 +225,7 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
                 f"topic failure class is {have}")
         factor = cfg.mitigation_factors[CLASS_MATCHED_POLICIES[kind]]
         event["severity_before"] = sim.severity
-        sim.severity *= factor
+        sim.scale_severity(factor)
         event["severity_after"] = sim.severity
 
     elif kind in ARMING_POLICIES:
@@ -257,8 +257,7 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
         if quota > 0:
             picks = np.sort(sim.rng.choice(eligible, size=quota, replace=False))
             sim.defender[picks] = True
-            sim.active[picks] = True
-            sim.activated_ever[picks] = True
+            sim._activate(picks)
         event["follower_gain"] = gain
         event["converted"] = quota
 

@@ -117,8 +117,9 @@ def _exposed_world():
     cfg = config_from_dict({"graph": {"n": 2000}, "contagion": {"trend_samples": 0},
                             "attack": {"enabled": False, "bots": 0}})
     sim = build_from_seed(cfg, 4)
-    sim.active[:] = False
-    sim.activated_ever[:] = False
+    # with no seed posters a fresh build has activated nobody
+    assert not sim.activated_ever.any()
+    assert np.array_equal(sim.never_activated, np.flatnonzero(sim.world.can_activate))
     sim.recurrence_multiplier = sim.activation_multiplier = 1.0
     posted = np.arange(0, len(sim.accounts), 2)
     sim.prev_authors = posted
@@ -135,6 +136,8 @@ def test_activation_needs_exposure():
     sim.step()
     activated = np.flatnonzero(sim.activated_ever)
     assert len(activated) > 50
+    assert np.array_equal(sim.never_activated,
+                          np.flatnonzero(sim.world.can_activate & ~sim.activated_ever))
     assert np.all(exposure[activated] > 0)  # zero exposure never activates
     assert np.all(eligible[activated])
 

@@ -421,11 +421,13 @@ def test_fork_copies_the_financial_proxy_whole_and_apart():
 
 @pytest.mark.parametrize("preset", ["defended_baseline", "rapid_massive", "organic_only"])
 def test_active_users_were_activated_and_budgets_stay_non_negative(monkeypatch, preset):
-    """Phase 2 counts the never-activated users as the fresh ones, which
-    holds only if every active user has ``activated_ever`` set, and phase 3
-    activates them with no budget test, which holds only while their budget
-    is untouched; checked after every tick of the main run and of every
-    fire-point fork."""
+    """Phase 2 counts the kept never-activated index as the fresh users,
+    which holds only if every active user has ``activated_ever`` set and the
+    index is exactly the activatable users without it, and phase 3 activates
+    them with no budget test, which holds only while their budget is
+    untouched, at the susceptibilities kept since the last topic or severity
+    change; checked after every tick of the main run and of every fire-point
+    fork."""
     fork_steps = 0
     defenders = False
     step = Simulation.step
@@ -434,6 +436,10 @@ def test_active_users_were_activated_and_budgets_stay_non_negative(monkeypatch, 
         nonlocal fork_steps, defenders
         step(sim)
         assert not np.any(sim.active & ~sim.activated_ever), sim.tick
+        fresh = np.flatnonzero(sim.world.can_activate & ~sim.activated_ever)
+        assert np.array_equal(sim.never_activated, fresh), sim.tick
+        if sim.topic is not None:
+            assert np.array_equal(sim.susceptibility, sim.susceptibilities()), sim.tick
         assert sim.remaining.min() >= 0, sim.tick
         untouched = sim.remaining[~sim.activated_ever]
         assert np.all(untouched == sim.cfg.agents.max_posts_per_user), sim.tick

@@ -23,7 +23,14 @@ from one sorted key array and the sentiment windows were counted by
 slice.  The quoted `analyze` digests (every cell quoted, and each quoting
 form ``csv.reader`` reads) were recorded while a quoted range was still
 read by ``csv.reader``, before quoted records moved onto the byte
-kernels.  Any refactor of the engine, the fork or the
+kernels.  ``RNG_CALL_DIGESTS`` (every call made on an engine generator in
+each `run`, `run --config`, `batch` and `compare` case, and each
+generator's final state) and the ``organic_only``, ``recurrence-topic``
+and ``scapegoat-backfire`` cases, the only ones with seed posters, a
+non-neutral recurrence multiplier and a non-neutral activation multiplier,
+were recorded before ``Simulation.step`` pushed exposure per post, kept
+the never-activated users as an index and kept the susceptibilities per
+topic.  Any refactor of the engine, the fork or the
 report writers must leave these bytes unchanged; a change that moves them
 on purpose has to re-record the tables and say why.
 ``scripts/golden_digests.py`` recomputes every table below.
@@ -35,6 +42,7 @@ another release may be that release's doing, not a regression.
 """
 
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -45,7 +53,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from firesim import analytics, cli
+from firesim import analytics, cli, contagion
 from firesim.scenario import build_world, config_from_dict
 
 # the numpy release every digest below was recorded on
@@ -78,6 +86,12 @@ RUN_DIGESTS = {
         "run_metadata.json": "dc3a49495846358f77eb9152f03bf4f22bf0da9dec988f7d21efc14d2d16a99f",
         "sentiment_windows.csv": "0002173c4845a30d4ad250c042a1a5798fe1a97f6d96313f8bb29d600ad5e43d",
     },
+    ("organic_only", 0): {
+        "financial.csv": "24de5c133f0577a1b99a86ffe3966260785c7d1489dd0a10bc3faa9e9688392a",
+        "history.csv": "6f27a9d1fbdf7c795b4942280ba76071af6485274e07511644c23b6828e63957",
+        "run_metadata.json": "00b5385a7813511b59b932604da8518086ab69732ba1eee2f032b6be3057c419",
+        "sentiment_windows.csv": "c9a65195547ea8fe3ebe03879195a328e87df3ee8125345b29a752d0bf08ab90",
+    },
 }
 
 # `run --config` on worlds big enough that the graph build spans many
@@ -107,6 +121,14 @@ RUN_CONFIGS = {
     # a high low-water mark drops the storm from peak straight to minor
     "manager-transfer-minor": {"graph": {"n": 500}, "agents": {"manager_transfer": 0.2},
                                "contagion": {"smoothing_window": 2, "stage_low": 20}},
+    # a same-class firestorm two years back boosts every activation about 1.5x
+    "recurrence-topic": {"graph": {"n": 2000}, "company_history": [
+        {"topic_id": "recall-2022", "failure_class": "product_service", "tick": -17500}]},
+    # the company blames a partner at the peak: activations halve, and the
+    # backfire draw always lands
+    "scapegoat-backfire": {"graph": {"n": 2000}, "defense": {
+        "enabled": True, "scapegoat_backfire_probability": 1.0,
+        "playbook": [{"kind": "scapegoat", "trigger_stage": "peak"}]}},
 }
 
 CONFIG_RUN_DIGESTS = {
@@ -164,6 +186,18 @@ CONFIG_RUN_DIGESTS = {
         "run_metadata.json": "02c56403221bdffc5442bd13f086cf5c5eabc35065efcb2ce5d5c99c58ca1292",
         "sentiment_windows.csv": "1a8ae9648ba34d965defa53e8c3dd056e96c5d153739ce111ba3c27030e42303",
     },
+    ("recurrence-topic", 0): {
+        "financial.csv": "ecd856997d1362e8f292736bd16bf0da0418db5aeef3258a7fce069573801245",
+        "history.csv": "279f10b7bcc57f903845ec728a8c21a0ee77c5029de669a5ae1b802325312577",
+        "run_metadata.json": "93b3b542f284b05596a9c310d44eadfb00ae1d600d9e0fd192170aea686f0b0d",
+        "sentiment_windows.csv": "3322a30f2781f6e4a28c7d7105236ffd50527dcdf25cd8021731d67a0fb6b719",
+    },
+    ("scapegoat-backfire", 0): {
+        "financial.csv": "62046a74a1f38e852ec31b2d2b0c00b588e30fce14ef9c923a7bac5d9cf156bc",
+        "history.csv": "59c52a9145a35facd05362cfb5d59b0e0018e72eaa21ea3007cc429003a22e24",
+        "run_metadata.json": "acd238441e2a9047d2b9e738d7b3e4d25e4ea5e2f9750f7e58ea0da49f64e9d3",
+        "sentiment_windows.csv": "43ac9e5eb77799b60a3613de151d8f979536d33a1d738e11861dcbb33f0f96ec",
+    },
     ("weak-bots", 2): {
         "financial.csv": "64ac19ae4258d8cee4a1898906bfc499f22785b02e85c606267094b3c082f2c6",
         "history.csv": "6ab6c31b2c44fcc2c8dc66a520641f1ca9948fbc752fe05f3a916570de96f505",
@@ -199,6 +233,64 @@ COMPARE_DIGESTS = {
         "90171ac789613f059e276a99b6c8b533412e51229f73d00b8eef5ad2498a175b",
     ("defended_baseline", "flip_bots", "0..4"):
         "01425cdd360f69813b2becf01f073768ff88792f023167550767fb19e8592158",
+}
+
+
+def rng_call_cases() -> list[tuple]:
+    """Every `run`, `run --config`, `batch` and `compare` case above, as
+    ``(command, *parameters)``."""
+    return sorted([("run", *key) for key in RUN_DIGESTS]
+                  + [("config", *key) for key in CONFIG_RUN_DIGESTS]
+                  + [("batch", BATCH_SEEDS)]
+                  + [("compare", *key) for key in COMPARE_DIGESTS])
+
+
+# `rng_call_digest` of each case in ``rng_call_cases()``
+RNG_CALL_DIGESTS = {
+    ("batch", "0..3"):
+        "7795d6a503675914cecc1164ebe2c47129e155b63a3c35d317988ca9833fd9f7",
+    ("compare", "defended_baseline", "defense_playbook", "0..4"):
+        "3c5cc2f68f3358fffb423bfc2681fc387065468928674c6a4d5329420840cc57",
+    ("compare", "defended_baseline", "flip_bots", "0..4"):
+        "1ed4b99c56fe0dec8477fe47b5614e97c4f74cf6ffcb780e882641696c68f29e",
+    ("compare", "defended_baseline", "ransom_paid", "0..4"):
+        "c2402d04137ba429272b4a507baa791cfef33f3a998871755d36f3b9b66d9c5b",
+    ("compare", "rapid_massive", "retarget_bots", "0..4"):
+        "be5f9de81f677d2560fde11c25ad53ff8d7008b992674c93e2dbbabe18b24cb9",
+    ("config", "manager-transfer-minor", 0):
+        "ff271a61ed1cc7e7ccd742fe40a6b199de616de53b25363c0364bbe56a0f7439",
+    ("config", "manager-transfer-minor", 1):
+        "3899d22652f01545b83394b5f2a5c9469625d46680c68327283711c57c809fdf",
+    ("config", "manager-transfer-minor", 2):
+        "05ec4cfbd8124e7bc8d96e47f30d9b6b5b2ce80542d511004aee98e4e0178b48",
+    ("config", "mismatched-playbook", 0):
+        "34ce3a12ed1ee41dfe0889978aefcf07d6a47a261bd71781f6a71b7936fff07b",
+    ("config", "n2000-bot-followers", 0):
+        "117a3ad1ea871477d2806b9db6ebcec0e474044ed820a80945b0bac128057bbd",
+    ("config", "n5000", 0):
+        "82dcdef2ccf7bd7d26005255c5d675ea1cbda4d95a1dee14cf3a5b153c26f88c",
+    ("config", "n5000", 2):
+        "fcea754913730e98a8786d4ccddd7519765d2ac7631abb15974a1b47b3d47d85",
+    ("config", "n50000", 0):
+        "8779d5f3f8d86677d3a98df5ef204bbe502ce95cda348c650a72c72d12aea512",
+    ("config", "paid-offers", 0):
+        "edcf728ab8ca6f334d2ce550b086e0f09ed982c87837b440b46630f57d76bd14",
+    ("config", "recurrence-topic", 0):
+        "d08a25a1263828becf3f75e7b48da5bbd63a3be9fba0ca7da390951db1fc3564",
+    ("config", "scapegoat-backfire", 0):
+        "bc5520a8d21375f50689363123b01d247bfb7d81d334209aaaa3f11687d26617",
+    ("config", "weak-bots", 2):
+        "c74f7f2a75b5c601edb4ede8b5f01d41283a7a84fb4691939f3e60e65665834e",
+    ("run", "default", 0):
+        "3a264acbe74854c44313f49cb67df922ff345607cec61c674d108bac38dff6c2",
+    ("run", "default", 3):
+        "ce7ea2765d1b7f0cb9397dfe86fa9d5acbd6fee7997844ef8f3039def3489d70",
+    ("run", "defended_baseline", 0):
+        "e0822e2ac68fb8933117320ec400a682011bacce3ae78b7e3e7671f00ad14739",
+    ("run", "defended_baseline", 3):
+        "0060faf2b217e59b7e0c5ddf7a91e29536c0ab94cc2e26e0b166c1adb9b71ab7",
+    ("run", "organic_only", 0):
+        "7ec1bee1b6633b6d52bd9fcbbd0a669afe124114a66eef40c0981a1670acd74d",
 }
 
 # `analyze` of the archive ``write_analyze_inputs`` writes
@@ -256,6 +348,85 @@ def config_run_digests(name: str, seed: int, work_dir) -> dict[str, str]:
     out_dir = work_dir / "out"
     _main(["run", "--config", str(config), "--seed", str(seed), "--out", str(out_dir)])
     return {p.name: _sha256(p) for p in out_dir.iterdir()}
+
+
+class RecordingRng:
+    """A stand-in for a run's ``Generator`` that logs every method call, then
+    makes it.  Forks deep-copy the run state, the generator with it, so a
+    deep copy wraps a copy of the generator and logs into the same list;
+    each entry names the wrapper it came from by its position in ``proxies``."""
+
+    def __init__(self, rng: np.random.Generator, log: list, proxies: list):
+        self._rng, self._log, self._index = rng, log, len(proxies)
+        self._proxies = proxies
+        proxies.append(self)
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+        if not callable(method):
+            return method
+
+        def call(*args, **kwargs):
+            self._log.append((self._index, name, _canonical(args),
+                              _canonical(sorted(kwargs.items()))))
+            return method(*args, **kwargs)
+        return call
+
+    def __deepcopy__(self, memo) -> "RecordingRng":
+        return RecordingRng(copy.deepcopy(self._rng, memo), self._log, self._proxies)
+
+
+def _canonical(value) -> str:
+    """An argument as text: arrays by dtype, shape and bytes, numpy scalars
+    as the Python numbers they equal."""
+    if isinstance(value, np.ndarray):
+        data = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+        return f"array({value.dtype.str}, {value.shape}, {data})"
+    if isinstance(value, np.generic):
+        return repr(value.item())
+    if isinstance(value, (list, tuple)):
+        return "(" + ", ".join(_canonical(v) for v in value) + ")"
+    return repr(value)
+
+
+@contextlib.contextmanager
+def recorded_engine_rngs():
+    """Wrap the generator of every ``Simulation`` built inside the block in a
+    ``RecordingRng``; yields the shared call log and the wrappers."""
+    log, proxies = [], []
+    init = contagion.Simulation.__init__
+
+    def recording_init(sim, *args, **kwargs):
+        init(sim, *args, **kwargs)
+        sim.rng = RecordingRng(sim.rng, log, proxies)
+
+    contagion.Simulation.__init__ = recording_init
+    try:
+        yield log, proxies
+    finally:
+        contagion.Simulation.__init__ = init
+
+
+def rng_call_digest(case: tuple, work_dir) -> str:
+    """sha256 of the engine generators' call log for one golden case, each
+    call as (wrapper, method, arguments, keywords), then the final
+    bit-generator state of every wrapper in the order they were made."""
+    command, *params = case
+    with recorded_engine_rngs() as (log, proxies):
+        if command == "run":
+            run_digests(*params, work_dir)
+        elif command == "config":
+            config_run_digests(*params, work_dir)
+        elif command == "batch":
+            batch_digest(work_dir)
+        else:
+            compare_digest(*params, work_dir)
+    digest = hashlib.sha256()
+    for entry in log:
+        digest.update(f"{entry}\n".encode())
+    for proxy in proxies:
+        digest.update(f"{proxy.bit_generator.state}\n".encode())
+    return digest.hexdigest()
 
 
 def world_csr_digest(name: str) -> str:
@@ -443,6 +614,17 @@ def test_run_report_digests(tmp_path, preset, seed):
 def test_config_run_report_digests(tmp_path, name, seed):
     assert config_run_digests(name, seed, tmp_path) == CONFIG_RUN_DIGESTS[(name, seed)], \
         _RECORDED_ON
+
+
+def test_every_engine_case_has_an_rng_call_digest():
+    assert sorted(RNG_CALL_DIGESTS) == rng_call_cases()
+
+
+@pytest.mark.parametrize("case", sorted(RNG_CALL_DIGESTS))
+def test_rng_call_log_digests(tmp_path, case):
+    """The same generator calls, in the same order, with the same arguments
+    and sizes, leaving every generator in the same state."""
+    assert rng_call_digest(case, tmp_path) == RNG_CALL_DIGESTS[case], _RECORDED_ON
 
 
 @pytest.mark.parametrize("name", sorted(WORLD_CSR_DIGESTS))
