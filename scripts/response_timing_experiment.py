@@ -13,6 +13,7 @@ import argparse
 import statistics
 from dataclasses import replace
 
+from firesim.analytics import run_outcome
 from firesim.scenario import PolicySpec, build_from_seed, config_from_dict
 
 
@@ -24,14 +25,10 @@ def timed_config(trigger_tick: int, campaign_budget: int):
                                         playbook=playbook))
 
 
-def effective_duration(cfg, seed: int) -> float:
+def effective_duration(cfg, seed: int) -> int:
     sim = build_from_seed(cfg, seed)
     sim.run(cfg.run.ticks)
-    if sim.onset is None:
-        return 0.0
-    end = (sim.extinguished_tick if sim.extinguished_tick is not None
-           else cfg.run.ticks)
-    return float(end - sim.onset)
+    return run_outcome(sim)["duration"] or 0  # None: no onset
 
 
 def main() -> None:

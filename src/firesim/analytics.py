@@ -134,7 +134,8 @@ def load_sentiment_summaries(text: str, closure_tolerance: float = 0.01) -> list
     """Parse a sentiment summary CSV, checking each row's proportion closure.
 
     Rows with proportions must sum to 1 within the tolerance; published
-    tables rounded to three decimals pass at the default 0.01.
+    tables rounded to three decimals pass at the default 0.01.  A row of
+    any width but the header's is a ``ValueError`` naming the row.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -144,6 +145,8 @@ def load_sentiment_summaries(text: str, closure_tolerance: float = 0.01) -> list
     for row in reader:
         if not row:
             continue
+        if len(row) != len(header):
+            raise ValueError(f"line {reader.line_num}: {len(row)} cells, expected {len(header)}")
         window_id, start, end, count = (int(v) for v in row[:4])
         props = [None if v == "" else float(v) for v in row[4:7]]
         compound = float(row[7])

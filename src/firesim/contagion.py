@@ -484,7 +484,7 @@ class Simulation:
         ambient = (float(np.count_nonzero(negative & (skinds == _PAGE_KIND)))
                    if page_n else 0.0)
         gain = ag.gamma_direct
-        if ag.severity_scales_direct_gain and topic is not None:
+        if topic is not None:
             gain *= self.severity
         acc.stress[roster] = agents.stress_step(
             acc.stress[roster], mentions, ambient, ag, direct_gain=gain)

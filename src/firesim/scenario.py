@@ -162,6 +162,9 @@ def _check_fields(value, path: str, rule=None) -> None:
                 (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
             if tp in _SCALARS:
                 _check_scalar(tp, item, where)
+            elif typing.get_origin(tp) is dict:  # each value of the map's value type
+                for key, entry in item.items():
+                    _check_scalar(typing.get_args(tp)[1], entry, _at(where, key))
             _check_fields(item, where, field_rule)
 
 
@@ -176,10 +179,8 @@ class GraphConfig:
 
 @dataclass(frozen=True)
 class RosterConfig:
-    company_id: str = "company-0"
     employees: int = _rule(NON_NEGATIVE, 24)
     managers: int = _rule(NON_NEGATIVE, 6)
-    manager_roles: tuple[str, ...] = ("ceo", "cco", "ciso")
     security_posture: float = _rule(UNIT, 0.9)
 
 
@@ -199,7 +200,6 @@ class AgentConfig:
     gamma_ambient: float = _rule(NON_NEGATIVE, 0.01)
     half_saturation: float = _rule(POSITIVE, 10.0)
     stress_compliance_weight: float = _rule(UNIT, 0.6)
-    severity_scales_direct_gain: bool = True
     manager_transfer: float = _rule(UNIT, 0.0)
 
 
@@ -471,9 +471,8 @@ def _decode(tp, value, default, path: str):
         if not isinstance(value, dict):
             raise _type_error(path, "a mapping", value)
         merged = dict(default)
-        for key, item in value.items():  # an int-valued mapping also takes floats, as floats
-            merged[key] = _decode(args[1] if type(item) is int else float, item, None,
-                                  _at(path, key))
+        for key, item in value.items():
+            merged[key] = _decode(args[1], item, None, _at(path, key))
         return merged
     if origin is tuple:
         if not isinstance(value, (list, tuple)):

@@ -280,6 +280,15 @@ def test_closure_violation_rejected():
         load_sentiment_summaries("a,b,c\n1,2,3\n")
 
 
+@pytest.mark.parametrize("row, cells", [("0,0,720,3,0.5,0.5", 6),
+                                        ("0,0,720,3,0.5,0.5,0.0,0.1,9", 9)])
+def test_a_row_of_the_wrong_width_is_rejected(row, cells):
+    """A short row once raised ``IndexError`` and a long one lost its last cells."""
+    text = f"{analytics.SENTIMENT_CSV_HEADER}\n0,0,24,10,0.5,0.3,0.2,0.0\n{row}\n"
+    with pytest.raises(ValueError, match=f"^line 3: {cells} cells, expected 8$"):
+        load_sentiment_summaries(text)
+
+
 # -- archive ingestion -------------------------------------------------------------
 
 ARCHIVE_HEADER_LINE = "timestamp,author_id,author_created_at,surface,valence"
@@ -306,6 +315,16 @@ def test_ingest_dedups_exact_rows(tmp_path):
     for column in (result.ticks, result.authors, result.created_ticks):
         assert column.dtype == np.int64
     assert result.valences.dtype == np.float64
+
+
+@pytest.mark.parametrize("stamp", ["20240101T000000", "2024-01-01T00:00:00.5", "2024-W01-1"])
+def test_ingest_reads_each_iso_form_of_python_3_11(tmp_path, stamp):
+    """The array kernels refuse these forms and ``datetime.fromisoformat``
+    reads them, as it does from Python 3.11 on (3.10 refused all three)."""
+    rows = [f"{stamp},7,50,general_stream,-0.5", "2024-01-01T00:00:00,8,50,general_stream,0.2"]
+    result = ingest_archive(_write_archive(tmp_path, rows))
+    assert result.malformed_count == 0
+    assert result.ticks.tolist() == [473352, 473352]
 
 
 def test_ingest_counts_malformed_rows(tmp_path):

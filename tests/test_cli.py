@@ -116,7 +116,10 @@ _TOPIC = {"topic_id": "t", "failure_class": "social", "severity": 0.5, "appeal":
     ({"topics": [{**_TOPIC, "failure_class": "bogus"}]},
      "topics[0].failure_class: 'bogus' not in ['social', "),
     ({"topics": [{**_TOPIC, "severity": 2}]}, "topics[0]: severity must lie in [0, 1]"),
-], ids=["mapping", "unknown-action", "failure-class", "severity"])
+    # once ran, docking reputation while the counter went 1.5, 0.5, -0.5
+    ({"attack": {"downtime_ticks": {"dos": 1.5}}},
+     "attack.downtime_ticks.dos: expected an integer, got 1.5"),
+], ids=["mapping", "unknown-action", "failure-class", "severity", "float-in-an-int-mapping"])
 def test_config_errors_in_nested_sections_are_exit_2(tmp_path, capsys, config, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))

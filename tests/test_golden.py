@@ -30,9 +30,13 @@ and ``scapegoat-backfire`` cases, the only ones with seed posters, a
 non-neutral recurrence multiplier and a non-neutral activation multiplier,
 were recorded before ``Simulation.step`` pushed exposure per post, kept
 the never-activated users as an index and kept the susceptibilities per
-topic.  Any refactor of the engine, the fork or the
-report writers must leave these bytes unchanged; a change that moves them
-on purpose has to re-record the tables and say why.
+topic.  The JSON digests of the `run`, `run --config`, `batch` and
+`compare` cases were re-recorded when three config fields that shaped
+nothing (two roster labels and a severity switch never turned off) left
+the config echo, and nothing else in those files moved.  Any refactor of
+the engine, the fork or the report writers must leave these bytes
+unchanged; a change that moves them on purpose has to re-record the
+tables and say why.
 ``scripts/golden_digests.py`` recomputes every table below.
 
 The draws behind these bytes (the chunked ``integers`` draw, the
@@ -65,31 +69,31 @@ RUN_DIGESTS = {
     ("default", 0): {
         "financial.csv": "662aa58b9d8b2f440b39372a28fcd3a303c998ed7493b4fa9c81261bd47bf0f2",
         "history.csv": "a6e6310588ea9e8132c5ccdfb081ed1540139b4543a34924805343a5be2185b4",
-        "run_metadata.json": "0419bc454343e9e89ac5982de5e719928a393dd841b1bb8ea2610a1e78bd6002",
+        "run_metadata.json": "a8d2cab2e03478dfefa6d8fcacac89152306fe322681365355309fdca87f6c1a",
         "sentiment_windows.csv": "103cbb24038740fdbf5fde5972664176eb6e1623d6365f671a4d40842ee7c301",
     },
     ("default", 3): {
         "financial.csv": "f8e0d8d5b7fcdb04307981c7de455953f176913d36feab4edbd91de952767bc6",
         "history.csv": "e8a44df2574265834e195f1e249032f00f6a8c2f69a2d18404a0a865080f3037",
-        "run_metadata.json": "de59572fda05f1002136fbfb23e4918ff2fc445268e7a8cdad5a2c8e59560081",
+        "run_metadata.json": "bc171ce6bd2d2e4af356c43e7ee7e7eb5d05c8235b69f41028fec770df742eeb",
         "sentiment_windows.csv": "bbb3a5ff6e5186ea67184c2153748e99d221639e36e0182e9648bd2dfdb85780",
     },
     ("defended_baseline", 0): {
         "financial.csv": "9611feb0d17537b103b55b8d6c6876d191d5a24939f361a45d5934bda6d9bf23",
         "history.csv": "8b4f64d5e1efa57cad8ae6f74d9b2e27688016f4aef3948309c564fbf02a4f4e",
-        "run_metadata.json": "b366f15fde110af9583fcf5421318d3ada41b1ac1bb000a8c61bcd7d3df4898f",
+        "run_metadata.json": "5c24b96882a88bc136c5dd96983d18694d6d8f7a9f656e6fd9fe1347461e07a2",
         "sentiment_windows.csv": "468d109f0cbeaa47978dbc07ff233344d8e5e575c6e44d842bd07722d4d663b0",
     },
     ("defended_baseline", 3): {
         "financial.csv": "abfee4fb34d666ea8eb6ab25baef603e5036ed274bc9c10a8b69a751ebe5fda0",
         "history.csv": "dc1307c4eb025e97e53b22943733cf9221cd8653c145beff62d1ef85de85d7bd",
-        "run_metadata.json": "dc3a49495846358f77eb9152f03bf4f22bf0da9dec988f7d21efc14d2d16a99f",
+        "run_metadata.json": "9efa0ce8145b48bacca1d61e902493bcadcb732cac5fb410b1bdab827c314257",
         "sentiment_windows.csv": "0002173c4845a30d4ad250c042a1a5798fe1a97f6d96313f8bb29d600ad5e43d",
     },
     ("organic_only", 0): {
         "financial.csv": "24de5c133f0577a1b99a86ffe3966260785c7d1489dd0a10bc3faa9e9688392a",
         "history.csv": "6f27a9d1fbdf7c795b4942280ba76071af6485274e07511644c23b6828e63957",
-        "run_metadata.json": "00b5385a7813511b59b932604da8518086ab69732ba1eee2f032b6be3057c419",
+        "run_metadata.json": "f90b74b33750aa2086353632aeec12a94d438854a562541f0bcd4405a38090a8",
         "sentiment_windows.csv": "c9a65195547ea8fe3ebe03879195a328e87df3ee8125345b29a752d0bf08ab90",
     },
 }
@@ -135,73 +139,73 @@ CONFIG_RUN_DIGESTS = {
     ("manager-transfer-minor", 0): {
         "financial.csv": "883318b66eba729edd80f0f3bdf47e221cd51fd7f0e43fbe777daa1e21db5db8",
         "history.csv": "68d7738aaaf1874dc5b29465d7190a3d31805d29280be1f7503f435f98815d82",
-        "run_metadata.json": "53ede698ce7804acddc0fa20f953fc58b4a651aafc54f700ed5b0c51fa6facc2",
+        "run_metadata.json": "65d8fc4013dbc1db1f8b9a1d0da18137569e887bb5f8c9beb1755e31b705e7a1",
         "sentiment_windows.csv": "6c5628f7ea3221af2df30261957b90bf42c092fdd44f251b996e3b3b57f92183",
     },
     ("manager-transfer-minor", 1): {
         "financial.csv": "a045784fcd0f558aabce43feecd5e40a2b1b15819c58e8d388413d5ae694cbd2",
         "history.csv": "0531301b1d19d1120dbdc457838baa97f5b5b733f248c81b7ee47cdcb566aac4",
-        "run_metadata.json": "c8563e5d41aff13f3959e579ece453166d136c088b306f311a9c8df006cf11c4",
+        "run_metadata.json": "5258d03dce082bcab890e3c068e02b4c75336cd7404aaf6a76610b2024803399",
         "sentiment_windows.csv": "98705029913589ee6ce9a44a2eb32f4c0b0e902f1e8137f8b24fc5c54185c638",
     },
     ("manager-transfer-minor", 2): {
         "financial.csv": "e89514885443ddb33e0d57d9a197a5263ebae6beeac0d9c117e718db66a42617",
         "history.csv": "1dd47cb7ed4250b3d7de53cfe110dfffa3a048f4b3c1ca2e51190acbda1a5af5",
-        "run_metadata.json": "4282ace54fb7a1c3442786fd82d06c25a5ac866f447705833b30e2e9e1e75f00",
+        "run_metadata.json": "76ea2943cc8f98bb8b9799508028c25a70056585aeae6b7197b92899e1d2275f",
         "sentiment_windows.csv": "60720c7b66ed02f557672d674af2dc9148c3a4edf000b8387a5bf2438846ab62",
     },
     ("mismatched-playbook", 0): {
         "financial.csv": "448ba97f8b7d9fb8f973ae7199c609c666f3fe57a9ea8e300669925e9866a3bd",
         "history.csv": "a42cac0c4d956ee6ef6c85689026b7f84cfba7ce6f5db767be69eb14f788d9e8",
-        "run_metadata.json": "450a78a8269c83677520e4ad22090e5942f3b494c29668936f40ff607dfcfe3b",
+        "run_metadata.json": "ec17dbc7acea300c128303c12833d9eee12a52a279bcd9b6a94f8cb495af7287",
         "sentiment_windows.csv": "b6848a39eb0ffed4e052c9ecd3c716436fe876e0526331c371780ed9c7d5237f",
     },
     ("n2000-bot-followers", 0): {
         "financial.csv": "dbf25c6bbe812941d62d86de1645d3be12cd55949522166168d0ab147f410ed4",
         "history.csv": "60b0e4f61ab7ae7d6c05c36f4c0bb9364e02862172b4c1aa3cf397892b62c1da",
-        "run_metadata.json": "e0aa4d11b302770cf52d2f4a6beccef2558d5b2c8de954d6357099744a970590",
+        "run_metadata.json": "f565281c3c5de0a953d5aabdc89e29a601cf75cbfd625b97fb9059c94241c294",
         "sentiment_windows.csv": "cf2baf6d89ad05b836fec2e66fe2b712ecf1697105182095a3dbda5cfbcc0fde",
     },
     ("n5000", 0): {
         "financial.csv": "c50982cb3a3c27804644d951e5a8f469189f7d5c4b532ab27102e6431324c89e",
         "history.csv": "4438e90d6aa1bd7357b46778761d32ee40dc4c037a5429fee611cff4f75d94ec",
-        "run_metadata.json": "02cf34e2eb53b7bdf7b3c7d6b551b0c17a364770f931bb24ad452a1446971aae",
+        "run_metadata.json": "06b3efa4cc5231666ed4ec350ff92bc761c50c56b2dc8e7b742529908144fbe0",
         "sentiment_windows.csv": "cb68dcc654710dd6cbe501935a4411abff747112906be603bf0207ea66296f15",
     },
     ("n5000", 2): {
         "financial.csv": "b784a761b3a87f457bb36c715ba5d3bd1c80d356578a9764bd976890d29d6b53",
         "history.csv": "cf8787b198f22e14e0af69110042b78997413159fd97246b5a91afb4b68f1b76",
-        "run_metadata.json": "4c6de9c6805f928b3ba8b7812cc354c772fcc1fe8be573b5e25847da782a1d8a",
+        "run_metadata.json": "f364fcc73be71c403d50d31580f61188542a5167d64481bde2f0265799747362",
         "sentiment_windows.csv": "b909a60d9374fff3b9deea1e47484f01b37cf0f6cf078fdfa24cfbcf1df1ee32",
     },
     ("n50000", 0): {
         "financial.csv": "131a209e4a0d5d7dfadc5b80e4d55bb81ae714396b510b2ba7ae8d74a5f5a15b",
         "history.csv": "a67d8816b6a0a2019b6cc3ba7ec332868a21e01204e9a6146b292e7ff7bff0ec",
-        "run_metadata.json": "371989211fd454ea9885a39bdecf9a11799814a5217d1bdc9b942a75cbd5316d",
+        "run_metadata.json": "3881d95c4fcc131c4439493cbafbaa635c21e4464322572307694a69120460ea",
         "sentiment_windows.csv": "902d91d3d05767c365145470870ea9074460d952439ba22548116042773909d3",
     },
     ("paid-offers", 0): {
         "financial.csv": "b4b0ede688fdd6a26e996d4b3841d9f02db169d665c5479aa91601ed4209568e",
         "history.csv": "142bd9f6c3f8a6f8fdbbcd2208b63ee3e3156d4a370762e5f78e3825889b1fb6",
-        "run_metadata.json": "02c56403221bdffc5442bd13f086cf5c5eabc35065efcb2ce5d5c99c58ca1292",
+        "run_metadata.json": "0c5536fcf993fc7a87e4640e30bca0609fa19b672aea6234e0964181d00ab3b5",
         "sentiment_windows.csv": "1a8ae9648ba34d965defa53e8c3dd056e96c5d153739ce111ba3c27030e42303",
     },
     ("recurrence-topic", 0): {
         "financial.csv": "ecd856997d1362e8f292736bd16bf0da0418db5aeef3258a7fce069573801245",
         "history.csv": "279f10b7bcc57f903845ec728a8c21a0ee77c5029de669a5ae1b802325312577",
-        "run_metadata.json": "93b3b542f284b05596a9c310d44eadfb00ae1d600d9e0fd192170aea686f0b0d",
+        "run_metadata.json": "900d73d8ab0046c93051c3f0bf83be0025450c957cc62dcecb5113063c5885c1",
         "sentiment_windows.csv": "3322a30f2781f6e4a28c7d7105236ffd50527dcdf25cd8021731d67a0fb6b719",
     },
     ("scapegoat-backfire", 0): {
         "financial.csv": "62046a74a1f38e852ec31b2d2b0c00b588e30fce14ef9c923a7bac5d9cf156bc",
         "history.csv": "59c52a9145a35facd05362cfb5d59b0e0018e72eaa21ea3007cc429003a22e24",
-        "run_metadata.json": "acd238441e2a9047d2b9e738d7b3e4d25e4ea5e2f9750f7e58ea0da49f64e9d3",
+        "run_metadata.json": "b941aadc9c4d87cebd6adb9ea5dfa81f9d33392936eabb2406717cec4f0dcdab",
         "sentiment_windows.csv": "43ac9e5eb77799b60a3613de151d8f979536d33a1d738e11861dcbb33f0f96ec",
     },
     ("weak-bots", 2): {
         "financial.csv": "64ac19ae4258d8cee4a1898906bfc499f22785b02e85c606267094b3c082f2c6",
         "history.csv": "6ab6c31b2c44fcc2c8dc66a520641f1ca9948fbc752fe05f3a916570de96f505",
-        "run_metadata.json": "18e540f690a79267d4016e42ff030b67c416b63264c3077f0250b8f442383d69",
+        "run_metadata.json": "323f3294afc6abe8926a9176fa18f46f465cdda1f047b988c593e957a211ff2a",
         "sentiment_windows.csv": "1b670dd0f9a050f1e7c0cad4927f42ecbce9cd727a18d43f66b1bba2fa23e26f",
     },
 }
@@ -221,18 +225,18 @@ WORLD_CSR_DIGESTS = {
 
 # `batch --seeds 0..3` on the default config
 BATCH_SEEDS = "0..3"
-BATCH_DIGEST = "7800061731e2aecfdd247014b21a7f80e40ac6a53437e43a5f3f4a20e154b398"
+BATCH_DIGEST = "0f5f5237ee804ae8e33dcd93fe07271479e9f0e44e3c41a8462220677476cb38"
 
 # `compare --preset P --toggle T --seeds S`: compare_summary.json
 COMPARE_DIGESTS = {
     ("defended_baseline", "defense_playbook", "0..4"):
-        "b6a0f81add4f2c89b466421b2e904266d0d88c5aa38d23881153d1e64ebabfa7",
+        "3205efb8be1f62df21b1dbc37b16e6b8e37eba3831ae1497db8612d98f3b090d",
     ("rapid_massive", "retarget_bots", "0..4"):
-        "f9c013a2d1b1dcd00aba34ef062a41b292acd39f69772bd2a837bbb7283b96fa",
+        "158712685a2274c1feba10e7b26dbff64aefc61e51b940f8d20482eedd0a2dca",
     ("defended_baseline", "ransom_paid", "0..4"):
-        "90171ac789613f059e276a99b6c8b533412e51229f73d00b8eef5ad2498a175b",
+        "a00af5b368ef026cb40041b7fbac340977b806854cc814fdc523b9cb895e5ae7",
     ("defended_baseline", "flip_bots", "0..4"):
-        "01425cdd360f69813b2becf01f073768ff88792f023167550767fb19e8592158",
+        "c120f22a68a055faea0d3a59976ac07d545d78089ae53221b24bc6a1c4e4a032",
 }
 
 
