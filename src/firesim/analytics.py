@@ -984,12 +984,13 @@ def json_text(payload: dict) -> str:
 def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
     """Write each ``{name: text}`` under ``out_dir`` whole or not at all.
 
-    Every file is staged in a private directory inside ``out_dir`` (where
-    ``ensure_writable`` probes) before any is renamed into place, so a
-    failed write leaves no partial file.  Staged files are opened normally,
-    so their mode follows the umask.  Returns the final paths in order.
+    ``out_dir`` is made if missing.  Every file is staged in a private
+    directory inside it before any is renamed into place, so a failed
+    write leaves no partial file.  Staged files are opened normally, so
+    their mode follows the umask.  Returns the final paths in order.
     """
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out_dir, prefix=".staging-") as staging:
         for name, text in files.items():
             (Path(staging) / name).write_text(text, encoding="utf-8")
@@ -1000,7 +1001,6 @@ def write_files(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
 
 def emit_report(sim: "Simulation", out_dir: str | Path) -> list[Path]:
     """Write the ``REPORT_FILES`` atomically; returns their paths."""
-    ensure_writable(out_dir)
     return write_files(out_dir, dict(zip(REPORT_FILES, (
         json_text(run_metadata(sim)),
         sim.history.to_csv_text(),

@@ -266,8 +266,7 @@ class Simulation:
         self.tick = 0
         self.topic: TargetTopic | None = None
         self.logistic_term: np.ndarray | None = None
-        # ``susceptibilities()`` of everyone, kept: elementwise, so a gather
-        # of it equals ``susceptibilities(users)``
+        # ``susceptibilities()``, kept until the topic or its severity changes
         self.susceptibility: np.ndarray | None = None
         self.class_multiplier = 1.0
         self.severity = 0.0
@@ -318,9 +317,9 @@ class Simulation:
             self._activate(np.array(self.world.seed_posters, dtype=np.intp))
         return topic
 
-    def susceptibilities(self, users=slice(None)) -> np.ndarray:
-        """Per-post flip probability in [0, 1] of ``users`` (default: everyone)."""
-        return (self.logistic_term[users] * self.severity * self.class_multiplier).clip(0.0, 1.0)
+    def susceptibilities(self) -> np.ndarray:
+        """Per-post flip probability in [0, 1] of every account."""
+        return (self.logistic_term * self.severity * self.class_multiplier).clip(0.0, 1.0)
 
     def scale_severity(self, factor: float) -> None:
         """Scale the topic's severity, and the susceptibilities kept from it."""

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .agents import BotMode, TargetTopic, clip_unit, short_repr
+from .agents import BotMode, FailureClass, TargetTopic, clip_unit, short_repr
 
 if TYPE_CHECKING:  # pragma: no cover
     from .contagion import Simulation
@@ -157,7 +157,8 @@ class PastFirestorm:
     """One remembered firestorm from the company's history."""
 
     topic_id: str
-    failure_class: str
+    # the names it may take, as a config field's rule (see ``scenario._valid``)
+    failure_class: str = field(metadata={"rule": tuple(fc.value for fc in FailureClass)})
     tick: int
 
 

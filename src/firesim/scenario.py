@@ -4,10 +4,10 @@ Every free parameter in the package lives here as a frozen dataclass
 field with its default and, in its metadata, its own bound.  Loading is
 strict: unknown keys and out-of-range values are errors naming the
 offending field, so a typo cannot silently change a Monte Carlo batch.
-A ``ScenarioConfig`` checks itself when it is made, so every config is
-valid: decoded, default, preset or ``replace()``d.  Presets are config
-dicts.  ``build_simulation`` turns a config into a ready engine with a
-fully deterministic seed tree.
+A ``ScenarioConfig`` checks itself when it is made, by the rules decoding
+applies, so every config is valid: decoded, default, preset or
+``replace()``d.  Presets are config dicts.  ``build_simulation`` turns a
+config into a ready engine with a fully deterministic seed tree.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import enum
 import functools
 import itertools
 import json
-import math
 import sys
 import types
 import typing
@@ -83,7 +82,7 @@ MAX_ACCOUNT_AGE = 1_000_000
 
 
 # -- single-field rules -------------------------------------------------------
-# A field's rule sits in its metadata; ``_check_fields`` applies them all.
+# A field's rule sits in its metadata; ``_valid`` applies it after the type.
 
 @dataclass(frozen=True)
 class Bound:
@@ -128,44 +127,6 @@ def _rule(rule, default=dataclasses.MISSING, **kwargs):
 def _check(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise ConfigError(f"{path}: {message}")
-
-
-def _check_fields(value, path: str, rule=None) -> None:
-    """Apply ``rule`` to ``value``, or to each item of a tuple, and each
-    field's type and own rule inside a config dataclass; ``None`` is skipped
-    and NaN or an infinity is never a value."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}: must be a finite number, got {short_repr(value)}")
-    if isinstance(value, tuple):
-        for i, item in enumerate(value):
-            _check_fields(item, f"{path}[{i}]", rule)
-    elif value is None:
-        return
-    elif isinstance(rule, Bound):
-        if value not in rule:
-            raise ConfigError(f"{path}: {rule}, got {short_repr(value)}")
-    elif isinstance(rule, Keys):
-        if rule.exact and set(value) != set(rule.names):
-            raise ConfigError(f"{path}: keys must be exactly {sorted(rule.names)}")
-        for key, item in value.items():
-            if key not in rule.names:
-                raise ConfigError(f"{_at(path, key)}: unknown key; "
-                                  f"expected one of {list(rule.names)}")
-            _check_fields(item, _at(path, key), rule.value)
-    elif rule is not None:
-        if value not in rule:
-            raise ConfigError(f"{path}: {short_repr(value)} not in {list(rule)}")
-    elif dataclasses.is_dataclass(value):
-        for name, (tp, _, field_rule) in _field_specs(type(value)).items():
-            item, where = getattr(value, name), f"{path}.{name}" if path else name
-            if isinstance(tp, types.UnionType) and item is not None:  # X | None
-                (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
-            if tp in _SCALARS:
-                _check_scalar(tp, item, where)
-            elif typing.get_origin(tp) is dict:  # each value of the map's value type
-                for key, entry in item.items():
-                    _check_scalar(typing.get_args(tp)[1], entry, _at(where, key))
-            _check_fields(item, where, field_rule)
 
 
 @dataclass(frozen=True)
@@ -347,8 +308,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         """Every config is valid once made: each field against its own
-        rule, then the rules that relate fields."""
-        _check_fields(self, "")
+        type and rule, then the rules that relate fields."""
+        _valid(ScenarioConfig, self, "")
         g, r, a, c = self.graph, self.roster, self.agents, self.contagion
         atk, an, run = self.attack, self.analytics, self.run
 
@@ -388,18 +349,15 @@ class ScenarioConfig:
         _check(len(self.topics) >= 1, "topics", "at least one topic is required")
         ids = [t.topic_id for t in self.topics]
         _check(len(ids) == len(set(ids)), "topics", "topic ids must be unique")
-        for i, past in enumerate(self.company_history):
-            _check(past.failure_class in FAILURE_CLASS_NAMES,
-                   f"company_history[{i}].failure_class",
-                   f"{short_repr(past.failure_class)} not in {list(FAILURE_CLASS_NAMES)}")
 
     def to_dict(self) -> dict:
         return _encode(self)
 
 
 # -- the config codec ----------------------------------------------------------
-# ``_decode`` checks JSON data against the dataclass field annotations and
-# ``_encode`` walks a dataclass back into JSON data; errors name the path.
+# ``_valid`` checks a value against its field's annotation and rule, whether
+# decoded or ``replace()``d; ``_decode`` reshapes JSON data to the annotations
+# and ``_encode`` walks a dataclass back into JSON data.  Errors name the path.
 
 _SCALARS = {bool: ("true/false", bool), int: ("an integer", int),
             float: ("a number", (int, float)), str: ("a string", str)}
@@ -407,14 +365,6 @@ _SCALARS = {bool: ("true/false", bool), int: ("an integer", int),
 
 def _type_error(path: str, expected: str, value) -> ConfigError:
     return ConfigError(f"{path}: expected {expected}, got {short_repr(value)}")
-
-
-def _check_scalar(tp, value, path: str) -> None:
-    """``value`` is of the scalar type ``tp``; a float also takes an int, and
-    only a bool takes a bool."""
-    expected, accepted = _SCALARS[tp]
-    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
-        raise _type_error(path, expected, value)
 
 
 @functools.cache
@@ -430,11 +380,65 @@ def _field_specs(cls) -> dict:
     return specs
 
 
-def _decode_section(cls, data, path: str, base=None):
-    """``cls`` from ``data``; left-out keys keep ``base``'s values, or the class defaults."""
+def _valid(tp, value, path: str, rule=None) -> None:
+    """Raise a ``ConfigError`` naming ``path`` unless ``value`` has the annotation
+    ``tp`` and keeps ``rule``: a ``Bound`` or names for a scalar (for each item of
+    a tuple), a ``Keys`` for a mapping.  A float takes an int but not NaN or an
+    infinity.  A mapping, list or name where a section, tuple or enum was
+    declared comes from ``replace()``, so it is told the Python type."""
+    if tp in _SCALARS:  # first: most values are scalars
+        expected, accepted = _SCALARS[tp]
+        if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
+            raise _type_error(path, expected, value)
+        if tp is float and not abs(value) <= sys.float_info.max:  # NaN, inf or an int past them
+            raise ConfigError(f"{path}: must be a finite number, got {short_repr(value)}")
+        if isinstance(rule, Bound):
+            if value not in rule:
+                raise ConfigError(f"{path}: {rule}, got {short_repr(value)}")
+        elif rule is not None and value not in rule:
+            raise ConfigError(f"{path}: {short_repr(value)} not in {list(rule)}")
+    elif dataclasses.is_dataclass(tp):
+        if not isinstance(value, tp):
+            raise _type_error(path, f"a {tp.__name__}" if isinstance(value, dict) else "a mapping",
+                              value)
+        for name, (field_tp, _, field_rule) in _field_specs(tp).items():
+            _valid(field_tp, getattr(value, name), f"{path}.{name}" if path else name, field_rule)
+    elif isinstance(tp, types.UnionType):  # X | None
+        if value is not None:
+            (inner,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+            _valid(inner, value, path, rule)
+    elif isinstance(tp, enum.EnumType):
+        names = [member.value for member in tp]
+        if value in names:
+            raise _type_error(path, f"a {tp.__name__}", value)
+        if not isinstance(value, tp):
+            raise ConfigError(f"{path}: {short_repr(value)} not in {names}")
+    elif typing.get_origin(tp) is dict:
+        if not isinstance(value, dict):
+            raise _type_error(path, "a mapping", value)
+        for key, item in value.items():
+            if key not in rule.names:
+                raise ConfigError(f"{_at(path, key)}: unknown key; "
+                                  f"expected one of {list(rule.names)}")
+            _valid(typing.get_args(tp)[1], item, _at(path, key), rule.value)
+        if rule.exact and set(value) != set(rule.names):
+            raise ConfigError(f"{path}: keys must be exactly {sorted(rule.names)}")
+    else:  # a tuple
+        if not isinstance(value, tuple):
+            raise _type_error(path, "a tuple" if isinstance(value, list) else "a list", value)
+        args = typing.get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise _type_error(path, f"a list of {len(args)} items", list(value))
+        for i, (item_tp, item) in enumerate(zip(args, value)):
+            _valid(item_tp, item, f"{path}[{i}]", rule)
+
+
+def _decode_section(cls, data: dict, path: str, base=None):
+    """``cls`` from ``data``; left-out keys keep ``base``'s values, or the
+    class defaults.  Each given field is checked before the section is made."""
     where = path or "config"
-    if not isinstance(data, dict):
-        raise _type_error(where, "a mapping", data)
     specs = _field_specs(cls)
     unknown = sorted(set(data) - set(specs))
     if unknown:
@@ -445,10 +449,12 @@ def _decode_section(cls, data, path: str, base=None):
             raise ConfigError(f"{where}: missing key '{name}'")
     kwargs = {}
     for name, value in data.items():
-        tp, default, _ = specs[name]
+        tp, default, rule = specs[name]
         if base is not None:
             default = getattr(base, name)
-        kwargs[name] = _decode(tp, value, default, f"{path}.{name}" if path else name)
+        field_path = f"{path}.{name}" if path else name
+        kwargs[name] = _decode(tp, value, default, field_path)
+        _valid(tp, kwargs[name], field_path, rule)
     try:
         return cls(**kwargs) if base is None else replace(base, **kwargs)
     except ConfigError:
@@ -458,40 +464,31 @@ def _decode_section(cls, data, path: str, base=None):
 
 
 def _decode(tp, value, default, path: str):
-    """Check ``value`` against the annotation ``tp``; return the field value."""
-    if dataclasses.is_dataclass(tp):  # a section, or a list item without a default
-        return _decode_section(tp, value, path, default)
+    """``value`` reshaped to the annotation ``tp``: a mapping becomes a section
+    or is merged over ``default``, a list a tuple, a name its enum member and
+    an int a float where a float is declared.  Anything else is left as it
+    is, for ``_valid`` to name."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:  # X | None
-        if value is None:
-            return None
+    if origin is types.UnionType and value is not None:  # X | None
         (inner,) = (arg for arg in args if arg is not type(None))
         return _decode(inner, value, default, path)
-    if origin is dict:  # any number per key, merged over the default
-        if not isinstance(value, dict):
-            raise _type_error(path, "a mapping", value)
-        merged = dict(default)
-        for key, item in value.items():
-            merged[key] = _decode(args[1], item, None, _at(path, key))
-        return merged
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise _type_error(path, "a list", value)
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise _type_error(path, f"a list of {len(args)} items", value)
-        return tuple(_decode(arg, item, None, f"{path}[{i}]")
-                     for i, (arg, item) in enumerate(zip(args, value)))
-    if issubclass(tp, enum.Enum):
-        names = [member.value for member in tp]
-        if value not in names:
-            raise ConfigError(f"{path}: {short_repr(value)} not in {names}")
-        return tp(value)
-    _check_scalar(tp, value, path)
-    if tp is float and not abs(value) <= sys.float_info.max:  # NaN, inf, or an int past them
-        raise ConfigError(f"{path}: must be a finite number, got {short_repr(value)}")
-    return float(value) if tp is float else value
+    if isinstance(value, dict) and dataclasses.is_dataclass(tp):  # a section, or a list item
+        return _decode_section(tp, value, path, default)
+    if isinstance(value, dict) and origin is dict:  # any number per key, merged over the default
+        return {**default, **{key: _decode(args[1], item, None, _at(path, key))
+                              for key, item in value.items()}}
+    if isinstance(value, list) and origin is tuple:  # an item past the declared ones stays
+        args = args[:1] * len(value) if args[-1] is Ellipsis else args + (None,) * len(value)
+        return tuple(_decode(item_tp, item, None, f"{path}[{i}]")
+                     for i, (item_tp, item) in enumerate(zip(args, value)))
+    if isinstance(tp, enum.EnumType):
+        return next((member for member in tp if member.value == value), value)
+    if tp is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:  # past every float
+            pass
+    return value
 
 
 def _encode(value):
@@ -508,6 +505,8 @@ def _encode(value):
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
+    if not isinstance(data, dict):
+        raise _type_error("config", "a mapping", data)
     return _decode_section(ScenarioConfig, data, "")
 
 

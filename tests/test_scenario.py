@@ -230,12 +230,46 @@ def test_a_config_checks_itself_when_made():
      "attack.downtime_ticks.dos: expected an integer, got 2.5"),
     ("agents", {"class_multipliers": {"social": 1.1, "communication": "x", "product_service": 1.0}},
      "agents.class_multipliers.communication: expected a number, got 'x'"),
+    # from here on, each was accepted by ``replace()`` or ended in a TypeError or AttributeError
+    ("attack", {"action_schedule": ((1.5, "dos"),)},
+     "attack.action_schedule[0][0]: expected an integer, got 1.5"),
+    ("attack", {"target_weights": (0.5, 0.5)},
+     "attack.target_weights: expected a list of 3 items, got [0.5, 0.5]"),
+    ("attack", {"target_weights": ("a", 0.5, 0.5)},
+     "attack.target_weights[0]: expected a number, got 'a'"),
+    ("attack", {"downtime_ticks": 5}, "attack.downtime_ticks: expected a mapping, got 5"),
+    ("defense", {"playbook": ("internal_training",)},
+     "defense.playbook[0]: expected a mapping, got 'internal_training'"),
+    (None, {"graph": 5}, "graph: expected a mapping, got 5"),
 ])
 def test_a_replaced_field_of_the_wrong_type_is_a_config_error(section, change, message):
-    """The type rule that decoding applies holds for ``replace()`` too."""
+    """Decoding and ``replace()`` hold a field to one type rule, in the same
+    words; ``section`` None changes a field of the config itself."""
     cfg = default_config()
+    data = json.loads(json.dumps(change))  # tuples become lists
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        replace(cfg, **{section: replace(getattr(cfg, section), **change)})
+        config_from_dict(data if section is None else {section: data})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        replace(cfg, **change if section is None else {
+            section: replace(getattr(cfg, section), **change)})
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda cfg: {"topics": list(cfg.topics)},
+     "topics: expected a tuple, got [TargetTopic("),
+    (lambda cfg: {"topics": (replace(cfg.topics[0], failure_class="social"),)},
+     "topics[0].failure_class: expected a FailureClass, got 'social'"),
+    (lambda cfg: {"graph": {"n": 50}}, "graph: expected a GraphConfig, got {'n': 50}"),
+    (lambda cfg: {"attack": replace(cfg.attack, target_weights=[0.4, 0.4, 0.2])},
+     "attack.target_weights: expected a tuple, got [0.4, 0.4, 0.2]"),
+], ids=["list-for-tuple", "name-for-enum", "mapping-for-section", "list-for-fixed-tuple"])
+def test_a_value_only_replace_can_give_is_told_the_python_type(change, message):
+    """Decoding turns a list into a tuple, a mapping into a section and a
+    name into its enum member, so one of these left as it is came from
+    ``replace()``: its message names the type it should have been."""
+    cfg = default_config()
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        replace(cfg, **change(cfg))
 
 
 def test_a_replaced_field_takes_what_decoding_takes():
