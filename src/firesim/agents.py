@@ -10,7 +10,7 @@ bit-for-bit.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import TYPE_CHECKING
 
@@ -27,6 +27,30 @@ if TYPE_CHECKING:  # pragma: no cover
 _SHORT = reprlib.Repr()
 _SHORT.maxstring = _SHORT.maxother = 60
 short_repr = _SHORT.repr
+
+
+# A config field's numeric rule; it sits here, beside ``short_repr``, so that
+# a topic can take one (``scenario`` imports this module).
+@dataclass(frozen=True)
+class Bound:
+    """The numeric rule ``lo <= value <= hi``: a ``None`` end is unbounded,
+    an open end strict.  Outside every bound but ``Bound()`` lies NaN."""
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __contains__(self, value) -> bool:
+        return ((self.lo is None or (value > self.lo if self.lo_open else value >= self.lo))
+                and (self.hi is None or (value < self.hi if self.hi_open else value <= self.hi)))
+
+    def __str__(self) -> str:
+        if self.hi is None:
+            return f"must be {'>' if self.lo_open else '>='} {self.lo}"
+        if self.lo is None:
+            return f"must be {'<' if self.hi_open else '<='} {self.hi}"
+        return (f"must lie in {'(' if self.lo_open else '['}{self.lo}, "
+                f"{self.hi}{')' if self.hi_open else ']'}")
 
 
 class FailureClass(Enum):
@@ -76,14 +100,10 @@ class TargetTopic:
 
     topic_id: str
     failure_class: FailureClass
-    severity: float
-    appeal: tuple[float, float, float, float, float]
-
-    def __post_init__(self):
-        if not 0.0 <= self.severity <= 1.0:
-            raise ValueError("severity must lie in [0, 1]")
-        if len(self.appeal) != 5 or not all(0.0 <= a <= 1.0 for a in self.appeal):
-            raise ValueError("appeal must be five components in [0, 1]")
+    # the bound of each (of each component, for appeal), as a config field's
+    # rule: a topic is checked as part of its config (see ``scenario._valid``)
+    severity: float = field(metadata={"rule": Bound(0, 1)})
+    appeal: tuple[float, float, float, float, float] = field(metadata={"rule": Bound(0, 1)})
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ Every free parameter in the package lives here as a frozen dataclass
 field with its default and, in its metadata, its own bound.  Loading is
 strict: unknown keys and out-of-range values are errors naming the
 offending field, so a typo cannot silently change a Monte Carlo batch.
-A ``ScenarioConfig`` checks itself when it is made, by the rules decoding
-applies, so every config is valid: decoded, default, preset or
-``replace()``d.  Presets are config dicts.  ``build_simulation`` turns a
-config into a ready engine with a fully deterministic seed tree.
+Decoding only reshapes JSON into the records; a ``ScenarioConfig`` checks
+itself when it is made, in one walk of its fields, so every config is
+valid: decoded, default, preset or ``replace()``d.  Presets are config
+dicts.  ``build_simulation`` turns a config into a ready engine with a
+fully deterministic seed tree.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import types
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from . import analytics, attack, defense
-from .agents import _SHORT, FailureClass, TargetTopic, short_repr
+from .agents import _SHORT, Bound, FailureClass, TargetTopic, short_repr
 from .contagion import FirestormStage, Simulation, World
 from .defense import PastFirestorm, PolicyKind
 from .socialgraph import (AccountKind, AccountTable, SocialGraph, build_roster,
@@ -82,29 +84,8 @@ MAX_ACCOUNT_AGE = 1_000_000
 
 
 # -- single-field rules -------------------------------------------------------
-# A field's rule sits in its metadata; ``_valid`` applies it after the type.
-
-@dataclass(frozen=True)
-class Bound:
-    """The numeric rule ``lo <= value <= hi``: a ``None`` end is unbounded,
-    an open end strict.  Outside every bound but ``Bound()`` lies NaN."""
-    lo: float | None = None
-    hi: float | None = None
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def __contains__(self, value) -> bool:
-        return ((self.lo is None or (value > self.lo if self.lo_open else value >= self.lo))
-                and (self.hi is None or (value < self.hi if self.hi_open else value <= self.hi)))
-
-    def __str__(self) -> str:
-        if self.hi is None:
-            return f"must be {'>' if self.lo_open else '>='} {self.lo}"
-        if self.lo is None:
-            return f"must be {'<' if self.hi_open else '<='} {self.hi}"
-        return (f"must lie in {'(' if self.lo_open else '['}{self.lo}, "
-                f"{self.hi}{')' if self.hi_open else ']'}")
-
+# A field's rule sits in its metadata, and a fixed tuple's per-position rules
+# in its ``Annotated`` item types; ``_valid`` applies a rule after the type.
 
 @dataclass(frozen=True)
 class Keys:
@@ -220,7 +201,8 @@ class AttackConfig:
         amount=60000.0, base_willingness=0.5, amount_scale=200000.0,
         reliability=0.9))
     flip_fraction: float = _rule(Bound(0, 1, lo_open=True), 0.1)
-    action_schedule: tuple[tuple[int, str], ...] = ()
+    action_schedule: tuple[tuple[Annotated[int, NON_NEGATIVE], Annotated[str, ACTION_NAMES]],
+                           ...] = ()
 
 
 @dataclass(frozen=True)
@@ -333,10 +315,6 @@ class ScenarioConfig:
         _check(c.stage_low < c.stage_high, "contagion.stage_low",
                f"stage_low ({c.stage_low!r}) must be below stage_high ({c.stage_high!r})")
         _check(sum(atk.target_weights) > 0, "attack.target_weights", "weights must not all be zero")
-        for i, (tick, action) in enumerate(atk.action_schedule):
-            _check(tick >= 0, f"attack.action_schedule[{i}].tick", "must be >= 0")
-            _check(action in ACTION_NAMES, f"attack.action_schedule[{i}].action",
-                   f"{short_repr(action)} not in {list(ACTION_NAMES)}")
         for i, spec in enumerate(self.defense.playbook):
             _check(spec.trigger_tick is None or spec.trigger_stage is None,
                    f"defense.playbook[{i}]", "set trigger_tick or trigger_stage, not both")
@@ -355,12 +333,15 @@ class ScenarioConfig:
 
 
 # -- the config codec ----------------------------------------------------------
-# ``_valid`` checks a value against its field's annotation and rule, whether
-# decoded or ``replace()``d; ``_decode`` reshapes JSON data to the annotations
-# and ``_encode`` walks a dataclass back into JSON data.  Errors name the path.
+# ``_decode`` reshapes JSON data to the annotations and builds the records,
+# naming only unknown and missing keys; ``_valid``, called once by
+# ``ScenarioConfig.__post_init__``, checks every value against its field's
+# annotation and rule, whether decoded or ``replace()``d; ``_encode`` walks a
+# dataclass back into JSON data.  Errors name the path.
 
 _SCALARS = {bool: ("true/false", bool), int: ("an integer", int),
             float: ("a number", (int, float)), str: ("a string", str)}
+_FLOAT_MAX = sys.float_info.max
 
 
 def _type_error(path: str, expected: str, value) -> ConfigError:
@@ -370,7 +351,7 @@ def _type_error(path: str, expected: str, value) -> ConfigError:
 @functools.cache
 def _field_specs(cls) -> dict:
     """name -> (annotation, default or MISSING, rule or None) for a config dataclass."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     specs = {}
     for f in dataclasses.fields(cls):
         default = f.default
@@ -383,14 +364,15 @@ def _field_specs(cls) -> dict:
 def _valid(tp, value, path: str, rule=None) -> None:
     """Raise a ``ConfigError`` naming ``path`` unless ``value`` has the annotation
     ``tp`` and keeps ``rule``: a ``Bound`` or names for a scalar (for each item of
-    a tuple), a ``Keys`` for a mapping.  A float takes an int but not NaN or an
-    infinity.  A mapping, list or name where a section, tuple or enum was
-    declared comes from ``replace()``, so it is told the Python type."""
+    a tuple, unless ``Annotated`` gives the item its own), a ``Keys`` for a
+    mapping.  A float takes an int but not NaN or an infinity.  A mapping, list
+    or name where a section, tuple or enum was declared comes from
+    ``replace()``, so it is told the Python type."""
     if tp in _SCALARS:  # first: most values are scalars
         expected, accepted = _SCALARS[tp]
         if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
             raise _type_error(path, expected, value)
-        if tp is float and not abs(value) <= sys.float_info.max:  # NaN, inf or an int past them
+        if tp is float and not abs(value) <= _FLOAT_MAX:  # NaN, inf or an int past them
             raise ConfigError(f"{path}: must be a finite number, got {short_repr(value)}")
         if isinstance(rule, Bound):
             if value not in rule:
@@ -413,7 +395,9 @@ def _valid(tp, value, path: str, rule=None) -> None:
             raise _type_error(path, f"a {tp.__name__}", value)
         if not isinstance(value, tp):
             raise ConfigError(f"{path}: {short_repr(value)} not in {names}")
-    elif typing.get_origin(tp) is dict:
+    elif (origin := typing.get_origin(tp)) is Annotated:
+        _valid(tp.__origin__, value, path, tp.__metadata__[0])
+    elif origin is dict:
         if not isinstance(value, dict):
             raise _type_error(path, "a mapping", value)
         for key, item in value.items():
@@ -437,7 +421,8 @@ def _valid(tp, value, path: str, rule=None) -> None:
 
 def _decode_section(cls, data: dict, path: str, base=None):
     """``cls`` from ``data``; left-out keys keep ``base``'s values, or the
-    class defaults.  Each given field is checked before the section is made."""
+    class defaults.  Only unknown and missing keys are named here: the section
+    is made from its reshaped values unchecked, for the config's one walk."""
     where = path or "config"
     specs = _field_specs(cls)
     unknown = sorted(set(data) - set(specs))
@@ -449,18 +434,10 @@ def _decode_section(cls, data: dict, path: str, base=None):
             raise ConfigError(f"{where}: missing key '{name}'")
     kwargs = {}
     for name, value in data.items():
-        tp, default, rule = specs[name]
-        if base is not None:
-            default = getattr(base, name)
-        field_path = f"{path}.{name}" if path else name
-        kwargs[name] = _decode(tp, value, default, field_path)
-        _valid(tp, kwargs[name], field_path, rule)
-    try:
-        return cls(**kwargs) if base is None else replace(base, **kwargs)
-    except ConfigError:
-        raise  # a ScenarioConfig names its own paths
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
+        tp, default, _ = specs[name]
+        kwargs[name] = _decode(tp, value, default if base is None else getattr(base, name),
+                               f"{path}.{name}" if path else name)
+    return cls(**kwargs) if base is None else replace(base, **kwargs)
 
 
 def _decode(tp, value, default, path: str):
@@ -469,6 +446,8 @@ def _decode(tp, value, default, path: str):
     an int a float where a float is declared.  Anything else is left as it
     is, for ``_valid`` to name."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Annotated:  # an item's own rule, for ``_valid``
+        return _decode(args[0], value, default, path)
     if origin is types.UnionType and value is not None:  # X | None
         (inner,) = (arg for arg in args if arg is not type(None))
         return _decode(inner, value, default, path)

@@ -115,7 +115,7 @@ _TOPIC = {"topic_id": "t", "failure_class": "social", "severity": 0.5, "appeal":
      "attack.action_probabilities.bogus: unknown key; expected one of ['dos', "),
     ({"topics": [{**_TOPIC, "failure_class": "bogus"}]},
      "topics[0].failure_class: 'bogus' not in ['social', "),
-    ({"topics": [{**_TOPIC, "severity": 2}]}, "topics[0]: severity must lie in [0, 1]"),
+    ({"topics": [{**_TOPIC, "severity": 2}]}, "topics[0].severity: must lie in [0, 1], got 2.0"),
     # once ran, docking reputation while the counter went 1.5, 0.5, -0.5
     ({"attack": {"downtime_ticks": {"dos": 1.5}}},
      "attack.downtime_ticks.dos: expected an integer, got 1.5"),

@@ -1,4 +1,5 @@
 import ast
+import collections
 import copy
 import dataclasses
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from firesim import scenario
+from firesim.agents import TargetTopic
 from firesim.analytics import run_outcome
 from firesim.cli import TOGGLES
 from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
@@ -22,7 +24,7 @@ from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
                               default_config, dumps_config, expand_preset,
                               load_config, loads_config)
 from firesim.contagion import World
-from firesim.defense import ARMING_POLICIES
+from firesim.defense import ARMING_POLICIES, PastFirestorm
 from firesim.socialgraph import AccountTable
 
 
@@ -216,6 +218,11 @@ def test_a_config_checks_itself_when_made():
         ScenarioConfig(graph=replace(cfg.graph, n=20, m=2))
     with pytest.raises(ConfigError, match=r"^agents\.gamma_direct: must be a finite number, got inf$"):
         replace(cfg, agents=replace(cfg.agents, gamma_direct=math.inf))
+    # a topic was once a bare ValueError with no path, raised by the topic itself
+    with pytest.raises(ConfigError, match=r"^topics\[0\]\.severity: must lie in \[0, 1\], got 2\.0$"):
+        replace(cfg, topics=(replace(cfg.topics[0], severity=2.0),))
+    with pytest.raises(ConfigError, match=r"^topics\[0\]\.appeal\[2\]: must lie in \[0, 1\], got -0\.5$"):
+        replace(cfg, topics=(replace(cfg.topics[0], appeal=(0.5, 0.5, -0.5, 0.5, 0.5)),))
 
 
 @pytest.mark.parametrize("section, change, message", [
@@ -233,6 +240,9 @@ def test_a_config_checks_itself_when_made():
     # from here on, each was accepted by ``replace()`` or ended in a TypeError or AttributeError
     ("attack", {"action_schedule": ((1.5, "dos"),)},
      "attack.action_schedule[0][0]: expected an integer, got 1.5"),
+    # once ``attack.action_schedule[0].tick`` when decoded, in a second path form
+    ("attack", {"action_schedule": ((-1, "dos"),)},
+     "attack.action_schedule[0][0]: must be >= 0, got -1"),
     ("attack", {"target_weights": (0.5, 0.5)},
      "attack.target_weights: expected a list of 3 items, got [0.5, 0.5]"),
     ("attack", {"target_weights": ("a", 0.5, 0.5)},
@@ -526,6 +536,8 @@ _PAST = {"topic_id": "t", "failure_class": "social", "tick": -100}
     ("attack.action_schedule[0]",
      {"attack": {"action_schedule": [{"tick": 3, "action": "dos"}]}}),
     ("attack.action_schedule[0][1]", {"attack": {"action_schedule": [[3, 4]]}}),
+    ("attack.action_schedule[0][0]", {"attack": {"action_schedule": [[-1, "dos"]]}}),
+    ("attack.action_schedule[0][1]", {"attack": {"action_schedule": [[1, "bogus"]]}}),
     # rates past numpy's Poisson limit validated and then crashed the build
     ("agents.posting_rate", {"agents": {"posting_rate": 9.3e18}}),
     ("attack.bot_posting_rate", {"attack": {"bot_posting_rate": 61.0}}),
@@ -535,6 +547,38 @@ def test_strict_decoder_names_the_offending_path(path, data):
     with pytest.raises(ConfigError) as err:
         config_from_dict(data)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def test_decoding_walks_each_given_field_once(monkeypatch):
+    """Decoding only reshapes, so the config's one walk is the only check a
+    given field meets: ``graph.n`` was once walked 3 times, a field of a
+    nested section 4."""
+    walked = collections.Counter()
+    valid = scenario._valid
+
+    def counted(tp, value, path, rule=None):
+        walked[path] += 1
+        valid(tp, value, path, rule)
+
+    monkeypatch.setattr(scenario, "_valid", counted)
+    config_from_dict({"graph": {"n": 50}, "attack": {"ransom": {"amount": 5.0}}})
+    assert walked["graph.n"] == walked["attack.ransom.amount"] == 1
+
+
+def test_no_record_of_a_config_checks_itself_but_the_config():
+    """Decoding makes each record before the config's one walk checks it, so
+    a record with its own ``__post_init__`` would meet values of the wrong
+    type: of the dataclasses a config holds, only ``ScenarioConfig`` checks."""
+    records, todo = set(), [ScenarioConfig]
+    while todo:
+        tp = todo.pop()
+        if dataclasses.is_dataclass(tp) and tp not in records:
+            records.add(tp)
+            todo += typing.get_type_hints(tp).values()
+        else:
+            todo += typing.get_args(tp)
+    assert {TargetTopic, PastFirestorm, PolicySpec} <= records
+    assert [cls for cls in records if "__post_init__" in vars(cls)] == [ScenarioConfig]
 
 
 def test_config_json_is_stable():
