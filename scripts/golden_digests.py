@@ -26,7 +26,8 @@ import test_golden  # noqa: E402
 ANALYZE_TABLES = (("ANALYZE_DIGESTS", "write_analyze_inputs"),
                   ("ANALYZE_EDGE_DIGESTS", "write_analyze_edge_inputs"),
                   ("ANALYZE_QUOTED_DIGESTS", "write_analyze_quoted_inputs"),
-                  ("ANALYZE_QUIRKS_DIGESTS", "write_analyze_quirks_inputs"))
+                  ("ANALYZE_QUIRKS_DIGESTS", "write_analyze_quirks_inputs"),
+                  ("ANALYZE_SPAN_DIGESTS", "write_analyze_span_inputs"))
 
 
 def _digest_lines(digests: dict, indent: str) -> None:

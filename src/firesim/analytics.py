@@ -248,17 +248,22 @@ def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
     return rows[at].view(np.uint8).reshape(len(at), width)
 
 
-def _scalar_cells(convert, buf, starts, ends, values, ok, low, high) -> None:
+def _scalar_cells(convert, buf, starts, ends, values, ok, low, high, memo: dict) -> None:
     """Set ``values`` and ``ok`` of each cell ``ok`` leaves out that
-    ``convert`` accepts with a value in ``[low, high]``.  Each such cell is
-    decoded and converted once, in order."""
+    ``convert`` accepts with a value in ``[low, high]``.  ``memo`` maps
+    ``(convert, cell bytes)`` to the value, or to None where ``convert``
+    raised, so each spelling is decoded and converted once while ``memo``
+    lives, in the order the spellings first appear."""
     at = np.flatnonzero(~ok)
     for i, start, end in zip(at.tolist(), starts[at].tolist(), ends[at].tolist()):
-        try:
-            value = convert(buf[start:end].tobytes().decode())
-        except (ValueError, OverflowError):
-            continue
-        if low <= value <= high:
+        key = (convert, buf[start:end].tobytes())
+        if key not in memo:
+            try:
+                memo[key] = convert(key[1].decode())
+            except (ValueError, OverflowError):
+                memo[key] = None
+        value = memo[key]
+        if value is not None and low <= value <= high:
             values[i], ok[i] = value, True
 
 
@@ -387,7 +392,7 @@ def _iso_ticks(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     return days * np.int64(24) + hour + (minute * 60 + second - offset) // 3600, iso
 
 
-def _parse_timestamps(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+def _parse_timestamps(buf, starts, ends, memo: dict) -> tuple[np.ndarray, np.ndarray]:
     """Ticks of a column of timestamp cells and the mask of cells that parse:
     ISO stamps and integers by their kernels, the rest by
     ``_parse_timestamp``.  So a cell parses, and to the same tick, exactly
@@ -398,7 +403,7 @@ def _parse_timestamps(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
                            (_integers, lengths <= 19)):
         at = np.flatnonzero(shaped & ~ok)
         ticks[at], ok[at] = kernel(buf, starts[at], ends[at])
-    _scalar_cells(_parse_timestamp, buf, starts, ends, ticks, ok, _INT64_MIN, _INT64_MAX)
+    _scalar_cells(_parse_timestamp, buf, starts, ends, ticks, ok, _INT64_MIN, _INT64_MAX, memo)
     return ticks, ok
 
 
@@ -432,17 +437,18 @@ def _surfaces_ok(buf, starts, ends) -> np.ndarray:
     return ok
 
 
-def _parse_rows(buf, starts, ends) -> tuple[np.ndarray, ...]:
+def _parse_rows(buf, starts, ends, memo: dict) -> tuple[np.ndarray, ...]:
     """Columns of five-cell rows (ticks, authors, creation ticks, valences) and
     the mask of valid rows; cell k of row i is ``buf[starts[k, i]:ends[k, i]]``."""
     (ticks, created), (ok, created_ok) = (
         column.reshape(2, -1) for column in _parse_timestamps(buf, starts[[0, 2]].ravel(),
-                                                              ends[[0, 2]].ravel()))
+                                                              ends[[0, 2]].ravel(), memo))
     authors, authors_ok = _integers(buf, starts[1], ends[1])
-    _scalar_cells(int, buf, starts[1], ends[1], authors, authors_ok, _INT64_MIN, _INT64_MAX)
+    _scalar_cells(int, buf, starts[1], ends[1], authors, authors_ok, _INT64_MIN, _INT64_MAX,
+                  memo)
     valences, valences_ok = _decimals(buf, starts[4], ends[4])
     valences_ok &= np.abs(valences) <= 1.0  # a kernel value out of range is refused
-    _scalar_cells(float, buf, starts[4], ends[4], valences, valences_ok, -1.0, 1.0)
+    _scalar_cells(float, buf, starts[4], ends[4], valences, valences_ok, -1.0, 1.0, memo)
     ok &= authors_ok & created_ok & valences_ok
     ok &= _surfaces_ok(buf, starts[3], ends[3])
     return ticks, authors, created, valences, ok
@@ -482,20 +488,23 @@ def _first_occurrences(authors: np.ndarray, ticks: np.ndarray,
     """Mask of rows whose (author, tick, valence) no earlier row has.
 
     Valences compare as floats do in a ``set``: ``-0.0`` equals ``0.0``.
-    Rows are grouped by a stable sort on one key (``_dedup_keys``), or on the
-    three columns when two rows that meet in that order share only the key.
+    Rows are grouped by an unstable sort on one key (``_dedup_keys``), or by
+    a sort on the three columns when two rows that meet in that order share
+    only the key; each group keeps its least row index.
     """
+    if not len(authors):
+        return np.ones(0, dtype=bool)  # no rows: no group starts at row 0
     bits = (valences + 0.0).view(np.int64)  # -0.0 + 0.0 is +0.0
     keys = _dedup_keys(authors, ticks, bits)
-    order = np.argsort(keys, kind="stable")  # stable: ties stay in file order
+    order = np.argsort(keys)  # a group's rows in any order
     tie = np.diff(keys[order]) == 0  # uint64 differences wrap: zero only on a tie
     later, earlier = order[1:][tie], order[:-1][tie]
     if any((c[later] != c[earlier]).any() for c in (authors, ticks, bits)):
         order = np.lexsort((bits, ticks, authors))
         a, t, b = authors[order], ticks[order], bits[order]
-        later = order[1:][(a[1:] == a[:-1]) & (t[1:] == t[:-1]) & (b[1:] == b[:-1])]
-    first = np.ones(len(order), dtype=bool)
-    first[later] = False
+        tie = (a[1:] == a[:-1]) & (t[1:] == t[:-1]) & (b[1:] == b[:-1])
+    first = np.zeros(len(order), dtype=bool)
+    first[np.minimum.reduceat(order, np.flatnonzero(np.append(True, ~tie)))] = True
     return first
 
 
@@ -569,7 +578,7 @@ def _toggles(data: bytes, quotes: np.ndarray) -> np.ndarray:
     return toggles
 
 
-def _parse_block(data: bytes, header=None, final: bool = False) -> tuple:
+def _parse_block(data: bytes, memo: dict, header=None, final: bool = False) -> tuple:
     """Kept-row columns of the records of UTF-8 archive text that starts a
     record, their (total, malformed) counts and the bytes read: through the
     last record end, or all when ``final`` (the end then ends a record).
@@ -631,7 +640,7 @@ def _parse_block(data: bytes, header=None, final: bool = False) -> tuple:
     starts[0], starts[1:] = firsts[rows], ends[:-1] + 1
     quoted = buf[starts] == ord('"')
     starts, ends = starts + quoted, ends - quoted
-    *columns, ok = _parse_rows(buf, starts, ends)
+    *columns, ok = _parse_rows(buf, starts, ends, memo)
     total, malformed = len(rows), 0
     others = np.flatnonzero(~kernel & (stops > firsts))
     if len(others):
@@ -644,7 +653,8 @@ def _parse_block(data: bytes, header=None, final: bool = False) -> tuple:
         if wide:
             wide_buf, wide_starts, wide_ends = _cell_bytes(
                 [cell for i in wide for cell in split[i]])
-            more = _parse_rows(wide_buf, wide_starts.reshape(-1, 5).T, wide_ends.reshape(-1, 5).T)
+            more = _parse_rows(wide_buf, wide_starts.reshape(-1, 5).T,
+                               wide_ends.reshape(-1, 5).T, memo)
             at = np.searchsorted(rows, others[wide])
             *columns, ok = (np.insert(column, at, extra) for column, extra in zip((*columns, ok), more))
     malformed += len(ok) - int(np.count_nonzero(ok))
@@ -659,8 +669,10 @@ def _range_parts(path, start: int, end: int):
     the two of a ``\\r\\n`` a cut adds only an empty record), after what the
     block before left: a record still open and the bytes past its cut.  A
     record open over a whole read makes the next read as long as it, so it
-    is parsed again only as often as its length doubles."""
+    is parsed again only as often as its length doubles.  The blocks share
+    one ``_scalar_cells`` memo, which lives as long as this generator."""
     header, rest, size = path if start == 0 else None, b"", end - start
+    memo: dict = {}
     with open(path, "rb") as fh:
         fh.seek(start)
         while size > 0 and (chunk := fh.read(min(max(_BLOCK_BYTES, len(rest)), size))):
@@ -671,14 +683,14 @@ def _range_parts(path, start: int, end: int):
                 continue
             data = rest + chunk[:cut]
             data.decode()  # raises on bytes that are not UTF-8
-            *part, used = _parse_block(data, header)
+            *part, used = _parse_block(data, memo, header)
             header, rest = header if used == 0 else None, data[used:]
             if len(rest) > csv.field_size_limit():  # raises on a field past the limit
                 next(csv.reader([rest.decode()]))
             rest += chunk[cut:]
             yield part
     if rest:
-        yield _parse_block(rest, header, final=True)[:3]
+        yield _parse_block(rest, memo, header, final=True)[:3]
     elif header is not None:
         _check_header(path, None)
 
@@ -692,9 +704,9 @@ def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
     ``_parse_block``, so a byte that is not UTF-8 anywhere in a block is
     reported before any other fault in it.  Within a block the array kernels
     read each column, and ``_scalar_cells`` reads each timestamp, author and
-    valence cell they refuse with its scalar converter.  Bytes that are not
-    UTF-8 and CSV the reader rejects (a field over its size limit) raise
-    CorruptArchiveError.
+    valence cell they refuse with its scalar converter, once for each
+    spelling the range holds.  Bytes that are not UTF-8 and CSV the reader
+    rejects (a field over its size limit) raise CorruptArchiveError.
     """
     path, start, end = task
     parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
@@ -715,7 +727,8 @@ def ingest_archive(path: str | Path) -> IngestResult:
     """Read an exported post archive, deduplicating and counting bad rows.
 
     A large quote-free archive is parsed as byte ranges (``_byte_ranges``),
-    one per CPU, in a process pool; any other archive is read in one pass in
+    one per CPU: this process parses the first range while a pool of worker
+    processes parses the rest.  Any other archive is read in one pass in
     this process.  Either way each range is read in blocks by array kernels
     (``_ingest_range``), and every row parses to the values a row-by-row
     ``csv.reader`` loop with the scalar converters gives it.  Ranges merge

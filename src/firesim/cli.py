@@ -323,22 +323,32 @@ def cmd_compare(cfg: ScenarioConfig, toggle: str, seeds: list[int],
 
 # -- analyze --------------------------------------------------------------------
 
+def _tick_order(ticks: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets ``ticks - base`` as uint32, for ticks from ``base`` to
+    ``base + 2**32 - 1``, and ``np.argsort(ticks, kind="stable")``: a
+    stable sort of the offsets' low 16 bits, then one of their high 16
+    bits, both of which numpy radix-sorts."""
+    offsets = (ticks - base).astype(np.uint32)
+    order = np.argsort(offsets.astype(np.uint16), kind="stable")
+    return offsets, order[np.argsort((offsets[order] >> 16).astype(np.uint16), kind="stable")]
+
+
 def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
     result = analytics.ingest_archive(archive)
-    order = np.argsort(result.ticks, kind="stable")  # ties stay in file order
-    ticks = result.ticks[order]
-    posts = len(ticks)
+    posts = len(result.ticks)
     an = cfg.analytics
 
     windows = []
     volumes: list[int] = []
     verdict = None
-    base_tick = int(ticks[0]) if posts else None
+    base_tick = None
     if posts:
-        if int(ticks[-1]) - base_tick > MAX_TICK_SPAN:
+        base_tick, last_tick = int(result.ticks.min()), int(result.ticks.max())
+        if last_tick - base_tick > MAX_TICK_SPAN:
             raise analytics.CorruptArchiveError(
                 f"{archive}: timestamps span more than {MAX_TICK_SPAN:,} ticks")
-        counts = np.bincount(ticks - base_tick)
+        offsets, order = _tick_order(result.ticks, base_tick)  # MAX_TICK_SPAN < 2**32
+        counts = np.bincount(offsets)
         volumes = counts.tolist()
         windows = analytics.sentiment_windows(
             counts, result.valences[order], window=an.sentiment_window,
@@ -347,7 +357,7 @@ def cmd_analyze(archive: Path, cfg: ScenarioConfig, out_dir: Path) -> int:
         early = order[:k]
         verdict = defense.detect_artificial(result.authors[early].tolist(),
                                             result.created_ticks[early].tolist(),
-                                            now=int(ticks[-1]),
+                                            now=last_tick,
                                             age_threshold=cfg.defense.age_threshold,
                                             requested=k)
 

@@ -24,11 +24,20 @@ def run_tasks(tasks: list, worker, parallelism: int) -> list:
     """``worker`` over ``tasks``, results in task order.
 
     With one worker or fewer the tasks run in this process and no pool
-    starts; otherwise every worker is joined before this returns or raises.
+    starts.  When each worker gets exactly one task, this process is one of
+    the workers: it runs the first task while a pool of one process fewer
+    runs the rest.  With more tasks than workers the pool runs them all, so
+    a free worker takes the next task.  Either way every pool process is
+    joined before this returns or raises.
     """
     workers = pool_size(parallelism, len(tasks))
     if workers <= 1:
         return [worker(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+    if workers < len(tasks):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, tasks))
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        rest = pool.map(worker, tasks[1:])  # submitted, and the pool forked, first
+        first = worker(tasks[0])
+        return [first, *rest]

@@ -533,7 +533,7 @@ def test_chunk_timestamp_parser_matches_scalar(cells):
             return None
         return tick if -2 ** 63 <= tick < 2 ** 63 else None
 
-    ticks, ok = _parse_timestamps(*analytics._cell_bytes(cells))
+    ticks, ok = _parse_timestamps(*analytics._cell_bytes(cells), {})
     assert [t if good else None for t, good in zip(ticks.tolist(), ok.tolist())] == \
         [scalar(cell) for cell in cells]
 
@@ -853,7 +853,8 @@ def test_multi_block_archive_matches_row_loop_in_one_pass_and_split(tmp_path, mo
             _force_split(mp, cpus, 1 << 16)
             assert len(analytics._byte_ranges(path)) == cpus
             _assert_ingest_matches_row_loop(path)
-    # the one pass ran in this process; forked ranges record into their own copy.
+    # the one pass and the first range ran in this process; the forked range
+    # records into its own copy.
     # A block is what a read left after its last line end, then the next read.
     assert len(blocks) >= path.stat().st_size // 4096
     assert max(blocks) <= 4096 + max(map(len, rows))
@@ -969,21 +970,38 @@ _CONVERTERS = {"int": (int, np.int64, _INT64_RANGE), "float": (float, np.float64
 @settings(max_examples=200, deadline=None)
 def test_scalar_cells_convert_each_refused_cell_once_like_a_cell_loop(converter, rows):
     """A cell that ``ok`` accepts keeps its kernel value (3) and is not
-    converted; each other cell is converted once, in order."""
+    converted; each other spelling is converted once, in the order the
+    spellings first appear, over two calls that share a memo."""
     convert, dtype, (low, high) = _CONVERTERS[converter]
     cells = [cell for cell, _ in rows]
     values = np.full(len(cells), 3, dtype=dtype)
     ok = np.array([accepted for _, accepted in rows], dtype=bool)
     expected = _scalar_cells_by_cell(convert, cells, values.tolist(), ok.tolist(), low, high)
-    seen = []
+    seen, memo = [], {}
 
     def counting(cell):
         seen.append(cell)
         return convert(cell)
 
-    analytics._scalar_cells(counting, *analytics._cell_bytes(cells), values, ok, low, high)
-    assert seen == [cell for cell, accepted in rows if not accepted]
+    for part in (slice(0, len(cells) // 2), slice(len(cells) // 2, None)):  # views: written through
+        analytics._scalar_cells(counting, *analytics._cell_bytes(cells[part]), values[part],
+                                ok[part], low, high, memo)
+    assert seen == list(dict.fromkeys(cell for cell, accepted in rows if not accepted))
     assert repr((values.tolist(), ok.tolist())) == repr(expected)
+
+
+def test_each_refused_spelling_is_converted_once_per_ingest(tmp_path, monkeypatch):
+    """A spelling the kernels refuse, repeated over many blocks, is converted
+    once in an ingest, and once again in the next: the memo is the range's."""
+    rows = [f"{'yesterday' if k % 7 == 0 else 100 + k},{k},50,general_stream,-0.5"
+            for k in range(700)]
+    path = _write_archive(tmp_path, rows)
+    monkeypatch.setattr(analytics, "_BLOCK_BYTES", 1024)
+    seen, parse = [], analytics._parse_timestamp
+    monkeypatch.setattr(analytics, "_parse_timestamp", lambda cell: seen.append(cell) or parse(cell))
+    for ingests in (1, 2):
+        assert ingest_archive(path).malformed_count == 100
+        assert seen == ["yesterday"] * ingests
 
 
 @pytest.mark.parametrize("cell", [" 7 ", "\t7\n", "+7", "7_0", " -7", "\u20037\u2003", "\u0663",
@@ -991,7 +1009,7 @@ def test_scalar_cells_convert_each_refused_cell_once_like_a_cell_loop(converter,
 def test_integer_stamps_read_as_the_scalar_parser_reads_them(cell):
     # "2024-01-01T06:30" is off the array path, and ``int`` rejects it
     ticks, ok = _parse_timestamps(*analytics._cell_bytes([cell, "2024-01-01T00:00:00Z", "soon",
-                                                          cell, "7_", "2024-01-01T06:30"]))
+                                                          cell, "7_", "2024-01-01T06:30"]), {})
     assert ok.tolist() == [True, True, False, True, False, True]
     assert ticks[0] == ticks[3] == _parse_timestamp(cell)
     assert ticks[5] == _parse_timestamp("2024-01-01T06:30")

@@ -1,9 +1,11 @@
+import concurrent.futures
 import contextlib
 import io
 import json
 import os
 import stat
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +329,31 @@ def test_analyze_tick_span_over_the_cap_is_exit_4(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+_MAX_SPAN = cli.MAX_TICK_SPAN
+_TICK_BASES = st.one_of(st.integers(-2 ** 63, -2 ** 63 + 3),
+                        st.integers(2 ** 63 - 1 - _MAX_SPAN - 3, 2 ** 63 - 1 - _MAX_SPAN),
+                        st.integers(-70_000, 70_000),
+                        st.integers(-2 ** 63, 2 ** 63 - 1 - _MAX_SPAN))
+_TICK_OFFSETS = st.lists(st.one_of(st.integers(0, 3), st.integers(65_533, 65_539),
+                                   st.integers(0, _MAX_SPAN), st.just(_MAX_SPAN)), max_size=80)
+
+
+@given(_TICK_BASES, _TICK_OFFSETS)
+@example(0, [])
+@example(-2 ** 63, [_MAX_SPAN, 0, 70_000, 4_464, 70_000, 0, 65_536, 65_535])
+@example(2 ** 63 - 1 - _MAX_SPAN, [_MAX_SPAN, 3, _MAX_SPAN, 3, 0])
+@settings(max_examples=200, deadline=None)
+def test_tick_order_is_the_stable_argsort(base, offsets):
+    """Ticks at most ``MAX_TICK_SPAN`` apart, however near the ends of
+    int64, with ties and negative ticks: the two 16-bit passes give the
+    stable order, and the offsets from the least tick."""
+    ticks = np.array([base + offset for offset in offsets], dtype=np.int64)
+    low = int(ticks.min()) if len(ticks) else 0
+    got, order = cli._tick_order(ticks, low)
+    assert got.tolist() == [tick - low for tick in ticks.tolist()]
+    assert order.tolist() == np.argsort(ticks, kind="stable").tolist()
+
+
 def test_analyze_help_lists_no_seed(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["analyze", "--help"])
@@ -436,6 +463,15 @@ def test_batch_parallelism_does_not_change_bytes(tmp_path, capsys, monkeypatch):
     assert error["traceback"].startswith("Traceback (most recent call last):")
     assert error["traceback"].rstrip().endswith("RuntimeError: seed 2 fails")
     assert "_outcome_failing_on_seed_2" in error["traceback"]
+    # one seed a worker: seed 0 runs in this process, seed 1 in a pool of one
+    monkeypatch.setattr(pool.os, "cpu_count", lambda: 2)
+    out_a, out_b = tmp_path / "serial-pair", tmp_path / "parallel-pair"
+    for out, parallelism in ((out_a, "1"), (out_b, "2")):
+        assert cli.main(["batch", "--config", str(cfg_path), "--seeds", "0..1",
+                         "--parallelism", parallelism, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out_a / "batch_summary.json").read_bytes() == \
+        (out_b / "batch_summary.json").read_bytes()
 
 
 @pytest.mark.parametrize("cpus,parallelism,tasks,expected", [
@@ -448,6 +484,62 @@ def test_batch_parallelism_does_not_change_bytes(tmp_path, capsys, monkeypatch):
 def test_pool_size_is_clamped(monkeypatch, cpus, parallelism, tasks, expected):
     monkeypatch.setattr(pool.os, "cpu_count", lambda: cpus)
     assert pool.pool_size(parallelism, tasks) == expected
+
+
+def _pool_task(task: tuple) -> tuple:
+    """``(task, the id of the process that ran it)``; ``("fail", k)``
+    raises, and ``("late", path)`` writes ``path`` after a pause (at module
+    level, so that a pool can pickle it)."""
+    kind, arg = task
+    if kind == "fail":
+        raise RuntimeError(f"task {arg} fails")
+    if kind == "late":
+        time.sleep(0.3)
+        Path(arg).write_text("done")
+    return task, os.getpid()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each pool that ``run_tasks`` builds, on 3 CPUs."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pool.os, "cpu_count", lambda: 3)
+    return sizes
+
+
+@pytest.mark.parametrize("parallelism,count,sizes,here", [
+    (3, 3, [2], 1),  # one task a worker: the first runs in this process
+    (3, 2, [1], 1),
+    (3, 5, [3], 0),  # more tasks than workers: the pool runs them all
+    (2, 5, [2], 0),
+    (1, 3, [], 3),   # one worker: no pool
+])
+def test_run_tasks_returns_results_in_task_order(pool_sizes, parallelism, count, sizes, here):
+    tasks = [("ok", k) for k in range(count)]
+    results = pool.run_tasks(tasks, _pool_task, parallelism)
+    assert [task for task, _ in results] == tasks
+    assert pool_sizes == sizes
+    assert [pid == os.getpid() for _, pid in results] == [True] * here + [False] * (count - here)
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["in-this-process", "in-a-worker"])
+def test_run_tasks_raises_after_the_pool_is_joined(pool_sizes, tmp_path, failing):
+    """A task that raises, here or in the pool, raises from ``run_tasks``
+    only once the pool's slower task has finished."""
+    marker = tmp_path / "late"
+    tasks = [("ok", 0), ("ok", 1), ("late", str(marker))]
+    tasks[failing] = ("fail", failing)
+    with pytest.raises(RuntimeError, match=f"task {failing} fails"):
+        pool.run_tasks(tasks, _pool_task, 3)
+    assert marker.read_text() == "done"
+    assert pool_sizes == [2]
 
 
 # -- payload shapes --------------------------------------------------------------------

@@ -33,7 +33,11 @@ the never-activated users as an index and kept the susceptibilities per
 topic.  The JSON digests of the `run`, `run --config`, `batch` and
 `compare` cases were re-recorded when three config fields that shaped
 nothing (two roster labels and a severity switch never turned off) left
-the config echo, and nothing else in those files moved.  Any refactor of
+the config echo, and nothing else in those files moved.  The span
+`analyze` digests (ticks over 65,536 hours apart, from a negative first
+tick, with ties scattered through the file) were recorded while `analyze`
+ordered the posts with one stable sort of the int64 ticks and dedup
+grouped rows with a stable sort, before both sorts changed.  Any refactor of
 the engine, the fork or the report writers must leave these bytes
 unchanged; a change that moves them on purpose has to re-record the
 tables and say why.
@@ -325,6 +329,13 @@ ANALYZE_QUIRKS_DIGESTS = {
     "volume.csv": "5aa0eff16ac0bd27a51a0469eb2dfc38785799f85c25c3486153e8adea16d199",
 }
 
+# `analyze` of the archive ``write_analyze_span_inputs`` writes
+ANALYZE_SPAN_DIGESTS = {
+    "analysis.json": "8a302229aa8392524044204079df74b75dbc6fd75ea48740f94c198127715d83",
+    "sentiment_windows.csv": "1468cde064341b433c4d9e567ef7a87cd13857a36bbbd4c4902aa1f2e5e21fec",
+    "volume.csv": "024c318f37c62229999699d1656e21eeb0fd96bd95cd343fd6450b78ffc6a94d",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -596,6 +607,52 @@ def write_analyze_quirks_inputs(directory):
     return archive, config
 
 
+def write_analyze_span_inputs(directory):
+    """An archive whose ticks span 90,000 hours from a negative first tick,
+    plus its config.
+
+    Its tick offsets (4,464 and 70,000; 65,535 and 65,536) order otherwise
+    by their low 16 bits than in full.  Each tick holds six rows scattered
+    through the file, so the early posters the detector reads (the six rows
+    at the first tick and two of the six at the next) and each window's
+    valence sums depend on ties keeping file order.  Exact duplicates sit
+    far from their first copy, and the cells the kernels refuse repeat
+    their spellings: padded authors and stamps and ``1e-1`` valences that
+    the scalar converters accept, and ``yesterday``, ``user-7``, ``n/a``
+    and ``1.5`` that make a row malformed.
+    """
+    low = -30_000
+    offsets = (0, 1, 4_464, 5_000, 30_000, 65_535, 65_536, 65_537, 70_000, 90_000)
+    last = low + offsets[-1]
+    rows = []
+    for k in range(60):
+        tick = low + offsets[(k * 7) % len(offsets)]
+        author = 200 + (k * 11) % 17
+        created = last - 10 if k % 4 == 0 else low - 1000 - k
+        valence = (0.1, 0.2, 0.3, -0.7, 0.45, -0.15, 1.0, -1.0, 0.05)[k % 9]
+        stamp = _iso(tick, naive=k % 6 == 2) if k % 3 == 2 else str(tick)
+        rows.append(f"{stamp},{author},{created},general_stream,{valence}")
+    rows += [rows[2], rows[41], rows[8]]  # exact duplicates, far from their first copy
+    rows += [f" {low + 5_000} ,201,{low},company_page,0.25",
+             f"{low + 70_000}, 205 ,{low},,-0.35",
+             f" {low + 70_000} ,205,{low},company_page,1e-1",
+             f"{low + 1}, 205 ,{low},general_stream,1e-1"]
+    rows += [f"yesterday,210,{low},general_stream,0.1",
+             f"{low + 1},user-7,{low},general_stream,0.1",
+             f"{low + 1},211,{low},general_stream,n/a",
+             f"{low + 2},212,{low},general_stream,1.5"] * 2
+    rows.insert(30, rows.pop())  # one malformed row mid-file
+    archive = directory / "archive.csv"
+    archive.write_text("timestamp,author_id,author_created_at,surface,valence\n"
+                       + "\n".join(rows) + "\n", encoding="utf-8")
+    config = directory / "analyze.json"
+    config.write_text(json.dumps({
+        "analytics": {"sentiment_window": 168, "neutral_band": 0.1,
+                      "forecast_window": 6},
+        "defense": {"detect_first_k": 8, "age_threshold": 48}}), encoding="utf-8")
+    return archive, config
+
+
 def analyze_digests(work_dir, write_inputs=write_analyze_inputs) -> dict[str, str]:
     """Digests of `analyze` run from ``work_dir``, so that the archive path
     recorded in analysis.json is the same relative name every time."""
@@ -665,12 +722,18 @@ def test_analyze_quirks_digests(tmp_path):
         _RECORDED_ON
 
 
+def test_analyze_span_digests(tmp_path):
+    assert analyze_digests(tmp_path, write_analyze_span_inputs) == ANALYZE_SPAN_DIGESTS, \
+        _RECORDED_ON
+
+
 # an archive that holds a quote is one range
 @pytest.mark.parametrize("write_inputs,digests,ranges", [
     (write_analyze_inputs, ANALYZE_DIGESTS, 3),
     (write_analyze_edge_inputs, ANALYZE_EDGE_DIGESTS, 1),
     (write_analyze_quoted_inputs, ANALYZE_QUOTED_DIGESTS, 1),
     (write_analyze_quirks_inputs, ANALYZE_QUIRKS_DIGESTS, 1),
+    (write_analyze_span_inputs, ANALYZE_SPAN_DIGESTS, 3),
 ])
 def test_analyze_digests_with_the_split_forced(tmp_path, monkeypatch, write_inputs, digests,
                                                ranges):
