@@ -23,7 +23,7 @@ def main() -> None:
     h = sim.history
 
     print(f"seed={args.seed} topic={sim.topic.topic_id} "
-          f"({sim.topic.failure_class.value}, severity {sim.topic.severity})")
+          f"({sim.topic.failure_class}, severity {sim.topic.severity})")
     print(f"{'tick':>5} {'total':>6} {'organic':>8} {'bots':>5} {'stage':>10} "
           f"{'stress':>7} {'reputation':>11} {'value':>8}")
     for t in range(0, len(h.total_posts), args.every):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import Enum, IntEnum, StrEnum
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,12 +53,17 @@ class Bound:
                 f"{self.hi}{')' if self.hi_open else ']'}")
 
 
-class FailureClass(Enum):
-    """What kind of corporate failure a topic hangs on."""
+class FailureClass(StrEnum):
+    """What kind of corporate failure a topic hangs on.  A member equals,
+    and hashes as, its name: a config holds the name."""
 
     SOCIAL = "social"
     COMMUNICATION = "communication"
     PRODUCT_SERVICE = "product_service"
+
+
+# the names a failure class field may take, as its config rule
+FAILURE_CLASS_NAMES = tuple(fc.value for fc in FailureClass)
 
 
 class SurfaceKind(IntEnum):
@@ -99,9 +104,10 @@ class TargetTopic:
     """A grievance candidate the attacker can try to ignite."""
 
     topic_id: str
-    failure_class: FailureClass
-    # the bound of each (of each component, for appeal), as a config field's
-    # rule: a topic is checked as part of its config (see ``scenario._valid``)
+    # each field's rule (the names it may take, or the bound of each
+    # component, for appeal), as a config field's: a topic is checked as
+    # part of its config (see ``scenario._valid``)
+    failure_class: str = field(metadata={"rule": FAILURE_CLASS_NAMES})
     severity: float = field(metadata={"rule": Bound(0, 1)})
     appeal: tuple[float, float, float, float, float] = field(metadata={"rule": Bound(0, 1)})
 
@@ -209,14 +215,14 @@ def activation_probability(susceptibility_value, exposure) -> np.ndarray:
     return 1.0 - np.power(1.0 - susceptibility_value, exposure)
 
 
-def draw_organic_valence(failure_class: FailureClass, rng: np.random.Generator,
+def draw_organic_valence(failure_class: str, rng: np.random.Generator,
                          cfg: "AgentConfig", size: int) -> np.ndarray:
     """Mixture of a negative and a mildly positive uniform component.
 
     The negative mass is the configured base weight scaled by the failure
     class multiplier, so classes that grip harder also skew angrier.
     """
-    w_neg = clip_unit(cfg.base_negative_weight * cfg.class_multipliers[failure_class.value])
+    w_neg = clip_unit(cfg.base_negative_weight * cfg.class_multipliers[failure_class])
     pick_neg = rng.random(size) < w_neg
     spread = 0.8 * rng.random(size)
     spread += np.where(pick_neg, -1.0, -0.2)

@@ -9,7 +9,6 @@ run never leaves a half-written report behind.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -135,7 +134,9 @@ def load_sentiment_summaries(text: str, closure_tolerance: float = 0.01) -> list
 
     Rows with proportions must sum to 1 within the tolerance; published
     tables rounded to three decimals pass at the default 0.01.  A row of
-    any width but the header's is a ``ValueError`` naming the row.
+    any width but the header's, a cell that is not a number of its column's
+    kind, a proportion or compound that is NaN or infinite, and a row that
+    fails closure are each a ``ValueError`` naming the line.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -145,16 +146,23 @@ def load_sentiment_summaries(text: str, closure_tolerance: float = 0.01) -> list
     for row in reader:
         if not row:
             continue
+        line = f"line {reader.line_num}"
         if len(row) != len(header):
-            raise ValueError(f"line {reader.line_num}: {len(row)} cells, expected {len(header)}")
-        window_id, start, end, count = (int(v) for v in row[:4])
-        props = [None if v == "" else float(v) for v in row[4:7]]
-        compound = float(row[7])
+            raise ValueError(f"{line}: {len(row)} cells, expected {len(header)}")
+        try:
+            window_id, start, end, count = (int(v) for v in row[:4])
+            props = [None if v == "" else float(v) for v in row[4:7]]
+            compound = float(row[7])
+        except ValueError as err:  # int() and float() quote the cell
+            raise ValueError(f"{line}: {err}") from None
+        for name, value in zip(header[4:], (*props, compound)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{line}: {name} must be finite, got {value!r}")
         if any(p is not None for p in props):
             total = sum(p for p in props if p is not None)
             if abs(total - 1.0) > closure_tolerance:
                 raise ValueError(
-                    f"window {window_id}: proportions sum to {total}, "
+                    f"{line}: window {window_id}: proportions sum to {total}, "
                     f"outside 1 +/- {closure_tolerance}")
         out.append(SentimentSummary(window_id, start, end, count,
                                     props[0], props[1], props[2], compound))
@@ -407,22 +415,19 @@ def _parse_timestamps(buf, starts, ends, memo: dict) -> tuple[np.ndarray, np.nda
     return ticks, ok
 
 
-@functools.lru_cache(maxsize=4096)  # bounded; archives repeat their odd surfaces
-def _surface_ok(cell: str) -> bool:
+def _surface_cell(cell: str) -> int:
+    """0 for a blank cell (the general stream) or one that names a surface;
+    any other cell is a ``ValueError``."""
     text = cell.strip()
-    if not text:
-        return True  # blank means the general stream
-    try:
+    if text:
         Surface.from_text(text)
-    except ValueError:
-        return False
-    return True
+    return 0
 
 
-def _surfaces_ok(buf, starts, ends) -> np.ndarray:
+def _surfaces_ok(buf, starts, ends, memo: dict) -> np.ndarray:
     """Mask of valid surface cells: a blank cell, ``company_page``,
     ``general_stream`` or ``employee_profile:`` and an integer kernel cell
-    by bytes, any other cell by ``_surface_ok``."""
+    by bytes, any other cell by ``_scalar_cells`` and ``_surface_cell``."""
     lengths = ends - starts
     words = _words(buf)
     head, tail = words[starts], words[starts + 8]
@@ -431,9 +436,8 @@ def _surfaces_ok(buf, starts, ends) -> np.ndarray:
     at = np.flatnonzero((lengths >= 18) & (head == _EMPLOYEE) & (tail == _PROFILE)
                         & (buf[starts + 16] == ord(":")))
     ok[at] = _integers(buf, starts[at] + 17, ends[at])[1]
-    at = np.flatnonzero(~ok)
-    ok[at] = [_surface_ok(buf[s:e].tobytes().decode())
-              for s, e in zip(starts[at].tolist(), ends[at].tolist())]
+    _scalar_cells(_surface_cell, buf, starts, ends, np.zeros(len(ok), dtype=np.int8), ok, 0, 0,
+                  memo)
     return ok
 
 
@@ -450,7 +454,7 @@ def _parse_rows(buf, starts, ends, memo: dict) -> tuple[np.ndarray, ...]:
     valences_ok &= np.abs(valences) <= 1.0  # a kernel value out of range is refused
     _scalar_cells(float, buf, starts[4], ends[4], valences, valences_ok, -1.0, 1.0, memo)
     ok &= authors_ok & created_ok & valences_ok
-    ok &= _surfaces_ok(buf, starts[3], ends[3])
+    ok &= _surfaces_ok(buf, starts[3], ends[3], memo)
     return ticks, authors, created, valences, ok
 
 
@@ -703,9 +707,9 @@ def _ingest_range(task: tuple[str | Path, int, int]) -> tuple:
     whole (with any record the block before left open) and then parsed by
     ``_parse_block``, so a byte that is not UTF-8 anywhere in a block is
     reported before any other fault in it.  Within a block the array kernels
-    read each column, and ``_scalar_cells`` reads each timestamp, author and
-    valence cell they refuse with its scalar converter, once for each
-    spelling the range holds.  Bytes that are not UTF-8 and CSV the reader
+    read each column, and ``_scalar_cells`` reads each timestamp, author,
+    surface and valence cell they refuse with its scalar converter, once for
+    each spelling the range holds.  Bytes that are not UTF-8 and CSV the reader
     rejects (a field over its size limit) raise CorruptArchiveError.
     """
     path, start, end = task

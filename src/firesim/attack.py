@@ -140,7 +140,7 @@ def select_topic(candidates: list[TargetTopic], class_weights: dict[str, float],
     pool = [t for t in candidates if t.topic_id not in excluded]
     if not pool:
         raise NoTopicError("no candidate topics left to ignite")
-    return min(pool, key=lambda t: (-t.severity * class_weights.get(t.failure_class.value, 1.0),
+    return min(pool, key=lambda t: (-t.severity * class_weights.get(t.failure_class, 1.0),
                                     t.topic_id))
 
 

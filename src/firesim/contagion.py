@@ -306,7 +306,7 @@ class Simulation:
         topic = attack.select_topic(list(cfg.topics), cfg.attack.class_weights, excluded)
         self.topic = topic
         self.severity = topic.severity
-        self.class_multiplier = cfg.agents.class_multipliers[topic.failure_class.value]
+        self.class_multiplier = cfg.agents.class_multipliers[topic.failure_class]
         self.logistic_term = agents.susceptibility_terms(self.accounts.ocean, topic, cfg.agents)
         self.susceptibility = self.susceptibilities()
         self.recurrence_multiplier = defense.recurrence_boost(cfg.company_history, topic, tick,

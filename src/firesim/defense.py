@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .agents import BotMode, FailureClass, TargetTopic, clip_unit, short_repr
+from .agents import FAILURE_CLASS_NAMES, BotMode, TargetTopic, clip_unit, short_repr
 
 if TYPE_CHECKING:  # pragma: no cover
     from .contagion import Simulation
@@ -158,7 +158,7 @@ class PastFirestorm:
 
     topic_id: str
     # the names it may take, as a config field's rule (see ``scenario._valid``)
-    failure_class: str = field(metadata={"rule": tuple(fc.value for fc in FailureClass)})
+    failure_class: str = field(metadata={"rule": FAILURE_CLASS_NAMES})
     tick: int
 
 
@@ -171,7 +171,7 @@ def recurrence_boost(company_history: Sequence[PastFirestorm],
     exactly one recurrence period in the past; 1.0 with no related history.
     """
     related = [p for p in company_history
-               if p.failure_class == candidate_topic.failure_class.value]
+               if p.failure_class == candidate_topic.failure_class]
     if not related:
         return 1.0
     past = max(related, key=lambda p: p.tick)
@@ -219,8 +219,8 @@ def apply_policy(kind: PolicyKind, sim: "Simulation",
     event: dict = {"tick": t, "kind": "policy_applied", "policy": kind.value}
 
     if kind in CLASS_MATCHED_POLICIES:
-        if sim.topic is None or CLASS_MATCHED_POLICIES[kind] != sim.topic.failure_class.value:
-            have = "none" if sim.topic is None else sim.topic.failure_class.value
+        if sim.topic is None or CLASS_MATCHED_POLICIES[kind] != sim.topic.failure_class:
+            have = "none" if sim.topic is None else sim.topic.failure_class
             raise PolicyMismatchError(
                 f"{kind.value} answers {CLASS_MATCHED_POLICIES[kind]} failures, "
                 f"topic failure class is {have}")
@@ -303,7 +303,7 @@ def run_playbook_tick(sim: "Simulation", runtime: DefenseRuntime) -> list[dict]:
         except PolicyMismatchError:
             events.append({
                 "tick": t, "kind": "policy_mismatch_skipped", "policy": kind.value,
-                "topic_class": sim.topic.failure_class.value,
+                "topic_class": sim.topic.failure_class,
                 "policy_class": CLASS_MATCHED_POLICIES[kind]})
 
     _update_support_cohorts(sim, runtime, events)

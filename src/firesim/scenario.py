@@ -14,7 +14,6 @@ fully deterministic seed tree.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import functools
 import itertools
 import json
@@ -28,7 +27,7 @@ from typing import Annotated
 import numpy as np
 
 from . import analytics, attack, defense
-from .agents import _SHORT, Bound, FailureClass, TargetTopic, short_repr
+from .agents import _SHORT, FAILURE_CLASS_NAMES, Bound, FailureClass, TargetTopic, short_repr
 from .contagion import FirestormStage, Simulation, World
 from .defense import PastFirestorm, PolicyKind
 from .socialgraph import (AccountKind, AccountTable, SocialGraph, build_roster,
@@ -45,7 +44,6 @@ def _at(path: str, key) -> str:
     return f"{path}.{key}" if plain else f"{path}[{short_repr(key)}]"
 
 
-FAILURE_CLASS_NAMES = tuple(fc.value for fc in FailureClass)
 ACTION_NAMES = tuple(kind.value for kind in attack.ActionKind)
 STAGE_NAMES = tuple(stage.value for stage in FirestormStage)
 POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
@@ -365,9 +363,9 @@ def _valid(tp, value, path: str, rule=None) -> None:
     """Raise a ``ConfigError`` naming ``path`` unless ``value`` has the annotation
     ``tp`` and keeps ``rule``: a ``Bound`` or names for a scalar (for each item of
     a tuple, unless ``Annotated`` gives the item its own), a ``Keys`` for a
-    mapping.  A float takes an int but not NaN or an infinity.  A mapping, list
-    or name where a section, tuple or enum was declared comes from
-    ``replace()``, so it is told the Python type."""
+    mapping.  A float takes an int but not NaN or an infinity.  A mapping or
+    list where a section or tuple was declared comes from ``replace()``, so it
+    is told the Python type."""
     if tp in _SCALARS:  # first: most values are scalars
         expected, accepted = _SCALARS[tp]
         if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
@@ -389,12 +387,6 @@ def _valid(tp, value, path: str, rule=None) -> None:
         if value is not None:
             (inner,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
             _valid(inner, value, path, rule)
-    elif isinstance(tp, enum.EnumType):
-        names = [member.value for member in tp]
-        if value in names:
-            raise _type_error(path, f"a {tp.__name__}", value)
-        if not isinstance(value, tp):
-            raise ConfigError(f"{path}: {short_repr(value)} not in {names}")
     elif (origin := typing.get_origin(tp)) is Annotated:
         _valid(tp.__origin__, value, path, tp.__metadata__[0])
     elif origin is dict:
@@ -442,9 +434,9 @@ def _decode_section(cls, data: dict, path: str, base=None):
 
 def _decode(tp, value, default, path: str):
     """``value`` reshaped to the annotation ``tp``: a mapping becomes a section
-    or is merged over ``default``, a list a tuple, a name its enum member and
-    an int a float where a float is declared.  Anything else is left as it
-    is, for ``_valid`` to name."""
+    or is merged over ``default``, a list a tuple and an int a float where a
+    float is declared.  Anything else is left as it is, for ``_valid`` to
+    name."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is Annotated:  # an item's own rule, for ``_valid``
         return _decode(args[0], value, default, path)
@@ -460,8 +452,6 @@ def _decode(tp, value, default, path: str):
         args = args[:1] * len(value) if args[-1] is Ellipsis else args + (None,) * len(value)
         return tuple(_decode(item_tp, item, None, f"{path}[{i}]")
                      for i, (item_tp, item) in enumerate(zip(args, value)))
-    if isinstance(tp, enum.EnumType):
-        return next((member for member in tp if member.value == value), value)
     if tp is float and type(value) is int:
         try:
             return float(value)
@@ -471,15 +461,13 @@ def _decode(tp, value, default, path: str):
 
 
 def _encode(value):
-    """Dataclasses become mappings, tuples lists and enums their values."""
+    """Dataclasses become mappings and tuples lists."""
     if dataclasses.is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, (tuple, list)):
         return [_encode(item) for item in value]
     if isinstance(value, dict):
         return {key: _encode(item) for key, item in value.items()}
-    if isinstance(value, enum.Enum):
-        return value.value
     return value
 
 

@@ -280,12 +280,22 @@ def test_closure_violation_rejected():
         load_sentiment_summaries("a,b,c\n1,2,3\n")
 
 
-@pytest.mark.parametrize("row, cells", [("0,0,720,3,0.5,0.5", 6),
-                                        ("0,0,720,3,0.5,0.5,0.0,0.1,9", 9)])
-def test_a_row_of_the_wrong_width_is_rejected(row, cells):
-    """A short row once raised ``IndexError`` and a long one lost its last cells."""
+@pytest.mark.parametrize("row, message", [
+    ("0,0,720,3,0.5,0.5", "6 cells, expected 8"),
+    ("0,0,720,3,0.5,0.5,0.0,0.1,9", "9 cells, expected 8"),
+    # from here on, once loaded (NaN passes the closure check) or a message naming no line
+    ("0,0,24,3,nan,0.5,0.5,0.0", "negative must be finite, got nan"),
+    ("0,0,24,3,0.2,0.3,0.5,nan", "compound must be finite, got nan"),
+    ("0,0,24,3,0.2,0.3,0.5,-inf", "compound must be finite, got -inf"),
+    ("0,x,24,3,0.2,0.3,0.5,0.0", "invalid literal for int() with base 10: 'x'"),
+    ("0,0,24,3,0.2,y,0.5,0.0", "could not convert string to float: 'y'"),
+    ("0,0,24,10,0.5,0.3,0.1,0.0", "window 0: proportions sum to 0.9, outside 1 +/- 0.01"),
+])
+def test_a_row_of_the_wrong_width_is_rejected(row, message):
+    """A short row once raised ``IndexError`` and a long one lost its last
+    cells; every fault of a row is named with its line."""
     text = f"{analytics.SENTIMENT_CSV_HEADER}\n0,0,24,10,0.5,0.3,0.2,0.0\n{row}\n"
-    with pytest.raises(ValueError, match=f"^line 3: {cells} cells, expected 8$"):
+    with pytest.raises(ValueError, match=f"^line 3: {re.escape(message)}$"):
         load_sentiment_summaries(text)
 
 
@@ -953,13 +963,16 @@ def _scalar_cells_by_cell(convert, cells, values, ok, low, high):
 
 _INT64_RANGE = (analytics._INT64_MIN, analytics._INT64_MAX)
 _CONVERTERS = {"int": (int, np.int64, _INT64_RANGE), "float": (float, np.float64, (-1.0, 1.0)),
-               "timestamp": (_parse_timestamp, np.int64, _INT64_RANGE)}
+               "timestamp": (_parse_timestamp, np.int64, _INT64_RANGE),
+               "surface": (analytics._surface_cell, np.int8, (0, 0))}
 
 
 @given(st.sampled_from(sorted(_CONVERTERS)),
        st.lists(st.tuples(st.sampled_from(["7", " -8 ", "+9", "1_0", "0.5", "-0.0", "2", "nan",
                                            "x", "", "1e999", "-1e-400", "\u0663", "\u00e9",
-                                           "2024-01-01T00:00:00Z", "9" * 25, "-" + "9" * 19]),
+                                           "2024-01-01T00:00:00Z", "9" * 25, "-" + "9" * 19,
+                                           " company_page", "Employee_Profile:4",
+                                           "employee_profile:x", "intranet"]),
                           st.booleans()), max_size=30))
 @example("int", [])
 @example("int", [("x", False)])
@@ -967,6 +980,7 @@ _CONVERTERS = {"int": (int, np.int64, _INT64_RANGE), "float": (float, np.float64
 @example("int", [("7", True), ("8", False), ("x", False)])  # last
 @example("int", [("7", False), ("x", False), ("y", False), ("z", False), ("8", False)])
 @example("float", [("x", False), ("0.5", True), ("y", False), ("2", False), ("-0.0", False)])
+@example("surface", [("intranet", False), ("", False), (" company_page", False), ("x", True)])
 @settings(max_examples=200, deadline=None)
 def test_scalar_cells_convert_each_refused_cell_once_like_a_cell_loop(converter, rows):
     """A cell that ``ok`` accepts keeps its kernel value (3) and is not
@@ -991,17 +1005,22 @@ def test_scalar_cells_convert_each_refused_cell_once_like_a_cell_loop(converter,
 
 
 def test_each_refused_spelling_is_converted_once_per_ingest(tmp_path, monkeypatch):
-    """A spelling the kernels refuse, repeated over many blocks, is converted
-    once in an ingest, and once again in the next: the memo is the range's."""
-    rows = [f"{'yesterday' if k % 7 == 0 else 100 + k},{k},50,general_stream,-0.5"
-            for k in range(700)]
+    """A timestamp or surface spelling the kernels refuse, repeated over many
+    blocks, is converted once in an ingest, and once again in the next: the
+    memo is the range's, for every column alike."""
+    rows = [f"{'yesterday' if k % 7 == 0 else 100 + k},{k},50,"
+            f"{'intranet' if k % 5 == 0 else 'general_stream'},-0.5" for k in range(700)]
     path = _write_archive(tmp_path, rows)
     monkeypatch.setattr(analytics, "_BLOCK_BYTES", 1024)
     seen, parse = [], analytics._parse_timestamp
     monkeypatch.setattr(analytics, "_parse_timestamp", lambda cell: seen.append(cell) or parse(cell))
+    surfaces, from_text = [], Surface.from_text
+    monkeypatch.setattr(Surface, "from_text",
+                        classmethod(lambda cls, text: surfaces.append(text) or from_text(text)))
     for ingests in (1, 2):
-        assert ingest_archive(path).malformed_count == 100
+        assert ingest_archive(path).malformed_count == 100 + 140 - 20
         assert seen == ["yesterday"] * ingests
+        assert surfaces == ["intranet"] * ingests
 
 
 @pytest.mark.parametrize("cell", [" 7 ", "\t7\n", "+7", "7_0", " -7", "\u20037\u2003", "\u0663",

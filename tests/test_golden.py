@@ -37,7 +37,11 @@ the config echo, and nothing else in those files moved.  The span
 `analyze` digests (ticks over 65,536 hours apart, from a negative first
 tick, with ties scattered through the file) were recorded while `analyze`
 ordered the posts with one stable sort of the int64 ticks and dedup
-grouped rows with a stable sort, before both sorts changed.  Any refactor of
+grouped rows with a stable sort, before both sorts changed.  The
+``scheduled-actions`` digests, the only case that skips an action (one
+scheduled while the plan still picks its topic) and counts insider-threat
+candidates, were recorded while a topic's failure class was still an enum
+member in the config.  Any refactor of
 the engine, the fork or the report writers must leave these bytes
 unchanged; a change that moves them on purpose has to re-record the
 tables and say why.
@@ -137,6 +141,11 @@ RUN_CONFIGS = {
     "scapegoat-backfire": {"graph": {"n": 2000}, "defense": {
         "enabled": True, "scapegoat_backfire_probability": 1.0,
         "playbook": [{"kind": "scapegoat", "trigger_stage": "peak"}]}},
+    # an action scheduled while the plan still picks its topic is skipped,
+    # and two insider threats count their candidates under worker focus
+    "scheduled-actions": {"attack": {"action_schedule": [[0, "human_error_exploit"],
+                                                         [15, "insider_threat"],
+                                                         [16, "insider_threat"]]}},
 }
 
 CONFIG_RUN_DIGESTS = {
@@ -205,6 +214,12 @@ CONFIG_RUN_DIGESTS = {
         "history.csv": "59c52a9145a35facd05362cfb5d59b0e0018e72eaa21ea3007cc429003a22e24",
         "run_metadata.json": "b941aadc9c4d87cebd6adb9ea5dfa81f9d33392936eabb2406717cec4f0dcdab",
         "sentiment_windows.csv": "43ac9e5eb77799b60a3613de151d8f979536d33a1d738e11861dcbb33f0f96ec",
+    },
+    ("scheduled-actions", 0): {
+        "financial.csv": "d8c2f89aa5fb84b507ceeb570829400a78fd6beb1b1b9bed7eab43c9c5d0d0b5",
+        "history.csv": "5189a45aba98ae925752a4216ea58ca18fffd9208e8bbd1f5751a16a5748a35b",
+        "run_metadata.json": "c5687fb896279aa213661d7a6011f17cf3dd7463eeec3b39cc94d16de4fe5a52",
+        "sentiment_windows.csv": "7b0cc04d072d5bb62fe8d9d2854efc1d6e483e2cbe46b014ca23142c2c4f4892",
     },
     ("weak-bots", 2): {
         "financial.csv": "64ac19ae4258d8cee4a1898906bfc499f22785b02e85c606267094b3c082f2c6",
@@ -287,6 +302,8 @@ RNG_CALL_DIGESTS = {
         "d08a25a1263828becf3f75e7b48da5bbd63a3be9fba0ca7da390951db1fc3564",
     ("config", "scapegoat-backfire", 0):
         "bc5520a8d21375f50689363123b01d247bfb7d81d334209aaaa3f11687d26617",
+    ("config", "scheduled-actions", 0):
+        "515e2cd33566094c1300cc6175e3943862de1f087d79f881e3fb5471dd402364",
     ("config", "weak-bots", 2):
         "c74f7f2a75b5c601edb4ede8b5f01d41283a7a84fb4691939f3e60e65665834e",
     ("run", "default", 0):

@@ -2,6 +2,7 @@ import ast
 import collections
 import copy
 import dataclasses
+import enum
 import json
 import math
 import re
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from firesim import scenario
-from firesim.agents import TargetTopic
+from firesim.agents import FailureClass, TargetTopic
 from firesim.analytics import run_outcome
 from firesim.cli import TOGGLES
 from firesim.scenario import (ACTION_NAMES, FAILURE_CLASS_NAMES, POLICY_NAMES,
@@ -251,12 +252,17 @@ def test_a_config_checks_itself_when_made():
     ("defense", {"playbook": ("internal_training",)},
      "defense.playbook[0]: expected a mapping, got 'internal_training'"),
     (None, {"graph": 5}, "graph: expected a mapping, got 5"),
+    # once ``5 not in ['social', ...]`` both ways: a name check where the type check belongs
+    ("topics", {"failure_class": 5}, "topics[0].failure_class: expected a string, got 5"),
 ])
 def test_a_replaced_field_of_the_wrong_type_is_a_config_error(section, change, message):
     """Decoding and ``replace()`` hold a field to one type rule, in the same
-    words; ``section`` None changes a field of the config itself."""
+    words; ``section`` None changes a field of the config itself, and
+    ``topics`` a field of its first topic."""
     cfg = default_config()
-    data = json.loads(json.dumps(change))  # tuples become lists
+    if section == "topics":
+        section, change = None, {"topics": (replace(cfg.topics[0], **change),)}
+    data = json.loads(json.dumps(change, default=dataclasses.asdict))  # tuples become lists
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         config_from_dict(data if section is None else {section: data})
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -267,23 +273,22 @@ def test_a_replaced_field_of_the_wrong_type_is_a_config_error(section, change, m
 @pytest.mark.parametrize("change, message", [
     (lambda cfg: {"topics": list(cfg.topics)},
      "topics: expected a tuple, got [TargetTopic("),
-    (lambda cfg: {"topics": (replace(cfg.topics[0], failure_class="social"),)},
-     "topics[0].failure_class: expected a FailureClass, got 'social'"),
     (lambda cfg: {"graph": {"n": 50}}, "graph: expected a GraphConfig, got {'n': 50}"),
     (lambda cfg: {"attack": replace(cfg.attack, target_weights=[0.4, 0.4, 0.2])},
      "attack.target_weights: expected a tuple, got [0.4, 0.4, 0.2]"),
-], ids=["list-for-tuple", "name-for-enum", "mapping-for-section", "list-for-fixed-tuple"])
+], ids=["list-for-tuple", "mapping-for-section", "list-for-fixed-tuple"])
 def test_a_value_only_replace_can_give_is_told_the_python_type(change, message):
-    """Decoding turns a list into a tuple, a mapping into a section and a
-    name into its enum member, so one of these left as it is came from
-    ``replace()``: its message names the type it should have been."""
+    """Decoding turns a list into a tuple and a mapping into a section, so
+    one of these left as it is came from ``replace()``: its message names
+    the type it should have been."""
     cfg = default_config()
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         replace(cfg, **change(cfg))
 
 
 def test_a_replaced_field_takes_what_decoding_takes():
-    """A float field takes an int, and an optional field ``None``."""
+    """A float field takes an int, an optional field ``None``, and a failure
+    class its name, which makes the config its member makes."""
     cfg = default_config()
     ransom = replace(cfg.attack.ransom, force_outcome=None)
     made = replace(cfg, agents=replace(cfg.agents, beta=10),
@@ -291,6 +296,9 @@ def test_a_replaced_field_takes_what_decoding_takes():
                    defense=replace(cfg.defense, db_path=None, playbook=(
                        PolicySpec(kind="internal_training", trigger_tick=None),)))
     assert made.agents.beta == 10 and made.defense.playbook[0].trigger_stage is None
+    topic = cfg.topics[0]
+    assert (replace(cfg, topics=(replace(topic, failure_class="social"),))
+            == replace(cfg, topics=(replace(topic, failure_class=FailureClass.SOCIAL),)))
 
 
 @pytest.mark.parametrize("text, path, shown", [
@@ -565,20 +573,36 @@ def test_decoding_walks_each_given_field_once(monkeypatch):
     assert walked["graph.n"] == walked["attack.ransom.amount"] == 1
 
 
+def _config_types() -> set:
+    """Every type a ``ScenarioConfig`` annotation reaches: the field types of
+    each record it holds, and the arguments of their unions, tuples and
+    mappings."""
+    seen, todo = set(), [ScenarioConfig]
+    while todo:
+        tp = todo.pop()
+        if tp not in seen:
+            seen.add(tp)
+            todo += (typing.get_type_hints(tp).values() if dataclasses.is_dataclass(tp)
+                     else typing.get_args(tp))
+    return seen
+
+
 def test_no_record_of_a_config_checks_itself_but_the_config():
     """Decoding makes each record before the config's one walk checks it, so
     a record with its own ``__post_init__`` would meet values of the wrong
     type: of the dataclasses a config holds, only ``ScenarioConfig`` checks."""
-    records, todo = set(), [ScenarioConfig]
-    while todo:
-        tp = todo.pop()
-        if dataclasses.is_dataclass(tp) and tp not in records:
-            records.add(tp)
-            todo += typing.get_type_hints(tp).values()
-        else:
-            todo += typing.get_args(tp)
+    records = {tp for tp in _config_types() if dataclasses.is_dataclass(tp)}
     assert {TargetTopic, PastFirestorm, PolicySpec} <= records
     assert [cls for cls in records if "__post_init__" in vars(cls)] == [ScenarioConfig]
+
+
+def test_no_config_field_is_declared_an_enum():
+    """A config holds names, each checked against its field's rule, so the
+    codec walks one form of a value: a topic's failure class is a name, as a
+    past firestorm's is."""
+    types = _config_types()
+    assert str in types and TargetTopic in types
+    assert [tp for tp in types if isinstance(tp, type) and issubclass(tp, enum.Enum)] == []
 
 
 def test_config_json_is_stable():
